@@ -378,18 +378,38 @@ def tmean(a, axis=None) -> Tensor:
     return tsum(a, axis=axis) * (1.0 / count)
 
 
-# -- composed helpers --------------------------------------------------------
-
-
-def logsumexp(a, axis=None) -> Tensor:
+def logsumexp(a, axis=None, mask=None) -> Tensor:
     """log(sum(exp(a))) along axis, stabilized by max subtraction.
 
-    The subtracted max is treated as a constant; the dependence cancels
-    exactly in both value and gradient, so this is not an approximation.
+    With a boolean mask of a's shape, only the selected entries of each
+    slice enter the sum; every slice must select at least one entry, and
+    unselected entries get exactly zero gradient. The gradient is the
+    (masked) softmax along the axis times the upstream gradient. The
+    subtracted max cancels exactly in both value and gradient, so this is
+    not an approximation.
     """
     a = as_tensor(a)
-    m = as_tensor(np.max(a.data, axis=axis, keepdims=True))
-    return m + log(tsum(exp(a - m), axis=axis))
+    if axis not in (None, 0, 1):
+        raise ShapeError("logsumexp: axis must be None, 0 or 1")
+    x = a.data
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != a.shape:
+            raise ShapeError(f"logsumexp: mask shape {mask.shape} differs from {a.shape}")
+        if not mask.any(axis=axis).all():
+            raise ShapeError("logsumexp: mask selects no entry of some slice")
+        x = np.where(mask, x, -np.inf)
+    m = np.max(x, axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=axis, keepdims=True)
+
+    def bw(g):
+        return ((g / s) * e,)
+
+    return _make(m + np.log(s), (a,), bw)
+
+
+# -- composed helpers --------------------------------------------------------
 
 
 def softplus(a) -> Tensor:

@@ -161,7 +161,11 @@ def triplet_loss_batch_hard(features, labels, margin: float = 0.3) -> Tensor:
 
 def circle_loss(features, labels, scale: float = 32.0, margin: float = 0.25) -> Tensor:
     """Mean over anchors of log(1 + sum_j exp(s*(sn_j + m)) * sum_i exp(-s*sp_i))
-    on cosine similarities of L2-normalized embeddings."""
+    on cosine similarities of L2-normalized embeddings.
+
+    Computed row-wise on the N x N similarity matrix S as
+    softplus(logsumexp_neg(s*(S + m)) + logsumexp_pos(-s*S)), each
+    logsumexp masked to the anchor's negatives or positives."""
     features, labels = _check_batch(features, labels, "circle_loss")
     if scale <= 0:
         raise ConfigError("circle_loss: scale must be positive")
@@ -173,44 +177,30 @@ def circle_loss(features, labels, scale: float = 32.0, margin: float = 0.25) -> 
     norms = (features * features).sum(axis=0).sqrt()  # zero column would fault in div
     xn = features / norms
     sim = xn.t() @ xn
-    n = labels.size
-    total = None
-    for i in range(n):
-        pos_idx = np.flatnonzero(pos[i])
-        neg_idx = np.flatnonzero(neg[i])
-        sp = gather_pairs(sim, np.full(pos_idx.size, i), pos_idx)
-        sn = gather_pairs(sim, np.full(neg_idx.size, i), neg_idx)
-        z = logsumexp(scale * (sn + margin)) + logsumexp(-scale * sp)
-        term = softplus(z)
-        total = term if total is None else total + term
-    return total * (1.0 / n)
+    z = logsumexp(scale * (sim + margin), axis=1, mask=neg) + logsumexp(-scale * sim, axis=1, mask=pos)
+    return softplus(z).mean()
 
 
 def lifted_structure_loss(features, labels, margin: float = 1.0) -> Tensor:
     """Mean over positive pairs (i < j) of
-    relu(D_ij + log sum_k exp(m - D_ik) + log sum_l exp(m - D_jl))^ ,
-    negatives taken per endpoint."""
+    relu(D_ij + log sum_k exp(m - D_ik) + log sum_l exp(m - D_jl)),
+    k and l ranging over the negatives of i and of j.
+
+    Computed on the N x N distance matrix D with the row-wise masked
+    L = logsumexp_neg(m - D) (N x 1): relu(D + L + L^T) summed over the
+    strict upper triangle of the positive mask."""
     features, labels = _check_batch(features, labels, "lifted_structure_loss")
     pos, neg = _pair_masks(labels)
-    pairs = [(i, j) for i in range(labels.size) for j in range(i + 1, labels.size) if pos[i, j]]
-    if not pairs:
+    pair_mask = np.triu(pos, 1)
+    n_pairs = int(pair_mask.sum())
+    if n_pairs == 0:
         raise ShapeError("lifted_structure_loss: batch has no positive pairs")
     if not neg.any():
         raise ShapeError("lifted_structure_loss: batch has no negative pairs")
     dist = pairwise_euclidean(features)
-    neg_lse = {}  # anchor -> log sum_k exp(margin - D_ik) over its negatives
-    for i in {i for ij in pairs for i in ij}:
-        neg_idx = np.flatnonzero(neg[i])
-        if neg_idx.size == 0:
-            raise ShapeError(f"lifted_structure_loss: sample {i} has no negatives")
-        di = gather_pairs(dist, np.full(neg_idx.size, i), neg_idx)
-        neg_lse[i] = logsumexp(margin - di)
-    total = None
-    for i, j in pairs:
-        dij = gather_pairs(dist, np.array([i]), np.array([j]))
-        term = (dij + neg_lse[i] + neg_lse[j]).relu()
-        total = term if total is None else total + term
-    return total * (1.0 / len(pairs))
+    neg_lse = logsumexp(margin - dist, axis=1, mask=neg)
+    terms = (dist + neg_lse + neg_lse.t()).relu() * as_tensor(pair_mask.astype(np.float64))
+    return terms.sum() * (1.0 / n_pairs)
 
 
 def ranked_list_loss(features, labels, alpha: float = 1.2, margin: float = 0.4) -> Tensor:
@@ -323,9 +313,8 @@ def cpl_loss(
     preds = predictor(features) if predictor is not None else features
     diff = preds - targets
     sq = (diff * diff).sum(axis=0)  # 1 x N
-    uniq, counts = np.unique(labels, return_counts=True)
-    count_of = dict(zip(uniq, counts))
-    weights = np.array([1.0 / count_of[y] for y in labels])[None, :]
+    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    weights = (1.0 / counts)[inverse][None, :]
     return (sq * as_tensor(weights)).sum()
 
 

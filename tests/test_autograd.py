@@ -138,6 +138,82 @@ def test_logsumexp_matches_numpy_and_is_stable():
     assert big.item() == pytest.approx(1001.0 + np.log(1 + np.exp(-1.0)))
 
 
+def _masked_lse_case(seed, axis):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-3, 3, (4, 5))
+    mask = rng.random((4, 5)) < 0.5
+    # every slice along the reduced axis keeps at least one entry
+    if axis is None:
+        mask[0, 0] = True
+    elif axis == 0:
+        mask[rng.integers(0, 4, 5), np.arange(5)] = True
+    else:
+        mask[np.arange(4), rng.integers(0, 5, 4)] = True
+    return a, mask
+
+
+@pytest.mark.parametrize("axis", [0, 1, None])
+@pytest.mark.parametrize("seed", range(3))
+def test_masked_logsumexp_matches_numpy_over_selected_entries(axis, seed):
+    a, mask = _masked_lse_case(seed, axis)
+    out = ag.logsumexp(as_tensor(a), axis=axis, mask=mask)
+    if axis is None:
+        expect = np.array([[np.log(np.exp(a[mask]).sum())]])
+    elif axis == 0:
+        expect = np.array([[np.log(np.exp(a[mask[:, j], j]).sum()) for j in range(a.shape[1])]])
+    else:
+        expect = np.array([[np.log(np.exp(a[i, mask[i]]).sum())] for i in range(a.shape[0])])
+    assert out.shape == expect.shape
+    assert np.allclose(out.data, expect, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("axis", [0, 1, None])
+def test_logsumexp_gradient_matches_fd(axis, masked):
+    a, mask = _masked_lse_case(7, axis)
+    x = Tensor(a, requires_grad=True)
+    use = mask if masked else None
+    # a non-uniform upstream gradient, so each slice's softmax is weighted
+    out_shape = {0: (1, 5), 1: (4, 1), None: (1, 1)}[axis]
+    w = as_tensor(np.random.default_rng(8).uniform(0.5, 2.0, out_shape))
+
+    def forward():
+        return (ag.logsumexp(x, axis=axis, mask=use) * w).sum()
+
+    analytic = backward(forward())
+    assert max_rel_err(analytic[x], central_diff(forward, x)) < 1e-4
+    if masked:
+        assert np.all(analytic[x][~mask] == 0.0)
+        assert np.all(analytic[x][mask] > 0.0)
+
+
+def test_masked_logsumexp_is_stable_at_large_magnitudes():
+    a = np.array([[1000.0, 1001.0, -1000.0], [-1000.0, -1001.0, 1000.0]])
+    mask = np.array([[True, True, True], [True, True, False]])
+    x = Tensor(a, requires_grad=True)
+    out = ag.logsumexp(x, axis=1, mask=mask)
+    assert out.data[0, 0] == pytest.approx(1001.0 + np.log(1 + np.exp(-1.0)), rel=1e-15)
+    assert out.data[1, 0] == pytest.approx(-1000.0 + np.log(1 + np.exp(-1.0)), rel=1e-15)
+    g = backward(out.sum())[x]
+    assert np.isfinite(g).all()
+    assert g[1, 2] == 0.0
+    assert np.allclose(g.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+def test_masked_logsumexp_rejects_bad_masks():
+    a = as_tensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        ag.logsumexp(a, axis=1, mask=np.ones((3, 2), dtype=bool))
+    with pytest.raises(ShapeError):
+        ag.logsumexp(a, axis=1, mask=np.ones((1, 3), dtype=bool))  # broadcastable is not enough
+    empty_row = np.array([[True, True, True], [False, False, False]])
+    with pytest.raises(ShapeError):
+        ag.logsumexp(a, axis=1, mask=empty_row)
+    ag.logsumexp(a, axis=0, mask=empty_row)  # every column still selects an entry
+    with pytest.raises(ShapeError):
+        ag.logsumexp(a, axis=None, mask=np.zeros((2, 3), dtype=bool))
+
+
 def test_softplus_extremes():
     assert ag.softplus(as_tensor([[0.0]])).item() == pytest.approx(np.log(2.0))
     assert ag.softplus(as_tensor([[-200.0]])).item() == pytest.approx(0.0, abs=1e-12)

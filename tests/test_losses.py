@@ -237,6 +237,55 @@ def test_lifted_gradient_matches_fd():
     assert max_rel_err(analytic[x], central_diff(forward, x)) < 1e-4
 
 
+# -- circle and lifted structure at the shapes training uses ---------------------------
+
+
+def unequal_batch(sizes, seed, dim=3):
+    """Classes of the given sizes, columns in shuffled order."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    return rng.uniform(-2.0, 2.0, (dim, labels.size)), labels
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_pairwise_losses_match_oracles_on_pk_8x8_batch(seed):
+    feats, labels = random_batch(seed, dim=16, p=8, k=8)
+    m = MarginConfig()
+    got = circle_loss(feats, labels, scale=m.circle_scale, margin=m.circle_margin).item()
+    assert got == pytest.approx(oracle_circle(feats, labels, m.circle_scale, m.circle_margin), abs=1e-10)
+    got = lifted_structure_loss(feats, labels, margin=m.lifted_margin).item()
+    assert got == pytest.approx(oracle_lifted(feats, labels, m.lifted_margin), abs=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.lists(st.integers(2, 5), min_size=2, max_size=4), seed=st.integers(0, 10_000))
+def test_pairwise_losses_match_oracles_on_unequal_classes(sizes, seed):
+    feats, labels = unequal_batch(sizes, seed)
+    got = circle_loss(feats, labels, scale=8.0, margin=0.25).item()
+    assert got == pytest.approx(oracle_circle(feats, labels, 8.0, 0.25), abs=1e-10)
+    got = lifted_structure_loss(feats, labels, margin=1.0).item()
+    assert got == pytest.approx(oracle_lifted(feats, labels, 1.0), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "loss",
+    [
+        lambda x, y: circle_loss(x, y, scale=4.0, margin=0.25),
+        lambda x, y: lifted_structure_loss(x, y, margin=1.0),
+    ],
+    ids=["circle", "lifted"],
+)
+def test_pairwise_loss_gradient_matches_fd_on_unequal_classes(loss):
+    feats, labels = unequal_batch([2, 4, 3], seed=19)
+    x = Tensor(feats, requires_grad=True)
+
+    def forward():
+        return loss(x, labels)
+
+    analytic = backward(forward())
+    assert max_rel_err(analytic[x], central_diff(forward, x)) < 1e-4
+
+
 # -- ranked list ----------------------------------------------------------------------
 
 
