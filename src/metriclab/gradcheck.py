@@ -111,7 +111,7 @@ def _relu_margin(layers, bns, x_data: np.ndarray) -> float:
     return worst
 
 
-def _off_kink_input(rng, net, d, n, layers, bns=None, tries: int = 50) -> Tensor:
+def _off_kink_input(rng, d, n, layers, bns=None, tries: int = 50) -> Tensor:
     """Input batch whose relu preactivations are all off the kink."""
     best, best_margin = None, -np.inf
     for _ in range(tries):
@@ -147,14 +147,14 @@ def _case_batchnorm(rng) -> GradProblem:
 
 def _case_mlp(rng) -> GradProblem:
     net = MLP(4, (8, 8), 3, rng)
-    x = _off_kink_input(rng, net, 4, 6, net.layers)
+    x = _off_kink_input(rng, 4, 6, net.layers)
     leaves = {"x": x, **{f"mlp.{n}": p for n, p in net.params()}}
     return GradProblem(lambda: _sum_squares(net(x)), leaves)
 
 
 def _case_predictor_plain(rng) -> GradProblem:
     net = CenterPredictor(dim=3, hidden=8, rng=rng, depth=2)
-    x = _off_kink_input(rng, net, 3, 6, net.layers)
+    x = _off_kink_input(rng, 3, 6, net.layers)
     leaves = {"x": x, **{f"pred.{n}": p for n, p in net.params()}}
     return GradProblem(lambda: _sum_squares(net(x)), leaves)
 
@@ -162,7 +162,7 @@ def _case_predictor_plain(rng) -> GradProblem:
 def _case_predictor_deep_bn(rng) -> GradProblem:
     net = CenterPredictor(dim=3, hidden=8, rng=rng, depth=4, bn_hidden=True, bn_output=True)
     net.train()
-    x = _off_kink_input(rng, net, 3, 6, net.layers, bns=net.hidden_bns)
+    x = _off_kink_input(rng, 3, 6, net.layers, bns=net.hidden_bns)
     leaves = {"x": x, **{f"pred.{n}": p for n, p in net.params()}}
     return GradProblem(lambda: _sum_squares(net(x)), leaves)
 
@@ -234,7 +234,7 @@ def _case_rll(rng) -> GradProblem:
 def _case_cpl_frozen(rng) -> GradProblem:
     labels = _labels_pk(2, 3)
     net = CenterPredictor(dim=3, hidden=8, rng=rng, depth=2)
-    x = _off_kink_input(rng, net, 3, 6, net.layers)
+    x = _off_kink_input(rng, 3, 6, net.layers)
     # frozen semantics: the finite difference must not move the targets,
     # so they are pinned at the unperturbed embeddings' values
     pinned = as_tensor(cpl_targets(Tensor(x.data.copy()), labels).data)

@@ -138,16 +138,30 @@ def _pair_masks(labels: np.ndarray):
     return pos, neg
 
 
-def triplet_loss_batch_hard(features, labels, margin: float = 0.3) -> Tensor:
+def _distances(features: Tensor, dist, opname: str) -> Tensor:
+    """pairwise_euclidean(features), or the caller's precomputed N x N dist."""
+    if dist is None:
+        return pairwise_euclidean(features)
+    dist = as_tensor(dist)
+    n = features.shape[1]
+    if dist.shape != (n, n):
+        raise ShapeError(f"{opname}: dist must be {n} x {n}, got {dist.shape}")
+    return dist
+
+
+def triplet_loss_batch_hard(features, labels, margin: float = 0.3, dist=None) -> Tensor:
     """Batch-hard triplet: per anchor, hardest positive and hardest negative
-    by Euclidean distance, hinge at the margin, mean over anchors."""
+    by Euclidean distance, hinge at the margin, mean over anchors.
+
+    dist, if given, is pairwise_euclidean(features), built once by a caller
+    that shares it between several distance losses."""
     features, labels = _check_batch(features, labels, "triplet_loss_batch_hard")
     pos, neg = _pair_masks(labels)
     if not pos.any(axis=1).all():
         raise ShapeError("triplet: every anchor needs at least one positive (identity with >= 2 samples)")
     if not neg.any(axis=1).all():
         raise ShapeError("triplet: every anchor needs at least one negative (>= 2 identities)")
-    dist = pairwise_euclidean(features)
+    dist = _distances(features, dist, "triplet_loss_batch_hard")
     n = labels.size
     # mining happens on values; ties resolve to the lowest index via argmax/argmin
     dvals = dist.data
@@ -181,14 +195,15 @@ def circle_loss(features, labels, scale: float = 32.0, margin: float = 0.25) -> 
     return softplus(z).mean()
 
 
-def lifted_structure_loss(features, labels, margin: float = 1.0) -> Tensor:
+def lifted_structure_loss(features, labels, margin: float = 1.0, dist=None) -> Tensor:
     """Mean over positive pairs (i < j) of
     relu(D_ij + log sum_k exp(m - D_ik) + log sum_l exp(m - D_jl)),
     k and l ranging over the negatives of i and of j.
 
     Computed on the N x N distance matrix D with the row-wise masked
     L = logsumexp_neg(m - D) (N x 1): relu(D + L + L^T) summed over the
-    strict upper triangle of the positive mask."""
+    strict upper triangle of the positive mask. dist as in
+    triplet_loss_batch_hard."""
     features, labels = _check_batch(features, labels, "lifted_structure_loss")
     pos, neg = _pair_masks(labels)
     pair_mask = np.triu(pos, 1)
@@ -197,22 +212,23 @@ def lifted_structure_loss(features, labels, margin: float = 1.0) -> Tensor:
         raise ShapeError("lifted_structure_loss: batch has no positive pairs")
     if not neg.any():
         raise ShapeError("lifted_structure_loss: batch has no negative pairs")
-    dist = pairwise_euclidean(features)
+    dist = _distances(features, dist, "lifted_structure_loss")
     neg_lse = logsumexp(margin - dist, axis=1, mask=neg)
     terms = (dist + neg_lse + neg_lse.t()).relu() * as_tensor(pair_mask.astype(np.float64))
     return terms.sum() * (1.0 / n_pairs)
 
 
-def ranked_list_loss(features, labels, alpha: float = 1.2, margin: float = 0.4) -> Tensor:
+def ranked_list_loss(features, labels, alpha: float = 1.2, margin: float = 0.4, dist=None) -> Tensor:
     """Mean over ordered pairs i != j of
-    (1-y_ij) * relu(alpha - d_ij) + y_ij * relu(d_ij - (alpha - margin))."""
+    (1-y_ij) * relu(alpha - d_ij) + y_ij * relu(d_ij - (alpha - margin)).
+    dist as in triplet_loss_batch_hard."""
     features, labels = _check_batch(features, labels, "ranked_list_loss")
     if not alpha > margin:
         raise ConfigError("ranked_list_loss: alpha must exceed margin")
     if labels.size < 2:
         raise ShapeError("ranked_list_loss: need at least 2 samples")
     pos, neg = _pair_masks(labels)
-    dist = pairwise_euclidean(features)
+    dist = _distances(features, dist, "ranked_list_loss")
     pos_terms = (dist - (alpha - margin)).relu() * as_tensor(pos.astype(np.float64))
     neg_terms = (alpha - dist).relu() * as_tensor(neg.astype(np.float64))
     n = labels.size

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor, as_tensor, matmul
-from .errors import ConfigError, ShapeError
+from .autograd import Tensor, _make, _unbroadcast, as_tensor
+from .errors import ConfigError, NumericsError, ShapeError
 
 __all__ = [
     "Linear",
@@ -31,6 +31,8 @@ class Linear:
     """Affine map W x + b, W: out_dim x in_dim, b: out_dim x 1.
 
     Weights init uniform in [-sqrt(1/in_dim), sqrt(1/in_dim)], bias zero.
+    The map is one autograd op; its backward replays the composed graph
+    matmul(W, x) + b bit for bit.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
@@ -46,7 +48,14 @@ class Linear:
         x = as_tensor(x)
         if x.shape[0] != self.in_dim:
             raise ShapeError(f"linear: expected {self.in_dim} rows, got {x.shape[0]}")
-        return matmul(self.weight, x) + self.bias
+        w, b = self.weight, self.bias
+
+        def bw(g):
+            return g @ x.data.T, w.data.T @ g, _unbroadcast(g, b.shape)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = w.data @ x.data + b.data
+        return _make(out, (w, x, b), bw)
 
     __call__ = forward
 
@@ -60,6 +69,12 @@ class BatchNorm:
     Train mode normalizes with the current batch's mean and (biased)
     variance and updates running statistics; eval mode normalizes with the
     stored running statistics. Train mode needs at least 2 samples.
+
+    Either mode is one autograd op. Its forward and backward do the numpy
+    operations of the composed graph (mean, center, square, mean, add eps,
+    sqrt, divide, scale, shift) in the same order, so values and gradients
+    are bit-identical to it; the textbook closed-form backward would regroup
+    the sums and move the last bits.
     """
 
     def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -82,25 +97,49 @@ class BatchNorm:
         x = as_tensor(x)
         if x.shape[0] != self.dim:
             raise ShapeError(f"batchnorm: expected {self.dim} rows, got {x.shape[0]}")
+        gamma, beta = self.gamma, self.beta
+        n = x.shape[1]
         if self.training:
-            n = x.shape[1]
             if n < 2:
                 raise ShapeError("batchnorm: train mode needs a batch of at least 2")
-            mu = x.mean(axis=1)
-            centered = x - mu
-            var = (centered * centered).mean(axis=1)
-            xhat = centered / (var + self.eps).sqrt()
+            inv_n = 1.0 / n
+            with np.errstate(over="ignore", invalid="ignore"):
+                mu = x.data.sum(axis=1, keepdims=True) * inv_n
+                centered = x.data - mu
+                var = (centered * centered).sum(axis=1, keepdims=True) * inv_n
+                std = np.sqrt(var + self.eps)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                centered = x.data - self.running_mean
+                std = np.sqrt(self.running_var + self.eps)
+        # an overflowing square makes var inf and xhat 0, which would pass the
+        # output check below; a zero std would divide by zero
+        if not np.all(np.isfinite(std) & (std > 0.0)):
+            raise NumericsError("batchnorm: variance is not finite or std is zero")
+        xhat = centered / std
+        if self.training:
             # running stats never carry gradient; unbiased variance for the
             # running estimate, biased for the normalization itself
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu.data
-            self.running_var = (
-                1 - self.momentum
-            ) * self.running_var + self.momentum * var.data * (n / (n - 1))
-        else:
-            xhat = (x - as_tensor(self.running_mean)) / as_tensor(
-                np.sqrt(self.running_var + self.eps)
-            )
-        return self.gamma * xhat + self.beta
+            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
+            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var * (n / (n - 1))
+        training = self.training
+
+        def bw(g):
+            g_xhat = g * gamma.data
+            g_centered = g_xhat / std
+            if training:
+                # through std: sqrt, the eps add, and the mean of the squares
+                g_sq = (-g_xhat * centered / (std * std)).sum(axis=1, keepdims=True) * 0.5 / std * inv_n
+                # centered feeds xhat and both factors of its square
+                g_centered = g_centered + g_sq * centered + g_sq * centered
+                g_x = g_centered + (-g_centered).sum(axis=1, keepdims=True) * inv_n
+            else:
+                g_x = g_centered
+            return _unbroadcast(g * xhat, gamma.shape), g_x, _unbroadcast(g, beta.shape)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = gamma.data * xhat + beta.data
+        return _make(out, (gamma, x, beta), bw)
 
     __call__ = forward
 
@@ -286,9 +325,15 @@ def load_checkpoint(path) -> dict:
         fields = lines[i].rsplit(" ", 2)
         if len(fields) != 3:
             raise ConfigError(f"malformed checkpoint entry line: {lines[i]!r}")
-        name, rows, cols = fields[0], int(fields[1]), int(fields[2])
-        values = np.array([float(v) for v in lines[i + 1].split()])
-        if values.size != rows * cols:
+        name = fields[0]
+        if i + 1 == len(lines):
+            raise ConfigError(f"checkpoint entry {name!r}: file ends before its values line")
+        try:
+            rows, cols = int(fields[1]), int(fields[2])
+            values = np.array([float(v) for v in lines[i + 1].split()])
+        except ValueError as exc:
+            raise ConfigError(f"checkpoint entry {name!r}: {exc}") from None
+        if rows < 0 or cols < 0 or values.size != rows * cols:
             raise ConfigError(f"checkpoint entry {name!r}: expected {rows * cols} values, got {values.size}")
         out[name] = values.reshape(rows, cols)
         i += 2

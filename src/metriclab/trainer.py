@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import losses
 from .autograd import Tensor, as_tensor, backward
 from .errors import ConfigError, TrainingDivergenceError
 from .losses import (
@@ -201,10 +202,18 @@ def build_state(
     return state
 
 
+_DISTANCE_LOSSES = ("triplet", "lifted", "rll")
+
+
 def _loss_parts(state: TrainState, embeddings, labels, loss_cfg: LossConfig) -> dict:
     m = loss_cfg.margins
     parts = {}
-    for name in loss_cfg.enabled():
+    enabled = loss_cfg.enabled()
+    # one distance matrix (and one graph through it) for every distance loss
+    dist = None
+    if any(name in _DISTANCE_LOSSES for name in enabled):
+        dist = losses.pairwise_euclidean(embeddings)
+    for name in enabled:
         if name == "ce":
             parts["ce"] = id_cross_entropy(state.classifier(embeddings), labels)
         elif name == "cpl":
@@ -221,13 +230,13 @@ def _loss_parts(state: TrainState, embeddings, labels, loss_cfg: LossConfig) -> 
                 raise ConfigError("center loss enabled but state has no centers")
             parts["center"] = center_loss(embeddings, labels, state.centers)
         elif name == "triplet":
-            parts["triplet"] = triplet_loss_batch_hard(embeddings, labels, m.triplet_margin)
+            parts["triplet"] = triplet_loss_batch_hard(embeddings, labels, m.triplet_margin, dist=dist)
         elif name == "circle":
             parts["circle"] = circle_loss(embeddings, labels, m.circle_scale, m.circle_margin)
         elif name == "lifted":
-            parts["lifted"] = lifted_structure_loss(embeddings, labels, m.lifted_margin)
+            parts["lifted"] = lifted_structure_loss(embeddings, labels, m.lifted_margin, dist=dist)
         elif name == "rll":
-            parts["rll"] = ranked_list_loss(embeddings, labels, m.rll_alpha, m.rll_margin)
+            parts["rll"] = ranked_list_loss(embeddings, labels, m.rll_alpha, m.rll_margin, dist=dist)
     return parts
 
 

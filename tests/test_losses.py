@@ -535,3 +535,36 @@ def test_pairwise_euclidean_values():
     x = np.array([[0.0, 3.0], [0.0, 4.0]])
     d = pairwise_euclidean(as_tensor(x)).data
     assert np.allclose(d, [[0.0, 5.0], [5.0, 0.0]], atol=1e-12)
+
+
+
+DISTANCE_LOSSES = {
+    "triplet": (triplet_loss_batch_hard, {"margin": 0.5}),
+    "lifted": (lifted_structure_loss, {"margin": 1.0}),
+    "rll": (ranked_list_loss, {"alpha": 1.2, "margin": 0.4}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISTANCE_LOSSES))
+def test_precomputed_dist_gives_bit_identical_value_and_gradient(name):
+    fn, kwargs = DISTANCE_LOSSES[name]
+    feats, labels = random_batch(3, p=3, k=3)
+
+    def value_and_grad(share_dist):
+        x = Tensor(feats.copy(), requires_grad=True)
+        dist = pairwise_euclidean(x) if share_dist else None
+        loss = fn(x, labels, dist=dist, **kwargs)
+        return loss.data, backward(loss)[x]
+
+    (v0, g0), (v1, g1) = value_and_grad(False), value_and_grad(True)
+    assert np.array_equal(v0, v1)
+    assert np.array_equal(g0, g1)
+
+
+@pytest.mark.parametrize("name", sorted(DISTANCE_LOSSES))
+def test_precomputed_dist_of_wrong_shape_rejected(name):
+    fn, kwargs = DISTANCE_LOSSES[name]
+    feats, labels = random_batch(3, p=3, k=3)
+    dist = pairwise_euclidean(as_tensor(feats[:, :-1]))
+    with pytest.raises(ShapeError, match="dist"):
+        fn(feats, labels, dist=dist, **kwargs)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from metriclab.autograd import Tensor, as_tensor, backward
-from metriclab.errors import ConfigError, ShapeError
+from metriclab.autograd import Tensor, as_tensor, backward, matmul
+from metriclab.errors import ConfigError, NumericsError, ShapeError
 from metriclab.nn import (
     BatchNorm,
     CenterPredictor,
@@ -182,4 +182,128 @@ def test_checkpoint_rejects_wrong_header(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("something else\n")
     with pytest.raises(ConfigError):
+        load_checkpoint(p)
+
+
+# -- fused layers against the composed graphs they replace ------------------
+
+
+def composed_linear(layer, x):
+    """Linear as two autograd ops, the reference for the fused op."""
+    return matmul(layer.weight, as_tensor(x)) + layer.bias
+
+
+def composed_batchnorm(bn, x):
+    """BatchNorm as a graph of autograd primitives, the reference for the
+    fused op: same ops, same order, same running-stat updates."""
+    x = as_tensor(x)
+    if bn.training:
+        n = x.shape[1]
+        mu = x.mean(axis=1)
+        centered = x - mu
+        var = (centered * centered).mean(axis=1)
+        xhat = centered / (var + bn.eps).sqrt()
+        bn.running_mean = (1 - bn.momentum) * bn.running_mean + bn.momentum * mu.data
+        bn.running_var = (1 - bn.momentum) * bn.running_var + bn.momentum * var.data * (n / (n - 1))
+    else:
+        xhat = (x - as_tensor(bn.running_mean)) / as_tensor(np.sqrt(bn.running_var + bn.eps))
+    return bn.gamma * xhat + bn.beta
+
+
+def _value_and_grads(forward, x, r, leaves):
+    out = forward(x)
+    # a non-uniform upstream gradient, so every backward term is exercised
+    grads = backward((out * r + out * out).sum())
+    return out.data, [grads[leaf] for leaf in (x, *leaves)]
+
+
+def _assert_bit_equal(fused, composed):
+    (f_out, f_grads), (c_out, c_grads) = fused, composed
+    assert np.array_equal(f_out, c_out)
+    for f, c in zip(f_grads, c_grads):
+        assert np.array_equal(f, c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_fused_linear_is_bit_identical_to_composed_graph(n, rng):
+    layer = Linear(5, 3, rng)
+    layer.bias.data[:] = rng.normal(0, 1, (3, 1))
+    x = Tensor(rng.normal(0, 2, (5, n)), requires_grad=True)
+    r = as_tensor(rng.normal(0, 1, (3, n)))
+    leaves = (layer.weight, layer.bias)
+    _assert_bit_equal(
+        _value_and_grads(layer, x, r, leaves),
+        _value_and_grads(lambda t: composed_linear(layer, t), x, r, leaves),
+    )
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("n", [2, 16])
+def test_fused_batchnorm_is_bit_identical_to_composed_graph(training, n, rng):
+    bn = BatchNorm(4)
+    bn.gamma.data[:] = rng.uniform(0.5, 1.5, (4, 1))
+    bn.beta.data[:] = rng.uniform(-0.5, 0.5, (4, 1))
+    bn.running_mean = rng.normal(0, 1, (4, 1))
+    bn.running_var = rng.uniform(0.5, 2.0, (4, 1))
+    bn.training = training
+    x = Tensor(rng.normal(3.0, 2.5, (4, n)), requires_grad=True)
+    r = as_tensor(rng.normal(0, 1, (4, n)))
+    leaves = (bn.gamma, bn.beta)
+    _assert_bit_equal(
+        _value_and_grads(bn, x, r, leaves),
+        _value_and_grads(lambda t: composed_batchnorm(bn, t), x, r, leaves),
+    )
+
+
+def test_fused_batchnorm_running_stats_bit_identical_after_three_calls(rng):
+    fused, composed = BatchNorm(3), BatchNorm(3)
+    for _ in range(3):
+        x = rng.normal(2.0, 3.0, (3, 8))
+        assert np.array_equal(fused(as_tensor(x)).data, composed_batchnorm(composed, x).data)
+    assert np.array_equal(fused.running_mean, composed.running_mean)
+    assert np.array_equal(fused.running_var, composed.running_var)
+
+
+def test_fused_predictor_gradients_bit_identical_to_composed_graph(monkeypatch):
+    def build():
+        return CenterPredictor(3, 8, np.random.default_rng(7), depth=4, bn_hidden=True, bn_output=True)
+
+    def run(pred):
+        x = Tensor(np.random.default_rng(8).normal(0, 1, (3, 6)), requires_grad=True)
+        out = pred(x)
+        grads = backward((out * out).sum())
+        return out.data, [grads[x]] + [grads[p] for _, p in pred.params()]
+
+    fused = run(build())
+    monkeypatch.setattr(Linear, "__call__", composed_linear)
+    monkeypatch.setattr(BatchNorm, "__call__", composed_batchnorm)
+    _assert_bit_equal(fused, run(build()))
+
+
+def test_batchnorm_raises_when_the_square_overflows():
+    # centered * centered is inf, which would make xhat 0 and the output finite
+    x = as_tensor([[1e200, -1e200, 0.0], [1.0, 2.0, 3.0]])
+    with pytest.raises(NumericsError, match="batchnorm"):
+        BatchNorm(2)(x)
+
+
+def test_batchnorm_rejects_wrong_input_rows():
+    # wrong rows for Linear and a 1-sample train batch are tested above
+    with pytest.raises(ShapeError):
+        BatchNorm(3)(as_tensor(np.ones((4, 5))))
+
+
+def test_checkpoint_rejects_truncated_file(tmp_path):
+    p = tmp_path / "cut.txt"
+    save_checkpoint(p, {"w": np.ones((2, 2))})
+    p.write_text("\n".join(p.read_text().splitlines()[:2]) + "\n")
+    with pytest.raises(ConfigError, match="'w'"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("entry", ["w 1 2\n1.0 abc\n", "w 1 x\n1.0\n"], ids=["value", "shape"])
+def test_checkpoint_rejects_non_numeric_entry(tmp_path, entry):
+    p = tmp_path / "bad.txt"
+    p.write_text("metriclab-checkpoint v1\n" + entry)
+    with pytest.raises(ConfigError, match="'w'"):
         load_checkpoint(p)

@@ -217,3 +217,24 @@ def test_cpl_errors_identity_matches_oracle():
         errs[ds.labels == c].mean() for c in ds.identities
     )
     assert total == pytest.approx(oracle_cpl(ds.features, ds.labels), abs=1e-10)
+
+
+def test_distance_matrix_built_once_per_step(monkeypatch):
+    import metriclab.losses as losses
+
+    calls = []
+    pairwise = losses.pairwise_euclidean
+
+    def counted(x):
+        calls.append(x.shape)
+        return pairwise(x)
+
+    monkeypatch.setattr(losses, "pairwise_euclidean", counted)
+    ds = small_ds()
+    loss_cfg = LossConfig(weights={"ce": 1.0, "triplet": 1.0, "lifted": 1.0, "rll": 1.0})
+    model_cfg = ModelConfig(extractor_hidden=(8,), embedding_dim=4, predictor="none", bn_target=False)
+    state = build_state(2, 4, model_cfg, loss_cfg, seed=0)
+    batch = sample_pk_batch(ds, PKSamplerConfig(p=2, k=3), substream(0, "s"))
+    parts = train_step(state, batch, loss_cfg, lr=0.01).part_values()
+    assert len(calls) == 1
+    assert set(parts) == {"ce", "triplet", "lifted", "rll"}
