@@ -6,102 +6,3 @@ leave-one-out class mean with a frozen target), PK batch sampling,
 synthetic fixtures, CIFAR-10 ingestion, retrieval metrics, an SGD
 trainer, and the experiments that compare loss geometries.
 """
-
-from .autograd import Tensor, as_tensor
-from .cifar_io import CifarFormatError, load_cifar_features
-from .config import ExperimentConfig, config_hash, parse_config, render_config
-from .errors import ConfigError, NumericsError, ShapeError
-from .experiments import (
-    run_bn_ablation,
-    run_boundary_experiment,
-    run_loss_surface,
-    run_target_ablation,
-)
-from .gradcheck import run_gradcheck
-from .losses import (
-    MarginConfig,
-    center_loss,
-    circle_loss,
-    cpl_loss,
-    cpl_targets,
-    id_cross_entropy,
-    lifted_structure_loss,
-    pairwise_euclidean,
-    ranked_list_loss,
-    triplet_loss_batch_hard,
-)
-from .metrics import evaluate_retrieval, pairwise_distances
-from .nn import MLP, BatchNorm, CenterPredictor, Linear, ModelConfig
-from .sampling import (
-    LabeledBatch,
-    LabeledDataset,
-    PKSamplerConfig,
-    epoch_iter,
-    load_dataset_csv,
-    sample_pk_batch,
-    save_dataset_csv,
-)
-from .seeding import subseed, substream
-from .synthetic import FIXTURES
-from .trainer import (
-    LossConfig,
-    SgdConfig,
-    TrainState,
-    build_state,
-    refit_predictor,
-    train_accuracy,
-    train_run,
-)
-
-__all__ = [
-    "BatchNorm",
-    "CenterPredictor",
-    "CifarFormatError",
-    "ConfigError",
-    "ExperimentConfig",
-    "FIXTURES",
-    "LabeledBatch",
-    "LabeledDataset",
-    "Linear",
-    "LossConfig",
-    "MLP",
-    "MarginConfig",
-    "ModelConfig",
-    "NumericsError",
-    "PKSamplerConfig",
-    "SgdConfig",
-    "ShapeError",
-    "Tensor",
-    "TrainState",
-    "as_tensor",
-    "build_state",
-    "center_loss",
-    "circle_loss",
-    "config_hash",
-    "cpl_loss",
-    "cpl_targets",
-    "epoch_iter",
-    "evaluate_retrieval",
-    "id_cross_entropy",
-    "lifted_structure_loss",
-    "load_cifar_features",
-    "load_dataset_csv",
-    "pairwise_distances",
-    "pairwise_euclidean",
-    "parse_config",
-    "ranked_list_loss",
-    "refit_predictor",
-    "render_config",
-    "run_bn_ablation",
-    "run_boundary_experiment",
-    "run_gradcheck",
-    "run_loss_surface",
-    "run_target_ablation",
-    "sample_pk_batch",
-    "save_dataset_csv",
-    "subseed",
-    "substream",
-    "train_accuracy",
-    "train_run",
-    "triplet_loss_batch_hard",
-]

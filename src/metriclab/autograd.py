@@ -53,13 +53,12 @@ class Tensor:
     maps the upstream gradient to per-parent gradients.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "detached", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None, detached=False):
+    def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = _as_matrix(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.detached = bool(detached)
         self._parents = tuple(parents)
         self._backward = backward
 
@@ -74,7 +73,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Same value, no history. Gradients never reach this node's origin."""
-        return Tensor(self.data.copy(), requires_grad=False, detached=True)
+        return Tensor(self.data.copy())
 
     # -- operator sugar -------------------------------------------------
 
@@ -145,7 +144,7 @@ def as_tensor(x) -> Tensor:
 
 def _make(data, parents, backward_rule) -> Tensor:
     out = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericsError("operation produced non-finite entries")
     if any(p.requires_grad for p in parents):
         return Tensor(out, requires_grad=True, parents=parents, backward=backward_rule)
@@ -469,7 +468,7 @@ def backward(root: Tensor) -> dict:
         for parent, pg in zip(node._parents, parent_grads):
             if not parent.requires_grad:
                 continue
-            if not np.all(np.isfinite(pg)):
+            if not np.isfinite(pg).all():
                 raise NumericsError("backward produced non-finite gradient entries")
             held = grads.get(id(parent))
             grads[id(parent)] = pg if held is None else held + pg

@@ -10,19 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 from .sampling import LabeledDataset
 
-__all__ = ["CifarFormatError", "load_cifar_bin", "downsample_flatten", "load_cifar_features"]
+__all__ = ["load_cifar_bin", "downsample_flatten", "load_cifar_features"]
 
 RECORD_BYTES = 3073
 IMAGE_SIDE = 32
 CHANNELS = 3
 PIXELS = CHANNELS * IMAGE_SIDE * IMAGE_SIDE
-
-
-class CifarFormatError(ValueError):
-    """File does not parse as CIFAR-10 binary records."""
 
 
 def load_cifar_bin(path, class_filter=None, max_per_class=None) -> LabeledDataset:
@@ -34,15 +30,15 @@ def load_cifar_bin(path, class_filter=None, max_per_class=None) -> LabeledDatase
     """
     raw = np.fromfile(path, dtype=np.uint8)
     if raw.size == 0:
-        raise CifarFormatError(f"{path}: empty file")
+        raise DataFormatError(f"{path}: empty file")
     if raw.size % RECORD_BYTES != 0:
-        raise CifarFormatError(
+        raise DataFormatError(
             f"{path}: {raw.size} bytes is not a multiple of the {RECORD_BYTES}-byte record"
         )
     records = raw.reshape(-1, RECORD_BYTES)
     labels = records[:, 0]
     if labels.max() > 9:
-        raise CifarFormatError(f"{path}: label byte {labels.max()} outside 0..9 (corrupt file)")
+        raise DataFormatError(f"{path}: label byte {labels.max()} outside 0..9 (corrupt file)")
     # dense remap over the filter when given, else over classes present
     keep_classes = sorted(set(labels.tolist()) if class_filter is None else set(class_filter))
     if any(c < 0 or c > 9 for c in keep_classes):

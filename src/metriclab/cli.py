@@ -18,9 +18,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .cifar_io import CifarFormatError
 from .config import ExperimentConfig, parse_config, render_config
-from .errors import ConfigError, NumericsError, ShapeError
+from .errors import ConfigError, DataFormatError, NumericsError, ShapeError
 from .experiments import (
     run_bn_ablation,
     run_boundary_experiment,
@@ -84,6 +83,7 @@ def _dispatch_surface(cfg: ExperimentConfig, out: Path) -> dict:
             seed=cfg.seed,
             refit_steps=cfg.refit_steps,
             refit_lr=cfg.refit_lr,
+            predictor_hidden=cfg.model.predictor_hidden,
             fixture_name=cfg.dataset.fixture,
         )
         name = "surface.csv" if len(kinds) == 1 else f"surface_{loss_kind}.csv"
@@ -207,6 +207,6 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         _fail("numeric", exc)
         return 3
-    except (OSError, CifarFormatError) as exc:
+    except (OSError, DataFormatError) as exc:
         _fail("io", exc)
         return 4

@@ -4,16 +4,22 @@ One `key = value` pair per line, `#` comments, every key optional except
 `kind`. parse -> resolve defaults -> render gives a canonical text form
 that round-trips exactly, which is what makes resolved-config reruns and
 config hashing meaningful.
+
+`SCHEMA` names each key's field in `ExperimentConfig`; the key's default
+and its value type (bool, int, float, str or int tuple) are that field's.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache
+from operator import attrgetter
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError
 from .cifar_io import load_cifar_features
-from .losses import MarginConfig
 from .nn import ModelConfig
 from .sampling import LabeledDataset, PKSamplerConfig, load_dataset_csv
 from .seeding import subseed
@@ -48,63 +54,55 @@ def _parse_ints(s: str) -> tuple:
     return tuple(int(part.strip()) for part in s.split(","))
 
 
-def _render_bool(v) -> str:
-    return "true" if v else "false"
+# type of a field's default -> (parse, render)
+_CODECS = {
+    bool: (_parse_bool, lambda v: "true" if v else "false"),
+    int: (int, str),
+    float: (float, lambda v: repr(float(v))),
+    str: (str, str),
+    tuple: (_parse_ints, lambda v: ",".join(str(int(x)) for x in v)),
+}
 
-
-def _render_ints(v) -> str:
-    return ",".join(str(int(x)) for x in v)
-
-
-def _render_float(v) -> str:
-    return repr(float(v))
-
-
-# key -> (parse, render, default). Schema order is render order.
+# key -> field path in ExperimentConfig. Schema order is render order. A
+# key's default and codec come from the dataclass field it names.
 SCHEMA = {
-    "kind": (str, str, None),
-    "seed": (int, str, 0),
-    "out": (str, str, ""),
-    "dataset.source": (str, str, "synthetic"),
-    "dataset.fixture": (str, str, ""),
-    "dataset.path": (str, str, ""),
-    "dataset.classes": (_parse_ints, _render_ints, ()),
-    "dataset.max_per_class": (int, str, 0),
-    "dataset.downsample": (int, str, 4),
-    "model.extractor_hidden": (_parse_ints, _render_ints, (32, 32)),
-    "model.embedding_dim": (int, str, 8),
-    "model.predictor": (str, str, "mlp"),
-    "model.predictor_depth": (int, str, 2),
-    "model.predictor_hidden": (int, str, 64),
-    "model.bn_target": (_parse_bool, _render_bool, True),
-    "model.bn_predictor_hidden": (_parse_bool, _render_bool, False),
-    "model.bn_predictor_output": (_parse_bool, _render_bool, False),
-    "loss.ce.weight": (float, _render_float, 1.0),
-    "loss.cpl.weight": (float, _render_float, 1.0),
-    "loss.center.weight": (float, _render_float, 0.0),
-    "loss.triplet.weight": (float, _render_float, 0.0),
-    "loss.circle.weight": (float, _render_float, 0.0),
-    "loss.lifted.weight": (float, _render_float, 0.0),
-    "loss.rll.weight": (float, _render_float, 0.0),
-    "loss.cpl.target": (str, str, "leave-one-out-mean"),
-    "loss.triplet.margin": (float, _render_float, 0.3),
-    "loss.circle.margin": (float, _render_float, 0.25),
-    "loss.circle.scale": (float, _render_float, 32.0),
-    "loss.lifted.margin": (float, _render_float, 1.0),
-    "loss.rll.alpha": (float, _render_float, 1.2),
-    "loss.rll.margin": (float, _render_float, 0.4),
-    "sgd.base_lr": (float, _render_float, 3.5e-4),
-    "sgd.milestones": (_parse_ints, _render_ints, (10, 20)),
-    "sgd.decay_factor": (float, _render_float, 0.1),
-    "sgd.epochs": (int, str, 30),
-    "sgd.momentum": (float, _render_float, 0.9),
-    "sampler.p": (int, str, 4),
-    "sampler.k": (int, str, 4),
-    "sampler.allow_resample": (_parse_bool, _render_bool, True),
-    "eval.every": (int, str, 10),
-    "refit.steps": (int, str, 400),
-    "refit.lr": (float, _render_float, 0.005),
-    "surface.loss": (str, str, "both"),
+    "kind": "kind",
+    "seed": "seed",
+    "out": "out",
+    "dataset.source": "dataset.source",
+    "dataset.fixture": "dataset.fixture",
+    "dataset.path": "dataset.path",
+    "dataset.classes": "dataset.classes",
+    "dataset.max_per_class": "dataset.max_per_class",
+    "dataset.downsample": "dataset.downsample",
+    "model.extractor_hidden": "model.extractor_hidden",
+    "model.embedding_dim": "model.embedding_dim",
+    "model.predictor": "model.predictor",
+    "model.predictor_depth": "model.predictor_depth",
+    "model.predictor_hidden": "model.predictor_hidden",
+    "model.bn_target": "model.bn_target",
+    "model.bn_predictor_hidden": "model.bn_predictor_hidden",
+    "model.bn_predictor_output": "model.bn_predictor_output",
+    **{f"loss.{name}.weight": f"loss.weights.{name}" for name in LOSS_NAMES},
+    "loss.cpl.target": "loss.cpl_target",
+    "loss.triplet.margin": "loss.margins.triplet_margin",
+    "loss.circle.margin": "loss.margins.circle_margin",
+    "loss.circle.scale": "loss.margins.circle_scale",
+    "loss.lifted.margin": "loss.margins.lifted_margin",
+    "loss.rll.alpha": "loss.margins.rll_alpha",
+    "loss.rll.margin": "loss.margins.rll_margin",
+    "sgd.base_lr": "sgd.base_lr",
+    "sgd.milestones": "sgd.milestones",
+    "sgd.decay_factor": "sgd.decay_factor",
+    "sgd.epochs": "sgd.epochs",
+    "sgd.momentum": "sgd.momentum",
+    "sampler.p": "sampler.p",
+    "sampler.k": "sampler.k",
+    "sampler.allow_resample": "sampler.allow_resample",
+    "eval.every": "eval_every",
+    "refit.steps": "refit_steps",
+    "refit.lr": "refit_lr",
+    "surface.loss": "surface_loss",
 }
 
 
@@ -173,6 +171,49 @@ class ExperimentConfig:
             raise ConfigError(f"surface.loss must be one of {SURFACE_LOSSES}")
 
 
+def _field_default(f):
+    if f.default_factory is not MISSING:
+        return f.default_factory()
+    return None if f.default is MISSING else f.default
+
+
+@cache
+def _sections(cls) -> dict:
+    """cls's dataclass-valued fields: name -> their dataclass."""
+    return {f.name: type(d) for f in fields(cls) if is_dataclass(d := _field_default(f))}
+
+
+class _Key(NamedTuple):
+    path: tuple
+    default: object
+    get: Callable
+    parse: Callable
+    render: Callable
+
+
+# every ExperimentConfig field at its default; `kind` is None
+_DEFAULTS = SimpleNamespace(**{f.name: _field_default(f) for f in fields(ExperimentConfig)})
+
+
+def _resolve(path: str) -> _Key:
+    *parents, leaf = path.split(".")
+    owner = attrgetter(".".join(parents)) if parents else (lambda obj: obj)
+    parent = owner(_DEFAULTS)
+    if isinstance(parent, dict):
+        # loss weights: a loss missing from the dict weighs 0.0
+        default = parent.get(leaf, 0.0)
+        get = lambda cfg: owner(cfg).get(leaf, 0.0)
+    else:
+        default = getattr(parent, leaf)
+        get = attrgetter(path)
+    codec = _CODECS[str if default is None else type(default)]
+    return _Key((*parents, leaf), default, get, *codec)
+
+
+# key -> _Key, resolved once at import
+_KEYS = {key: _resolve(path) for key, path in SCHEMA.items()}
+
+
 def _parse_raw(text: str) -> dict:
     raw = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -184,143 +225,44 @@ def _parse_raw(text: str) -> dict:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown config key '{key}'")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate config key '{key}'")
-        parse, _, _ = SCHEMA[key]
         try:
-            raw[key] = parse(value)
+            raw[key] = _KEYS[key].parse(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for '{key}': {exc}") from exc
     return raw
 
 
-def _section(raw: dict, prefix: str, rename: dict | None = None) -> dict:
-    rename = rename or {}
-    out = {}
-    for key, value in raw.items():
-        if key.startswith(prefix + "."):
-            name = key[len(prefix) + 1 :]
-            out[rename.get(name, name)] = value
-    return out
+def _build(cls, values: dict):
+    """cls(**values), building its dataclass fields from sub-dicts first."""
+    for name, section in _sections(cls).items():
+        values[name] = _build(section, values[name])
+    return cls(**values)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     raw = _parse_raw(text)
     if "kind" not in raw:
         raise ConfigError("config must set 'kind'")
-    defaults = {k: v for k, (_, _, v) in SCHEMA.items() if v is not None}
-    merged = {**defaults, **raw}
-
-    def build(label, ctor, kwargs):
+    tree = {}
+    for key, spec in _KEYS.items():
+        node = tree
+        for name in spec.path[:-1]:
+            node = node.setdefault(name, {})
+        node[spec.path[-1]] = raw.get(key, spec.default)
+    for name, section in _sections(ExperimentConfig).items():
         try:
-            return ctor(**kwargs)
+            tree[name] = _build(section, tree[name])
         except ConfigError as exc:
-            raise ConfigError(f"{label}: {exc}") from exc
-
-    dataset = build("dataset", DatasetConfig, _section(merged, "dataset"))
-    model = build(
-        "model",
-        ModelConfig,
-        _section(merged, "model"),
-    )
-    margins = build(
-        "loss",
-        MarginConfig,
-        {
-            "triplet_margin": merged["loss.triplet.margin"],
-            "circle_margin": merged["loss.circle.margin"],
-            "circle_scale": merged["loss.circle.scale"],
-            "lifted_margin": merged["loss.lifted.margin"],
-            "rll_alpha": merged["loss.rll.alpha"],
-            "rll_margin": merged["loss.rll.margin"],
-        },
-    )
-    weights = {name: merged[f"loss.{name}.weight"] for name in LOSS_NAMES}
-    loss = build(
-        "loss",
-        LossConfig,
-        {"weights": weights, "margins": margins, "cpl_target": merged["loss.cpl.target"]},
-    )
-    sgd = build(
-        "sgd",
-        SgdConfig,
-        {
-            "base_lr": merged["sgd.base_lr"],
-            "milestones": merged["sgd.milestones"],
-            "decay_factor": merged["sgd.decay_factor"],
-            "epochs": merged["sgd.epochs"],
-            "momentum": merged["sgd.momentum"],
-        },
-    )
-    sampler = build("sampler", PKSamplerConfig, _section(merged, "sampler"))
-    return ExperimentConfig(
-        kind=merged["kind"],
-        seed=merged["seed"],
-        out=merged["out"],
-        dataset=dataset,
-        model=model,
-        loss=loss,
-        sgd=sgd,
-        sampler=sampler,
-        eval_every=merged["eval.every"],
-        refit_steps=merged["refit.steps"],
-        refit_lr=merged["refit.lr"],
-        surface_loss=merged["surface.loss"],
-    )
-
-
-def _raw_from_config(cfg: ExperimentConfig) -> dict:
-    raw = {
-        "kind": cfg.kind,
-        "seed": cfg.seed,
-        "out": cfg.out,
-        "dataset.source": cfg.dataset.source,
-        "dataset.fixture": cfg.dataset.fixture,
-        "dataset.path": cfg.dataset.path,
-        "dataset.classes": cfg.dataset.classes,
-        "dataset.max_per_class": cfg.dataset.max_per_class,
-        "dataset.downsample": cfg.dataset.downsample,
-        "model.extractor_hidden": cfg.model.extractor_hidden,
-        "model.embedding_dim": cfg.model.embedding_dim,
-        "model.predictor": cfg.model.predictor,
-        "model.predictor_depth": cfg.model.predictor_depth,
-        "model.predictor_hidden": cfg.model.predictor_hidden,
-        "model.bn_target": cfg.model.bn_target,
-        "model.bn_predictor_hidden": cfg.model.bn_predictor_hidden,
-        "model.bn_predictor_output": cfg.model.bn_predictor_output,
-        "loss.cpl.target": cfg.loss.cpl_target,
-        "loss.triplet.margin": cfg.loss.margins.triplet_margin,
-        "loss.circle.margin": cfg.loss.margins.circle_margin,
-        "loss.circle.scale": cfg.loss.margins.circle_scale,
-        "loss.lifted.margin": cfg.loss.margins.lifted_margin,
-        "loss.rll.alpha": cfg.loss.margins.rll_alpha,
-        "loss.rll.margin": cfg.loss.margins.rll_margin,
-        "sgd.base_lr": cfg.sgd.base_lr,
-        "sgd.milestones": cfg.sgd.milestones,
-        "sgd.decay_factor": cfg.sgd.decay_factor,
-        "sgd.epochs": cfg.sgd.epochs,
-        "sgd.momentum": cfg.sgd.momentum,
-        "sampler.p": cfg.sampler.p,
-        "sampler.k": cfg.sampler.k,
-        "sampler.allow_resample": cfg.sampler.allow_resample,
-        "eval.every": cfg.eval_every,
-        "refit.steps": cfg.refit_steps,
-        "refit.lr": cfg.refit_lr,
-        "surface.loss": cfg.surface_loss,
-    }
-    for name in LOSS_NAMES:
-        raw[f"loss.{name}.weight"] = cfg.loss.weights.get(name, 0.0)
-    return raw
+            raise ConfigError(f"{name}: {exc}") from exc
+    return ExperimentConfig(**tree)
 
 
 def render_config(cfg: ExperimentConfig) -> str:
-    raw = _raw_from_config(cfg)
-    lines = []
-    for key, (_, render, _) in SCHEMA.items():
-        lines.append(f"{key} = {render(raw[key])}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {spec.render(spec.get(cfg))}\n" for key, spec in _KEYS.items())
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

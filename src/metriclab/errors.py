@@ -5,6 +5,10 @@ class ConfigError(ValueError):
     """Invalid configuration: bad key, bad type, or violated invariant."""
 
 
+class DataFormatError(ValueError):
+    """A data file does not parse: bad value, bad label, or broken record."""
+
+
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 

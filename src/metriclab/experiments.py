@@ -147,9 +147,7 @@ def run_loss_surface(
 # settings that keep the joint CE+CPL run stable on the overlapping-class
 # fixture at this scale; callers may override any of them
 BOUNDARY_SGD = SgdConfig(base_lr=0.01, milestones=(20, 30), decay_factor=0.1, epochs=40)
-BOUNDARY_MODEL = ModelConfig(
-    extractor_hidden=(32, 32), embedding_dim=2, predictor="mlp", predictor_hidden=64, bn_target=False
-)
+BOUNDARY_MODEL = ModelConfig(embedding_dim=2, bn_target=False)
 BOUNDARY_SAMPLER = PKSamplerConfig(p=3, k=8)
 
 
@@ -207,7 +205,7 @@ def run_boundary_experiment(
         raise ShapeError("cannot L2-normalize a zero embedding")
     normalized = emb / norms
     predictor = CenterPredictor(
-        dim=2, hidden=64, rng=substream(seed, "boundary-refit"), depth=2
+        dim=2, hidden=model_cfg.predictor_hidden, rng=substream(seed, "boundary-refit"), depth=2
     )
     predictor.init_identity()
     refit_predictor(normalized, ds.labels, predictor, steps=refit_steps, lr=refit_lr)

@@ -298,7 +298,7 @@ def cpl_targets(
                 u = draws[rank]
                 other_rank = u if u < rank else u + 1
                 targets[:, idx[pos]] = z[:, order[other_rank]]
-    return Tensor(targets, detached=True)
+    return Tensor(targets)
 
 
 def cpl_loss(

@@ -9,8 +9,6 @@ gallery item are excluded from the averages and reported.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,20 +69,6 @@ class RankingResult:
             "queries": int(self.ap.size),
             "excluded": len(self.excluded),
         }
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["query", "ap", "first_hit_rank"])
-            for qi in range(self.ap.size):
-                if qi in set(self.excluded):
-                    continue
-                writer.writerow([qi, repr(float(self.ap[qi])), int(self.first_hit[qi])])
-
-    def summary_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def evaluate_retrieval(

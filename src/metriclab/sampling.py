@@ -11,17 +11,17 @@ batch is ragged when P does not divide the identity count.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataFormatError, ShapeError
 
 __all__ = [
     "LabeledDataset",
     "LabeledBatch",
     "PKSamplerConfig",
-    "sample_pk_batch",
     "epoch_iter",
     "save_dataset_csv",
     "load_dataset_csv",
@@ -111,18 +111,6 @@ def _draw_instances(ds, identity, k, allow_resample, rng) -> np.ndarray:
     return np.concatenate([pool, extra])
 
 
-def sample_pk_batch(ds: LabeledDataset, cfg: PKSamplerConfig, rng: np.random.Generator) -> LabeledBatch:
-    """One batch: cfg.p identities drawn without replacement, cfg.k each."""
-    ids = ds.identities
-    if len(ids) < cfg.p:
-        raise ConfigError(f"dataset has {len(ids)} identities, sampler needs p={cfg.p}")
-    chosen = rng.choice(np.array(ids), size=cfg.p, replace=False)
-    cols = np.concatenate(
-        [_draw_instances(ds, int(i), cfg.k, cfg.allow_resample, rng) for i in chosen]
-    )
-    return LabeledBatch(ds.features[:, cols], ds.labels[cols], p=cfg.p, k=cfg.k)
-
-
 def epoch_iter(ds: LabeledDataset, cfg: PKSamplerConfig, rng: np.random.Generator):
     """Yield ceil(n_ids / p) batches; every identity anchors exactly once."""
     ids = np.array(ds.identities)
@@ -160,8 +148,13 @@ def load_dataset_csv(path) -> LabeledDataset:
         for row in reader:
             if len(row) != dim + 1:
                 raise ConfigError(f"{path}: row has {len(row)} fields, expected {dim + 1}")
-            feats.append([float(v) for v in row[:dim]])
-            labels.append(int(row[dim]))
+            try:
+                feats.append([float(v) for v in row[:dim]])
+                labels.append(int(row[dim]))
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+            if not all(map(math.isfinite, feats[-1])):
+                raise DataFormatError(f"{path}: line {reader.line_num}: non-finite feature")
     if not feats:
         raise ConfigError(f"{path}: empty dataset")
     return LabeledDataset(np.array(feats).T, np.array(labels))

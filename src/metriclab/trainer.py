@@ -137,7 +137,6 @@ class TrainState:
     seed: int
     epoch: int = 0
     step: int = 0
-    history: list = field(default_factory=list)
 
     def named_params(self) -> dict:
         out = {}

@@ -52,7 +52,7 @@ def test_detach_keeps_value_blocks_gradient():
     x = Tensor([[2.0], [5.0]], requires_grad=True)
     d = (x * 3.0).detach()
     assert np.array_equal(d.data, [[6.0], [15.0]])
-    assert d.detached and not d.requires_grad
+    assert not d.requires_grad and not d._parents
     # loss uses both a live and a detached branch of x
     loss = (x * d).sum()
     grads = backward(loss)
@@ -64,7 +64,7 @@ def test_detach_of_detach_is_detach():
     x = Tensor([[1.0, -1.0]], requires_grad=True)
     d1 = x.detach()
     d2 = d1.detach()
-    assert d2.detached and not d2.requires_grad
+    assert not d2.requires_grad and not d2._parents
     assert np.array_equal(d1.data, d2.data)
 
 

@@ -3,12 +3,11 @@ import pytest
 
 from metriclab.cifar_io import (
     RECORD_BYTES,
-    CifarFormatError,
     downsample_flatten,
     load_cifar_bin,
     load_cifar_features,
 )
-from metriclab.errors import ConfigError
+from metriclab.errors import ConfigError, DataFormatError
 
 
 def write_records(path, entries):
@@ -48,14 +47,14 @@ def test_truncated_file_rejected(tmp_path):
     p = tmp_path / "trunc.bin"
     write_records(p, [(0, 0)])
     p.write_bytes(p.read_bytes()[: RECORD_BYTES - 10])
-    with pytest.raises(CifarFormatError):
+    with pytest.raises(DataFormatError):
         load_cifar_bin(p)
 
 
 def test_corrupt_label_rejected(tmp_path):
     p = tmp_path / "corrupt.bin"
     write_records(p, [(11, 0)])
-    with pytest.raises(CifarFormatError):
+    with pytest.raises(DataFormatError):
         load_cifar_bin(p)
 
 

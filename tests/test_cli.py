@@ -195,3 +195,52 @@ def test_export_fixture_round_trips(tmp_path, capsys):
 def test_export_fixture_rejects_unknown_name(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["export-fixture", "nonexistent", "--out", str(tmp_path / "x.csv")])
+
+
+@pytest.mark.parametrize(
+    "row, what",
+    [("1.0,abc,0", "abc"), ("1.0,2.0,1.5", "1.5"), ("1.0,nan,0", "non-finite")],
+    ids=["non-numeric-feature", "non-integer-label", "nan-feature"],
+)
+def test_run_bad_dataset_csv_exits_4_with_one_json_line(tmp_path, capsys, row, what):
+    data = tmp_path / "data.csv"
+    data.write_text("f0,f1,label\n0.5,0.5,0\n" + row + "\n")
+    cfg = _write(
+        tmp_path, f"kind = train\ndataset.source = csv\ndataset.path = {data}\nout = {tmp_path / 'run'}\n"
+    )
+    code, out, err = _run(capsys, "run", str(cfg))
+    assert code == 4 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "io"
+    assert "line 3" in record["message"] and what in record["message"]
+
+
+def test_predictor_hidden_sets_surface_and_boundary_refit_width(tmp_path, capsys, monkeypatch):
+    import metriclab.experiments as experiments
+
+    widths = []
+    refit = experiments.refit_predictor
+
+    def recorded(features, labels, predictor, **kwargs):
+        widths.append(predictor.layers[0].weight.shape[0])
+        return refit(features, labels, predictor, **kwargs)
+
+    monkeypatch.setattr(experiments, "refit_predictor", recorded)
+    surface = _write(
+        tmp_path,
+        "kind = surface\nsurface.loss = cpl\nrefit.steps = 5\nmodel.predictor_hidden = 8\n"
+        f"out = {tmp_path / 'surface'}\n",
+        name="surface.cfg",
+    )
+    boundary = _write(
+        tmp_path,
+        "kind = boundary\nsgd.base_lr = 0.01\nsgd.epochs = 2\nsgd.milestones =\n"
+        "model.bn_target = false\nmodel.predictor_hidden = 8\nsampler.p = 3\nsampler.k = 8\n"
+        f"refit.steps = 5\neval.every = 0\nout = {tmp_path / 'boundary'}\n",
+        name="boundary.cfg",
+    )
+    assert _run(capsys, "run", str(surface))[0] == 0
+    assert _run(capsys, "run", str(boundary))[0] == 0
+    assert widths == [8, 8]

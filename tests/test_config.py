@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from metriclab.config import (
-    ExperimentConfig,
+    SCHEMA,
     config_hash,
     parse_config,
     render_config,
@@ -127,3 +129,91 @@ def test_loss_weights_flow_into_enabled_list():
         "kind = train\nloss.cpl.weight = 0\nloss.triplet.weight = 2.0\n"
     )
     assert cfg.loss.enabled() == ["ce", "triplet"]
+
+
+# every key: a valid non-default value as text, the field it must land in,
+# and the parsed value
+NON_DEFAULTS = {
+    "kind": ("surface", "kind", "surface"),
+    "seed": ("7", "seed", 7),
+    "out": ("runs/x", "out", "runs/x"),
+    "dataset.source": ("csv", "dataset.source", "csv"),
+    "dataset.fixture": ("two-class", "dataset.fixture", "two-class"),
+    "dataset.path": ("other.csv", "dataset.path", "other.csv"),
+    "dataset.classes": ("1,3", "dataset.classes", (1, 3)),
+    "dataset.max_per_class": ("5", "dataset.max_per_class", 5),
+    "dataset.downsample": ("2", "dataset.downsample", 2),
+    "model.extractor_hidden": ("16,8", "model.extractor_hidden", (16, 8)),
+    "model.embedding_dim": ("3", "model.embedding_dim", 3),
+    "model.predictor": ("none", "model.predictor", "none"),
+    "model.predictor_depth": ("4", "model.predictor_depth", 4),
+    "model.predictor_hidden": ("8", "model.predictor_hidden", 8),
+    "model.bn_target": ("false", "model.bn_target", False),
+    "model.bn_predictor_hidden": ("true", "model.bn_predictor_hidden", True),
+    "model.bn_predictor_output": ("true", "model.bn_predictor_output", True),
+    "loss.ce.weight": ("0.5", "loss.weights.ce", 0.5),
+    "loss.cpl.weight": ("0.5", "loss.weights.cpl", 0.5),
+    "loss.center.weight": ("0.5", "loss.weights.center", 0.5),
+    "loss.triplet.weight": ("0.5", "loss.weights.triplet", 0.5),
+    "loss.circle.weight": ("0.5", "loss.weights.circle", 0.5),
+    "loss.lifted.weight": ("0.5", "loss.weights.lifted", 0.5),
+    "loss.rll.weight": ("0.5", "loss.weights.rll", 0.5),
+    "loss.cpl.target": ("sample-mean", "loss.cpl_target", "sample-mean"),
+    "loss.triplet.margin": ("0.5", "loss.margins.triplet_margin", 0.5),
+    "loss.circle.margin": ("0.5", "loss.margins.circle_margin", 0.5),
+    "loss.circle.scale": ("16.0", "loss.margins.circle_scale", 16.0),
+    "loss.lifted.margin": ("2.0", "loss.margins.lifted_margin", 2.0),
+    "loss.rll.alpha": ("1.5", "loss.margins.rll_alpha", 1.5),
+    "loss.rll.margin": ("0.2", "loss.margins.rll_margin", 0.2),
+    "sgd.base_lr": ("0.01", "sgd.base_lr", 0.01),
+    "sgd.milestones": ("5,15", "sgd.milestones", (5, 15)),
+    "sgd.decay_factor": ("0.5", "sgd.decay_factor", 0.5),
+    "sgd.epochs": ("25", "sgd.epochs", 25),
+    "sgd.momentum": ("0.5", "sgd.momentum", 0.5),
+    "sampler.p": ("3", "sampler.p", 3),
+    "sampler.k": ("2", "sampler.k", 2),
+    "sampler.allow_resample": ("false", "sampler.allow_resample", False),
+    "eval.every": ("5", "eval_every", 5),
+    "refit.steps": ("50", "refit_steps", 50),
+    "refit.lr": ("0.01", "refit_lr", 0.01),
+    "surface.loss": ("cpl", "surface_loss", "cpl"),
+}
+
+# a csv source needs a path, so the base config names one
+BASE = {"kind": "train", "dataset.fixture": "four-class", "dataset.path": "base.csv"}
+
+
+def _text(values: dict) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+def _with_field(obj, path, value):
+    """obj with the field at a dotted path (through `loss.weights`) set."""
+    head, *rest = path
+    inner = obj[head] if isinstance(obj, dict) else getattr(obj, head)
+    new = _with_field(inner, rest, value) if rest else value
+    if isinstance(obj, dict):
+        return {**obj, head: new}
+    return replace(obj, **{head: new})
+
+
+def test_every_schema_key_has_a_non_default_case():
+    assert list(NON_DEFAULTS) == list(SCHEMA)
+
+
+@pytest.mark.parametrize("key", list(SCHEMA))
+def test_schema_key_lands_in_its_field_and_renders_alone(key):
+    text, path, value = NON_DEFAULTS[key]
+    base = parse_config(_text(BASE))
+    cfg = parse_config(_text({**BASE, key: text}))
+    # exactly the named field changed, to the parsed value
+    assert cfg == _with_field(base, path.split("."), value)
+    base_lines = render_config(base).splitlines()
+    lines = render_config(cfg).splitlines()
+    assert len(lines) == len(base_lines) == len(SCHEMA)
+    for line, base_line, name in zip(lines, base_lines, SCHEMA):
+        if name == key:
+            assert line == f"{key} = {text}" and line != base_line
+        else:
+            assert line == base_line
+    assert parse_config(render_config(cfg)) == cfg

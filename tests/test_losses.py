@@ -335,7 +335,7 @@ def test_cpl_targets_loo_with_two_samples_swaps():
     feats = np.array([[1.0, -1.0], [0.0, 0.0]])
     targets = cpl_targets(feats, np.array([0, 0]))
     assert np.array_equal(targets.data, [[-1.0, 1.0], [0.0, 0.0]])
-    assert targets.detached and not targets.requires_grad
+    assert not targets.requires_grad and not targets._parents
 
 
 def test_cpl_identity_predictor_hand_value():

@@ -108,20 +108,3 @@ def test_relabeling_bijection_preserves_metrics(seed, perm_seed):
     relabeled = evaluate_retrieval(q, mapping[ql], g, mapping[gl])
     assert relabeled.mean_ap == pytest.approx(base.mean_ap, abs=1e-12)
     assert np.allclose(relabeled.cmc, base.cmc, atol=1e-12)
-
-
-def test_csv_and_summary_outputs(tmp_path):
-    rng = np.random.default_rng(1)
-    q = rng.normal(0, 1, (3, 4))
-    g = rng.normal(0, 1, (3, 10))
-    ql = np.array([0, 1, 2, 0])
-    gl = np.concatenate([np.array([0, 1, 2]), rng.integers(0, 3, 7)])
-    res = evaluate_retrieval(q, ql, g, gl)
-    csv_path = tmp_path / "ranking.csv"
-    res.to_csv(csv_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "query,ap,first_hit_rank"
-    assert len(lines) == 5
-    json_path = tmp_path / "summary.json"
-    res.summary_json(json_path)
-    assert '"map"' in json_path.read_text()

@@ -8,7 +8,6 @@ from metriclab.sampling import (
     PKSamplerConfig,
     epoch_iter,
     load_dataset_csv,
-    sample_pk_batch,
     save_dataset_csv,
 )
 from metriclab.seeding import substream
@@ -30,7 +29,7 @@ def test_dataset_validates_shapes():
 def test_pk_batch_is_p_times_k():
     ds = make_ds(n_ids=16, per_id=8)
     cfg = PKSamplerConfig(p=16, k=4)
-    batch = sample_pk_batch(ds, cfg, substream(0, "sampler"))
+    batch = next(epoch_iter(ds, cfg, substream(0, "sampler")))
     assert batch.features.shape[1] == 64
     labels, counts = np.unique(batch.labels, return_counts=True)
     assert len(labels) == 16 and (counts == 4).all()
@@ -39,15 +38,15 @@ def test_pk_batch_is_p_times_k():
 def test_pk_batch_deterministic_under_seed():
     ds = make_ds()
     cfg = PKSamplerConfig(p=4, k=3)
-    b1 = sample_pk_batch(ds, cfg, substream(7, "sampler"))
-    b2 = sample_pk_batch(ds, cfg, substream(7, "sampler"))
+    b1 = next(epoch_iter(ds, cfg, substream(7, "sampler")))
+    b2 = next(epoch_iter(ds, cfg, substream(7, "sampler")))
     assert np.array_equal(b1.features, b2.features)
     assert np.array_equal(b1.labels, b2.labels)
 
 
 def test_pk_batch_columns_come_from_dataset():
     ds = make_ds()
-    batch = sample_pk_batch(ds, PKSamplerConfig(p=3, k=2), substream(1, "s"))
+    batch = next(epoch_iter(ds, PKSamplerConfig(p=3, k=2), substream(1, "s")))
     for j in range(batch.features.shape[1]):
         col = batch.features[:, j]
         matches = np.flatnonzero((ds.features == col[:, None]).all(axis=0))
@@ -60,7 +59,7 @@ def test_small_identity_resamples_when_allowed():
     labels = np.array([0, 0, 0, 0, 0, 0, 0, 0, 1, 1])  # identity 1 has 2 samples
     ds = LabeledDataset(feats, labels)
     cfg = PKSamplerConfig(p=2, k=4, allow_resample=True)
-    batch = sample_pk_batch(ds, cfg, substream(0, "s"))
+    batch = next(epoch_iter(ds, cfg, substream(0, "s")))
     assert (batch.labels == 1).sum() == 4  # 2 distinct + 2 resampled
 
 
@@ -69,7 +68,7 @@ def test_small_identity_errors_when_resample_off():
     ds = LabeledDataset(feats, np.array([0, 0, 0, 0, 1, 1]))
     cfg = PKSamplerConfig(p=2, k=4, allow_resample=False)
     with pytest.raises(ConfigError):
-        sample_pk_batch(ds, cfg, substream(0, "s"))
+        next(epoch_iter(ds, cfg, substream(0, "s")))
 
 
 def test_sampler_config_validation():

@@ -5,7 +5,7 @@ from metriclab.autograd import Tensor, as_tensor, backward
 from metriclab.errors import ConfigError, NumericsError
 from metriclab.losses import cpl_loss, cpl_targets
 from metriclab.nn import CenterPredictor, ModelConfig
-from metriclab.sampling import LabeledDataset, PKSamplerConfig, sample_pk_batch
+from metriclab.sampling import LabeledDataset, PKSamplerConfig, epoch_iter
 from metriclab.seeding import substream
 from metriclab.synthetic import four_class_fixture, bimodal_class_fixture
 from metriclab.trainer import (
@@ -60,7 +60,7 @@ def test_zero_weight_step_leaves_params_bitwise(rng):
     loss_cfg = LossConfig(weights={"ce": 0.0, "cpl": 0.0})
     state = build_state(2, 4, ModelConfig(embedding_dim=4), loss_cfg, seed=1)
     before = {n: p.data.copy() for n, p in state.named_params().items()}
-    batch = sample_pk_batch(ds, PKSamplerConfig(p=2, k=2), substream(0, "s"))
+    batch = next(epoch_iter(ds, PKSamplerConfig(p=2, k=2), substream(0, "s")))
     train_step(state, batch, loss_cfg, lr=0.1)
     for n, p in state.named_params().items():
         assert np.array_equal(p.data, before[n]), n
@@ -72,7 +72,7 @@ def test_single_ce_step_decreases_loss(seed):
     loss_cfg = LossConfig(weights={"ce": 1.0})
     model_cfg = ModelConfig(extractor_hidden=(8,), embedding_dim=4, predictor="none", bn_target=False)
     state = build_state(2, 4, model_cfg, loss_cfg, seed=seed)
-    batch = sample_pk_batch(ds, PKSamplerConfig(p=4, k=4), substream(seed, "s"))
+    batch = next(epoch_iter(ds, PKSamplerConfig(p=4, k=4), substream(seed, "s")))
     before = train_step(state, batch, loss_cfg, lr=0.05).part_values()["ce"]
     after = train_step(state, batch, loss_cfg, lr=0.0).part_values()["ce"]
     assert after < before
@@ -108,7 +108,7 @@ def test_train_run_different_seed_differs():
 
 def test_cached_and_recomputed_targets_give_identical_gradients(rng):
     ds = small_ds(3)
-    batch = sample_pk_batch(ds, PKSamplerConfig(p=3, k=4), substream(5, "s"))
+    batch = next(epoch_iter(ds, PKSamplerConfig(p=3, k=4), substream(5, "s")))
     pred = CenterPredictor(dim=2, hidden=8, rng=rng, depth=2)
     x = Tensor(batch.features.copy(), requires_grad=True)
     fresh = backward(cpl_loss(x, batch.labels, predictor=pred))
@@ -124,7 +124,7 @@ def test_divergence_raises_with_diagnostics():
     ds = small_ds()
     loss_cfg = LossConfig(weights={"ce": 1.0})
     state = build_state(2, 4, ModelConfig(extractor_hidden=(8,), embedding_dim=4), loss_cfg, seed=0)
-    batch = sample_pk_batch(ds, PKSamplerConfig(p=4, k=4), substream(0, "s"))
+    batch = next(epoch_iter(ds, PKSamplerConfig(p=4, k=4), substream(0, "s")))
     with pytest.raises(NumericsError):
         for _ in range(200):
             train_step(state, batch, loss_cfg, lr=1e9)
@@ -234,7 +234,7 @@ def test_distance_matrix_built_once_per_step(monkeypatch):
     loss_cfg = LossConfig(weights={"ce": 1.0, "triplet": 1.0, "lifted": 1.0, "rll": 1.0})
     model_cfg = ModelConfig(extractor_hidden=(8,), embedding_dim=4, predictor="none", bn_target=False)
     state = build_state(2, 4, model_cfg, loss_cfg, seed=0)
-    batch = sample_pk_batch(ds, PKSamplerConfig(p=2, k=3), substream(0, "s"))
+    batch = next(epoch_iter(ds, PKSamplerConfig(p=2, k=3), substream(0, "s")))
     parts = train_step(state, batch, loss_cfg, lr=0.01).part_values()
     assert len(calls) == 1
     assert set(parts) == {"ce", "triplet", "lifted", "rll"}
