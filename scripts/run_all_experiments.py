@@ -1,25 +1,31 @@
 """Run every checked-in experiment config through the CLI.
 
-Each run lands in runs/<name> (wiped by --force on rerun) and prints its
-one-line JSON summary. Run from the repository root:
+Each run lands in runs/<name> (written into with --force on rerun) and
+prints its one-line JSON summary. The package is imported from this
+checkout's src/, so nothing needs to be installed. Run from the repository
+root:
 
     python3 scripts/run_all_experiments.py [config ...]
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 CONFIG_DIR = Path(__file__).parent / "configs"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def main(argv):
     configs = [Path(a) for a in argv] or sorted(CONFIG_DIR.glob("*.cfg"))
+    path = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     failures = 0
     for cfg in configs:
         print(f"== {cfg.name}")
         proc = subprocess.run(
-            [sys.executable, "-m", "metriclab", "run", str(cfg), "--force"]
+            [sys.executable, "-m", "metriclab", "run", str(cfg), "--force"], env=env
         )
         failures += proc.returncode != 0
     return 1 if failures else 0

@@ -27,13 +27,13 @@ from .experiments import (
     run_target_ablation,
 )
 from .gradcheck import run_gradcheck
-from .sampling import save_dataset_csv
+from .sampling import LabeledDataset, save_dataset_csv
 from .seeding import subseed
 from .synthetic import FIXTURES
 from .trainer import train_accuracy, train_run
 
 
-def _prepare_out(cfg: ExperimentConfig, force: bool) -> Path:
+def _check_out(cfg: ExperimentConfig, force: bool) -> Path:
     if not cfg.out:
         raise ConfigError("no output directory: set 'out = <dir>' or pass --out")
     out = Path(cfg.out)
@@ -41,7 +41,6 @@ def _prepare_out(cfg: ExperimentConfig, force: bool) -> Path:
         raise FileExistsError(
             f"output directory '{out}' is not empty; pass --force to write into it"
         )
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -51,8 +50,7 @@ def _write_summary(out: Path, summary: dict) -> str:
     return line
 
 
-def _dispatch_train(cfg: ExperimentConfig, out: Path) -> dict:
-    ds = cfg.dataset.load(cfg.seed)
+def _dispatch_train(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dict:
     state, timeline, snapshots = train_run(
         ds,
         model_cfg=cfg.model,
@@ -72,20 +70,11 @@ def _dispatch_train(cfg: ExperimentConfig, out: Path) -> dict:
     }
 
 
-def _dispatch_surface(cfg: ExperimentConfig, out: Path) -> dict:
-    ds = cfg.dataset.load(cfg.seed)
+def _dispatch_surface(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dict:
     kinds = ("center", "cpl") if cfg.surface_loss == "both" else (cfg.surface_loss,)
     summary = {"kind": "surface", "fixture": cfg.dataset.fixture}
     for loss_kind in kinds:
-        grid = run_loss_surface(
-            ds,
-            loss_kind,
-            seed=cfg.seed,
-            refit_steps=cfg.refit_steps,
-            refit_lr=cfg.refit_lr,
-            predictor_hidden=cfg.model.predictor_hidden,
-            fixture_name=cfg.dataset.fixture,
-        )
+        grid = run_loss_surface(ds, loss_kind, cfg)
         name = "surface.csv" if len(kinds) == 1 else f"surface_{loss_kind}.csv"
         grid.write_csv(out / name)
         summary[loss_kind] = {
@@ -94,19 +83,8 @@ def _dispatch_surface(cfg: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
-def _dispatch_boundary(cfg: ExperimentConfig, out: Path) -> dict:
-    ds = cfg.dataset.load(cfg.seed)
-    grid, state = run_boundary_experiment(
-        ds,
-        seed=cfg.seed,
-        sgd_cfg=cfg.sgd,
-        model_cfg=cfg.model,
-        sampler_cfg=cfg.sampler,
-        loss_cfg=cfg.loss,
-        refit_steps=cfg.refit_steps,
-        refit_lr=cfg.refit_lr,
-        out_dir=out,
-    )
+def _dispatch_boundary(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dict:
+    grid, state = run_boundary_experiment(ds, cfg, out_dir=out)
     grid.write_csv(out / "surface.csv")
     return {
         "kind": "boundary",
@@ -116,9 +94,9 @@ def _dispatch_boundary(cfg: ExperimentConfig, out: Path) -> dict:
     }
 
 
-def _dispatch_ablation(cfg: ExperimentConfig, out: Path) -> dict:
+def _dispatch_ablation(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dict:
     runner = run_target_ablation if cfg.kind == "ablation-target" else run_bn_ablation
-    report = runner(cfg)
+    report = runner(ds, cfg)
     report.write_csv(out / "report.csv")
     cfg_dir = out / "configs"
     cfg_dir.mkdir(exist_ok=True)
@@ -134,17 +112,23 @@ def _dispatch_ablation(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def dispatch(cfg: ExperimentConfig, force: bool = False) -> dict:
-    """Run one experiment, write its artifacts, return the summary record."""
-    out = _prepare_out(cfg, force)
+    """Run one experiment, write its artifacts, return the summary record.
+
+    The dataset loads before the output directory is created, so a run
+    refused for its data leaves nothing behind.
+    """
+    out = _check_out(cfg, force)
+    ds = cfg.dataset.load(cfg.seed)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved").write_text(render_config(cfg))
     if cfg.kind == "train":
-        summary = _dispatch_train(cfg, out)
+        summary = _dispatch_train(cfg, ds, out)
     elif cfg.kind == "surface":
-        summary = _dispatch_surface(cfg, out)
+        summary = _dispatch_surface(cfg, ds, out)
     elif cfg.kind == "boundary":
-        summary = _dispatch_boundary(cfg, out)
+        summary = _dispatch_boundary(cfg, ds, out)
     else:
-        summary = _dispatch_ablation(cfg, out)
+        summary = _dispatch_ablation(cfg, ds, out)
     summary["out"] = str(out)
     summary["seed"] = cfg.seed
     _write_summary(out, summary)

@@ -3,8 +3,9 @@
 Four reproductions on synthetic fixtures: per-sample loss surfaces for the
 center and center-prediction losses, the boundary-error profile of a
 jointly trained classifier, and the target-mode / BN-placement ablation
-grids on a held-out-identity retrieval task. Everything is seeded and
-exports CSV.
+grids on a held-out-identity retrieval task. Each experiment takes the
+loaded dataset and the `ExperimentConfig` that holds all of its settings.
+Everything is seeded and exports CSV.
 """
 
 from __future__ import annotations
@@ -19,18 +20,10 @@ from .autograd import as_tensor
 from .config import ExperimentConfig, config_hash, render_config
 from .errors import ConfigError, ShapeError
 from .metrics import evaluate_retrieval
-from .nn import CenterPredictor, ModelConfig
-from .sampling import LabeledDataset, PKSamplerConfig
+from .nn import CenterPredictor
+from .sampling import LabeledDataset
 from .seeding import subseed, substream
-from .trainer import (
-    LossConfig,
-    SgdConfig,
-    cpl_errors,
-    embed_dataset,
-    refit_predictor,
-    train_accuracy,
-    train_run,
-)
+from .trainer import cpl_errors, embed_dataset, refit_predictor, train_accuracy, train_run
 
 SURFACE_LOSS_KINDS = ("center", "cpl")
 
@@ -100,27 +93,26 @@ class SurfaceGrid:
 
 def center_surface_errors(ds: LabeledDataset) -> np.ndarray:
     """Per-sample squared distance to the sample's own class mean."""
-    errors = np.empty(ds.n)
-    for _, idx in ds.by_identity.items():
-        mu = ds.features[:, idx].mean(axis=1, keepdims=True)
-        errors[idx] = ((ds.features[:, idx] - mu) ** 2).sum(axis=0)
-    return errors
+    return cpl_errors(ds.features, ds.labels, target_mode="sample-mean")
 
 
-def run_loss_surface(
-    ds: LabeledDataset,
-    loss_kind: str,
-    seed: int,
-    refit_steps: int = 400,
-    refit_lr: float = 0.005,
-    predictor_hidden: int = 64,
-    fixture_name: str = "",
-) -> SurfaceGrid:
+def _refit_errors(points: np.ndarray, labels: np.ndarray, cfg: ExperimentConfig, stream: str):
+    """Per-sample squared prediction error of a 2-layer predictor refit on
+    the 2-D points, starting from the identity map so the result never
+    exceeds the plain leave-one-out dispersion."""
+    predictor = CenterPredictor(
+        dim=2, hidden=cfg.model.predictor_hidden, rng=substream(cfg.seed, stream), depth=2
+    )
+    predictor.init_identity()
+    refit_predictor(points, labels, predictor, steps=cfg.refit_steps, lr=cfg.refit_lr)
+    return cpl_errors(points, labels, predictor=predictor)
+
+
+def run_loss_surface(ds: LabeledDataset, loss_kind: str, cfg: ExperimentConfig) -> SurfaceGrid:
     """Per-sample error surface of one intra-class loss on a 2-D fixture.
 
     center: squared distance to the class mean. cpl: squared prediction
-    error of a 2-layer predictor refit on the raw points, starting from
-    the identity map so the result never exceeds the plain dispersion.
+    error of a predictor refit on the raw points (see `_refit_errors`).
     """
     if ds.dim != 2:
         raise ShapeError(f"loss surfaces need a 2-D fixture, got dim {ds.dim}")
@@ -129,33 +121,15 @@ def run_loss_surface(
     if loss_kind == "center":
         errors = center_surface_errors(ds)
     else:
-        predictor = CenterPredictor(
-            dim=2, hidden=predictor_hidden, rng=substream(seed, "surface-predictor"), depth=2
-        )
-        predictor.init_identity()
-        refit_predictor(ds.features, ds.labels, predictor, steps=refit_steps, lr=refit_lr)
-        errors = cpl_errors(ds.features, ds.labels, predictor=predictor)
+        errors = _refit_errors(ds.features, ds.labels, cfg, "surface-predictor")
     return SurfaceGrid(
-        points=ds.features,
-        labels=ds.labels,
-        errors=errors,
-        boundary=np.zeros(ds.n, dtype=bool),
-        meta={"kind": loss_kind, "fixture": fixture_name, "seed": str(seed)},
+        points=ds.features, labels=ds.labels, errors=errors, boundary=np.zeros(ds.n, dtype=bool)
     )
-
-
-# settings that keep the joint CE+CPL run stable on the overlapping-class
-# fixture at this scale; callers may override any of them
-BOUNDARY_SGD = SgdConfig(base_lr=0.01, milestones=(20, 30), decay_factor=0.1, epochs=40)
-BOUNDARY_MODEL = ModelConfig(embedding_dim=2, bn_target=False)
-BOUNDARY_SAMPLER = PKSamplerConfig(p=3, k=8)
 
 
 def classifier_margins(state, ds: LabeledDataset) -> np.ndarray:
     """Per-sample margin: true-class logit minus best other-class logit."""
-    state.eval_mode()
     logits = state.classifier(state.extractor(as_tensor(ds.features))).data
-    state.train_mode()
     cols = np.arange(ds.n)
     true = logits[ds.labels, cols]
     masked = logits.copy()
@@ -163,17 +137,7 @@ def classifier_margins(state, ds: LabeledDataset) -> np.ndarray:
     return true - masked.max(axis=0)
 
 
-def run_boundary_experiment(
-    ds: LabeledDataset,
-    seed: int,
-    sgd_cfg: SgdConfig | None = None,
-    model_cfg: ModelConfig | None = None,
-    sampler_cfg: PKSamplerConfig | None = None,
-    loss_cfg: LossConfig | None = None,
-    refit_steps: int = 400,
-    refit_lr: float = 0.005,
-    out_dir=None,
-):
+def run_boundary_experiment(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=None):
     """Train CE+CPL with 2-D embeddings, then profile the prediction error.
 
     Embeddings are L2-normalized, a fresh identity-initialized predictor is
@@ -184,17 +148,16 @@ def run_boundary_experiment(
         raise ConfigError(
             f"boundary experiment expects a 2- or 3-class dataset, got {len(ds.identities)} classes"
         )
-    model_cfg = replace(model_cfg or BOUNDARY_MODEL, embedding_dim=2)  # analysis needs a plane
+    model_cfg = replace(cfg.model, embedding_dim=2)  # analysis needs a plane
     if model_cfg.predictor != "mlp":
         raise ConfigError("boundary experiment trains CE+CPL and needs model.predictor = mlp")
-    loss_cfg = loss_cfg or LossConfig(weights={"ce": 1.0, "cpl": 1.0})
     state, _, _ = train_run(
         ds,
         model_cfg=model_cfg,
-        loss_cfg=loss_cfg,
-        sgd_cfg=sgd_cfg or BOUNDARY_SGD,
-        sampler_cfg=sampler_cfg or BOUNDARY_SAMPLER,
-        seed=seed,
+        loss_cfg=cfg.loss,
+        sgd_cfg=cfg.sgd,
+        sampler_cfg=cfg.sampler,
+        seed=cfg.seed,
         eval_every=0,
         out_dir=out_dir,
     )
@@ -204,23 +167,12 @@ def run_boundary_experiment(
     if np.any(norms == 0):
         raise ShapeError("cannot L2-normalize a zero embedding")
     normalized = emb / norms
-    predictor = CenterPredictor(
-        dim=2, hidden=model_cfg.predictor_hidden, rng=substream(seed, "boundary-refit"), depth=2
-    )
-    predictor.init_identity()
-    refit_predictor(normalized, ds.labels, predictor, steps=refit_steps, lr=refit_lr)
-    errors = cpl_errors(normalized, ds.labels, predictor=predictor)
-    band = margins <= np.quantile(margins, BOUNDARY_DECILE)
     grid = SurfaceGrid(
         points=normalized,
         labels=ds.labels,
-        errors=errors,
-        boundary=band,
-        meta={
-            "kind": "boundary",
-            "seed": str(seed),
-            "train_accuracy": repr(train_accuracy(state, ds)),
-        },
+        errors=_refit_errors(normalized, ds.labels, cfg, "boundary-refit"),
+        boundary=margins <= np.quantile(margins, BOUNDARY_DECILE),
+        meta={"train_accuracy": repr(train_accuracy(state, ds))},
     )
     return grid, state
 
@@ -292,14 +244,10 @@ def split_retrieval_task(ds: LabeledDataset, queries_per_id: int = 4):
     return train, test.subset(np.array(q_idx)), test.subset(np.array(g_idx))
 
 
-def run_retrieval_variant(cfg: ExperimentConfig, variant: str):
-    """One ablation training run + held-out retrieval eval.
-
-    The dataset comes from the base seed so every variant sees identical
-    data; the run itself is seeded per variant name.
-    """
-    ds = cfg.dataset.load(cfg.seed)
-    train, queries, gallery = split_retrieval_task(ds)
+def run_retrieval_variant(split: tuple, cfg: ExperimentConfig, variant: str):
+    """One ablation training run + held-out retrieval eval on a
+    `split_retrieval_task` split; the run is seeded per variant name."""
+    train, queries, gallery = split
     state, _, _ = train_run(
         train,
         model_cfg=cfg.model,
@@ -316,37 +264,36 @@ def run_retrieval_variant(cfg: ExperimentConfig, variant: str):
     return summary["map"], summary["rank1"]
 
 
-def run_target_ablation(cfg: ExperimentConfig, seed: int | None = None) -> AblationReport:
-    """Four identical runs differing only in the prediction-target mode."""
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
+def _run_ablation(ds: LabeledDataset, variants: list) -> AblationReport:
+    """Every (name, config) variant trained and evaluated on one split of ds."""
+    split = split_retrieval_task(ds)
     rows, configs = [], {}
-    for mode in TARGET_ABLATION_MODES:
-        vcfg = replace(cfg, loss=replace(cfg.loss, cpl_target=mode))
-        mean_ap, rank1 = run_retrieval_variant(vcfg, mode)
-        rows.append(AblationRow(mode, mean_ap, rank1, config_hash(vcfg)))
-        configs[mode] = render_config(vcfg)
-    return AblationReport(rows, configs)
-
-
-def run_bn_ablation(cfg: ExperimentConfig, seed: int | None = None) -> AblationReport:
-    """Predictor depth and BN placement grid, from bare distance to all-BN."""
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    rows, configs = [], {}
-    for name, predictor, depth, tbn, hbn, obn in BN_ABLATION_VARIANTS:
-        vcfg = replace(
-            cfg,
-            model=replace(
-                cfg.model,
-                predictor=predictor,
-                predictor_depth=depth,
-                bn_target=tbn,
-                bn_predictor_hidden=hbn,
-                bn_predictor_output=obn,
-            ),
-        )
-        mean_ap, rank1 = run_retrieval_variant(vcfg, name)
+    for name, vcfg in variants:
+        mean_ap, rank1 = run_retrieval_variant(split, vcfg, name)
         rows.append(AblationRow(name, mean_ap, rank1, config_hash(vcfg)))
         configs[name] = render_config(vcfg)
     return AblationReport(rows, configs)
+
+
+def run_target_ablation(ds: LabeledDataset, cfg: ExperimentConfig) -> AblationReport:
+    """Four identical runs differing only in the prediction-target mode."""
+    variants = [
+        (mode, replace(cfg, loss=replace(cfg.loss, cpl_target=mode))) for mode in TARGET_ABLATION_MODES
+    ]
+    return _run_ablation(ds, variants)
+
+
+def run_bn_ablation(ds: LabeledDataset, cfg: ExperimentConfig) -> AblationReport:
+    """Predictor depth and BN placement grid, from bare distance to all-BN."""
+    variants = []
+    for name, predictor, depth, tbn, hbn, obn in BN_ABLATION_VARIANTS:
+        model = replace(
+            cfg.model,
+            predictor=predictor,
+            predictor_depth=depth,
+            bn_target=tbn,
+            bn_predictor_hidden=hbn,
+            bn_predictor_output=obn,
+        )
+        variants.append((name, replace(cfg, model=model)))
+    return _run_ablation(ds, variants)

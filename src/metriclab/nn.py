@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Tensor, _make, _unbroadcast, as_tensor
-from .errors import ConfigError, NumericsError, ShapeError
+from .errors import ConfigError, DataFormatError, NumericsError, ShapeError
 
 __all__ = [
     "Linear",
@@ -315,7 +315,7 @@ def load_checkpoint(path) -> dict:
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise ConfigError(f"not a checkpoint file (missing {CHECKPOINT_HEADER!r} header)")
+        raise DataFormatError(f"not a checkpoint file (missing {CHECKPOINT_HEADER!r} header)")
     out = {}
     i = 1
     while i < len(lines):
@@ -324,17 +324,17 @@ def load_checkpoint(path) -> dict:
             continue
         fields = lines[i].rsplit(" ", 2)
         if len(fields) != 3:
-            raise ConfigError(f"malformed checkpoint entry line: {lines[i]!r}")
+            raise DataFormatError(f"malformed checkpoint entry line: {lines[i]!r}")
         name = fields[0]
         if i + 1 == len(lines):
-            raise ConfigError(f"checkpoint entry {name!r}: file ends before its values line")
+            raise DataFormatError(f"checkpoint entry {name!r}: file ends before its values line")
         try:
             rows, cols = int(fields[1]), int(fields[2])
             values = np.array([float(v) for v in lines[i + 1].split()])
         except ValueError as exc:
-            raise ConfigError(f"checkpoint entry {name!r}: {exc}") from None
+            raise DataFormatError(f"checkpoint entry {name!r}: {exc}") from None
         if rows < 0 or cols < 0 or values.size != rows * cols:
-            raise ConfigError(f"checkpoint entry {name!r}: expected {rows * cols} values, got {values.size}")
+            raise DataFormatError(f"checkpoint entry {name!r}: expected {rows * cols} values, got {values.size}")
         out[name] = values.reshape(rows, cols)
         i += 2
     return out

@@ -142,12 +142,14 @@ def load_dataset_csv(path) -> LabeledDataset:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[-1] != "label":
-            raise ConfigError(f"{path}: expected a dataset CSV with a trailing label column")
+            raise DataFormatError(f"{path}: expected a dataset CSV with a trailing label column")
         dim = len(header) - 1
         feats, labels = [], []
         for row in reader:
             if len(row) != dim + 1:
-                raise ConfigError(f"{path}: row has {len(row)} fields, expected {dim + 1}")
+                raise DataFormatError(
+                    f"{path}: line {reader.line_num}: row has {len(row)} fields, expected {dim + 1}"
+                )
             try:
                 feats.append([float(v) for v in row[:dim]])
                 labels.append(int(row[dim]))
@@ -156,5 +158,5 @@ def load_dataset_csv(path) -> LabeledDataset:
             if not all(map(math.isfinite, feats[-1])):
                 raise DataFormatError(f"{path}: line {reader.line_num}: non-finite feature")
     if not feats:
-        raise ConfigError(f"{path}: empty dataset")
+        raise DataFormatError(f"{path}: empty dataset")
     return LabeledDataset(np.array(feats).T, np.array(labels))

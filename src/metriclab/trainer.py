@@ -150,18 +150,6 @@ class TrainState:
             out["centers"] = self.centers
         return out
 
-    def eval_mode(self):
-        if self.predictor is not None:
-            self.predictor.eval()
-        if self.target_bn is not None:
-            self.target_bn.eval()
-
-    def train_mode(self):
-        if self.predictor is not None:
-            self.predictor.train()
-        if self.target_bn is not None:
-            self.target_bn.train()
-
 
 def build_state(
     input_dim: int,
@@ -282,9 +270,7 @@ def write_timeline_csv(rows: list, path, part_names: list):
 
 
 def train_accuracy(state: TrainState, ds: LabeledDataset) -> float:
-    state.eval_mode()
     logits = state.classifier(state.extractor(as_tensor(ds.features))).data
-    state.train_mode()
     return float((logits.argmax(axis=0) == ds.labels).mean())
 
 
@@ -338,10 +324,7 @@ def train_run(
 
 
 def embed_dataset(state: TrainState, ds: LabeledDataset) -> np.ndarray:
-    state.eval_mode()
-    out = state.extractor(as_tensor(ds.features)).data
-    state.train_mode()
-    return out
+    return state.extractor(as_tensor(ds.features)).data
 
 
 # -- predictor refitting -------------------------------------------------------
@@ -361,8 +344,9 @@ def refit_predictor(
     """Full-batch gradient descent on the predictor only, embeddings fixed.
 
     Targets are computed once (they depend only on the fixed embeddings).
-    Tracks the best iterate, evaluating before the first update, so the
-    returned loss never exceeds the starting point's. Returns
+    Evaluates the steps + 1 iterates, the starting point included, and
+    keeps the best, so the returned loss never exceeds the starting
+    point's. Returns
     (best_loss, history of per-step losses); the predictor is left holding
     the best parameters.
     """
@@ -374,19 +358,15 @@ def refit_predictor(
     best_value = np.inf
     best_params = None
     history = []
-    for _ in range(steps):
+    for step in range(steps + 1):
         loss = cpl_loss(x, labels, predictor=predictor, targets=targets)
         value = loss.item()
         history.append(value)
         if value < best_value:
             best_value = value
             best_params = [p.data.copy() for p in params]
-        opt.step(backward(loss), lr)
-    final = cpl_loss(x, labels, predictor=predictor, targets=targets).item()
-    history.append(final)
-    if final < best_value:
-        best_value = final
-        best_params = [p.data.copy() for p in params]
+        if step < steps:
+            opt.step(backward(loss), lr)
     for p, best in zip(params, best_params):
         p.data[:] = best
     return best_value, history

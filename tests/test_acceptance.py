@@ -9,13 +9,14 @@ bit-identical.
 
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from reference_impls import oracle_retrieval
 
 from metriclab.autograd import Tensor, as_tensor, backward
 from metriclab.cli import dispatch
-from metriclab.config import parse_config
+from metriclab.config import ExperimentConfig, parse_config
 from metriclab.experiments import run_bn_ablation, run_boundary_experiment, run_loss_surface, run_target_ablation
 from metriclab.gradcheck import central_diff, max_rel_err, run_gradcheck
 from metriclab.losses import cpl_loss, cpl_targets
@@ -126,8 +127,9 @@ def test_criterion_04_bimodal_class_prediction_beats_center():
     margins = []
     for seed in range(10):
         ds = bimodal_class_fixture(seed=subseed(seed, "dataset"))
-        center_e = run_loss_surface(ds, "center", seed=seed).class_mean_error(0)
-        cpl_e = run_loss_surface(ds, "cpl", seed=seed).class_mean_error(0)
+        cfg = ExperimentConfig(kind="surface", seed=seed)
+        center_e = run_loss_surface(ds, "center", cfg).class_mean_error(0)
+        cpl_e = run_loss_surface(ds, "cpl", cfg).class_mean_error(0)
         assert cpl_e < center_e, f"seed {seed}: cpl {cpl_e} !< center {center_e}"
         margins.append(center_e / cpl_e)
         predictor = CenterPredictor(dim=2, hidden=64, rng=substream(seed, "acceptance/refit"), depth=2)
@@ -148,8 +150,9 @@ def test_criterion_05_covariance_asymmetry_of_per_class_error():
     center_ratios, cpl_ratios = [], []
     for seed in range(10):
         ds = two_class_fixture(seed=subseed(seed, "dataset"))
-        gc = run_loss_surface(ds, "center", seed=seed)
-        gp = run_loss_surface(ds, "cpl", seed=seed)
+        cfg = ExperimentConfig(kind="surface", seed=seed)
+        gc = run_loss_surface(ds, "center", cfg)
+        gp = run_loss_surface(ds, "cpl", cfg)
         center_iso, center_ell = gc.class_mean_error(0), gc.class_mean_error(1)
         cpl_iso, cpl_ell = gp.class_mean_error(0), gp.class_mean_error(1)
         center_wins += center_ell > center_iso
@@ -171,9 +174,11 @@ def test_criterion_06_boundary_band_error_exceeds_interior():
     t0 = time.perf_counter()
     wins = 0
     ratios = []
+    boundary_cfg = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "boundary.cfg"
+    boundary = parse_config(boundary_cfg.read_text())
     for seed in range(10):
         ds = three_class_fixture(seed=subseed(seed, "dataset"))
-        grid, _ = run_boundary_experiment(ds, seed=seed)
+        grid, _ = run_boundary_experiment(ds, replace(boundary, seed=seed))
         ratios.append(grid.boundary_ratio())
         wins += ratios[-1] >= 1.5
     elapsed = time.perf_counter() - t0
@@ -208,8 +213,9 @@ def test_criterion_08_ablation_harnesses_run_to_completion():
         "sgd.milestones = 10,15\n"
         "sgd.epochs = 20\n"
     )
-    target_rep = run_target_ablation(base)
-    bn_rep = run_bn_ablation(replace(base, kind="ablation-bn"))
+    ds = base.dataset.load(base.seed)
+    target_rep = run_target_ablation(ds, base)
+    bn_rep = run_bn_ablation(ds, replace(base, kind="ablation-bn"))
     target_lines = target_rep.to_csv().strip().splitlines()
     bn_lines = bn_rep.to_csv().strip().splitlines()
     finite = all(

@@ -197,14 +197,31 @@ def test_export_fixture_rejects_unknown_name(tmp_path, capsys):
         main(["export-fixture", "nonexistent", "--out", str(tmp_path / "x.csv")])
 
 
+CSV_HEAD = "f0,f1,label\n0.5,0.5,0\n"
+
+
 @pytest.mark.parametrize(
-    "row, what",
-    [("1.0,abc,0", "abc"), ("1.0,2.0,1.5", "1.5"), ("1.0,nan,0", "non-finite")],
-    ids=["non-numeric-feature", "non-integer-label", "nan-feature"],
+    "text, expected",
+    [
+        (CSV_HEAD + "1.0,abc,0\n", ("line 3", "abc")),
+        (CSV_HEAD + "1.0,2.0,1.5\n", ("line 3", "1.5")),
+        (CSV_HEAD + "1.0,nan,0\n", ("line 3", "non-finite")),
+        ("f0,f1\n0.5,0.5\n", ("label column",)),
+        (CSV_HEAD + "1.0,0\n", ("line 3", "2 fields")),
+        ("", ("label column",)),
+    ],
+    ids=[
+        "non-numeric-feature",
+        "non-integer-label",
+        "nan-feature",
+        "missing-label-column",
+        "wrong-field-count",
+        "empty-file",
+    ],
 )
-def test_run_bad_dataset_csv_exits_4_with_one_json_line(tmp_path, capsys, row, what):
+def test_run_bad_dataset_csv_exits_4_with_one_json_line(tmp_path, capsys, text, expected):
     data = tmp_path / "data.csv"
-    data.write_text("f0,f1,label\n0.5,0.5,0\n" + row + "\n")
+    data.write_text(text)
     cfg = _write(
         tmp_path, f"kind = train\ndataset.source = csv\ndataset.path = {data}\nout = {tmp_path / 'run'}\n"
     )
@@ -214,7 +231,48 @@ def test_run_bad_dataset_csv_exits_4_with_one_json_line(tmp_path, capsys, row, w
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert record["error"] == "io"
-    assert "line 3" in record["message"] and what in record["message"]
+    for what in expected:
+        assert what in record["message"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_refused_for_its_data_reruns_without_force_once_fixed(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert _run(capsys, "export-fixture", "four-class", "--out", str(data))[0] == 0
+    good = data.read_text()
+    bad = good.splitlines()
+    bad[1] = "abc," + bad[1].split(",", 1)[1]
+    data.write_text("\n".join(bad) + "\n")
+    out_dir = tmp_path / "run"
+    cfg = _write(tmp_path, TRAIN_CFG + f"dataset.source = csv\ndataset.path = {data}\nout = {out_dir}\n")
+    code, _, err = _run(capsys, "run", str(cfg))
+    assert code == 4 and "abc" in json.loads(err)["message"]
+    assert not out_dir.exists()
+    data.write_text(good)
+    assert _run(capsys, "run", str(cfg))[0] == 0
+    assert (out_dir / "summary.json").exists()
+
+
+def test_ablation_bn_dispatch_loads_the_dataset_once(tmp_path, capsys, monkeypatch):
+    from metriclab.synthetic import FIXTURES
+
+    calls = []
+    fixture = FIXTURES["retrieval"]
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return fixture(*args, **kwargs)
+
+    monkeypatch.setitem(FIXTURES, "retrieval", counted)
+    cfg = _write(
+        tmp_path,
+        "kind = ablation-bn\nloss.triplet.weight = 1.0\nsgd.base_lr = 0.001\n"
+        f"sgd.milestones = 1\nsgd.epochs = 2\nout = {tmp_path / 'run'}\n",
+    )
+    code, out, _ = _run(capsys, "run", str(cfg))
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 6
+    assert len(calls) == 1
 
 
 def test_predictor_hidden_sets_surface_and_boundary_refit_width(tmp_path, capsys, monkeypatch):

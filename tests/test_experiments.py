@@ -1,7 +1,10 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from metriclab.config import parse_config
+from metriclab.config import ExperimentConfig, parse_config
 from metriclab.errors import ConfigError, ShapeError
 from metriclab.experiments import (
     AblationReport,
@@ -24,6 +27,10 @@ from metriclab.synthetic import (
     two_class_fixture,
     retrieval_fixture,
     three_class_fixture,
+)
+
+BOUNDARY_CFG = parse_config(
+    (Path(__file__).resolve().parents[1] / "scripts" / "configs" / "boundary.cfg").read_text()
 )
 
 
@@ -65,27 +72,28 @@ def test_center_surface_matches_hand_means():
 def test_surface_rejects_non_2d_fixture():
     ds = retrieval_fixture(seed=0, n_ids=4, per_id=4, dim=5)
     with pytest.raises(ShapeError):
-        run_loss_surface(ds, "center", seed=0)
+        run_loss_surface(ds, "center", ExperimentConfig(kind="surface"))
 
 
 def test_surface_rejects_unknown_kind():
     ds = two_class_fixture(seed=0, n_per_class=10)
     with pytest.raises(ConfigError):
-        run_loss_surface(ds, "triplet", seed=0)
+        run_loss_surface(ds, "triplet", ExperimentConfig(kind="surface"))
 
 
 def test_center_penalizes_elliptic_class_harder():
     for seed in range(3):
         ds = two_class_fixture(seed=subseed(seed, "dataset"))
-        grid = run_loss_surface(ds, "center", seed=seed)
+        grid = run_loss_surface(ds, "center", ExperimentConfig(kind="surface", seed=seed))
         assert grid.class_mean_error(1) > grid.class_mean_error(0)
 
 
 def test_cpl_ratio_below_center_ratio():
     for seed in range(3):
         ds = two_class_fixture(seed=subseed(seed, "dataset"))
-        center = run_loss_surface(ds, "center", seed=seed)
-        cpl = run_loss_surface(ds, "cpl", seed=seed)
+        cfg = ExperimentConfig(kind="surface", seed=seed)
+        center = run_loss_surface(ds, "center", cfg)
+        cpl = run_loss_surface(ds, "cpl", cfg)
         r_center = center.class_mean_error(1) / center.class_mean_error(0)
         r_cpl = cpl.class_mean_error(1) / cpl.class_mean_error(0)
         assert r_cpl < r_center
@@ -94,15 +102,17 @@ def test_cpl_ratio_below_center_ratio():
 def test_cpl_beats_center_on_bimodal_class():
     for seed in range(3):
         ds = bimodal_class_fixture(seed=subseed(seed, "dataset"))
-        center = run_loss_surface(ds, "center", seed=seed)
-        cpl = run_loss_surface(ds, "cpl", seed=seed)
+        cfg = ExperimentConfig(kind="surface", seed=seed)
+        center = run_loss_surface(ds, "center", cfg)
+        cpl = run_loss_surface(ds, "cpl", cfg)
         assert cpl.class_mean_error(0) < center.class_mean_error(0)
 
 
 def test_surface_errors_nonnegative_and_deterministic():
     ds = two_class_fixture(seed=1, n_per_class=40)
-    a = run_loss_surface(ds, "cpl", seed=3, refit_steps=50)
-    b = run_loss_surface(ds, "cpl", seed=3, refit_steps=50)
+    cfg = ExperimentConfig(kind="surface", seed=3, refit_steps=50)
+    a = run_loss_surface(ds, "cpl", cfg)
+    b = run_loss_surface(ds, "cpl", cfg)
     assert np.all(a.errors >= 0)
     assert a.to_csv() == b.to_csv()
 
@@ -113,12 +123,12 @@ def test_surface_errors_nonnegative_and_deterministic():
 def test_boundary_rejects_wrong_class_count():
     ds = retrieval_fixture(seed=0, n_ids=8, per_id=4, dim=2)
     with pytest.raises(ConfigError):
-        run_boundary_experiment(ds, seed=0)
+        run_boundary_experiment(ds, BOUNDARY_CFG)
 
 
 def test_boundary_grid_contract():
     ds = three_class_fixture(seed=subseed(0, "dataset"), n_per_class=60)
-    grid, state = run_boundary_experiment(ds, seed=0)
+    grid, state = run_boundary_experiment(ds, BOUNDARY_CFG)
     assert grid.n == ds.n
     norms = np.linalg.norm(grid.points, axis=0)
     assert norms == pytest.approx(np.ones(ds.n), abs=1e-9)
@@ -133,7 +143,7 @@ def test_boundary_band_errors_exceed_interior():
     wins = 0
     for seed in range(3):
         ds = three_class_fixture(seed=subseed(seed, "dataset"))
-        grid, _ = run_boundary_experiment(ds, seed=seed)
+        grid, _ = run_boundary_experiment(ds, replace(BOUNDARY_CFG, seed=seed))
         wins += grid.boundary_ratio() >= 1.5
     assert wins >= 2
 
@@ -166,7 +176,7 @@ def test_split_needs_enough_identities():
 
 def test_target_ablation_four_rows_finite():
     cfg = parse_config(ABLATION_CFG)
-    report = run_target_ablation(cfg, seed=0)
+    report = run_target_ablation(cfg.dataset.load(cfg.seed), cfg)
     assert [row.variant for row in report.rows] == list(TARGET_ABLATION_MODES)
     for row in report.rows:
         assert np.isfinite(row.mean_ap) and 0 <= row.mean_ap <= 1
@@ -179,7 +189,7 @@ def test_target_ablation_four_rows_finite():
 
 def test_bn_ablation_six_rows_finite():
     cfg = parse_config(ABLATION_CFG.replace("ablation-target", "ablation-bn"))
-    report = run_bn_ablation(cfg, seed=0)
+    report = run_bn_ablation(cfg.dataset.load(cfg.seed), cfg)
     assert [row.variant for row in report.rows] == [v[0] for v in BN_ABLATION_VARIANTS]
     assert len(report.rows) == 6
     for row in report.rows:
@@ -189,9 +199,9 @@ def test_bn_ablation_six_rows_finite():
 
 
 def test_ablation_csv_and_determinism():
-    cfg = parse_config(ABLATION_CFG)
-    a = run_target_ablation(cfg, seed=1)
-    b = run_target_ablation(cfg, seed=1)
+    cfg = replace(parse_config(ABLATION_CFG), seed=1)
+    a = run_target_ablation(cfg.dataset.load(cfg.seed), cfg)
+    b = run_target_ablation(cfg.dataset.load(cfg.seed), cfg)
     assert a.to_csv() == b.to_csv()
     lines = a.to_csv().splitlines()
     assert lines[0] == "variant,map,rank1,config_hash"

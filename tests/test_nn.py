@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metriclab.autograd import Tensor, as_tensor, backward, matmul
-from metriclab.errors import ConfigError, NumericsError, ShapeError
+from metriclab.errors import ConfigError, DataFormatError, NumericsError, ShapeError
 from metriclab.nn import (
     BatchNorm,
     CenterPredictor,
@@ -181,7 +181,7 @@ def test_checkpoint_round_trip_exact(tmp_path, rng):
 def test_checkpoint_rejects_wrong_header(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("something else\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataFormatError):
         load_checkpoint(p)
 
 
@@ -297,7 +297,7 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
     p = tmp_path / "cut.txt"
     save_checkpoint(p, {"w": np.ones((2, 2))})
     p.write_text("\n".join(p.read_text().splitlines()[:2]) + "\n")
-    with pytest.raises(ConfigError, match="'w'"):
+    with pytest.raises(DataFormatError, match="'w'"):
         load_checkpoint(p)
 
 
@@ -305,5 +305,5 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
 def test_checkpoint_rejects_non_numeric_entry(tmp_path, entry):
     p = tmp_path / "bad.txt"
     p.write_text("metriclab-checkpoint v1\n" + entry)
-    with pytest.raises(ConfigError, match="'w'"):
+    with pytest.raises(DataFormatError, match="'w'"):
         load_checkpoint(p)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metriclab.errors import ConfigError, ShapeError
+from metriclab.errors import ConfigError, DataFormatError, ShapeError
 from metriclab.sampling import (
     LabeledBatch,
     LabeledDataset,
@@ -127,5 +127,5 @@ def test_csv_round_trip_exact(tmp_path):
 def test_csv_rejects_missing_label_column(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("f0,f1\n1.0,2.0\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataFormatError):
         load_dataset_csv(p)
