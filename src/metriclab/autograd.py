@@ -105,9 +105,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, exponent):
-        return pow_const(self, exponent)
-
     def t(self):
         return transpose(self)
 
@@ -142,10 +139,15 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _op_name(backward_rule) -> str:
+    """The op that defined backward_rule: "mul.<locals>.bw" gives "mul"."""
+    return backward_rule.__qualname__.split(".<locals>", 1)[0]
+
+
 def _make(data, parents, backward_rule) -> Tensor:
     out = np.asarray(data, dtype=np.float64)
     if not np.isfinite(out).all():
-        raise NumericsError("operation produced non-finite entries")
+        raise NumericsError(f"{_op_name(backward_rule)}: operation produced non-finite entries")
     if any(p.requires_grad for p in parents):
         return Tensor(out, requires_grad=True, parents=parents, backward=backward_rule)
     return Tensor(out)
@@ -326,20 +328,6 @@ def sqrt(a) -> Tensor:
     return _make(out, (a,), bw)
 
 
-def pow_const(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    c = float(exponent)
-    if c != int(c) and np.any(a.data < 0.0):
-        raise NumericsError("pow: fractional exponent needs non-negative base")
-
-    def bw(g):
-        return (g * c * a.data ** (c - 1.0),)
-
-    with np.errstate(over="ignore"):
-        out = a.data**c
-    return _make(out, (a,), bw)
-
-
 def absval(a) -> Tensor:
     a = as_tensor(a)
 
@@ -454,22 +442,27 @@ def backward(root: Tensor) -> dict:
     order = _topo(root)
     grads = {id(root): np.ones((1, 1))}
     result = {}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node.requires_grad:
-            node.grad = g
-            result[node] = g
-        if node._backward is None:
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            parent_grads = node._backward(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if not parent.requires_grad:
+    # overflow in a backward rule surfaces as NumericsError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for node in reversed(order):
+            g = grads.pop(id(node), None)
+            if g is None:
                 continue
-            if not np.isfinite(pg).all():
-                raise NumericsError("backward produced non-finite gradient entries")
-            held = grads.get(id(parent))
-            grads[id(parent)] = pg if held is None else held + pg
+            if node.requires_grad:
+                node.grad = g
+                result[node] = g
+            if node._backward is None:
+                continue
+            parent_grads = node._backward(g)
+            for parent, pg in zip(node._parents, parent_grads):
+                if not parent.requires_grad:
+                    continue
+                held = grads.get(id(parent))
+                if held is not None:
+                    pg = held + pg  # finite terms can still sum to inf
+                if not np.isfinite(pg).all():
+                    raise NumericsError(
+                        f"{_op_name(node._backward)}: backward produced non-finite gradient entries"
+                    )
+                grads[id(parent)] = pg
     return result

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -114,24 +115,31 @@ def _dispatch_ablation(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> 
 def dispatch(cfg: ExperimentConfig, force: bool = False) -> dict:
     """Run one experiment, write its artifacts, return the summary record.
 
-    The dataset loads before the output directory is created, so a run
-    refused for its data leaves nothing behind.
+    The dataset loads before the output directory is created. If the run
+    then fails, a directory it created is removed again, so a failed run
+    leaves nothing behind; a directory that existed before is left alone.
     """
     out = _check_out(cfg, force)
     ds = cfg.dataset.load(cfg.seed)
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.resolved").write_text(render_config(cfg))
-    if cfg.kind == "train":
-        summary = _dispatch_train(cfg, ds, out)
-    elif cfg.kind == "surface":
-        summary = _dispatch_surface(cfg, ds, out)
-    elif cfg.kind == "boundary":
-        summary = _dispatch_boundary(cfg, ds, out)
-    else:
-        summary = _dispatch_ablation(cfg, ds, out)
-    summary["out"] = str(out)
-    summary["seed"] = cfg.seed
-    _write_summary(out, summary)
+    try:
+        (out / "config.resolved").write_text(render_config(cfg))
+        if cfg.kind == "train":
+            summary = _dispatch_train(cfg, ds, out)
+        elif cfg.kind == "surface":
+            summary = _dispatch_surface(cfg, ds, out)
+        elif cfg.kind == "boundary":
+            summary = _dispatch_boundary(cfg, ds, out)
+        else:
+            summary = _dispatch_ablation(cfg, ds, out)
+        summary["out"] = str(out)
+        summary["seed"] = cfg.seed
+        _write_summary(out, summary)
+    except BaseException:
+        if created:
+            shutil.rmtree(out, ignore_errors=True)
+        raise
     return summary
 
 

@@ -158,7 +158,7 @@ def run_boundary_experiment(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=N
         sgd_cfg=cfg.sgd,
         sampler_cfg=cfg.sampler,
         seed=cfg.seed,
-        eval_every=0,
+        eval_every=cfg.eval_every,
         out_dir=out_dir,
     )
     margins = classifier_margins(state, ds)

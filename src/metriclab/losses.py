@@ -16,13 +16,15 @@ import numpy as np
 
 from .autograd import (
     Tensor,
+    _make,
+    _unbroadcast,
     as_tensor,
     gather_cols,
     gather_pairs,
     logsumexp,
     softplus,
 )
-from .errors import ConfigError, ShapeError, TrainingDivergenceError
+from .errors import ConfigError, NumericsError, ShapeError, TrainingDivergenceError
 from .seeding import substream
 
 __all__ = [
@@ -87,28 +89,75 @@ def pairwise_euclidean(x: Tensor) -> Tensor:
     get a masked epsilon before the sqrt so its derivative stays finite,
     then are forced back to exactly zero; the gradient through them is
     zero, a valid subgradient at the kink.
+
+    This is one autograd op that replays the composed graph
+    sqrt(relu(sq^T + sq - 2 x^T x) + eps) * keep: its forward and backward
+    do the same numpy operations in the same order, so values and gradients
+    are bit-identical to it. x is a parent once per use (both factors of the
+    square, the gram matmul, the transpose), in the order the composed sweep
+    accumulated their gradient terms.
     """
     x = as_tensor(x)
-    gram = x.t() @ x
-    sq = (x * x).sum(axis=0)  # 1 x N
-    d2 = (sq.t() + sq - 2.0 * gram).relu()  # relu clips negative rounding noise
-    zero_mask = (d2.data < 1e-12).astype(np.float64)
-    d = (d2 + as_tensor(zero_mask * 1e-16)).sqrt() * as_tensor(1.0 - zero_mask)
-    return d
+    xd = x.data
+    with np.errstate(over="ignore", invalid="ignore"):
+        xt = xd.T.copy()
+        gram = xt @ xd
+        sq = (xd * xd).sum(axis=0, keepdims=True)  # 1 x N
+        diff = sq.T + sq - gram * 2.0
+    # a non-finite square, gram entry or sum reaches diff, but relu would
+    # turn a -inf into 0 and hide it from the output check
+    if not np.isfinite(diff).all():
+        raise NumericsError("pairwise_euclidean: squared distances are not finite")
+    d2 = np.maximum(diff, 0.0)  # relu clips negative rounding noise
+    zero_mask = (d2 < 1e-12).astype(np.float64)
+    keep = 1.0 - zero_mask
+    root = np.sqrt(d2 + zero_mask * 1e-16)
+    n = xd.shape[1]
+
+    def bw(g):
+        g_diff = g * keep * 0.5 / root * (diff > 0.0)
+        g_gram = -g_diff * 2.0
+        g_sq = _unbroadcast(g_diff, (1, n)) + _unbroadcast(g_diff, (n, 1)).T
+        # a non-finite intermediate gradient of the composed graph reaches
+        # g_gram or g_sq, and from there an x term (inf * 0 is nan), where
+        # backward's finiteness check sees it
+        t_sq = np.broadcast_to(g_sq, xd.shape) * xd
+        # xt.T, as the composed matmul read its operand from the transpose's copy
+        return t_sq, t_sq, xt.T @ g_gram, (g_gram @ xd.T).T
+
+    return _make(root * keep, (x, x, x, x), bw)
 
 
 # -- classification and center losses ----------------------------------------
 
 
 def id_cross_entropy(logits, labels) -> Tensor:
-    """Mean over the batch of -log softmax(logits)[label]; logits are C x N."""
+    """Mean over the batch of -log softmax(logits)[label]; logits are C x N.
+
+    One autograd op that replays the composed graph
+    mean(logsumexp(logits, axis=0) - logits[label, col]) bit for bit; logits
+    is a parent twice, for the logsumexp and the gather terms.
+    """
     logits, labels = _check_batch(logits, labels, "id_cross_entropy")
     n_classes, n = logits.shape
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ShapeError(f"id_cross_entropy: labels outside [0, {n_classes})")
-    lse = logsumexp(logits, axis=0)  # 1 x N
-    true_logit = gather_pairs(logits, labels, np.arange(n))
-    return (lse - true_logit).mean()
+    x = logits.data
+    cols = np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # surfaces in _make
+        m = np.max(x, axis=0, keepdims=True)
+        e = np.exp(x - m)
+        s = e.sum(axis=0, keepdims=True)
+        per_sample = m + np.log(s) - x[labels, cols][None, :]  # 1 x N
+    scale = 1.0 / n
+
+    def bw(g):
+        g_per_sample = np.broadcast_to(g * scale, per_sample.shape)
+        g_true = np.zeros_like(x)
+        np.add.at(g_true, (labels, cols), -g_per_sample[0])
+        return (g_per_sample / s) * e, g_true
+
+    return _make(per_sample.sum().reshape(1, 1) * scale, (logits, logits), bw)
 
 
 def center_loss(features, labels, centers) -> Tensor:
@@ -316,6 +365,10 @@ def cpl_loss(
     predictor=None means predictions are the embeddings themselves. A
     precomputed target matrix can be passed to reuse cached targets; it must
     be detached (constant).
+
+    The tail after the predictor is one autograd op that replays the
+    composed graph sum(sum((preds - targets)^2, axis=0) * weights) bit for
+    bit, weights being 1 / (class size) per column.
     """
     features, labels = _check_batch(features, labels, "cpl_loss")
     if targets is None:
@@ -327,11 +380,17 @@ def cpl_loss(
         if targets.shape != features.shape:
             raise ShapeError("cpl_loss: cached targets shape mismatch")
     preds = predictor(features) if predictor is not None else features
-    diff = preds - targets
-    sq = (diff * diff).sum(axis=0)  # 1 x N
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     weights = (1.0 / counts)[inverse][None, :]
-    return (sq * as_tensor(weights)).sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = preds.data - targets.data
+        sq = (diff * diff).sum(axis=0, keepdims=True)  # 1 x N
+
+    def bw(g):
+        t = np.broadcast_to(np.broadcast_to(g, sq.shape) * weights, diff.shape) * diff
+        return (t + t,)
+
+    return _make((sq * weights).sum().reshape(1, 1), (preds,), bw)
 
 
 # -- composition ---------------------------------------------------------------

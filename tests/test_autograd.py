@@ -265,5 +265,19 @@ def test_constant_graph_backward_empty():
 
 
 def test_non_finite_result_raises():
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError, match="^exp: operation produced non-finite entries$"):
         as_tensor([[1e308]]).exp()
+
+
+def test_non_finite_gradient_error_names_the_op():
+    # log of a subnormal is finite, its derivative 1 / x is not
+    x = Tensor([[1e-310]], requires_grad=True)
+    with pytest.raises(NumericsError, match="^log: backward produced non-finite gradient entries$"):
+        backward(x.log())
+
+
+def test_backward_raises_when_accumulated_gradient_overflows():
+    # each mul's gradient term is 1e308; their sum at the shared leaf is not finite
+    x = Tensor([[1e-300]], requires_grad=True)
+    with pytest.raises(NumericsError, match="^mul: backward"):
+        backward(x * 1e308 + x * 1e308)

@@ -103,6 +103,20 @@ def test_run_divergence_exits_3(tmp_path, capsys):
     assert json.loads(err)["error"] == "numeric"
 
 
+def test_numeric_failure_names_the_op(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        TRAIN_CFG.replace("sgd.base_lr = 0.005", "sgd.base_lr = 1e6")
+        + f"model.bn_target = false\nout = {tmp_path / 'run'}\n",
+    )
+    code, _, err = _run(capsys, "run", str(cfg))
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    record = json.loads(err)
+    assert record["error"] == "numeric"
+    assert record["message"] == "Linear.forward: operation produced non-finite entries"
+
+
 def test_run_boundary_writes_surface_timeline_and_config(tmp_path, capsys):
     cfg = _write(
         tmp_path,
@@ -251,6 +265,39 @@ def test_run_refused_for_its_data_reruns_without_force_once_fixed(tmp_path, caps
     data.write_text(good)
     assert _run(capsys, "run", str(cfg))[0] == 0
     assert (out_dir / "summary.json").exists()
+
+
+def test_failed_run_removes_the_directory_it_created(tmp_path, capsys):
+    # the boundary fixture has 3 identities and the default sampler needs 4;
+    # only training finds that, after the output directory exists
+    out_dir = tmp_path / "run"
+    cfg = _write(tmp_path, f"kind = boundary\nout = {out_dir}\n")
+    for _ in range(2):  # the rerun needs no --force
+        code, _, err = _run(capsys, "run", str(cfg))
+        assert code == 2 and "p=4" in json.loads(err)["message"]
+        assert not out_dir.exists()
+
+
+def test_failed_forced_run_leaves_an_existing_directory(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / "keep.txt").write_text("x\n")
+    cfg = _write(tmp_path, f"kind = boundary\nout = {out_dir}\n")
+    code, _, _ = _run(capsys, "run", str(cfg), "--force")
+    assert code == 2
+    assert (out_dir / "keep.txt").read_text() == "x\n"
+
+
+def test_boundary_run_honours_eval_every(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        "kind = boundary\nsgd.base_lr = 0.01\nsgd.epochs = 4\nsgd.milestones =\n"
+        "model.bn_target = false\nsampler.p = 3\nsampler.k = 8\n"
+        f"refit.steps = 5\neval.every = 2\nout = {tmp_path / 'run'}\n",
+    )
+    assert _run(capsys, "run", str(cfg))[0] == 0
+    written = sorted(p.name for p in (tmp_path / "run").glob("checkpoint_*.txt"))
+    assert written == ["checkpoint_epoch0001.txt", "checkpoint_epoch0003.txt"]
 
 
 def test_ablation_bn_dispatch_loads_the_dataset_once(tmp_path, capsys, monkeypatch):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metriclab.autograd import Tensor, as_tensor, backward
-from metriclab.errors import ConfigError, ShapeError, TrainingDivergenceError
+from metriclab.autograd import Tensor, as_tensor, backward, gather_pairs, logsumexp
+from metriclab.errors import ConfigError, NumericsError, ShapeError, TrainingDivergenceError
 from metriclab.losses import (
     MarginConfig,
     center_loss,
@@ -18,7 +18,7 @@ from metriclab.losses import (
     ranked_list_loss,
     triplet_loss_batch_hard,
 )
-from metriclab.nn import BatchNorm, CenterPredictor
+from metriclab.nn import BatchNorm, CenterPredictor, Linear
 
 from fd_utils import central_diff, max_rel_err
 from reference_impls import (
@@ -568,3 +568,161 @@ def test_precomputed_dist_of_wrong_shape_rejected(name):
     dist = pairwise_euclidean(as_tensor(feats[:, :-1]))
     with pytest.raises(ShapeError, match="dist"):
         fn(feats, labels, dist=dist, **kwargs)
+
+
+# -- fused ops against the composed graphs they replace ----------------------------
+
+
+def composed_pairwise(x):
+    """pairwise_euclidean as a graph of autograd primitives."""
+    x = as_tensor(x)
+    gram = x.t() @ x
+    sq = (x * x).sum(axis=0)
+    d2 = (sq.t() + sq - 2.0 * gram).relu()
+    zero_mask = (d2.data < 1e-12).astype(np.float64)
+    return (d2 + as_tensor(zero_mask * 1e-16)).sqrt() * as_tensor(1.0 - zero_mask)
+
+
+def composed_ce(logits, labels):
+    """id_cross_entropy as a graph of autograd primitives."""
+    logits = as_tensor(logits)
+    n = logits.shape[1]
+    return (logsumexp(logits, axis=0) - gather_pairs(logits, labels, np.arange(n))).mean()
+
+
+def composed_cpl(features, labels, predictor=None):
+    """cpl_loss (leave-one-out targets) with its tail as a graph of primitives."""
+    features = as_tensor(features)
+    targets = cpl_targets(features, labels)
+    preds = predictor(features) if predictor is not None else features
+    diff = preds - targets
+    sq = (diff * diff).sum(axis=0)
+    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    return (sq * as_tensor((1.0 / counts)[inverse][None, :])).sum()
+
+
+def _value_and_grad(op, data, r):
+    x = Tensor(data.copy(), requires_grad=True)
+    out = op(x)
+    # a non-uniform upstream gradient, so every backward term is exercised
+    return out.data, backward((out * r + out * out).sum())[x]
+
+
+def _assert_same_value_and_grad(fused, composed, data, r):
+    (f_out, f_grad), (c_out, c_grad) = _value_and_grad(fused, data, r), _value_and_grad(composed, data, r)
+    assert np.array_equal(f_out, c_out)
+    assert np.array_equal(f_grad, c_grad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fused_pairwise_is_bit_identical_to_composed_graph(n, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.normal(0, 1.5, (4, n))
+    if n > 2:
+        data[:, 2] = data[:, 0]  # a coincident pair takes the masked-zero path
+    r = as_tensor(rng.normal(0, 1, (n, n)))
+    _assert_same_value_and_grad(pairwise_euclidean, composed_pairwise, data, r)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("n", [1, 6])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fused_ce_is_bit_identical_to_composed_graph(shared, n, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.normal(0, 3.0, (5, n))
+    labels = rng.integers(0, 5, n)
+    r = as_tensor(rng.normal(0, 1, (1, 1)))
+
+    def with_other_consumer(ce):
+        # the square's terms reach the logits before the two ce terms, so
+        # the order in which those two are added shows in the last bits
+        return lambda t: (t * t).sum() * 0.5 + ce(t) if shared else ce(t)
+
+    _assert_same_value_and_grad(
+        with_other_consumer(lambda t: id_cross_entropy(t, labels)),
+        with_other_consumer(lambda t: composed_ce(t, labels)),
+        data,
+        r,
+    )
+
+
+@pytest.mark.parametrize("with_predictor", [False, True])
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 2, 4)])
+def test_fused_cpl_is_bit_identical_to_composed_graph(with_predictor, sizes):
+    rng = np.random.default_rng(len(sizes))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    data = rng.normal(0, 1.0, (3, labels.size))
+    pred = CenterPredictor(3, 8, rng, depth=2) if with_predictor else None
+    r = as_tensor(rng.normal(0, 1, (1, 1)))
+    _assert_same_value_and_grad(
+        lambda t: cpl_loss(t, labels, predictor=pred),
+        lambda t: composed_cpl(t, labels, pred),
+        data,
+        r,
+    )
+
+
+def _shared_embedding_step(fused):
+    """One step's graph, shaped like train_step: the embeddings feed a
+    distance matrix (triplet), a classifier Linear (ce) and a predictor
+    (cpl), so gradient terms from every op accumulate into one input."""
+    rng = np.random.default_rng(5)
+    labels = np.repeat(np.arange(3), 3)
+    x = Tensor(rng.normal(0, 1, (6, labels.size)), requires_grad=True)
+    extractor, classifier = Linear(6, 4, rng), Linear(4, 3, rng)
+    predictor = CenterPredictor(4, 8, rng, depth=2)
+    emb = extractor(x)
+    dist = (pairwise_euclidean if fused else composed_pairwise)(emb)
+    ce = (id_cross_entropy if fused else composed_ce)(classifier(emb), labels)
+    cpl = cpl_loss(emb, labels, predictor=predictor) if fused else composed_cpl(emb, labels, predictor)
+    triplet = triplet_loss_batch_hard(emb, labels, 0.3, dist=dist)
+    total = compose_losses({"ce": ce, "cpl": cpl, "triplet": triplet}).total
+    grads = backward(total)
+    leaves = [x, *(p for layer in (extractor, classifier, predictor) for _, p in layer.params())]
+    return total.data, [grads[emb]] + [grads[leaf] for leaf in leaves]
+
+
+def test_fused_ops_keep_accumulation_order_into_shared_embeddings():
+    (f_total, f_grads), (c_total, c_grads) = _shared_embedding_step(True), _shared_embedding_step(False)
+    assert np.array_equal(f_total, c_total)
+    assert len(f_grads) == len(c_grads)
+    for f, c in zip(f_grads, c_grads):
+        assert np.array_equal(f, c)
+
+
+OVERFLOW_CASES = {
+    "pairwise-1e200": (pairwise_euclidean, composed_pairwise, np.array([[1e200, 0.0], [1.0, 2.0]])),
+    "pairwise-1e160": (pairwise_euclidean, composed_pairwise, np.full((2, 3), 1e160)),
+    "pairwise-sum-1e154": (pairwise_euclidean, composed_pairwise, np.full((3, 2), 1e154)),
+    "ce-1e308": (
+        lambda t: id_cross_entropy(t, np.array([1])),
+        lambda t: composed_ce(t, np.array([1])),
+        np.array([[1e308], [-1e308]]),
+    ),
+    "cpl-1e200": (
+        lambda t: cpl_loss(t, np.array([0, 0, 1, 1])),
+        lambda t: composed_cpl(t, np.array([0, 0, 1, 1])),
+        np.array([[1e200, -1e200, 0.0, 1.0], [1.0, 2.0, 3.0, 4.0]]),
+    ),
+}
+OP_NAMES = {"pairwise": "pairwise_euclidean", "ce": "id_cross_entropy", "cpl": "cpl_loss"}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_fused_ops_raise_where_composed_graph_raises(case):
+    fused, composed, data = OVERFLOW_CASES[case]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+        composed(Tensor(data, requires_grad=True))
+    with pytest.raises(NumericsError, match=f"^{OP_NAMES[case.split('-')[0]]}:"):
+        fused(Tensor(data, requires_grad=True))
+
+
+def test_fused_pairwise_backward_raises_where_composed_graph_raises():
+    # close points: the sqrt derivative 0.5 / d times a huge upstream
+    # gradient overflows in backward while the forward stays finite
+    data = np.array([[0.0, 1e-3, 2e-3], [0.0, 0.0, 1e-3]])
+    for op, match in ((composed_pairwise, "backward"), (pairwise_euclidean, "^pairwise_euclidean: backward")):
+        x = Tensor(data, requires_grad=True)
+        with pytest.raises(NumericsError, match=match):
+            backward((op(x) * 1e307).sum())
