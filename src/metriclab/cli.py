@@ -85,13 +85,13 @@ def _dispatch_surface(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> d
 
 
 def _dispatch_boundary(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dict:
-    grid, state = run_boundary_experiment(ds, cfg, out_dir=out)
+    grid, _, accuracy = run_boundary_experiment(ds, cfg, out_dir=out)
     grid.write_csv(out / "surface.csv")
     return {
         "kind": "boundary",
         "boundary_ratio": grid.boundary_ratio(),
         "band_size": int(grid.boundary.sum()),
-        "train_accuracy": float(grid.meta["train_accuracy"]),
+        "train_accuracy": accuracy,
     }
 
 
@@ -174,7 +174,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "run":
-            cfg = parse_config(Path(args.config).read_text())
+            try:
+                text = Path(args.config).read_text()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config}: not a text config: {exc}") from None
+            cfg = parse_config(text)
             if args.seed is not None:
                 cfg = replace(cfg, seed=args.seed)
             if args.out is not None:

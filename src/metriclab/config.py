@@ -12,6 +12,7 @@ and its value type (bool, int, float, str or int tuple) are that field's.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from operator import attrgetter
@@ -48,6 +49,14 @@ def _parse_bool(s: str) -> bool:
     raise ValueError("expected 'true' or 'false'")
 
 
+def _parse_float(s: str) -> float:
+    value = float(s)
+    # nan would pass every `x <= 0` range check downstream
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return value
+
+
 def _parse_ints(s: str) -> tuple:
     if not s:
         return ()
@@ -58,7 +67,7 @@ def _parse_ints(s: str) -> tuple:
 _CODECS = {
     bool: (_parse_bool, lambda v: "true" if v else "false"),
     int: (int, str),
-    float: (float, lambda v: repr(float(v))),
+    float: (_parse_float, lambda v: repr(float(v))),
     str: (str, str),
     tuple: (_parse_ints, lambda v: ",".join(str(int(x)) for x in v)),
 }

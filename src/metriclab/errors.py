@@ -20,7 +20,6 @@ class NumericsError(ArithmeticError):
 class TrainingDivergenceError(NumericsError):
     """A loss part went NaN/inf during optimization."""
 
-    def __init__(self, message, part_values=None, lr=None):
+    def __init__(self, message, part_values=None):
         super().__init__(message)
         self.part_values = dict(part_values or {})
-        self.lr = lr

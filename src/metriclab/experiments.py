@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class SurfaceGrid:
     labels: np.ndarray  # N
     errors: np.ndarray  # N, finite and >= 0
     boundary: np.ndarray  # N bools; all False outside boundary experiments
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
@@ -142,7 +141,8 @@ def run_boundary_experiment(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=N
 
     Embeddings are L2-normalized, a fresh identity-initialized predictor is
     refit on them, and each sample is flagged boundary/interior by whether
-    its classifier margin falls in the lowest decile. Returns (grid, state).
+    its classifier margin falls in the lowest decile. Returns (grid, state,
+    train_accuracy).
     """
     if len(ds.identities) not in (2, 3):
         raise ConfigError(
@@ -172,9 +172,8 @@ def run_boundary_experiment(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=N
         labels=ds.labels,
         errors=_refit_errors(normalized, ds.labels, cfg, "boundary-refit"),
         boundary=margins <= np.quantile(margins, BOUNDARY_DECILE),
-        meta={"train_accuracy": repr(train_accuracy(state, ds))},
     )
-    return grid, state
+    return grid, state, train_accuracy(state, ds)
 
 
 # -- ablations on a held-out-identity retrieval task ---------------------------

@@ -137,7 +137,6 @@ def _case_linear(rng) -> GradProblem:
 
 def _case_batchnorm(rng) -> GradProblem:
     bn = BatchNorm(3)
-    bn.train()
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=(3, 1))
     bn.beta.data[:] = rng.uniform(-0.5, 0.5, size=(3, 1))
     x = _feat(rng, 3, 8)
@@ -161,7 +160,6 @@ def _case_predictor_plain(rng) -> GradProblem:
 
 def _case_predictor_deep_bn(rng) -> GradProblem:
     net = CenterPredictor(dim=3, hidden=8, rng=rng, depth=4, bn_hidden=True, bn_output=True)
-    net.train()
     x = _off_kink_input(rng, 3, 6, net.layers, bns=net.hidden_bns)
     leaves = {"x": x, **{f"pred.{n}": p for n, p in net.params()}}
     return GradProblem(lambda: _sum_squares(net(x)), leaves)

@@ -308,8 +308,7 @@ def cpl_targets(
 
     Computed from values only; no gradient ever flows through a target. If a
     BatchNorm layer is given, targets are built from its output on the
-    current batch (train-mode statistics; its running stats update as a side
-    effect, its parameters receive no gradient from this path).
+    current batch; its parameters receive no gradient from this path.
 
     Modes: leave-one-out-mean (mean of the other K-1 same-class samples),
     sample-mean (mean including self), random-point (seeded uniform draw

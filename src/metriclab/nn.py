@@ -66,32 +66,24 @@ class Linear:
 class BatchNorm:
     """Per-feature batch normalization over the sample axis.
 
-    Train mode normalizes with the current batch's mean and (biased)
-    variance and updates running statistics; eval mode normalizes with the
-    stored running statistics. Train mode needs at least 2 samples.
+    Normalizes with the current batch's mean and (biased) variance, so it
+    needs at least 2 samples. The lab uses it only in training-time heads
+    (predictor layers and the CPL target BN), so it keeps no running
+    statistics and has no eval mode.
 
-    Either mode is one autograd op. Its forward and backward do the numpy
+    The layer is one autograd op. Its forward and backward do the numpy
     operations of the composed graph (mean, center, square, mean, add eps,
     sqrt, divide, scale, shift) in the same order, so values and gradients
     are bit-identical to it; the textbook closed-form backward would regroup
     the sums and move the last bits.
     """
 
-    def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
+    eps = 1e-5
+
+    def __init__(self, dim: int):
         self.dim = dim
-        self.eps = float(eps)
-        self.momentum = float(momentum)
         self.gamma = Tensor(np.ones((dim, 1)), requires_grad=True)
         self.beta = Tensor(np.zeros((dim, 1)), requires_grad=True)
-        self.running_mean = np.zeros((dim, 1))
-        self.running_var = np.ones((dim, 1))
-        self.training = True
-
-    def train(self):
-        self.training = True
-
-    def eval(self):
-        self.training = False
 
     def forward(self, x) -> Tensor:
         x = as_tensor(x)
@@ -99,42 +91,27 @@ class BatchNorm:
             raise ShapeError(f"batchnorm: expected {self.dim} rows, got {x.shape[0]}")
         gamma, beta = self.gamma, self.beta
         n = x.shape[1]
-        if self.training:
-            if n < 2:
-                raise ShapeError("batchnorm: train mode needs a batch of at least 2")
-            inv_n = 1.0 / n
-            with np.errstate(over="ignore", invalid="ignore"):
-                mu = x.data.sum(axis=1, keepdims=True) * inv_n
-                centered = x.data - mu
-                var = (centered * centered).sum(axis=1, keepdims=True) * inv_n
-                std = np.sqrt(var + self.eps)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                centered = x.data - self.running_mean
-                std = np.sqrt(self.running_var + self.eps)
+        if n < 2:
+            raise ShapeError("batchnorm: needs a batch of at least 2")
+        inv_n = 1.0 / n
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = x.data.sum(axis=1, keepdims=True) * inv_n
+            centered = x.data - mu
+            var = (centered * centered).sum(axis=1, keepdims=True) * inv_n
+            std = np.sqrt(var + self.eps)
         # an overflowing square makes var inf and xhat 0, which would pass the
         # output check below; a zero std would divide by zero
         if not np.all(np.isfinite(std) & (std > 0.0)):
             raise NumericsError("batchnorm: variance is not finite or std is zero")
         xhat = centered / std
-        if self.training:
-            # running stats never carry gradient; unbiased variance for the
-            # running estimate, biased for the normalization itself
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var * (n / (n - 1))
-        training = self.training
 
         def bw(g):
             g_xhat = g * gamma.data
-            g_centered = g_xhat / std
-            if training:
-                # through std: sqrt, the eps add, and the mean of the squares
-                g_sq = (-g_xhat * centered / (std * std)).sum(axis=1, keepdims=True) * 0.5 / std * inv_n
-                # centered feeds xhat and both factors of its square
-                g_centered = g_centered + g_sq * centered + g_sq * centered
-                g_x = g_centered + (-g_centered).sum(axis=1, keepdims=True) * inv_n
-            else:
-                g_x = g_centered
+            # through std: sqrt, the eps add, and the mean of the squares
+            g_sq = (-g_xhat * centered / (std * std)).sum(axis=1, keepdims=True) * 0.5 / std * inv_n
+            # centered feeds xhat and both factors of its square
+            g_centered = g_xhat / std + g_sq * centered + g_sq * centered
+            g_x = g_centered + (-g_centered).sum(axis=1, keepdims=True) * inv_n
             return _unbroadcast(g * xhat, gamma.shape), g_x, _unbroadcast(g, beta.shape)
 
         with np.errstate(over="ignore", invalid="ignore"):
@@ -219,18 +196,6 @@ class CenterPredictor:
 
     __call__ = forward
 
-    def train(self):
-        for bn in self.hidden_bns:
-            bn.train()
-        if self.output_bn is not None:
-            self.output_bn.train()
-
-    def eval(self):
-        for bn in self.hidden_bns:
-            bn.eval()
-        if self.output_bn is not None:
-            self.output_bn.eval()
-
     def init_identity(self):
         """Set the linear stack to the exact identity map.
 
@@ -312,8 +277,11 @@ def save_checkpoint(path, named_params: dict):
 
 
 def load_checkpoint(path) -> dict:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not a text checkpoint: {exc}") from None
     if not lines or lines[0] != CHECKPOINT_HEADER:
         raise DataFormatError(f"not a checkpoint file (missing {CHECKPOINT_HEADER!r} header)")
     out = {}

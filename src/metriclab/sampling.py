@@ -138,25 +138,29 @@ def save_dataset_csv(ds: LabeledDataset, path):
 
 
 def load_dataset_csv(path) -> LabeledDataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[-1] != "label":
-            raise DataFormatError(f"{path}: expected a dataset CSV with a trailing label column")
-        dim = len(header) - 1
-        feats, labels = [], []
-        for row in reader:
-            if len(row) != dim + 1:
-                raise DataFormatError(
-                    f"{path}: line {reader.line_num}: row has {len(row)} fields, expected {dim + 1}"
-                )
-            try:
-                feats.append([float(v) for v in row[:dim]])
-                labels.append(int(row[dim]))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
-            if not all(map(math.isfinite, feats[-1])):
-                raise DataFormatError(f"{path}: line {reader.line_num}: non-finite feature")
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header or header[-1] != "label":
+                raise DataFormatError(f"{path}: expected a dataset CSV with a trailing label column")
+            dim = len(header) - 1
+            feats, labels = [], []
+            for row in reader:
+                if len(row) != dim + 1:
+                    raise DataFormatError(
+                        f"{path}: line {reader.line_num}: row has {len(row)} fields, expected {dim + 1}"
+                    )
+                try:
+                    feats.append([float(v) for v in row[:dim]])
+                    labels.append(np.int64(int(row[dim])))
+                except (ValueError, OverflowError) as exc:
+                    raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+                if not all(map(math.isfinite, feats[-1])):
+                    raise DataFormatError(f"{path}: line {reader.line_num}: non-finite feature")
+    except (UnicodeDecodeError, csv.Error) as exc:
+        # undecodable bytes, or a field over csv.field_size_limit()
+        raise DataFormatError(f"{path}: {exc}") from None
     if not feats:
         raise DataFormatError(f"{path}: empty dataset")
     return LabeledDataset(np.array(feats).T, np.array(labels))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import losses
 from .autograd import Tensor, as_tensor, backward
-from .errors import ConfigError, TrainingDivergenceError
+from .errors import ConfigError
 from .losses import (
     LossBundle,
     MarginConfig,
@@ -237,11 +237,7 @@ def train_step(state: TrainState, batch: LabeledBatch, loss_cfg: LossConfig, lr:
     if not parts:  # all weights zero: nothing to optimize
         state.step += 1
         return LossBundle(total=as_tensor([[0.0]]), parts={}, weights={})
-    try:
-        bundle = compose_losses(parts, {n: loss_cfg.weights[n] for n in parts})
-    except TrainingDivergenceError as err:
-        err.lr = lr
-        raise
+    bundle = compose_losses(parts, {n: loss_cfg.weights[n] for n in parts})
     grads = backward(bundle.total)
     state.optimizer.step(grads, lr)
     state.step += 1
@@ -336,25 +332,20 @@ def refit_predictor(
     predictor: CenterPredictor,
     steps: int = 500,
     lr: float = 0.05,
-    momentum: float = 0.9,
-    target_mode: str = "leave-one-out-mean",
-    target_bn: BatchNorm | None = None,
-    seed: int = 0,
 ):
     """Full-batch gradient descent on the predictor only, embeddings fixed.
 
-    Targets are computed once (they depend only on the fixed embeddings).
-    Evaluates the steps + 1 iterates, the starting point included, and
-    keeps the best, so the returned loss never exceeds the starting
-    point's. Returns
-    (best_loss, history of per-step losses); the predictor is left holding
-    the best parameters.
+    Targets are the leave-one-out class means, computed once (they depend
+    only on the fixed embeddings). Evaluates the steps + 1 iterates, the
+    starting point included, and keeps the best, so the returned loss never
+    exceeds the starting point's. Returns (best_loss, history of per-step
+    losses); the predictor is left holding the best parameters.
     """
     x = as_tensor(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels)
-    targets = cpl_targets(x, labels, target_mode, target_bn=target_bn, seed=seed)
+    targets = cpl_targets(x, labels)
     params = [p for _, p in predictor.params()]
-    opt = SGD(params, momentum=momentum)
+    opt = SGD(params)
     best_value = np.inf
     best_params = None
     history = []
@@ -377,11 +368,9 @@ def cpl_errors(
     labels: np.ndarray,
     predictor=None,
     target_mode: str = "leave-one-out-mean",
-    target_bn: BatchNorm | None = None,
-    seed: int = 0,
 ) -> np.ndarray:
     """Per-sample squared prediction error ||f(x_i) - c_i||^2 (values only)."""
     x = as_tensor(np.asarray(features, dtype=np.float64))
-    targets = cpl_targets(x, labels, target_mode, target_bn=target_bn, seed=seed).data
+    targets = cpl_targets(x, labels, target_mode).data
     preds = predictor(x).data if predictor is not None else x.data
     return ((preds - targets) ** 2).sum(axis=0)

@@ -92,6 +92,18 @@ def test_run_invalid_config_exits_2_with_json_error(tmp_path, capsys):
     assert "rll_alpha" in record["message"]
 
 
+def test_run_undecodable_config_exits_2_with_one_json_line(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"kind = train\n# \x80\n")
+    code, out, err = _run(capsys, "run", str(cfg))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "config"
+    assert str(cfg) in record["message"]
+
+
 def test_run_divergence_exits_3(tmp_path, capsys):
     cfg = _write(
         tmp_path,
@@ -223,6 +235,9 @@ CSV_HEAD = "f0,f1,label\n0.5,0.5,0\n"
         ("f0,f1\n0.5,0.5\n", ("label column",)),
         (CSV_HEAD + "1.0,0\n", ("line 3", "2 fields")),
         ("", ("label column",)),
+        (CSV_HEAD + "1.0,2.0,\xff\n", ("utf-8", "decode")),
+        (CSV_HEAD + '"' + "1" * 131073 + '",2.0,0\n', ("field larger than field limit",)),
+        (CSV_HEAD + "1.0,2.0,99999999999999999999\n", ("line 3", "too large")),
     ],
     ids=[
         "non-numeric-feature",
@@ -231,11 +246,14 @@ CSV_HEAD = "f0,f1,label\n0.5,0.5,0\n"
         "missing-label-column",
         "wrong-field-count",
         "empty-file",
+        "undecodable-byte",
+        "oversized-field",
+        "label-overflows-int64",
     ],
 )
 def test_run_bad_dataset_csv_exits_4_with_one_json_line(tmp_path, capsys, text, expected):
     data = tmp_path / "data.csv"
-    data.write_text(text)
+    data.write_bytes(text.encode("latin-1"))  # one byte per character, so "\xff" is the byte 0xff
     cfg = _write(
         tmp_path, f"kind = train\ndataset.source = csv\ndataset.path = {data}\nout = {tmp_path / 'run'}\n"
     )

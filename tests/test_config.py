@@ -63,6 +63,16 @@ def test_bad_value_reports_key_and_line():
         parse_config("kind = train\nmodel.bn_target = yes\n")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("sgd.base_lr", "nan"), ("refit.lr", "inf"), ("loss.circle.scale", "nan"), ("loss.ce.weight", "nan")],
+)
+def test_non_finite_float_rejected_with_key_name(key, value):
+    # nan passes the `x <= 0` range checks, and a nan weight silently disables its loss
+    with pytest.raises(ConfigError, match=key):
+        parse_config(f"kind = train\n{key} = {value}\n")
+
+
 def test_k_of_one_names_the_center_prediction_precondition():
     with pytest.raises(ConfigError, match="center-prediction"):
         parse_config("kind = train\nsampler.k = 1\n")
