@@ -53,11 +53,10 @@ class Tensor:
     maps the upstream gradient to per-parent gradients.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = _as_matrix(data)
-        self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = tuple(parents)
         self._backward = backward
@@ -431,9 +430,8 @@ def backward(root: Tensor) -> dict:
     """Reverse-mode sweep from a scalar root.
 
     Returns {tensor: gradient ndarray} for every reachable tensor with
-    requires_grad set, and mirrors each gradient on tensor.grad. Repeated
-    calls on the same graph recompute from scratch (no accumulation), so
-    the result is identical every time.
+    requires_grad set. Repeated calls on the same graph recompute from
+    scratch (no accumulation), so the result is identical every time.
     """
     if root.shape != (1, 1):
         raise GraphError(f"backward needs a scalar (1x1) root, got {root.shape}")
@@ -449,7 +447,6 @@ def backward(root: Tensor) -> dict:
             if g is None:
                 continue
             if node.requires_grad:
-                node.grad = g
                 result[node] = g
             if node._backward is None:
                 continue

@@ -85,7 +85,7 @@ def _dispatch_surface(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> d
 
 
 def _dispatch_boundary(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dict:
-    grid, _, accuracy = run_boundary_experiment(ds, cfg, out_dir=out)
+    grid, accuracy = run_boundary_experiment(ds, cfg, out_dir=out)
     grid.write_csv(out / "surface.csv")
     return {
         "kind": "boundary",

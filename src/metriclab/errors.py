@@ -16,10 +16,3 @@ class ShapeError(ValueError):
 class NumericsError(ArithmeticError):
     """Non-finite values where the contract requires finite ones."""
 
-
-class TrainingDivergenceError(NumericsError):
-    """A loss part went NaN/inf during optimization."""
-
-    def __init__(self, message, part_values=None):
-        super().__init__(message)
-        self.part_values = dict(part_values or {})

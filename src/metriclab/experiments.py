@@ -141,7 +141,7 @@ def run_boundary_experiment(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=N
 
     Embeddings are L2-normalized, a fresh identity-initialized predictor is
     refit on them, and each sample is flagged boundary/interior by whether
-    its classifier margin falls in the lowest decile. Returns (grid, state,
+    its classifier margin falls in the lowest decile. Returns (grid,
     train_accuracy).
     """
     if len(ds.identities) not in (2, 3):
@@ -173,7 +173,7 @@ def run_boundary_experiment(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=N
         errors=_refit_errors(normalized, ds.labels, cfg, "boundary-refit"),
         boundary=margins <= np.quantile(margins, BOUNDARY_DECILE),
     )
-    return grid, state, train_accuracy(state, ds)
+    return grid, train_accuracy(state, ds)
 
 
 # -- ablations on a held-out-identity retrieval task ---------------------------

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor, as_tensor, backward, logsumexp, softplus
+from .errors import ConfigError
 from .losses import (
     center_loss,
     circle_loss,
@@ -208,7 +209,7 @@ def _case_center(rng) -> GradProblem:
 def _case_triplet(rng) -> GradProblem:
     x = _spread_batch(rng, 3, 3, 3)
     labels = _labels_pk(3, 3)
-    return GradProblem(lambda: triplet_loss_batch_hard(x, labels, margin=0.3), {"x": x})
+    return GradProblem(lambda: triplet_loss_batch_hard(pairwise_euclidean(x), labels, margin=0.3), {"x": x})
 
 
 def _case_circle(rng) -> GradProblem:
@@ -220,13 +221,15 @@ def _case_circle(rng) -> GradProblem:
 def _case_lifted(rng) -> GradProblem:
     x = _spread_batch(rng, 3, 2, 3)
     labels = _labels_pk(2, 3)
-    return GradProblem(lambda: lifted_structure_loss(x, labels, margin=1.0), {"x": x})
+    return GradProblem(lambda: lifted_structure_loss(pairwise_euclidean(x), labels, margin=1.0), {"x": x})
 
 
 def _case_rll(rng) -> GradProblem:
     x = _spread_batch(rng, 3, 2, 3)
     labels = _labels_pk(2, 3)
-    return GradProblem(lambda: ranked_list_loss(x, labels, alpha=1.2, margin=0.4), {"x": x})
+    return GradProblem(
+        lambda: ranked_list_loss(pairwise_euclidean(x), labels, alpha=1.2, margin=0.4), {"x": x}
+    )
 
 
 def _case_cpl_frozen(rng) -> GradProblem:
@@ -296,7 +299,14 @@ class GradcheckReport:
 
 
 def run_gradcheck(seed: int = 0, tolerance: float = 1e-4, batches: int = 20) -> GradcheckReport:
-    """Check every registered op over `batches` seeded random problems."""
+    """Check every registered op over `batches` seeded random problems.
+
+    A check of no batches, or against a tolerance that is not a finite
+    positive number, would pass on nothing: both are config errors."""
+    if batches < 1:
+        raise ConfigError(f"gradcheck needs at least 1 batch, got {batches}")
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"gradcheck tolerance must be finite and > 0, got {tolerance}")
     rows = []
     for name, builder in REGISTRY:
         worst = 0.0

@@ -2,15 +2,19 @@
 loss, batch-hard triplet, circle, lifted structure, ranked list, and the
 center prediction loss (CPL) with its frozen leave-one-out targets.
 
-Every loss takes a d x N embedding matrix (Tensor or ndarray, column per
-sample) plus integer labels and returns a scalar (1x1) Tensor. CPL targets
-are always detached: a sample's role as part of another sample's target
-contributes no gradient, by construction of the target matrix as a constant.
+Every loss takes integer labels and returns a scalar (1x1) Tensor. The
+distance losses (batch-hard triplet, lifted structure, ranked list) take
+the N x N distance matrix D = pairwise_euclidean(embeddings), so a caller
+builds D once and shares it; the others take the d x N embedding matrix
+(Tensor or ndarray, column per sample), or the C x N logits for the
+cross-entropy. CPL targets are always detached: a sample's role as part of
+another sample's target contributes no gradient, by construction of the
+target matrix as a constant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +28,11 @@ from .autograd import (
     logsumexp,
     softplus,
 )
-from .errors import ConfigError, NumericsError, ShapeError, TrainingDivergenceError
+from .errors import ConfigError, NumericsError, ShapeError
 from .seeding import substream
 
 __all__ = [
     "MarginConfig",
-    "LossBundle",
     "id_cross_entropy",
     "center_loss",
     "triplet_loss_batch_hard",
@@ -38,7 +41,6 @@ __all__ = [
     "ranked_list_loss",
     "cpl_targets",
     "cpl_loss",
-    "compose_losses",
     "TARGET_MODES",
     "pairwise_euclidean",
 ]
@@ -187,30 +189,24 @@ def _pair_masks(labels: np.ndarray):
     return pos, neg
 
 
-def _distances(features: Tensor, dist, opname: str) -> Tensor:
-    """pairwise_euclidean(features), or the caller's precomputed N x N dist."""
-    if dist is None:
-        return pairwise_euclidean(features)
-    dist = as_tensor(dist)
-    n = features.shape[1]
-    if dist.shape != (n, n):
-        raise ShapeError(f"{opname}: dist must be {n} x {n}, got {dist.shape}")
-    return dist
+def _check_dist(dist, labels, opname: str):
+    """D and labels of a distance loss: D square, one label per column."""
+    dist, labels = _check_batch(dist, labels, opname)
+    if dist.shape[0] != dist.shape[1]:
+        raise ShapeError(f"{opname}: distance matrix must be N x N, got {dist.shape}")
+    return dist, labels
 
 
-def triplet_loss_batch_hard(features, labels, margin: float = 0.3, dist=None) -> Tensor:
-    """Batch-hard triplet: per anchor, hardest positive and hardest negative
-    by Euclidean distance, hinge at the margin, mean over anchors.
-
-    dist, if given, is pairwise_euclidean(features), built once by a caller
-    that shares it between several distance losses."""
-    features, labels = _check_batch(features, labels, "triplet_loss_batch_hard")
+def triplet_loss_batch_hard(dist, labels, margin: float = 0.3) -> Tensor:
+    """Batch-hard triplet on the N x N distance matrix D: per anchor, the
+    hardest positive and hardest negative, hinge at the margin, mean over
+    anchors."""
+    dist, labels = _check_dist(dist, labels, "triplet_loss_batch_hard")
     pos, neg = _pair_masks(labels)
     if not pos.any(axis=1).all():
         raise ShapeError("triplet: every anchor needs at least one positive (identity with >= 2 samples)")
     if not neg.any(axis=1).all():
         raise ShapeError("triplet: every anchor needs at least one negative (>= 2 identities)")
-    dist = _distances(features, dist, "triplet_loss_batch_hard")
     n = labels.size
     # mining happens on values; ties resolve to the lowest index via argmax/argmin
     dvals = dist.data
@@ -244,16 +240,15 @@ def circle_loss(features, labels, scale: float = 32.0, margin: float = 0.25) -> 
     return softplus(z).mean()
 
 
-def lifted_structure_loss(features, labels, margin: float = 1.0, dist=None) -> Tensor:
+def lifted_structure_loss(dist, labels, margin: float = 1.0) -> Tensor:
     """Mean over positive pairs (i < j) of
     relu(D_ij + log sum_k exp(m - D_ik) + log sum_l exp(m - D_jl)),
     k and l ranging over the negatives of i and of j.
 
     Computed on the N x N distance matrix D with the row-wise masked
     L = logsumexp_neg(m - D) (N x 1): relu(D + L + L^T) summed over the
-    strict upper triangle of the positive mask. dist as in
-    triplet_loss_batch_hard."""
-    features, labels = _check_batch(features, labels, "lifted_structure_loss")
+    strict upper triangle of the positive mask."""
+    dist, labels = _check_dist(dist, labels, "lifted_structure_loss")
     pos, neg = _pair_masks(labels)
     pair_mask = np.triu(pos, 1)
     n_pairs = int(pair_mask.sum())
@@ -261,23 +256,20 @@ def lifted_structure_loss(features, labels, margin: float = 1.0, dist=None) -> T
         raise ShapeError("lifted_structure_loss: batch has no positive pairs")
     if not neg.any():
         raise ShapeError("lifted_structure_loss: batch has no negative pairs")
-    dist = _distances(features, dist, "lifted_structure_loss")
     neg_lse = logsumexp(margin - dist, axis=1, mask=neg)
     terms = (dist + neg_lse + neg_lse.t()).relu() * as_tensor(pair_mask.astype(np.float64))
     return terms.sum() * (1.0 / n_pairs)
 
 
-def ranked_list_loss(features, labels, alpha: float = 1.2, margin: float = 0.4, dist=None) -> Tensor:
-    """Mean over ordered pairs i != j of
-    (1-y_ij) * relu(alpha - d_ij) + y_ij * relu(d_ij - (alpha - margin)).
-    dist as in triplet_loss_batch_hard."""
-    features, labels = _check_batch(features, labels, "ranked_list_loss")
+def ranked_list_loss(dist, labels, alpha: float = 1.2, margin: float = 0.4) -> Tensor:
+    """Mean over ordered pairs i != j of the N x N distance matrix D of
+    (1-y_ij) * relu(alpha - D_ij) + y_ij * relu(D_ij - (alpha - margin))."""
+    dist, labels = _check_dist(dist, labels, "ranked_list_loss")
     if not alpha > margin:
         raise ConfigError("ranked_list_loss: alpha must exceed margin")
     if labels.size < 2:
         raise ShapeError("ranked_list_loss: need at least 2 samples")
     pos, neg = _pair_masks(labels)
-    dist = _distances(features, dist, "ranked_list_loss")
     pos_terms = (dist - (alpha - margin)).relu() * as_tensor(pos.astype(np.float64))
     neg_terms = (alpha - dist).relu() * as_tensor(neg.astype(np.float64))
     n = labels.size
@@ -390,53 +382,3 @@ def cpl_loss(
         return (t + t,)
 
     return _make((sq * weights).sum().reshape(1, 1), (preds,), bw)
-
-
-# -- composition ---------------------------------------------------------------
-
-
-@dataclass
-class LossBundle:
-    """Weighted sum of named loss parts; total keeps the graph alive."""
-
-    total: Tensor
-    parts: dict = field(default_factory=dict)  # name -> scalar Tensor
-    weights: dict = field(default_factory=dict)
-
-    def part_values(self) -> dict:
-        return {name: t.item() for name, t in self.parts.items()}
-
-    @property
-    def total_value(self) -> float:
-        return self.total.item()
-
-
-def compose_losses(parts: dict, weights: dict | None = None) -> LossBundle:
-    """Combine named scalar losses into total = sum w_k * part_k.
-
-    Missing weights default to 1.0; a weight without a matching part is a
-    config error; any non-finite part raises TrainingDivergenceError.
-    """
-    if not parts:
-        raise ConfigError("compose_losses: no parts given")
-    weights = dict(weights or {})
-    unknown = set(weights) - set(parts)
-    if unknown:
-        raise ConfigError(f"compose_losses: weights for unknown parts {sorted(unknown)}")
-    resolved = {name: float(weights.get(name, 1.0)) for name in parts}
-    values = {}
-    for name, part in parts.items():
-        part = as_tensor(part)
-        if part.shape != (1, 1):
-            raise ShapeError(f"compose_losses: part {name!r} is not scalar")
-        v = part.item()
-        if not np.isfinite(v):
-            raise TrainingDivergenceError(
-                f"loss part {name!r} is non-finite ({v})", part_values=values
-            )
-        values[name] = v
-    total = None
-    for name, part in parts.items():
-        term = as_tensor(part) * resolved[name]
-        total = term if total is None else total + term
-    return LossBundle(total=total, parts={n: as_tensor(p) for n, p in parts.items()}, weights=resolved)

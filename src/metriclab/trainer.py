@@ -18,11 +18,9 @@ from . import losses
 from .autograd import Tensor, as_tensor, backward
 from .errors import ConfigError
 from .losses import (
-    LossBundle,
     MarginConfig,
     center_loss,
     circle_loss,
-    compose_losses,
     cpl_loss,
     cpl_targets,
     id_cross_entropy,
@@ -217,31 +215,14 @@ def _loss_parts(state: TrainState, embeddings, labels, loss_cfg: LossConfig) -> 
                 raise ConfigError("center loss enabled but state has no centers")
             parts["center"] = center_loss(embeddings, labels, state.centers)
         elif name == "triplet":
-            parts["triplet"] = triplet_loss_batch_hard(embeddings, labels, m.triplet_margin, dist=dist)
+            parts["triplet"] = triplet_loss_batch_hard(dist, labels, m.triplet_margin)
         elif name == "circle":
             parts["circle"] = circle_loss(embeddings, labels, m.circle_scale, m.circle_margin)
         elif name == "lifted":
-            parts["lifted"] = lifted_structure_loss(embeddings, labels, m.lifted_margin, dist=dist)
+            parts["lifted"] = lifted_structure_loss(dist, labels, m.lifted_margin)
         elif name == "rll":
-            parts["rll"] = ranked_list_loss(embeddings, labels, m.rll_alpha, m.rll_margin, dist=dist)
+            parts["rll"] = ranked_list_loss(dist, labels, m.rll_alpha, m.rll_margin)
     return parts
-
-
-def train_step(state: TrainState, batch: LabeledBatch, loss_cfg: LossConfig, lr: float) -> LossBundle:
-    """One SGD update on one batch; returns the composed losses.
-
-    With every enabled weight zero this is a no-op on the parameters.
-    """
-    embeddings = state.extractor(as_tensor(batch.features))
-    parts = _loss_parts(state, embeddings, batch.labels, loss_cfg)
-    if not parts:  # all weights zero: nothing to optimize
-        state.step += 1
-        return LossBundle(total=as_tensor([[0.0]]), parts={}, weights={})
-    bundle = compose_losses(parts, {n: loss_cfg.weights[n] for n in parts})
-    grads = backward(bundle.total)
-    state.optimizer.step(grads, lr)
-    state.step += 1
-    return bundle
 
 
 @dataclass
@@ -249,8 +230,32 @@ class TimelineRow:
     epoch: int
     step: int
     lr: float
-    parts: dict
+    parts: dict  # loss name -> value, in LOSS_NAMES order
     total: float
+
+
+def train_step(state: TrainState, batch: LabeledBatch, loss_cfg: LossConfig, lr: float) -> TimelineRow:
+    """One SGD update on one batch against total = sum of weight * part
+    over the enabled losses; returns the step's timeline row.
+
+    With every enabled weight zero this is a no-op on the parameters.
+    """
+    embeddings = state.extractor(as_tensor(batch.features))
+    parts = _loss_parts(state, embeddings, batch.labels, loss_cfg)
+    total = None
+    for name, part in parts.items():
+        term = part * float(loss_cfg.weights[name])
+        total = term if total is None else total + term
+    if total is not None:  # None when every weight is zero: nothing to optimize
+        state.optimizer.step(backward(total), lr)
+    state.step += 1
+    return TimelineRow(
+        epoch=state.epoch,
+        step=state.step,
+        lr=lr,
+        parts={name: part.item() for name, part in parts.items()},
+        total=0.0 if total is None else total.item(),
+    )
 
 
 def write_timeline_csv(rows: list, path, part_names: list):
@@ -277,7 +282,7 @@ def train_run(
     sgd_cfg: SgdConfig,
     sampler_cfg: PKSamplerConfig,
     seed: int,
-    eval_every: int = 5,
+    eval_every: int,
     out_dir=None,
 ):
     """Full training loop. Returns (state, timeline rows, snapshots).
@@ -297,16 +302,7 @@ def train_run(
         state.epoch = epoch
         lr = lr_at(sgd_cfg, epoch)
         for batch in epoch_iter(ds, sampler_cfg, sampler_rng):
-            bundle = train_step(state, batch, loss_cfg, lr)
-            timeline.append(
-                TimelineRow(
-                    epoch=epoch,
-                    step=state.step,
-                    lr=lr,
-                    parts=bundle.part_values(),
-                    total=bundle.total_value,
-                )
-            )
+            timeline.append(train_step(state, batch, loss_cfg, lr))
         last = epoch == sgd_cfg.epochs - 1
         if eval_every and (epoch % eval_every == eval_every - 1 or last):
             snapshots.append((epoch, train_accuracy(state, ds)))
@@ -330,8 +326,8 @@ def refit_predictor(
     features: np.ndarray,
     labels: np.ndarray,
     predictor: CenterPredictor,
-    steps: int = 500,
-    lr: float = 0.05,
+    steps: int,
+    lr: float,
 ):
     """Full-batch gradient descent on the predictor only, embeddings fixed.
 

@@ -178,7 +178,7 @@ def test_criterion_06_boundary_band_error_exceeds_interior():
     boundary = parse_config(boundary_cfg.read_text())
     for seed in range(10):
         ds = three_class_fixture(seed=subseed(seed, "dataset"))
-        grid, _, _ = run_boundary_experiment(ds, replace(boundary, seed=seed))
+        grid, _ = run_boundary_experiment(ds, replace(boundary, seed=seed))
         ratios.append(grid.boundary_ratio())
         wins += ratios[-1] >= 1.5
     elapsed = time.perf_counter() - t0

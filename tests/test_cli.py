@@ -202,6 +202,33 @@ def test_gradcheck_command_exit_codes(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--batches", "0"),
+        ("--batches", "-2"),
+        ("--tolerance", "nan"),
+        ("--tolerance", "-1"),
+        ("--tolerance", "inf"),
+        ("--tolerance", "0"),
+    ],
+    ids=[
+        "no-batches",
+        "negative-batches",
+        "nan-tolerance",
+        "negative-tolerance",
+        "inf-tolerance",
+        "zero-tolerance",
+    ],
+)
+def test_gradcheck_that_would_check_nothing_exits_2(capsys, argv):
+    code, out, err = _run(capsys, "gradcheck", *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+
+
 def test_export_fixture_round_trips(tmp_path, capsys):
     dest = tmp_path / "bimodal.csv"
     code, out, _ = _run(capsys, "export-fixture", "bimodal", "--out", str(dest), "--seed", "7")

@@ -128,7 +128,7 @@ def test_boundary_rejects_wrong_class_count():
 
 def test_boundary_grid_contract():
     ds = three_class_fixture(seed=subseed(0, "dataset"), n_per_class=60)
-    grid, _, accuracy = run_boundary_experiment(ds, BOUNDARY_CFG)
+    grid, accuracy = run_boundary_experiment(ds, BOUNDARY_CFG)
     assert grid.n == ds.n
     assert 0.0 <= accuracy <= 1.0
     norms = np.linalg.norm(grid.points, axis=0)
@@ -144,7 +144,7 @@ def test_boundary_band_errors_exceed_interior():
     wins = 0
     for seed in range(3):
         ds = three_class_fixture(seed=subseed(seed, "dataset"))
-        grid, _, _ = run_boundary_experiment(ds, replace(BOUNDARY_CFG, seed=seed))
+        grid, _ = run_boundary_experiment(ds, replace(BOUNDARY_CFG, seed=seed))
         wins += grid.boundary_ratio() >= 1.5
     assert wins >= 2
 

@@ -25,7 +25,7 @@ def _files(root: Path) -> list:
 
 
 def test_every_config_has_reference_outputs():
-    assert len(CONFIGS) == 6
+    assert len(CONFIGS) == 7
     for cfg_path in CONFIGS:
         assert (REPO / parse_config(cfg_path.read_text()).out).is_dir(), cfg_path.name
 

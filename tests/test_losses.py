@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metriclab.autograd import Tensor, as_tensor, backward, gather_pairs, logsumexp
-from metriclab.errors import ConfigError, NumericsError, ShapeError, TrainingDivergenceError
+from metriclab.errors import ConfigError, NumericsError, ShapeError
 from metriclab.losses import (
     MarginConfig,
     center_loss,
     circle_loss,
-    compose_losses,
     cpl_loss,
     cpl_targets,
     id_cross_entropy,
@@ -112,27 +111,27 @@ def test_triplet_hand_value():
     # collinear points chosen so each anchor's hardest pair is unambiguous
     feats = np.array([[0.0, 3.0, 2.0, 6.0]])
     labels = np.array([0, 0, 1, 1])
-    got = triplet_loss_batch_hard(feats, labels, margin=0.3).item()
+    got = triplet_loss_batch_hard(pairwise_euclidean(feats), labels, margin=0.3).item()
     assert got == pytest.approx(2.05, abs=1e-12)
 
 
 def test_triplet_coincident_classes_gives_margin():
     feats = np.array([[1.0, 1.0, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0]])
     labels = np.array([0, 0, 1, 1])
-    assert triplet_loss_batch_hard(feats, labels, margin=0.7).item() == pytest.approx(0.7)
+    assert triplet_loss_batch_hard(pairwise_euclidean(feats), labels, margin=0.7).item() == pytest.approx(0.7)
 
 
 def test_triplet_needs_positive_and_negative():
     with pytest.raises(ShapeError):
-        triplet_loss_batch_hard(np.zeros((2, 3)), np.array([0, 0, 1]), 0.3)
+        triplet_loss_batch_hard(pairwise_euclidean(np.zeros((2, 3))), np.array([0, 0, 1]), 0.3)
     with pytest.raises(ShapeError):
-        triplet_loss_batch_hard(np.zeros((2, 4)), np.array([0, 0, 0, 0]), 0.3)
+        triplet_loss_batch_hard(pairwise_euclidean(np.zeros((2, 4))), np.array([0, 0, 0, 0]), 0.3)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_triplet_matches_oracle(seed):
     feats, labels = random_batch(seed, p=2, k=4)
-    got = triplet_loss_batch_hard(feats, labels, margin=0.5).item()
+    got = triplet_loss_batch_hard(pairwise_euclidean(feats), labels, margin=0.5).item()
     assert got == pytest.approx(oracle_triplet_batch_hard(feats, labels, 0.5), abs=1e-10)
 
 
@@ -141,7 +140,7 @@ def test_triplet_gradient_matches_fd():
     x = Tensor(feats, requires_grad=True)
 
     def forward():
-        return triplet_loss_batch_hard(x, labels, margin=0.5)
+        return triplet_loss_batch_hard(pairwise_euclidean(x), labels, margin=0.5)
 
     analytic = backward(forward())
     assert max_rel_err(analytic[x], central_diff(forward, x)) < 1e-4
@@ -197,7 +196,7 @@ def test_lifted_far_negatives_vanish():
     # the only positive pair coincides; the negative sits 60 beyond the margin
     feats = np.array([[0.0, 0.0, 60.0]])
     labels = np.array([0, 0, 1])
-    assert lifted_structure_loss(feats, labels, margin=1.0).item() == 0.0
+    assert lifted_structure_loss(pairwise_euclidean(feats), labels, margin=1.0).item() == 0.0
 
 
 def test_lifted_hand_value():
@@ -207,22 +206,23 @@ def test_lifted_hand_value():
     feats = np.array([[0.0, 2.0, -1.0], [0.0, 0.0, 0.0]])
     labels = np.array([0, 0, 1])
     # term = 2 + log(e^{1-1}) + log(e^{1-3}) = 2 + 0 - 2 = 0 -> hinged at 0
-    assert lifted_structure_loss(feats, labels, margin=1.0).item() == pytest.approx(0.0, abs=1e-12)
-    got = lifted_structure_loss(feats, labels, margin=2.0).item()
+    dist = pairwise_euclidean(feats)
+    assert lifted_structure_loss(dist, labels, margin=1.0).item() == pytest.approx(0.0, abs=1e-12)
+    got = lifted_structure_loss(dist, labels, margin=2.0).item()
     assert got == pytest.approx(2.0, abs=1e-12)  # 2 + (2-1) + (2-3) = 2
 
 
 def test_lifted_requires_positive_and_negative_pairs():
     with pytest.raises(ShapeError):
-        lifted_structure_loss(np.zeros((2, 3)), np.array([0, 1, 2]), 1.0)
+        lifted_structure_loss(pairwise_euclidean(np.zeros((2, 3))), np.array([0, 1, 2]), 1.0)
     with pytest.raises(ShapeError):
-        lifted_structure_loss(np.zeros((2, 3)), np.array([0, 0, 0]), 1.0)
+        lifted_structure_loss(pairwise_euclidean(np.zeros((2, 3))), np.array([0, 0, 0]), 1.0)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_lifted_matches_oracle(seed):
     feats, labels = random_batch(seed, p=2, k=4)
-    got = lifted_structure_loss(feats, labels, margin=1.0).item()
+    got = lifted_structure_loss(pairwise_euclidean(feats), labels, margin=1.0).item()
     assert got == pytest.approx(oracle_lifted(feats, labels, 1.0), abs=1e-10)
 
 
@@ -231,7 +231,7 @@ def test_lifted_gradient_matches_fd():
     x = Tensor(feats, requires_grad=True)
 
     def forward():
-        return lifted_structure_loss(x, labels, margin=1.0)
+        return lifted_structure_loss(pairwise_euclidean(x), labels, margin=1.0)
 
     analytic = backward(forward())
     assert max_rel_err(analytic[x], central_diff(forward, x)) < 1e-4
@@ -253,7 +253,7 @@ def test_pairwise_losses_match_oracles_on_pk_8x8_batch(seed):
     m = MarginConfig()
     got = circle_loss(feats, labels, scale=m.circle_scale, margin=m.circle_margin).item()
     assert got == pytest.approx(oracle_circle(feats, labels, m.circle_scale, m.circle_margin), abs=1e-10)
-    got = lifted_structure_loss(feats, labels, margin=m.lifted_margin).item()
+    got = lifted_structure_loss(pairwise_euclidean(feats), labels, margin=m.lifted_margin).item()
     assert got == pytest.approx(oracle_lifted(feats, labels, m.lifted_margin), abs=1e-10)
 
 
@@ -263,7 +263,7 @@ def test_pairwise_losses_match_oracles_on_unequal_classes(sizes, seed):
     feats, labels = unequal_batch(sizes, seed)
     got = circle_loss(feats, labels, scale=8.0, margin=0.25).item()
     assert got == pytest.approx(oracle_circle(feats, labels, 8.0, 0.25), abs=1e-10)
-    got = lifted_structure_loss(feats, labels, margin=1.0).item()
+    got = lifted_structure_loss(pairwise_euclidean(feats), labels, margin=1.0).item()
     assert got == pytest.approx(oracle_lifted(feats, labels, 1.0), abs=1e-10)
 
 
@@ -271,7 +271,7 @@ def test_pairwise_losses_match_oracles_on_unequal_classes(sizes, seed):
     "loss",
     [
         lambda x, y: circle_loss(x, y, scale=4.0, margin=0.25),
-        lambda x, y: lifted_structure_loss(x, y, margin=1.0),
+        lambda x, y: lifted_structure_loss(pairwise_euclidean(x), y, margin=1.0),
     ],
     ids=["circle", "lifted"],
 )
@@ -292,20 +292,20 @@ def test_pairwise_loss_gradient_matches_fd_on_unequal_classes(loss):
 def test_rll_positive_pair_hand_value():
     feats = np.array([[0.0, 1.0]])
     labels = np.array([0, 0])
-    got = ranked_list_loss(feats, labels, alpha=1.2, margin=0.4).item()
+    got = ranked_list_loss(pairwise_euclidean(feats), labels, alpha=1.2, margin=0.4).item()
     assert got == pytest.approx(0.2, abs=1e-12)  # [1.0 - 0.8]+ per ordered pair
 
 
 def test_rll_negative_pair_hand_value():
     feats = np.array([[0.0, 1.0]])
     labels = np.array([0, 1])
-    got = ranked_list_loss(feats, labels, alpha=1.2, margin=0.4).item()
+    got = ranked_list_loss(pairwise_euclidean(feats), labels, alpha=1.2, margin=0.4).item()
     assert got == pytest.approx(0.2, abs=1e-12)  # [1.2 - 1.0]+
 
 
 def test_rll_alpha_must_exceed_margin():
     with pytest.raises(ConfigError):
-        ranked_list_loss(np.zeros((2, 2)), np.array([0, 1]), alpha=0.4, margin=0.4)
+        ranked_list_loss(pairwise_euclidean(np.zeros((2, 2))), np.array([0, 1]), alpha=0.4, margin=0.4)
     with pytest.raises(ConfigError):
         MarginConfig(rll_alpha=0.3, rll_margin=0.4)
 
@@ -313,7 +313,7 @@ def test_rll_alpha_must_exceed_margin():
 @pytest.mark.parametrize("seed", range(8))
 def test_rll_matches_oracle(seed):
     feats, labels = random_batch(seed, p=2, k=4)
-    got = ranked_list_loss(feats, labels, alpha=1.2, margin=0.4).item()
+    got = ranked_list_loss(pairwise_euclidean(feats), labels, alpha=1.2, margin=0.4).item()
     assert got == pytest.approx(oracle_rll(feats, labels, 1.2, 0.4), abs=1e-10)
 
 
@@ -322,7 +322,7 @@ def test_rll_gradient_matches_fd():
     x = Tensor(feats, requires_grad=True)
 
     def forward():
-        return ranked_list_loss(x, labels, alpha=1.2, margin=0.4)
+        return ranked_list_loss(pairwise_euclidean(x), labels, alpha=1.2, margin=0.4)
 
     analytic = backward(forward())
     assert max_rel_err(analytic[x], central_diff(forward, x)) < 1e-4
@@ -466,48 +466,14 @@ def test_cpl_cached_targets_must_be_constant():
         cpl_loss(feats, labels, targets=live)
 
 
-# -- composition --------------------------------------------------------------------------
-
-
-def test_compose_weighted_sum_exact():
-    parts = {"ce": as_tensor([[2.0]]), "cpl": as_tensor([[3.0]])}
-    bundle = compose_losses(parts, {"ce": 0.5, "cpl": 2.0})
-    assert bundle.total.item() == pytest.approx(0.5 * 2.0 + 2.0 * 3.0, rel=1e-12)
-    assert bundle.part_values() == {"ce": 2.0, "cpl": 3.0}
-
-
-def test_compose_default_weight_is_one():
-    bundle = compose_losses({"ce": as_tensor([[2.0]])})
-    assert bundle.weights == {"ce": 1.0}
-    assert bundle.total.item() == 2.0
-
-
-def test_compose_rejects_unknown_weight():
-    with pytest.raises(ConfigError):
-        compose_losses({"ce": as_tensor([[1.0]])}, {"triplet": 1.0})
-
-
-def test_compose_nan_part_raises_divergence():
-    bad = Tensor(np.array([[np.nan]]))
-    with pytest.raises(TrainingDivergenceError):
-        compose_losses({"ce": as_tensor([[1.0]]), "cpl": bad})
-
-
-def test_compose_gradient_scales_with_weight():
-    x = Tensor([[1.5]], requires_grad=True)
-    bundle = compose_losses({"a": x * x, "b": x * 3.0}, {"a": 2.0, "b": 0.5})
-    grads = backward(bundle.total)
-    assert grads[x][0, 0] == pytest.approx(2.0 * 2 * 1.5 + 0.5 * 3.0)
-
-
 # -- shared properties -----------------------------------------------------------------------
 
 
 LOSS_CALLS = {
-    "triplet": lambda f, y: triplet_loss_batch_hard(f, y, 0.5),
+    "triplet": lambda f, y: triplet_loss_batch_hard(pairwise_euclidean(f), y, 0.5),
     "circle": lambda f, y: circle_loss(f, y, 8.0, 0.25),
-    "lifted": lambda f, y: lifted_structure_loss(f, y, 1.0),
-    "rll": lambda f, y: ranked_list_loss(f, y, 1.2, 0.4),
+    "lifted": lambda f, y: lifted_structure_loss(pairwise_euclidean(f), y, 1.0),
+    "rll": lambda f, y: ranked_list_loss(pairwise_euclidean(f), y, 1.2, 0.4),
     "cpl": lambda f, y: cpl_loss(f, y),
     "cpl-random": lambda f, y: cpl_loss(f, y, target_mode="random-point", seed=5),
 }
@@ -537,7 +503,6 @@ def test_pairwise_euclidean_values():
     assert np.allclose(d, [[0.0, 5.0], [5.0, 0.0]], atol=1e-12)
 
 
-
 DISTANCE_LOSSES = {
     "triplet": (triplet_loss_batch_hard, {"margin": 0.5}),
     "lifted": (lifted_structure_loss, {"margin": 1.0}),
@@ -547,27 +512,34 @@ DISTANCE_LOSSES = {
 
 @pytest.mark.parametrize("name", sorted(DISTANCE_LOSSES))
 def test_precomputed_dist_gives_bit_identical_value_and_gradient(name):
+    # a D from the fused op and a D from the composed graph it replays give
+    # each distance loss the same value and the same gradient, bit for bit
     fn, kwargs = DISTANCE_LOSSES[name]
     feats, labels = random_batch(3, p=3, k=3)
 
-    def value_and_grad(share_dist):
+    def value_and_grad(pairwise):
         x = Tensor(feats.copy(), requires_grad=True)
-        dist = pairwise_euclidean(x) if share_dist else None
-        loss = fn(x, labels, dist=dist, **kwargs)
+        loss = fn(pairwise(x), labels, **kwargs)
         return loss.data, backward(loss)[x]
 
-    (v0, g0), (v1, g1) = value_and_grad(False), value_and_grad(True)
+    (v0, g0), (v1, g1) = value_and_grad(pairwise_euclidean), value_and_grad(composed_pairwise)
     assert np.array_equal(v0, v1)
     assert np.array_equal(g0, g1)
 
 
 @pytest.mark.parametrize("name", sorted(DISTANCE_LOSSES))
 def test_precomputed_dist_of_wrong_shape_rejected(name):
+    # D must be N x N for N labels: a non-square D, or a label count other
+    # than N, is a shape error
     fn, kwargs = DISTANCE_LOSSES[name]
     feats, labels = random_batch(3, p=3, k=3)
-    dist = pairwise_euclidean(as_tensor(feats[:, :-1]))
-    with pytest.raises(ShapeError, match="dist"):
-        fn(feats, labels, dist=dist, **kwargs)
+    d = pairwise_euclidean(feats).data
+    with pytest.raises(ShapeError, match="N x N"):
+        fn(d[:-1], labels, **kwargs)
+    with pytest.raises(ShapeError, match="one label per column"):
+        fn(d, labels[:-1], **kwargs)
+    with pytest.raises(ShapeError, match="one label per column"):
+        fn(d[:, :-1], labels, **kwargs)
 
 
 # -- fused ops against the composed graphs they replace ----------------------------
@@ -676,8 +648,8 @@ def _shared_embedding_step(fused):
     dist = (pairwise_euclidean if fused else composed_pairwise)(emb)
     ce = (id_cross_entropy if fused else composed_ce)(classifier(emb), labels)
     cpl = cpl_loss(emb, labels, predictor=predictor) if fused else composed_cpl(emb, labels, predictor)
-    triplet = triplet_loss_batch_hard(emb, labels, 0.3, dist=dist)
-    total = compose_losses({"ce": ce, "cpl": cpl, "triplet": triplet}).total
+    triplet = triplet_loss_batch_hard(dist, labels, 0.3)
+    total = ce * 1.0 + cpl * 1.0 + triplet * 1.0  # as train_step sums weighted parts
     grads = backward(total)
     leaves = [x, *(p for layer in (extractor, classifier, predictor) for _, p in layer.params())]
     return total.data, [grads[emb]] + [grads[leaf] for leaf in leaves]

@@ -66,6 +66,27 @@ def test_zero_weight_step_leaves_params_bitwise(rng):
         assert np.array_equal(p.data, before[n]), n
 
 
+def test_loss_config_rejects_unknown_loss_name():
+    with pytest.raises(ConfigError, match="unknown loss names"):
+        LossConfig(weights={"ce": 1.0, "arcface": 1.0})
+
+
+def test_train_step_row_holds_parts_and_weighted_total():
+    ds = small_ds()
+    loss_cfg = LossConfig(weights={"cpl": 2.0, "ce": 0.5, "triplet": 0.0})
+    state = build_state(2, 4, ModelConfig(embedding_dim=4), loss_cfg, seed=1)
+    state.epoch = 3
+    batch = next(epoch_iter(ds, PKSamplerConfig(p=2, k=2), substream(0, "s")))
+    row = train_step(state, batch, loss_cfg, lr=0.1)
+    assert (row.epoch, row.step, row.lr) == (3, 1, 0.1)
+    assert list(row.parts) == ["ce", "cpl"]  # enabled order, zero weights left out
+    assert row.total == row.parts["ce"] * 0.5 + row.parts["cpl"] * 2.0
+
+    idle = LossConfig(weights={"ce": 0.0})
+    row = train_step(state, batch, idle, lr=0.1)
+    assert (row.step, row.parts, row.total) == (2, {}, 0.0)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_single_ce_step_decreases_loss(seed):
     ds = small_ds(seed)
@@ -73,8 +94,8 @@ def test_single_ce_step_decreases_loss(seed):
     model_cfg = ModelConfig(extractor_hidden=(8,), embedding_dim=4, predictor="none", bn_target=False)
     state = build_state(2, 4, model_cfg, loss_cfg, seed=seed)
     batch = next(epoch_iter(ds, PKSamplerConfig(p=4, k=4), substream(seed, "s")))
-    before = train_step(state, batch, loss_cfg, lr=0.05).part_values()["ce"]
-    after = train_step(state, batch, loss_cfg, lr=0.0).part_values()["ce"]
+    before = train_step(state, batch, loss_cfg, lr=0.05).parts["ce"]
+    after = train_step(state, batch, loss_cfg, lr=0.0).parts["ce"]
     assert after < before
 
 
@@ -86,6 +107,7 @@ def test_train_run_deterministic_same_seed():
         sgd_cfg=SgdConfig(base_lr=0.005, milestones=(), epochs=3),
         sampler_cfg=PKSamplerConfig(p=2, k=3),
         seed=17,
+        eval_every=0,
     )
     _, t1, _ = train_run(ds, **kwargs)
     _, t2, _ = train_run(ds, **kwargs)
@@ -100,6 +122,7 @@ def test_train_run_different_seed_differs():
         loss_cfg=LossConfig(weights={"ce": 1.0}),
         sgd_cfg=SgdConfig(base_lr=0.05, milestones=(), epochs=2),
         sampler_cfg=PKSamplerConfig(p=2, k=3),
+        eval_every=0,
     )
     _, t1, _ = train_run(ds, seed=1, **kwargs)
     _, t2, _ = train_run(ds, seed=2, **kwargs)
@@ -158,6 +181,7 @@ def test_params_finite_after_training():
         sgd_cfg=SgdConfig(base_lr=0.005, milestones=(5,), epochs=8),
         sampler_cfg=PKSamplerConfig(p=2, k=4),
         seed=4,
+        eval_every=0,
     )
     for n, p in state.named_params().items():
         assert np.all(np.isfinite(p.data)), n
@@ -179,6 +203,7 @@ def test_ce_reaches_train_accuracy_on_separable_classes():
         sgd_cfg=SgdConfig(base_lr=0.1, milestones=(10, 20), epochs=30),
         sampler_cfg=PKSamplerConfig(p=2, k=8),
         seed=0,
+        eval_every=5,
     )
     assert snapshots[-1][1] >= 0.95
 
@@ -235,6 +260,6 @@ def test_distance_matrix_built_once_per_step(monkeypatch):
     model_cfg = ModelConfig(extractor_hidden=(8,), embedding_dim=4, predictor="none", bn_target=False)
     state = build_state(2, 4, model_cfg, loss_cfg, seed=0)
     batch = next(epoch_iter(ds, PKSamplerConfig(p=2, k=3), substream(0, "s")))
-    parts = train_step(state, batch, loss_cfg, lr=0.01).part_values()
+    parts = train_step(state, batch, loss_cfg, lr=0.01).parts
     assert len(calls) == 1
     assert set(parts) == {"ce", "triplet", "lifted", "rll"}
