@@ -6,8 +6,8 @@ directory: the resolved config, CSV tables, and a one-line JSON summary
 (also printed to stdout). `metriclab gradcheck` runs the finite-difference
 suite; `metriclab export-fixture` dumps a synthetic fixture to CSV.
 
-Exit codes: 0 success, 1 gradcheck over tolerance, 2 config error,
-3 numeric/training error, 4 I/O or data-format error.
+Exit codes: 0 success, 1 gradcheck over tolerance, 2 config or usage
+error, 3 numeric/training error, 4 I/O or data-format error.
 """
 
 from __future__ import annotations
@@ -143,8 +143,15 @@ def dispatch(cfg: ExperimentConfig, force: bool = False) -> dict:
     return summary
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are config errors: exit 2 with one JSON line, not usage text."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="metriclab")
+    parser = _Parser(prog="metriclab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run the experiment described by a config file")
@@ -171,8 +178,8 @@ def _fail(kind: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if args.command == "run":
             try:
                 text = Path(args.config).read_text()

@@ -16,10 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import losses
 from .autograd import as_tensor
 from .config import ExperimentConfig, config_hash, render_config
 from .errors import ConfigError, ShapeError
-from .metrics import evaluate_retrieval
+from .metrics import evaluate_retrieval, l2_normalize
 from .nn import CenterPredictor
 from .sampling import LabeledDataset
 from .seeding import subseed, substream
@@ -92,7 +93,7 @@ class SurfaceGrid:
 
 def center_surface_errors(ds: LabeledDataset) -> np.ndarray:
     """Per-sample squared distance to the sample's own class mean."""
-    return cpl_errors(ds.features, ds.labels, target_mode="sample-mean")
+    return cpl_errors(ds.features, losses.cpl_targets(ds.features, ds.labels, "sample-mean"))
 
 
 def _refit_errors(points: np.ndarray, labels: np.ndarray, cfg: ExperimentConfig, stream: str):
@@ -103,8 +104,9 @@ def _refit_errors(points: np.ndarray, labels: np.ndarray, cfg: ExperimentConfig,
         dim=2, hidden=cfg.model.predictor_hidden, rng=substream(cfg.seed, stream), depth=2
     )
     predictor.init_identity()
-    refit_predictor(points, labels, predictor, steps=cfg.refit_steps, lr=cfg.refit_lr)
-    return cpl_errors(points, labels, predictor=predictor)
+    targets = losses.cpl_targets(points, labels)
+    refit_predictor(points, labels, targets, predictor, steps=cfg.refit_steps, lr=cfg.refit_lr)
+    return cpl_errors(points, targets, predictor=predictor)
 
 
 def run_loss_surface(ds: LabeledDataset, loss_kind: str, cfg: ExperimentConfig) -> SurfaceGrid:
@@ -162,11 +164,7 @@ def run_boundary_experiment(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=N
         out_dir=out_dir,
     )
     margins = classifier_margins(state, ds)
-    emb = embed_dataset(state, ds)
-    norms = np.linalg.norm(emb, axis=0)
-    if np.any(norms == 0):
-        raise ShapeError("cannot L2-normalize a zero embedding")
-    normalized = emb / norms
+    normalized = l2_normalize(embed_dataset(state, ds))
     grid = SurfaceGrid(
         points=normalized,
         labels=ds.labels,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, as_tensor, backward, logsumexp, softplus
+from .autograd import Tensor, backward, logsumexp, softplus
 from .errors import ConfigError
 from .losses import (
     center_loss,
@@ -27,6 +27,7 @@ from .losses import (
     ranked_list_loss,
     triplet_loss_batch_hard,
 )
+from .metrics import pairwise_distances
 from .nn import MLP, BatchNorm, CenterPredictor, Linear
 from .seeding import substream
 
@@ -89,10 +90,9 @@ def _spread_batch(rng, d, p, k, spread=4.0, min_gap=0.05) -> Tensor:
     while True:
         centers = rng.uniform(-spread, spread, size=(d, p))
         x = centers[:, np.repeat(np.arange(p), k)] + rng.uniform(-0.6, 0.6, size=(d, p * k))
-        sq = (x * x).sum(axis=0)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (x.T @ x)
-        np.fill_diagonal(d2, np.inf)
-        if d2.min() > min_gap**2:
+        dist = pairwise_distances(x, x)
+        np.fill_diagonal(dist, np.inf)
+        if dist.min() > min_gap:
             return Tensor(x, requires_grad=True)
 
 
@@ -238,12 +238,12 @@ def _case_cpl_frozen(rng) -> GradProblem:
     x = _off_kink_input(rng, 3, 6, net.layers)
     # frozen semantics: the finite difference must not move the targets,
     # so they are pinned at the unperturbed embeddings' values
-    pinned = as_tensor(cpl_targets(Tensor(x.data.copy()), labels).data)
+    pinned = cpl_targets(x.data.copy(), labels)
     leaves = {"x": x, **{f"pred.{n}": p for n, p in net.params()}}
     return GradProblem(
-        root=lambda: cpl_loss(x, labels, predictor=net),
+        root=lambda: cpl_loss(x, labels, cpl_targets(x, labels), net),
         leaves=leaves,
-        fd_forward=lambda: cpl_loss(x, labels, predictor=net, targets=pinned).item(),
+        fd_forward=lambda: cpl_loss(x, labels, pinned, net).item(),
     )
 
 

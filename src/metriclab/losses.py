@@ -7,9 +7,10 @@ distance losses (batch-hard triplet, lifted structure, ranked list) take
 the N x N distance matrix D = pairwise_euclidean(embeddings), so a caller
 builds D once and shares it; the others take the d x N embedding matrix
 (Tensor or ndarray, column per sample), or the C x N logits for the
-cross-entropy. CPL targets are always detached: a sample's role as part of
-another sample's target contributes no gradient, by construction of the
-target matrix as a constant.
+cross-entropy. `cpl_loss` takes its targets as an input: the d x N
+constant that `cpl_targets` builds from values, so a sample's role as part
+of another sample's target contributes no gradient. Whoever owns the target
+policy (the trainer per batch, a refit once) builds them.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .autograd import (
     softplus,
 )
 from .errors import ConfigError, NumericsError, ShapeError
+from .metrics import pairwise_distances
 from .seeding import substream
 
 __all__ = [
@@ -110,10 +112,10 @@ def pairwise_euclidean(x: Tensor) -> Tensor:
     # turn a -inf into 0 and hide it from the output check
     if not np.isfinite(diff).all():
         raise NumericsError("pairwise_euclidean: squared distances are not finite")
-    d2 = np.maximum(diff, 0.0)  # relu clips negative rounding noise
-    zero_mask = (d2 < 1e-12).astype(np.float64)
+    sq_dist = np.maximum(diff, 0.0)  # relu clips negative rounding noise
+    zero_mask = (sq_dist < 1e-12).astype(np.float64)
     keep = 1.0 - zero_mask
-    root = np.sqrt(d2 + zero_mask * 1e-16)
+    root = np.sqrt(sq_dist + zero_mask * 1e-16)
     n = xd.shape[1]
 
     def bw(g):
@@ -289,18 +291,10 @@ def _canonical_order(cols: np.ndarray) -> np.ndarray:
     return np.lexsort(tuple(cols[::-1]))
 
 
-def cpl_targets(
-    features,
-    labels,
-    target_mode: str = "leave-one-out-mean",
-    target_bn=None,
-    seed: int = 0,
-) -> Tensor:
+def cpl_targets(features, labels, target_mode: str = "leave-one-out-mean", seed: int = 0) -> Tensor:
     """Per-sample prediction targets c_i as a detached d x N constant.
 
-    Computed from values only; no gradient ever flows through a target. If a
-    BatchNorm layer is given, targets are built from its output on the
-    current batch; its parameters receive no gradient from this path.
+    Computed from values only; no gradient ever flows through a target.
 
     Modes: leave-one-out-mean (mean of the other K-1 same-class samples),
     sample-mean (mean including self), random-point (seeded uniform draw
@@ -311,8 +305,6 @@ def cpl_targets(
     if target_mode not in TARGET_MODES:
         raise ConfigError(f"unknown target mode {target_mode!r}; expected one of {TARGET_MODES}")
     values = features.data
-    if target_bn is not None:
-        values = target_bn(as_tensor(values)).data
     targets = np.empty_like(values)
     for label in np.unique(labels):
         idx = np.flatnonzero(labels == label)
@@ -326,50 +318,34 @@ def cpl_targets(
         elif target_mode == "sample-mean":
             targets[:, idx] = z.mean(axis=1, keepdims=True)
         elif target_mode == "farthest-point":
-            d2 = (z * z).sum(axis=0)[:, None] + (z * z).sum(axis=0)[None, :] - 2.0 * z.T @ z
-            np.fill_diagonal(d2, -np.inf)
-            farthest = d2.argmax(axis=1)  # ties: argmax takes the lowest index
-            targets[:, idx] = z[:, farthest]
+            dist = pairwise_distances(z, z)
+            np.fill_diagonal(dist, -np.inf)
+            targets[:, idx] = z[:, dist.argmax(axis=1)]  # ties: argmax takes the lowest index
         else:  # random-point
             order = _canonical_order(z)
-            rng = substream(seed, f"cpl-random-target/{int(label)}")
-            draws = rng.integers(0, k - 1, size=k)
-            for rank, pos in enumerate(order):
-                u = draws[rank]
-                other_rank = u if u < rank else u + 1
-                targets[:, idx[pos]] = z[:, order[other_rank]]
+            draws = substream(seed, f"cpl-random-target/{int(label)}").integers(0, k - 1, size=k)
+            # rank r draws among the other k - 1 ranks: u < r as is, else u + 1
+            targets[:, idx[order]] = z[:, order[draws + (draws >= np.arange(k))]]
     return Tensor(targets)
 
 
-def cpl_loss(
-    features,
-    labels,
-    predictor=None,
-    target_mode: str = "leave-one-out-mean",
-    target_bn=None,
-    seed: int = 0,
-    targets: Tensor | None = None,
-) -> Tensor:
+def cpl_loss(features, labels, targets, predictor=None) -> Tensor:
     """Center prediction loss: sum over classes of the per-class mean of
     ||f(x_i) - c_i||^2 with frozen targets c_i.
 
-    predictor=None means predictions are the embeddings themselves. A
-    precomputed target matrix can be passed to reuse cached targets; it must
-    be detached (constant).
+    targets is the d x N constant from `cpl_targets`; predictor=None means
+    predictions are the embeddings themselves.
 
     The tail after the predictor is one autograd op that replays the
     composed graph sum(sum((preds - targets)^2, axis=0) * weights) bit for
     bit, weights being 1 / (class size) per column.
     """
     features, labels = _check_batch(features, labels, "cpl_loss")
-    if targets is None:
-        targets = cpl_targets(features, labels, target_mode, target_bn=target_bn, seed=seed)
-    else:
-        targets = as_tensor(targets)
-        if targets.requires_grad:
-            raise ConfigError("cpl_loss: cached targets must be constant (detached)")
-        if targets.shape != features.shape:
-            raise ShapeError("cpl_loss: cached targets shape mismatch")
+    targets = as_tensor(targets)
+    if targets.requires_grad:
+        raise ConfigError("cpl_loss: targets must be constant (detached)")
+    if targets.shape != features.shape:
+        raise ShapeError("cpl_loss: targets shape mismatch")
     preds = predictor(features) if predictor is not None else features
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     weights = (1.0 / counts)[inverse][None, :]

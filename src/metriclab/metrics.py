@@ -15,10 +15,11 @@ import numpy as np
 
 from .errors import ShapeError
 
-__all__ = ["pairwise_distances", "evaluate_retrieval", "RankingResult"]
+__all__ = ["l2_normalize", "pairwise_distances", "evaluate_retrieval", "RankingResult"]
 
 
-def _l2_normalize(x: np.ndarray) -> np.ndarray:
+def l2_normalize(x: np.ndarray) -> np.ndarray:
+    """Every column scaled to unit Euclidean norm; a zero column is a ShapeError."""
     norms = np.linalg.norm(x, axis=0, keepdims=True)
     if np.any(norms == 0.0):
         raise ShapeError("cannot L2-normalize a zero feature vector")
@@ -37,7 +38,7 @@ def pairwise_distances(query: np.ndarray, gallery: np.ndarray, normalize: bool =
             f"feature dims differ: query {query.shape[0]}, gallery {gallery.shape[0]}"
         )
     if normalize:
-        query, gallery = _l2_normalize(query), _l2_normalize(gallery)
+        query, gallery = l2_normalize(query), l2_normalize(gallery)
     q2 = (query * query).sum(axis=0)[:, None]
     g2 = (gallery * gallery).sum(axis=0)[None, :]
     d2 = np.maximum(q2 + g2 - 2.0 * (query.T @ gallery), 0.0)

@@ -2,8 +2,9 @@
 refitting against frozen center-prediction targets.
 
 One shared schedule drives every parameter group (extractor, classifier,
-predictor, centers). Center-prediction targets are recomputed per batch and
-always detached; caching them changes nothing, which the tests pin down.
+predictor, centers). Center-prediction targets are built once per batch
+(after the target BatchNorm, when the model has one) and passed to
+`cpl_loss` as a constant; a refit takes its targets from the caller.
 """
 
 from __future__ import annotations
@@ -202,14 +203,11 @@ def _loss_parts(state: TrainState, embeddings, labels, loss_cfg: LossConfig) -> 
         if name == "ce":
             parts["ce"] = id_cross_entropy(state.classifier(embeddings), labels)
         elif name == "cpl":
-            parts["cpl"] = cpl_loss(
-                embeddings,
-                labels,
-                predictor=state.predictor,
-                target_mode=loss_cfg.cpl_target,
-                target_bn=state.target_bn,
-                seed=subseed(state.seed, f"cpl-draw/{state.step}"),
-            )
+            # targets are values: the target BN's gamma and beta get no gradient
+            values = embeddings if state.target_bn is None else state.target_bn(embeddings.data)
+            seed = subseed(state.seed, f"cpl-draw/{state.step}")
+            targets = cpl_targets(values, labels, loss_cfg.cpl_target, seed)
+            parts["cpl"] = cpl_loss(embeddings, labels, targets, state.predictor)
         elif name == "center":
             if state.centers is None:
                 raise ConfigError("center loss enabled but state has no centers")
@@ -325,28 +323,28 @@ def embed_dataset(state: TrainState, ds: LabeledDataset) -> np.ndarray:
 def refit_predictor(
     features: np.ndarray,
     labels: np.ndarray,
+    targets,
     predictor: CenterPredictor,
     steps: int,
     lr: float,
 ):
     """Full-batch gradient descent on the predictor only, embeddings fixed.
 
-    Targets are the leave-one-out class means, computed once (they depend
-    only on the fixed embeddings). Evaluates the steps + 1 iterates, the
-    starting point included, and keeps the best, so the returned loss never
-    exceeds the starting point's. Returns (best_loss, history of per-step
-    losses); the predictor is left holding the best parameters.
+    targets is the constant from `cpl_targets` on the same features (they
+    depend only on the fixed embeddings, so the caller builds them once).
+    Evaluates the steps + 1 iterates, the starting point included, and
+    keeps the best, so the returned loss never exceeds the starting point's.
+    Returns (best_loss, history of per-step losses); the predictor is left
+    holding the best parameters.
     """
     x = as_tensor(np.asarray(features, dtype=np.float64))
-    labels = np.asarray(labels)
-    targets = cpl_targets(x, labels)
     params = [p for _, p in predictor.params()]
     opt = SGD(params)
     best_value = np.inf
     best_params = None
     history = []
     for step in range(steps + 1):
-        loss = cpl_loss(x, labels, predictor=predictor, targets=targets)
+        loss = cpl_loss(x, labels, targets, predictor)
         value = loss.item()
         history.append(value)
         if value < best_value:
@@ -359,14 +357,9 @@ def refit_predictor(
     return best_value, history
 
 
-def cpl_errors(
-    features: np.ndarray,
-    labels: np.ndarray,
-    predictor=None,
-    target_mode: str = "leave-one-out-mean",
-) -> np.ndarray:
-    """Per-sample squared prediction error ||f(x_i) - c_i||^2 (values only)."""
-    x = as_tensor(np.asarray(features, dtype=np.float64))
-    targets = cpl_targets(x, labels, target_mode).data
-    preds = predictor(x).data if predictor is not None else x.data
-    return ((preds - targets) ** 2).sum(axis=0)
+def cpl_errors(features: np.ndarray, targets, predictor=None) -> np.ndarray:
+    """Per-sample squared prediction error ||f(x_i) - c_i||^2 (values only)
+    against the targets from `cpl_targets`."""
+    x = np.asarray(features, dtype=np.float64)
+    preds = predictor(as_tensor(x)).data if predictor is not None else x
+    return ((preds - as_tensor(targets).data) ** 2).sum(axis=0)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from reference_impls import oracle_retrieval
 
-from metriclab.autograd import Tensor, as_tensor, backward
+from metriclab.autograd import Tensor, backward
 from metriclab.cli import dispatch
 from metriclab.config import ExperimentConfig, parse_config
 from metriclab.experiments import run_bn_ablation, run_boundary_experiment, run_loss_surface, run_target_ablation
@@ -72,10 +72,10 @@ def test_criterion_02_frozen_target_gradient_semantics():
         requires_grad=True,
     )
     labels = np.array([0, 0, 1, 1])
-    analytic = backward(cpl_loss(x, labels))[x]
-    pinned = as_tensor(cpl_targets(Tensor(x.data.copy()), labels).data)
-    fd_frozen = central_diff(lambda: cpl_loss(x, labels, targets=pinned).item(), x)
-    fd_coupled = central_diff(lambda: cpl_loss(x, labels).item(), x)
+    analytic = backward(cpl_loss(x, labels, cpl_targets(x, labels)))[x]
+    pinned = cpl_targets(x.data.copy(), labels)
+    fd_frozen = central_diff(lambda: cpl_loss(x, labels, pinned).item(), x)
+    fd_coupled = central_diff(lambda: cpl_loss(x, labels, cpl_targets(x, labels)).item(), x)
     frozen_err = max_rel_err(analytic, fd_frozen)
     coupled_err = max_rel_err(analytic, fd_coupled)
     elapsed = time.perf_counter() - t0
@@ -134,7 +134,8 @@ def test_criterion_04_bimodal_class_prediction_beats_center():
         margins.append(center_e / cpl_e)
         predictor = CenterPredictor(dim=2, hidden=64, rng=substream(seed, "acceptance/refit"), depth=2)
         predictor.init_identity()
-        best, history = refit_predictor(ds.features, ds.labels, predictor, steps=400, lr=0.005)
+        targets = cpl_targets(ds.features, ds.labels)
+        best, history = refit_predictor(ds.features, ds.labels, targets, predictor, steps=400, lr=0.005)
         assert best <= history[0] + 1e-9, f"seed {seed}: refit {best} above start {history[0]}"
     elapsed = time.perf_counter() - t0
     ok = elapsed < 60.0

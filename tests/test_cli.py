@@ -28,6 +28,13 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _assert_one_config_error_line(code, out, err):
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+
+
 def test_run_train_writes_artifacts_and_summary(tmp_path, capsys):
     cfg = _write(tmp_path, TRAIN_CFG + f"out = {tmp_path / 'run'}\n")
     code, out, _ = _run(capsys, "run", str(cfg))
@@ -222,11 +229,7 @@ def test_gradcheck_command_exit_codes(capsys):
     ],
 )
 def test_gradcheck_that_would_check_nothing_exits_2(capsys, argv):
-    code, out, err = _run(capsys, "gradcheck", *argv)
-    assert code == 2 and out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "config"
+    _assert_one_config_error_line(*_run(capsys, "gradcheck", *argv))
 
 
 def test_export_fixture_round_trips(tmp_path, capsys):
@@ -246,8 +249,32 @@ def test_export_fixture_round_trips(tmp_path, capsys):
 
 
 def test_export_fixture_rejects_unknown_name(tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        main(["export-fixture", "nonexistent", "--out", str(tmp_path / "x.csv")])
+    _assert_one_config_error_line(
+        *_run(capsys, "export-fixture", "nonexistent", "--out", str(tmp_path / "x.csv"))
+    )
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "exp.cfg", "--seed", "abc"],
+        ["run"],
+        ["bogus"],
+        ["gradcheck", "--batches", "x"],
+        ["export-fixture", "nonexistent"],
+    ],
+    ids=["bad-seed", "no-config", "unknown-command", "bad-batches", "unknown-fixture"],
+)
+def test_usage_errors_exit_2_with_one_json_line(capsys, argv):
+    _assert_one_config_error_line(*_run(capsys, *argv))
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: metriclab run")
 
 
 CSV_HEAD = "f0,f1,label\n0.5,0.5,0\n"
@@ -373,9 +400,9 @@ def test_predictor_hidden_sets_surface_and_boundary_refit_width(tmp_path, capsys
     widths = []
     refit = experiments.refit_predictor
 
-    def recorded(features, labels, predictor, **kwargs):
+    def recorded(features, labels, targets, predictor, **kwargs):
         widths.append(predictor.layers[0].weight.shape[0])
-        return refit(features, labels, predictor, **kwargs)
+        return refit(features, labels, targets, predictor, **kwargs)
 
     monkeypatch.setattr(experiments, "refit_predictor", recorded)
     surface = _write(

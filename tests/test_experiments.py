@@ -19,7 +19,7 @@ from metriclab.experiments import (
     run_target_ablation,
     split_retrieval_task,
 )
-from metriclab.losses import cpl_loss
+from metriclab.losses import cpl_loss, cpl_targets
 from metriclab.nn import CenterPredictor
 from metriclab.seeding import subseed
 from metriclab.synthetic import (
@@ -219,6 +219,7 @@ def test_no_predictor_equals_identity_predictor(rng):
     ds = retrieval_fixture(seed=0, n_ids=4, per_id=6, dim=6)
     predictor = CenterPredictor(dim=6, hidden=12, rng=rng, depth=2)
     predictor.init_identity()
-    with_pred = cpl_loss(ds.features, ds.labels, predictor=predictor).item()
-    without = cpl_loss(ds.features, ds.labels, predictor=None).item()
+    targets = cpl_targets(ds.features, ds.labels)
+    with_pred = cpl_loss(ds.features, ds.labels, targets, predictor).item()
+    without = cpl_loss(ds.features, ds.labels, targets, None).item()
     assert with_pred == without

@@ -17,7 +17,7 @@ from metriclab.losses import (
     ranked_list_loss,
     triplet_loss_batch_hard,
 )
-from metriclab.nn import BatchNorm, CenterPredictor, Linear
+from metriclab.nn import CenterPredictor, Linear
 
 from fd_utils import central_diff, max_rel_err
 from reference_impls import (
@@ -340,7 +340,8 @@ def test_cpl_targets_loo_with_two_samples_swaps():
 
 def test_cpl_identity_predictor_hand_value():
     feats = np.array([[1.0, -1.0], [0.0, 0.0]])
-    assert cpl_loss(feats, np.array([0, 0])).item() == pytest.approx(4.0)
+    labels = np.array([0, 0])
+    assert cpl_loss(feats, labels, cpl_targets(feats, labels)).item() == pytest.approx(4.0)
 
 
 def test_cpl_sample_mean_mode():
@@ -385,7 +386,7 @@ def test_cpl_unknown_mode_raises():
 @pytest.mark.parametrize("seed", range(4))
 def test_cpl_matches_oracle(mode, seed):
     feats, labels = random_batch(seed, p=2, k=4)
-    got = cpl_loss(feats, labels, target_mode=mode).item()
+    got = cpl_loss(feats, labels, cpl_targets(feats, labels, mode)).item()
     assert got == pytest.approx(oracle_cpl(feats, labels, mode=mode), abs=1e-10)
 
 
@@ -397,7 +398,7 @@ def test_cpl_with_predictor_matches_oracle(rng):
         out = pred(as_tensor(np.array(col))).data
         return tuple(float(v) for v in out[:, 0])
 
-    got = cpl_loss(feats, labels, predictor=pred).item()
+    got = cpl_loss(feats, labels, cpl_targets(feats, labels), pred).item()
     assert got == pytest.approx(oracle_cpl(feats, labels, pred_fn=pred_fn), abs=1e-10)
 
 
@@ -411,15 +412,15 @@ def test_cpl_frozen_targets_analytic_grad(rng):
     pred = CenterPredictor(dim=2, hidden=6, rng=rng, depth=2)
     x = Tensor(feats.copy(), requires_grad=True)
 
-    analytic = backward(cpl_loss(x, labels, predictor=pred))[x]
+    analytic = backward(cpl_loss(x, labels, cpl_targets(x, labels), pred))[x]
 
-    frozen = cpl_targets(as_tensor(x.data.copy()), labels)
+    frozen = cpl_targets(x.data.copy(), labels)
 
     def forward_frozen():
-        return cpl_loss(x, labels, predictor=pred, targets=frozen)
+        return cpl_loss(x, labels, frozen, pred)
 
     def forward_coupled():
-        return cpl_loss(x, labels, predictor=pred)
+        return cpl_loss(x, labels, cpl_targets(x, labels), pred)
 
     fd_frozen = central_diff(forward_frozen, x)
     fd_coupled = central_diff(forward_coupled, x)
@@ -433,37 +434,18 @@ def test_cpl_identity_predictor_gradient_is_frozen_form():
     feats = np.array([[1.0, -1.0, 4.0, 6.0], [0.0, 2.0, 1.0, -1.0]])
     labels = np.array([0, 0, 1, 1])
     x = Tensor(feats, requires_grad=True)
-    grads = backward(cpl_loss(x, labels))[x]
-    targets = cpl_targets(feats, labels).data
-    assert np.allclose(grads, (feats - targets), atol=1e-12)  # (2/2)*(x - c)
-
-
-def test_cpl_target_bn_builds_targets_in_bn_space():
-    feats, labels = random_batch(37, p=2, k=4)
-    bn = BatchNorm(3)
-    targets = cpl_targets(feats, labels, target_bn=bn)
-    mu = feats.mean(axis=1, keepdims=True)
-    var = feats.var(axis=1, keepdims=True)
-    z = (feats - mu) / np.sqrt(var + bn.eps)
-    expect = cpl_targets(z, labels).data
-    assert np.allclose(targets.data, expect, atol=1e-12)
-
-
-def test_cpl_target_bn_params_get_no_gradient(rng):
-    feats, labels = random_batch(41, p=2, k=4)
-    bn = BatchNorm(3)
-    pred = CenterPredictor(dim=3, hidden=8, rng=rng, depth=2)
-    x = Tensor(feats, requires_grad=True)
-    grads = backward(cpl_loss(x, labels, predictor=pred, target_bn=bn))
-    assert bn.gamma not in grads and bn.beta not in grads
-    assert x in grads
+    targets = cpl_targets(feats, labels)
+    grads = backward(cpl_loss(x, labels, targets))[x]
+    assert np.allclose(grads, (feats - targets.data), atol=1e-12)  # (2/2)*(x - c)
 
 
 def test_cpl_cached_targets_must_be_constant():
     feats, labels = random_batch(43, p=2, k=2)
     live = Tensor(np.zeros((3, 4)), requires_grad=True)
     with pytest.raises(ConfigError):
-        cpl_loss(feats, labels, targets=live)
+        cpl_loss(feats, labels, live)
+    with pytest.raises(ShapeError):
+        cpl_loss(feats, labels, np.zeros((3, 3)))
 
 
 # -- shared properties -----------------------------------------------------------------------
@@ -474,8 +456,8 @@ LOSS_CALLS = {
     "circle": lambda f, y: circle_loss(f, y, 8.0, 0.25),
     "lifted": lambda f, y: lifted_structure_loss(pairwise_euclidean(f), y, 1.0),
     "rll": lambda f, y: ranked_list_loss(pairwise_euclidean(f), y, 1.2, 0.4),
-    "cpl": lambda f, y: cpl_loss(f, y),
-    "cpl-random": lambda f, y: cpl_loss(f, y, target_mode="random-point", seed=5),
+    "cpl": lambda f, y: cpl_loss(f, y, cpl_targets(f, y)),
+    "cpl-random": lambda f, y: cpl_loss(f, y, cpl_targets(f, y, "random-point", seed=5)),
 }
 
 
@@ -628,7 +610,7 @@ def test_fused_cpl_is_bit_identical_to_composed_graph(with_predictor, sizes):
     pred = CenterPredictor(3, 8, rng, depth=2) if with_predictor else None
     r = as_tensor(rng.normal(0, 1, (1, 1)))
     _assert_same_value_and_grad(
-        lambda t: cpl_loss(t, labels, predictor=pred),
+        lambda t: cpl_loss(t, labels, cpl_targets(t, labels), pred),
         lambda t: composed_cpl(t, labels, pred),
         data,
         r,
@@ -647,7 +629,10 @@ def _shared_embedding_step(fused):
     emb = extractor(x)
     dist = (pairwise_euclidean if fused else composed_pairwise)(emb)
     ce = (id_cross_entropy if fused else composed_ce)(classifier(emb), labels)
-    cpl = cpl_loss(emb, labels, predictor=predictor) if fused else composed_cpl(emb, labels, predictor)
+    if fused:
+        cpl = cpl_loss(emb, labels, cpl_targets(emb, labels), predictor)
+    else:
+        cpl = composed_cpl(emb, labels, predictor)
     triplet = triplet_loss_batch_hard(dist, labels, 0.3)
     total = ce * 1.0 + cpl * 1.0 + triplet * 1.0  # as train_step sums weighted parts
     grads = backward(total)
@@ -673,7 +658,7 @@ OVERFLOW_CASES = {
         np.array([[1e308], [-1e308]]),
     ),
     "cpl-1e200": (
-        lambda t: cpl_loss(t, np.array([0, 0, 1, 1])),
+        lambda t: cpl_loss(t, np.array([0, 0, 1, 1]), cpl_targets(t, np.array([0, 0, 1, 1]))),
         lambda t: composed_cpl(t, np.array([0, 0, 1, 1])),
         np.array([[1e200, -1e200, 0.0, 1.0], [1.0, 2.0, 3.0, 4.0]]),
     ),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metriclab.autograd import Tensor, as_tensor, backward
+from metriclab.autograd import as_tensor, backward
 from metriclab.errors import ConfigError, NumericsError
 from metriclab.losses import cpl_loss, cpl_targets
 from metriclab.nn import CenterPredictor, ModelConfig
@@ -11,6 +11,7 @@ from metriclab.synthetic import four_class_fixture, bimodal_class_fixture
 from metriclab.trainer import (
     LossConfig,
     SgdConfig,
+    _loss_parts,
     build_state,
     cpl_errors,
     lr_at,
@@ -129,18 +130,53 @@ def test_train_run_different_seed_differs():
     assert [r.total for r in t1] != [r.total for r in t2]
 
 
-def test_cached_and_recomputed_targets_give_identical_gradients(rng):
-    ds = small_ds(3)
-    batch = next(epoch_iter(ds, PKSamplerConfig(p=3, k=4), substream(5, "s")))
-    pred = CenterPredictor(dim=2, hidden=8, rng=rng, depth=2)
-    x = Tensor(batch.features.copy(), requires_grad=True)
-    fresh = backward(cpl_loss(x, batch.labels, predictor=pred))
-    cached_targets = cpl_targets(as_tensor(batch.features), batch.labels)
-    x2 = Tensor(batch.features.copy(), requires_grad=True)
-    cached = backward(cpl_loss(x2, batch.labels, predictor=pred, targets=cached_targets))
-    assert np.array_equal(fresh[x], cached[x2])
-    for _, p in pred.params():
-        assert np.array_equal(fresh[p], cached[p])
+CPL_ONLY = LossConfig(weights={"cpl": 1.0})
+
+
+def _cpl_part_with_target_bn(seed):
+    """The trainer's cpl part on one batch of a bn_target model, with its embeddings."""
+    ds = small_ds(seed)
+    state = build_state(2, 4, ModelConfig(extractor_hidden=(8,), embedding_dim=3), CPL_ONLY, seed=seed)
+    batch = next(epoch_iter(ds, PKSamplerConfig(p=2, k=4), substream(seed, "s")))
+    embeddings = state.extractor(as_tensor(batch.features))
+    return state, embeddings, batch.labels, _loss_parts(state, embeddings, batch.labels, CPL_ONLY)["cpl"]
+
+
+def test_cpl_target_bn_builds_targets_in_bn_space():
+    state, embeddings, labels, part = _cpl_part_with_target_bn(37)
+    z = embeddings.data
+    z = (z - z.mean(axis=1, keepdims=True)) / np.sqrt(z.var(axis=1, keepdims=True) + state.target_bn.eps)
+    expect = cpl_loss(embeddings, labels, cpl_targets(z, labels), state.predictor)
+    assert part.item() == pytest.approx(expect.item(), abs=1e-12)
+    plain = cpl_loss(embeddings, labels, cpl_targets(embeddings, labels), state.predictor)
+    assert part.item() != pytest.approx(plain.item(), abs=1e-6)
+
+
+def test_cpl_target_bn_params_get_no_gradient():
+    state, embeddings, _, part = _cpl_part_with_target_bn(41)
+    grads = backward(part)
+    assert state.target_bn.gamma not in grads and state.target_bn.beta not in grads
+    assert embeddings in grads
+
+
+def test_target_bn_params_stay_at_init_through_training():
+    ds = small_ds(2)
+    model_cfg = ModelConfig(
+        extractor_hidden=(16,), embedding_dim=4, bn_predictor_hidden=True, bn_predictor_output=True
+    )
+    state, timeline, _ = train_run(
+        ds,
+        model_cfg=model_cfg,
+        loss_cfg=LossConfig(),
+        sgd_cfg=SgdConfig(base_lr=0.01, milestones=(10, 20), epochs=30),
+        sampler_cfg=PKSamplerConfig(p=2, k=8),
+        seed=0,
+        eval_every=0,
+    )
+    assert len(timeline) == 60
+    assert np.array_equal(state.target_bn.gamma.data, np.ones((4, 1)))
+    assert np.array_equal(state.target_bn.beta.data, np.zeros((4, 1)))
+    assert not np.array_equal(state.predictor.output_bn.gamma.data, np.ones((4, 1)))
 
 
 def test_divergence_raises_with_diagnostics():
@@ -216,12 +252,13 @@ def test_refit_never_exceeds_identity_init(rng):
         ds = bimodal_class_fixture(seed=seed, n_per_component=60)
         pred = CenterPredictor(dim=2, hidden=16, rng=substream(seed, "p"), depth=2)
         pred.init_identity()
-        init_value = cpl_loss(ds.features, ds.labels, predictor=pred).item()
-        best, history = refit_predictor(ds.features, ds.labels, pred, steps=500, lr=0.005)
+        targets = cpl_targets(ds.features, ds.labels)
+        init_value = cpl_loss(ds.features, ds.labels, targets, pred).item()
+        best, history = refit_predictor(ds.features, ds.labels, targets, pred, steps=500, lr=0.005)
         assert best <= init_value + 1e-9
         assert history[0] == pytest.approx(init_value, rel=1e-12)
         # predictor holds the best params: recomputing reproduces best
-        assert cpl_loss(ds.features, ds.labels, predictor=pred).item() == pytest.approx(best, rel=1e-12)
+        assert cpl_loss(ds.features, ds.labels, targets, pred).item() == pytest.approx(best, rel=1e-12)
 
 
 def test_refit_beats_dispersion_bound():
@@ -231,13 +268,14 @@ def test_refit_beats_dispersion_bound():
     dispersion = oracle_cpl(ds.features, ds.labels, mode="leave-one-out-mean")
     pred = CenterPredictor(dim=2, hidden=16, rng=substream(7, "p"), depth=2)
     pred.init_identity()
-    best, _ = refit_predictor(ds.features, ds.labels, pred, steps=500, lr=0.005)
+    targets = cpl_targets(ds.features, ds.labels)
+    best, _ = refit_predictor(ds.features, ds.labels, targets, pred, steps=500, lr=0.005)
     assert best <= dispersion + 1e-9
 
 
 def test_cpl_errors_identity_matches_oracle():
     ds = four_class_fixture(seed=2, n_per_class=6)
-    errs = cpl_errors(ds.features, ds.labels)
+    errs = cpl_errors(ds.features, cpl_targets(ds.features, ds.labels))
     total = sum(
         errs[ds.labels == c].mean() for c in ds.identities
     )
