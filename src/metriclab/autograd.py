@@ -9,6 +9,13 @@ later computation but no gradient ever flows into whatever produced it.
 
 Graphs are cheap and ephemeral (built per step, dropped after backward), so
 nodes hold plain references and no buffers are reused.
+
+Checks: every op output passes through _make, which raises NumericsError
+if any entry is not finite; backward raises NumericsError if a parent's
+gradient (after adding the terms it already holds) is not finite. A backward
+rule returns one gradient per parent, in parent order, and may return None
+for a parent that does not require grad; backward skips that slot, as it
+skips every constant parent.
 """
 
 from __future__ import annotations
@@ -33,7 +40,21 @@ class GraphError(ValueError):
     """backward() called on an ill-formed root."""
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _all_finite(x) -> bool:
+    """True when every entry of x is finite (also for an empty x).
+
+    The ufunc reduction that ndarray.all() runs, without its Python wrapper."""
+    return np.logical_and.reduce(np.isfinite(x), axis=None)
+
+
 def _as_matrix(data) -> np.ndarray:
+    # op outputs are 2-D float64 already; an equal but distinct dtype object
+    # only takes the converting path below
+    if type(data) is np.ndarray and data.ndim == 2 and data.dtype is _FLOAT64:
+        return data
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
@@ -58,7 +79,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = _as_matrix(data)
         self.requires_grad = bool(requires_grad)
-        self._parents = tuple(parents)
+        self._parents = parents if type(parents) is tuple else tuple(parents)
         self._backward = backward
 
     @property
@@ -144,12 +165,12 @@ def _op_name(backward_rule) -> str:
 
 
 def _make(data, parents, backward_rule) -> Tensor:
-    out = np.asarray(data, dtype=np.float64)
-    if not np.isfinite(out).all():
+    if not _all_finite(data):
         raise NumericsError(f"{_op_name(backward_rule)}: operation produced non-finite entries")
-    if any(p.requires_grad for p in parents):
-        return Tensor(out, requires_grad=True, parents=parents, backward=backward_rule)
-    return Tensor(out)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, requires_grad=True, parents=parents, backward=backward_rule)
+    return Tensor(data)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -166,6 +187,8 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _check_broadcast(a: Tensor, b: Tensor, opname: str):
+    if a.data.shape == b.data.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -416,12 +439,12 @@ def _topo(root: Tensor) -> list:
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
     return order  # parents precede consumers
 
@@ -438,12 +461,12 @@ def backward(root: Tensor) -> dict:
     if not root.requires_grad:
         return {}
     order = _topo(root)
-    grads = {id(root): np.ones((1, 1))}
+    grads = {root: np.ones((1, 1))}
     result = {}
     # overflow in a backward rule surfaces as NumericsError below
     with np.errstate(over="ignore", invalid="ignore"):
         for node in reversed(order):
-            g = grads.pop(id(node), None)
+            g = grads.pop(node, None)
             if g is None:
                 continue
             if node.requires_grad:
@@ -452,14 +475,14 @@ def backward(root: Tensor) -> dict:
                 continue
             parent_grads = node._backward(g)
             for parent, pg in zip(node._parents, parent_grads):
-                if not parent.requires_grad:
+                if not parent.requires_grad:  # a rule may give None here
                     continue
-                held = grads.get(id(parent))
+                held = grads.get(parent)
                 if held is not None:
                     pg = held + pg  # finite terms can still sum to inf
-                if not np.isfinite(pg).all():
+                if not _all_finite(pg):
                     raise NumericsError(
                         f"{_op_name(node._backward)}: backward produced non-finite gradient entries"
                     )
-                grads[id(parent)] = pg
+                grads[parent] = pg
     return result

@@ -173,8 +173,8 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(kind: str, exc: Exception) -> None:
-    print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
+def _fail(kind: str, exc: Exception, **context) -> None:
+    print(json.dumps({"error": kind, "message": str(exc), **context}), file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -208,7 +208,7 @@ def main(argv=None) -> int:
         _fail("config", exc)
         return 2
     except NumericsError as exc:
-        _fail("numeric", exc)
+        _fail("numeric", exc, **exc.context)
         return 3
     except (OSError, DataFormatError) as exc:
         _fail("io", exc)

@@ -14,5 +14,13 @@ class ShapeError(ValueError):
 
 
 class NumericsError(ArithmeticError):
-    """Non-finite values where the contract requires finite ones."""
+    """Non-finite values where the contract requires finite ones.
+
+    `context` says where a training run was when the error was raised:
+    `train_step` sets its epoch, step and lr; elsewhere it stays empty.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.context = {}
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import losses
-from .autograd import as_tensor
+from .autograd import _all_finite, as_tensor
 from .config import ExperimentConfig, config_hash, render_config
 from .errors import ConfigError, ShapeError
 from .metrics import evaluate_retrieval, l2_normalize
@@ -51,7 +51,7 @@ class SurfaceGrid:
         n = self.points.shape[1]
         if self.labels.shape != (n,) or self.errors.shape != (n,) or self.boundary.shape != (n,):
             raise ShapeError("surface labels/errors/flags must have one entry per point")
-        if not np.all(np.isfinite(self.errors)) or np.any(self.errors < 0):
+        if not _all_finite(self.errors) or np.any(self.errors < 0):
             raise ShapeError("surface errors must be finite and >= 0")
 
     @property

@@ -209,7 +209,9 @@ def _case_center(rng) -> GradProblem:
 def _case_triplet(rng) -> GradProblem:
     x = _spread_batch(rng, 3, 3, 3)
     labels = _labels_pk(3, 3)
-    return GradProblem(lambda: triplet_loss_batch_hard(pairwise_euclidean(x), labels, margin=0.3), {"x": x})
+    # every distance in a 3-D _spread_batch is below sqrt(3) * 9.2 < 16, so
+    # margin 20 keeps each hinge active and the checked gradient nonzero
+    return GradProblem(lambda: triplet_loss_batch_hard(pairwise_euclidean(x), labels, margin=20.0), {"x": x})
 
 
 def _case_circle(rng) -> GradProblem:
@@ -221,7 +223,8 @@ def _case_circle(rng) -> GradProblem:
 def _case_lifted(rng) -> GradProblem:
     x = _spread_batch(rng, 3, 2, 3)
     labels = _labels_pk(2, 3)
-    return GradProblem(lambda: lifted_structure_loss(pairwise_euclidean(x), labels, margin=1.0), {"x": x})
+    # margin 20 keeps every hinge active, as in the triplet case
+    return GradProblem(lambda: lifted_structure_loss(pairwise_euclidean(x), labels, margin=20.0), {"x": x})
 
 
 def _case_rll(rng) -> GradProblem:

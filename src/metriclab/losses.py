@@ -21,6 +21,7 @@ import numpy as np
 
 from .autograd import (
     Tensor,
+    _all_finite,
     _make,
     _unbroadcast,
     as_tensor,
@@ -110,7 +111,7 @@ def pairwise_euclidean(x: Tensor) -> Tensor:
         diff = sq.T + sq - gram * 2.0
     # a non-finite square, gram entry or sum reaches diff, but relu would
     # turn a -inf into 0 and hide it from the output check
-    if not np.isfinite(diff).all():
+    if not _all_finite(diff):
         raise NumericsError("pairwise_euclidean: squared distances are not finite")
     sq_dist = np.maximum(diff, 0.0)  # relu clips negative rounding noise
     zero_mask = (sq_dist < 1e-12).astype(np.float64)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor, _make, _unbroadcast, as_tensor
+from .autograd import Tensor, _all_finite, _make, _unbroadcast, as_tensor
 from .errors import ConfigError, DataFormatError, NumericsError, ShapeError
 
 __all__ = [
@@ -32,7 +32,8 @@ class Linear:
 
     Weights init uniform in [-sqrt(1/in_dim), sqrt(1/in_dim)], bias zero.
     The map is one autograd op; its backward replays the composed graph
-    matmul(W, x) + b bit for bit.
+    matmul(W, x) + b bit for bit. For a constant input (the raw batch, fixed
+    refit points) it skips the W^T g term that nothing would use.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
@@ -51,7 +52,8 @@ class Linear:
         w, b = self.weight, self.bias
 
         def bw(g):
-            return g @ x.data.T, w.data.T @ g, _unbroadcast(g, b.shape)
+            g_x = w.data.T @ g if x.requires_grad else None
+            return g @ x.data.T, g_x, _unbroadcast(g, b.shape)
 
         with np.errstate(over="ignore", invalid="ignore"):
             out = w.data @ x.data + b.data
@@ -99,11 +101,12 @@ class BatchNorm:
             centered = x.data - mu
             var = (centered * centered).sum(axis=1, keepdims=True) * inv_n
             std = np.sqrt(var + self.eps)
-        # an overflowing square makes var inf and xhat 0, which would pass the
-        # output check below; a zero std would divide by zero
-        if not np.all(np.isfinite(std) & (std > 0.0)):
-            raise NumericsError("batchnorm: variance is not finite or std is zero")
-        xhat = centered / std
+            # an overflowing square makes var inf and xhat 0, which would pass
+            # the output check below; a zero std would divide by zero
+            if not (_all_finite(std) and np.logical_and.reduce(std > 0.0, axis=None)):
+                raise NumericsError("batchnorm: variance is not finite or std is zero")
+            xhat = centered / std
+            out = gamma.data * xhat + beta.data
 
         def bw(g):
             g_xhat = g * gamma.data
@@ -114,8 +117,6 @@ class BatchNorm:
             g_x = g_centered + (-g_centered).sum(axis=1, keepdims=True) * inv_n
             return _unbroadcast(g * xhat, gamma.shape), g_x, _unbroadcast(g, beta.shape)
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = gamma.data * xhat + beta.data
         return _make(out, (gamma, x, beta), bw)
 
     __call__ = forward

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autograd import _all_finite
 from .errors import ConfigError, DataFormatError, ShapeError
 
 __all__ = [
@@ -43,7 +44,7 @@ class LabeledDataset:
             raise ShapeError("dataset features must be a 2-D matrix (column per sample)")
         if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[1]:
             raise ShapeError("dataset needs exactly one label per feature column")
-        if not np.all(np.isfinite(self.features)):
+        if not _all_finite(self.features):
             raise ShapeError("dataset features must be finite")
         self.by_identity = {
             int(label): np.flatnonzero(self.labels == label) for label in np.unique(self.labels)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import losses
 from .autograd import Tensor, as_tensor, backward
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .losses import (
     MarginConfig,
     center_loss,
@@ -236,16 +236,22 @@ def train_step(state: TrainState, batch: LabeledBatch, loss_cfg: LossConfig, lr:
     """One SGD update on one batch against total = sum of weight * part
     over the enabled losses; returns the step's timeline row.
 
-    With every enabled weight zero this is a no-op on the parameters.
+    With every enabled weight zero this is a no-op on the parameters. A
+    NumericsError leaves with the epoch, the step (numbered as its timeline
+    row would be) and the lr in its context.
     """
-    embeddings = state.extractor(as_tensor(batch.features))
-    parts = _loss_parts(state, embeddings, batch.labels, loss_cfg)
-    total = None
-    for name, part in parts.items():
-        term = part * float(loss_cfg.weights[name])
-        total = term if total is None else total + term
-    if total is not None:  # None when every weight is zero: nothing to optimize
-        state.optimizer.step(backward(total), lr)
+    try:
+        embeddings = state.extractor(as_tensor(batch.features))
+        parts = _loss_parts(state, embeddings, batch.labels, loss_cfg)
+        total = None
+        for name, part in parts.items():
+            term = part * float(loss_cfg.weights[name])
+            total = term if total is None else total + term
+        if total is not None:  # None when every weight is zero: nothing to optimize
+            state.optimizer.step(backward(total), lr)
+    except NumericsError as exc:
+        exc.context.update(epoch=state.epoch, step=state.step + 1, lr=lr)
+        raise
     state.step += 1
     return TimelineRow(
         epoch=state.epoch,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from metriclab import autograd as ag
 from metriclab.autograd import Tensor, as_tensor, backward
@@ -281,3 +282,26 @@ def test_backward_raises_when_accumulated_gradient_overflows():
     x = Tensor([[1e-300]], requires_grad=True)
     with pytest.raises(NumericsError, match="^mul: backward"):
         backward(x * 1e308 + x * 1e308)
+
+
+_EDGE_VALUES = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, -0.0, 0.0, 5e-324, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+        elements=st.one_of(_EDGE_VALUES, st.floats()),
+    ),
+    st.sampled_from(["as-is", "transposed", "broadcast"]),
+)
+@example(np.empty((0, 3)), "as-is")
+@example(np.array([[1.0, -0.0], [1e308, np.nan]]), "transposed")
+@example(np.array([[-1e308, -np.inf]]), "broadcast")
+def test_all_finite_agrees_with_isfinite_all(x, view):
+    if view == "transposed":
+        x = x.T
+    elif view == "broadcast":
+        x = np.broadcast_to(x, (3, *x.shape))
+    assert ag._all_finite(x) == np.isfinite(x).all()

@@ -136,6 +136,22 @@ def test_numeric_failure_names_the_op(tmp_path, capsys):
     assert record["message"] == "Linear.forward: operation produced non-finite entries"
 
 
+def test_numeric_failure_line_carries_epoch_step_and_lr(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        TRAIN_CFG.replace("sgd.base_lr = 0.005", "sgd.base_lr = 1e6")
+        + f"model.bn_target = false\nout = {tmp_path / 'run'}\n",
+    )
+    code, out, err = _run(capsys, "run", str(cfg))
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "numeric"
+    # one batch per epoch, lr x 0.1 from epoch 2: the third step's row would read 2, 3, 1e5
+    assert {k: record[k] for k in ("epoch", "step", "lr")} == {"epoch": 2, "step": 3, "lr": 1e5}
+
+
 def test_run_boundary_writes_surface_timeline_and_config(tmp_path, capsys):
     cfg = _write(
         tmp_path,

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from metriclab.autograd import Tensor
+from metriclab.autograd import Tensor, backward
 from metriclab.gradcheck import (
     REGISTRY,
     central_diff,
     max_rel_err,
     run_gradcheck,
 )
+from metriclab.seeding import substream
 
 
 def test_central_diff_matches_closed_form(rng):
@@ -57,3 +58,13 @@ def test_suite_deterministic():
     assert [(r.name, r.max_rel_err) for r in a.rows] == [
         (r.name, r.max_rel_err) for r in b.rows
     ]
+
+
+def test_every_case_checks_a_nonzero_gradient():
+    # an all-zero analytic gradient (every hinge inactive) agrees with an
+    # all-zero finite difference and so checks nothing
+    for name, builder in REGISTRY:
+        for b in range(20):
+            problem = builder(substream(0, f"gradcheck/{name}/{b}"))
+            grads = backward(problem.root())
+            assert any(np.any(grads.get(leaf, 0.0) != 0.0) for leaf in problem.leaves.values()), (name, b)

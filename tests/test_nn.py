@@ -201,6 +201,30 @@ def test_fused_linear_is_bit_identical_to_composed_graph(n, rng):
     )
 
 
+def test_linear_rule_gives_none_for_a_constant_input(rng):
+    layer = Linear(5, 3, rng)
+    out = layer(rng.normal(0, 2, (5, 4)))
+    g_w, g_x, g_b = out._backward(np.ones(out.shape))
+    assert g_x is None
+    assert g_w.shape == (3, 5) and g_b.shape == (3, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_linear_on_a_constant_input_keeps_composed_param_gradients(n, rng):
+    layer = Linear(5, 3, rng)
+    layer.bias.data[:] = rng.normal(0, 1, (3, 1))
+    x = as_tensor(rng.normal(0, 2, (5, n)))
+    r = as_tensor(rng.normal(0, 1, (3, n)))
+
+    def run(forward):
+        out = forward(x)
+        grads = backward((out * r + out * out).sum())
+        assert x not in grads
+        return out.data, [grads[layer.weight], grads[layer.bias]]
+
+    _assert_bit_equal(run(layer), run(lambda t: composed_linear(layer, t)))
+
+
 @pytest.mark.parametrize("n", [2, 16])
 def test_fused_batchnorm_is_bit_identical_to_composed_graph(n, rng):
     bn = BatchNorm(4)

@@ -88,6 +88,20 @@ def test_train_step_row_holds_parts_and_weighted_total():
     assert (row.step, row.parts, row.total) == (2, {}, 0.0)
 
 
+def test_numerics_error_in_a_step_carries_epoch_step_and_lr():
+    ds = small_ds()
+    loss_cfg = LossConfig(weights={"ce": 1.0})
+    state = build_state(2, 4, ModelConfig(embedding_dim=4), loss_cfg, seed=1)
+    state.epoch, state.step = 3, 7
+    state.extractor.layers[0].weight.data[0, 0] = np.inf
+    batch = next(epoch_iter(ds, PKSamplerConfig(p=2, k=2), substream(0, "s")))
+    with pytest.raises(NumericsError, match="^Linear.forward:") as info:
+        train_step(state, batch, loss_cfg, lr=0.25)
+    # step is numbered as the failed step's timeline row would have been
+    assert info.value.context == {"epoch": 3, "step": 8, "lr": 0.25}
+    assert state.step == 7
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_single_ce_step_decreases_loss(seed):
     ds = small_ds(seed)
