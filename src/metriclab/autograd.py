@@ -8,7 +8,10 @@ requires them. detach() cuts the graph: the detached value participates in
 later computation but no gradient ever flows into whatever produced it.
 
 Graphs are cheap and ephemeral (built per step, dropped after backward), so
-nodes hold plain references and no buffers are reused.
+nodes hold plain references. An op may overwrite intermediates that it
+allocated itself (a fused layer stack adds its bias and applies relu in
+place), but never an input, a parameter or an upstream gradient: backward
+keeps each upstream gradient in its result.
 
 Checks: every op output passes through _make, which raises NumericsError
 if any entry is not finite; backward raises NumericsError if a parent's
@@ -167,6 +170,11 @@ def _op_name(backward_rule) -> str:
 def _make(data, parents, backward_rule) -> Tensor:
     if not _all_finite(data):
         raise NumericsError(f"{_op_name(backward_rule)}: operation produced non-finite entries")
+    return _node(data, parents, backward_rule)
+
+
+def _node(data, parents, backward_rule) -> Tensor:
+    """An op output whose finiteness the op has checked itself."""
     for p in parents:
         if p.requires_grad:
             return Tensor(data, requires_grad=True, parents=parents, backward=backward_rule)

@@ -97,16 +97,13 @@ def _spread_batch(rng, d, p, k, spread=4.0, min_gap=0.05) -> Tensor:
 
 
 def _relu_margin(layers, bns, x_data: np.ndarray) -> float:
-    """Smallest |preactivation| feeding a relu, replicated in numpy."""
+    """Smallest |preactivation| feeding a relu, from the layers' numpy forward."""
     h = x_data
     worst = np.inf
     for i, layer in enumerate(layers[:-1]):
-        z = layer.weight.data @ h + layer.bias.data
+        z, _ = layer._apply(h)
         if bns:
-            bn = bns[i]
-            mean = z.mean(axis=1, keepdims=True)
-            var = z.var(axis=1, keepdims=True)  # biased, as in training forward
-            z = bn.gamma.data * (z - mean) / np.sqrt(var + bn.eps) + bn.beta.data
+            z, _ = bns[i]._apply(z)
         worst = min(worst, float(np.abs(z).min()))
         h = np.maximum(z, 0.0)
     return worst

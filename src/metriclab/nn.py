@@ -3,15 +3,22 @@ center predictor, plus a text checkpoint format for parameter matrices.
 
 All layers consume and produce d x N matrices (column per sample) and expose
 params() as (name, Tensor) pairs for the optimizer and checkpointing.
+
+Every layer forward is one autograd op, a layer stack: a chain of Linear and
+BatchNorm steps with relu between them, run on plain arrays. Linear and
+BatchNorm are one-step stacks; MLP and CenterPredictor run their whole chain
+as one node, so the hidden activations never become Tensors. The stack's
+backward replays each step's rule in reverse, so values and gradients are
+bit-identical to the chain of one-layer ops and relus.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, _all_finite, _make, _unbroadcast, as_tensor
+from .autograd import Tensor, _all_finite, _node, _unbroadcast, as_tensor
 from .errors import ConfigError, DataFormatError, NumericsError, ShapeError
 
 __all__ = [
@@ -26,14 +33,69 @@ __all__ = [
 
 CHECKPOINT_HEADER = "metriclab-checkpoint v1"
 
+# a stack step: relu, applied in place to the output of the step before it
+RELU = "relu"
+
+
+def _stack(owner, steps, x) -> Tensor:
+    """Run steps on x as one autograd op that failures name as owner's forward.
+
+    steps are Linear and BatchNorm layers with RELU between them; the op's
+    parents are the first layer's (weight or gamma, x, bias or beta), then
+    the later layers' parameters. Each layer output is checked with that
+    layer's own message; a relu output of finite input is finite.
+
+    Buffers: the op overwrites only arrays that it allocated itself. Each
+    relu runs in place on the previous step's output and keeps a bool mask;
+    backward multiplies that mask in place into the gradient that the next
+    step's rule just returned. x.data, the parameters and the upstream
+    gradient are never written, which is why a stack never starts or ends
+    with a relu.
+    """
+    if steps[0] is RELU or steps[-1] is RELU:
+        raise ValueError("a layer stack starts and ends with a Linear or BatchNorm step")
+    x = as_tensor(x)
+    h = x.data
+    saved = []
+    params = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in steps:
+            if step is RELU:
+                mask = h > 0.0
+                np.maximum(h, 0.0, out=h)
+                saved.append(mask)
+                continue
+            h, memo = step._apply(h)
+            if not _all_finite(h):
+                raise NumericsError(f"{type(step).__name__}.forward: operation produced non-finite entries")
+            saved.append(memo)
+            params.extend(p for _, p in step.params())
+    first_a, first_b, *later = params
+
+    def bw(g):
+        grads = []  # (grad a, grad b) per layer, last layer first
+        for i in range(len(steps) - 1, -1, -1):
+            step = steps[i]
+            if step is RELU:
+                np.multiply(g, saved[i], out=g)
+                continue
+            g_a, g, g_b = step._grads(g, saved[i], i > 0 or x.requires_grad)
+            grads.append((g_a, g_b))
+        g_a, g_b = grads.pop()
+        return (g_a, g, g_b, *(pg for pair in reversed(grads) for pg in pair))
+
+    # backward names a failing rule by its qualname: the owner, not _stack
+    bw.__qualname__ = f"{type(owner).__name__}.forward.<locals>.bw"
+    return _node(h, (first_a, x, first_b, *later), bw)
+
 
 class Linear:
     """Affine map W x + b, W: out_dim x in_dim, b: out_dim x 1.
 
     Weights init uniform in [-sqrt(1/in_dim), sqrt(1/in_dim)], bias zero.
-    The map is one autograd op; its backward replays the composed graph
-    matmul(W, x) + b bit for bit. For a constant input (the raw batch, fixed
-    refit points) it skips the W^T g term that nothing would use.
+    Its backward replays the composed graph matmul(W, x) + b bit for bit.
+    For a constant input (the raw batch, fixed refit points) it skips the
+    W^T g term that nothing would use.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
@@ -46,20 +108,21 @@ class Linear:
         self.bias = Tensor(np.zeros((out_dim, 1)), requires_grad=True)
 
     def forward(self, x) -> Tensor:
-        x = as_tensor(x)
-        if x.shape[0] != self.in_dim:
-            raise ShapeError(f"linear: expected {self.in_dim} rows, got {x.shape[0]}")
-        w, b = self.weight, self.bias
-
-        def bw(g):
-            g_x = w.data.T @ g if x.requires_grad else None
-            return g @ x.data.T, g_x, _unbroadcast(g, b.shape)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = w.data @ x.data + b.data
-        return _make(out, (w, x, b), bw)
+        return _stack(self, (self,), x)
 
     __call__ = forward
+
+    def _apply(self, x: np.ndarray):
+        """Numpy forward: (output, what _grads needs)."""
+        if x.shape[0] != self.in_dim:
+            raise ShapeError(f"linear: expected {self.in_dim} rows, got {x.shape[0]}")
+        out = self.weight.data @ x
+        out += self.bias.data
+        return out, x
+
+    def _grads(self, g: np.ndarray, x: np.ndarray, need_x: bool):
+        g_x = self.weight.data.T @ g if need_x else None
+        return g @ x.T, g_x, _unbroadcast(g, self.bias.shape)
 
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -73,11 +136,11 @@ class BatchNorm:
     (predictor layers and the CPL target BN), so it keeps no running
     statistics and has no eval mode.
 
-    The layer is one autograd op. Its forward and backward do the numpy
-    operations of the composed graph (mean, center, square, mean, add eps,
-    sqrt, divide, scale, shift) in the same order, so values and gradients
-    are bit-identical to it; the textbook closed-form backward would regroup
-    the sums and move the last bits.
+    Its forward and backward do the numpy operations of the composed graph
+    (mean, center, square, mean, add eps, sqrt, divide, scale, shift) in the
+    same order, so values and gradients are bit-identical to it; the
+    textbook closed-form backward would regroup the sums and move the last
+    bits. For a constant input it skips the input gradient.
     """
 
     eps = 1e-5
@@ -88,45 +151,50 @@ class BatchNorm:
         self.beta = Tensor(np.zeros((dim, 1)), requires_grad=True)
 
     def forward(self, x) -> Tensor:
-        x = as_tensor(x)
+        return _stack(self, (self,), x)
+
+    __call__ = forward
+
+    def _apply(self, x: np.ndarray):
+        """Numpy forward: (output, what _grads needs)."""
         if x.shape[0] != self.dim:
             raise ShapeError(f"batchnorm: expected {self.dim} rows, got {x.shape[0]}")
-        gamma, beta = self.gamma, self.beta
         n = x.shape[1]
         if n < 2:
             raise ShapeError("batchnorm: needs a batch of at least 2")
         inv_n = 1.0 / n
-        with np.errstate(over="ignore", invalid="ignore"):
-            mu = x.data.sum(axis=1, keepdims=True) * inv_n
-            centered = x.data - mu
-            var = (centered * centered).sum(axis=1, keepdims=True) * inv_n
-            std = np.sqrt(var + self.eps)
-            # an overflowing square makes var inf and xhat 0, which would pass
-            # the output check below; a zero std would divide by zero
-            if not (_all_finite(std) and np.logical_and.reduce(std > 0.0, axis=None)):
-                raise NumericsError("batchnorm: variance is not finite or std is zero")
-            xhat = centered / std
-            out = gamma.data * xhat + beta.data
+        mu = x.sum(axis=1, keepdims=True) * inv_n
+        centered = x - mu
+        var = (centered * centered).sum(axis=1, keepdims=True) * inv_n
+        std = np.sqrt(var + self.eps)
+        # an overflowing square makes var inf and xhat 0, which would pass
+        # the output check; a zero std would divide by zero
+        if not (_all_finite(std) and np.logical_and.reduce(std > 0.0, axis=None)):
+            raise NumericsError("batchnorm: variance is not finite or std is zero")
+        xhat = centered / std
+        out = self.gamma.data * xhat
+        out += self.beta.data
+        return out, (centered, std, xhat, inv_n)
 
-        def bw(g):
-            g_xhat = g * gamma.data
+    def _grads(self, g: np.ndarray, memo, need_x: bool):
+        centered, std, xhat, inv_n = memo
+        g_x = None
+        if need_x:
+            g_xhat = g * self.gamma.data
             # through std: sqrt, the eps add, and the mean of the squares
             g_sq = (-g_xhat * centered / (std * std)).sum(axis=1, keepdims=True) * 0.5 / std * inv_n
             # centered feeds xhat and both factors of its square
             g_centered = g_xhat / std + g_sq * centered + g_sq * centered
             g_x = g_centered + (-g_centered).sum(axis=1, keepdims=True) * inv_n
-            return _unbroadcast(g * xhat, gamma.shape), g_x, _unbroadcast(g, beta.shape)
-
-        return _make(out, (gamma, x, beta), bw)
-
-    __call__ = forward
+        return _unbroadcast(g * xhat, self.gamma.shape), g_x, _unbroadcast(g, self.beta.shape)
 
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
 
 
 class MLP:
-    """Feature extractor: linear layers with ReLU between, none after the last."""
+    """Feature extractor: linear layers with ReLU between, none after the
+    last; one layer stack."""
 
     def __init__(self, in_dim: int, hidden: tuple, out_dim: int, rng: np.random.Generator):
         dims = [in_dim, *hidden, out_dim]
@@ -135,13 +203,10 @@ class MLP:
         self.layers = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
 
     def forward(self, x) -> Tensor:
-        h = as_tensor(x)
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            h = layer(h)
-            if i != last:
-                h = h.relu()
-        return h
+        steps = [self.layers[0]]
+        for layer in self.layers[1:]:
+            steps += (RELU, layer)
+        return _stack(self, steps, x)
 
     __call__ = forward
 
@@ -157,7 +222,7 @@ class CenterPredictor:
 
     Input and output dims are both the embedding dim. depth counts linear
     layers (2 or 4). Optional batch norm after each hidden linear (bn_hidden)
-    and after the final linear (bn_output).
+    and after the final linear (bn_output). The forward is one layer stack.
     """
 
     def __init__(
@@ -182,18 +247,19 @@ class CenterPredictor:
         self.output_bn = BatchNorm(dim) if bn_output else None
 
     def forward(self, x) -> Tensor:
-        h = as_tensor(x)
-        if h.shape[0] != self.dim:
-            raise ShapeError(f"predictor: expected {self.dim} rows, got {h.shape[0]}")
+        x = as_tensor(x)
+        if x.shape[0] != self.dim:
+            raise ShapeError(f"predictor: expected {self.dim} rows, got {x.shape[0]}")
+        steps = []
         for i, layer in enumerate(self.layers[:-1]):
-            h = layer(h)
+            steps.append(layer)
             if self.bn_hidden:
-                h = self.hidden_bns[i](h)
-            h = h.relu()
-        h = self.layers[-1](h)
+                steps.append(self.hidden_bns[i])
+            steps.append(RELU)
+        steps.append(self.layers[-1])
         if self.output_bn is not None:
-            h = self.output_bn(h)
-        return h
+            steps.append(self.output_bn)
+        return _stack(self, steps, x)
 
     __call__ = forward
 

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from metriclab.autograd import Tensor, as_tensor, backward, matmul
+from metriclab.autograd import Tensor, as_tensor, backward, matmul, relu
 from metriclab.errors import ConfigError, DataFormatError, NumericsError, ShapeError
 from metriclab.nn import (
+    RELU,
     BatchNorm,
     CenterPredictor,
     Linear,
     MLP,
+    _stack,
     load_checkpoint,
     save_checkpoint,
 )
@@ -239,20 +241,142 @@ def test_fused_batchnorm_is_bit_identical_to_composed_graph(n, rng):
     )
 
 
-def test_fused_predictor_gradients_bit_identical_to_composed_graph(monkeypatch):
-    def build():
-        return CenterPredictor(3, 8, np.random.default_rng(7), depth=4, bn_hidden=True, bn_output=True)
+def chained(net, x, linear=Linear.forward, batchnorm=BatchNorm.forward):
+    """net as a chain of one-layer ops and autograd relus: the reference for
+    its layer stack."""
+    h = as_tensor(x)
+    if isinstance(net, MLP):
+        for layer in net.layers[:-1]:
+            h = relu(linear(layer, h))
+        return linear(net.layers[-1], h)
+    for i, layer in enumerate(net.layers[:-1]):
+        h = linear(layer, h)
+        if net.bn_hidden:
+            h = batchnorm(net.hidden_bns[i], h)
+        h = relu(h)
+    h = linear(net.layers[-1], h)
+    return h if net.output_bn is None else batchnorm(net.output_bn, h)
 
-    def run(pred):
+
+def test_fused_predictor_gradients_bit_identical_to_composed_graph():
+    pred = CenterPredictor(3, 8, np.random.default_rng(7), depth=4, bn_hidden=True, bn_output=True)
+
+    def run(forward):
         x = Tensor(np.random.default_rng(8).normal(0, 1, (3, 6)), requires_grad=True)
-        out = pred(x)
+        out = forward(x)
         grads = backward((out * out).sum())
         return out.data, [grads[x]] + [grads[p] for _, p in pred.params()]
 
-    fused = run(build())
-    monkeypatch.setattr(Linear, "__call__", composed_linear)
-    monkeypatch.setattr(BatchNorm, "__call__", composed_batchnorm)
-    _assert_bit_equal(fused, run(build()))
+    _assert_bit_equal(run(pred), run(lambda t: chained(pred, t, composed_linear, composed_batchnorm)))
+
+
+# -- layer stacks: MLP and CenterPredictor as one autograd op ----------------
+
+# name -> CenterPredictor keywords; "mlp" is an MLP
+STACKS = {
+    "mlp": None,
+    **{
+        f"pred-d{depth}{'-bnh' if bnh else ''}{'-bno' if bno else ''}": dict(
+            depth=depth, bn_hidden=bnh, bn_output=bno
+        )
+        for depth in (2, 4)
+        for bnh in (False, True)
+        for bno in (False, True)
+    },
+}
+
+
+def build_stack(name, rng):
+    kwargs = STACKS[name]
+    return MLP(3, (8, 8), 3, rng) if kwargs is None else CenterPredictor(3, 8, rng, **kwargs)
+
+
+@pytest.mark.parametrize("x_grad", [False, True], ids=["const-x", "grad-x"])
+@pytest.mark.parametrize("name", list(STACKS))
+def test_stack_is_bit_identical_to_chained_one_layer_ops(name, x_grad, rng):
+    net = build_stack(name, rng)
+    for _, p in net.params():  # move BN parameters off their 1 / 0 start
+        p.data += rng.normal(0, 0.1, p.shape)
+    x = Tensor(rng.normal(0, 1, (3, 16)), requires_grad=x_grad)
+    r = as_tensor(rng.normal(0, 1, (3, 16)))
+    leaves = [p for _, p in net.params()]
+
+    def run(forward):
+        out = forward(x)
+        grads = backward((out * r + out * out).sum())
+        assert (x in grads) == x_grad
+        return out.data, [grads[leaf] for leaf in ([x] if x_grad else []) + leaves]
+
+    stacked, reference = run(net), run(lambda t: chained(net, t))
+    assert len(stacked[1]) == len(reference[1])
+    _assert_bit_equal(stacked, reference)
+
+
+@pytest.mark.parametrize("x_grad", [False, True], ids=["const-x", "grad-x"])
+@pytest.mark.parametrize("name", ["mlp", "pred-d4-bnh-bno"])
+def test_stack_writes_no_input_parameter_or_upstream_gradient(name, x_grad, rng):
+    net = build_stack(name, rng)
+    x = Tensor(rng.normal(0, 1, (3, 6)), requires_grad=x_grad)
+    r = as_tensor(rng.normal(0, 1, (3, 6)))
+    inputs = [x.data] + [p.data for _, p in net.params()]
+    before = [a.copy() for a in inputs]
+    for a in inputs:  # an in-place write into any of them raises
+        a.flags.writeable = False
+    out = net(x)
+    grads = backward((out * r).sum())
+    # the sweep keeps the upstream gradient the stack's rule received
+    assert np.array_equal(grads[out], r.data)
+    g = np.ones(out.shape)
+    g.flags.writeable = False
+    out._backward(g)
+    assert np.array_equal(g, np.ones(out.shape))
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("where", ["start", "end"])
+def test_stack_never_starts_or_ends_with_a_relu(where, rng):
+    layer = Linear(3, 3, rng)
+    steps = (RELU, layer) if where == "start" else (layer, RELU)
+    with pytest.raises(ValueError, match="starts and ends with a Linear or BatchNorm"):
+        _stack(layer, steps, rng.normal(0, 1, (3, 4)))
+
+
+@pytest.mark.parametrize("layer", [1, 2])
+def test_stack_names_a_later_linear_that_overflows(layer, rng):
+    mlp = MLP(3, (4, 4), 2, rng)
+    # every relu output before `layer` is 10, so its weights of 1e308 overflow
+    for earlier in mlp.layers[:layer]:
+        earlier.weight.data[:] = 0.0
+        earlier.bias.data[:] = 10.0
+    mlp.layers[layer].weight.data[:] = 1e308
+    with pytest.raises(NumericsError, match="^Linear.forward: operation produced non-finite entries$"):
+        mlp(rng.normal(0, 1, (3, 5)))
+
+
+def test_stack_names_a_later_batchnorm_that_fails(rng):
+    pred = CenterPredictor(3, 4, rng, depth=4, bn_hidden=True)
+    x = rng.normal(0, 1, (3, 6))
+    pred.hidden_bns[1].gamma.data[:] = 1e308  # some |xhat| > 1 in a batch of 6
+    with pytest.raises(NumericsError, match="^BatchNorm.forward: operation produced non-finite entries$"):
+        pred(x)
+    pred.hidden_bns[1].gamma.data[:] = 1.0
+    pred.layers[1].weight.data[:] = rng.normal(0, 1e200, (4, 4))  # its square overflows
+    with pytest.raises(NumericsError, match="^batchnorm: variance is not finite or std is zero$"):
+        pred(x)
+
+
+@pytest.mark.parametrize("net", ["mlp", "predictor"])
+def test_stack_backward_failure_names_the_owning_module(net, rng):
+    net = MLP(3, (4,), 3, rng) if net == "mlp" else CenterPredictor(3, 4, rng)
+    net.layers[0].weight.data[:] = 0.0
+    net.layers[0].bias.data[:] = 1e-3
+    net.layers[1].weight.data[:] = 100.0
+    # the forward stays finite; W^T g overflows in the stack's backward
+    root = (net(rng.normal(0, 1, (3, 5))) * 1e307).sum()
+    owner = type(net).__name__
+    with pytest.raises(NumericsError, match=f"^{owner}.forward: backward produced non-finite gradient entries$"):
+        backward(root)
 
 
 def test_batchnorm_raises_when_the_square_overflows():
