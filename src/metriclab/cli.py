@@ -19,9 +19,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ExperimentConfig, parse_config, render_config
+from .config import ExperimentConfig, int64, parse_config, render_config
 from .errors import ConfigError, DataFormatError, NumericsError, ShapeError
 from .experiments import (
+    SURFACE_LOSS_KINDS,
     run_bn_ablation,
     run_boundary_experiment,
     run_loss_surface,
@@ -72,7 +73,7 @@ def _dispatch_train(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dic
 
 
 def _dispatch_surface(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dict:
-    kinds = ("center", "cpl") if cfg.surface_loss == "both" else (cfg.surface_loss,)
+    kinds = SURFACE_LOSS_KINDS if cfg.surface_loss == "both" else (cfg.surface_loss,)
     summary = {"kind": "surface", "fixture": cfg.dataset.fixture}
     for loss_kind in kinds:
         grid = run_loss_surface(ds, loss_kind, cfg)
@@ -156,7 +157,7 @@ def _parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the experiment described by a config file")
     run.add_argument("config", help="path to a key = value config file")
-    run.add_argument("--seed", type=int, default=None, help="override the config's seed")
+    run.add_argument("--seed", type=int64, default=None, help="override the config's seed")
     run.add_argument("--out", default=None, help="override the config's output directory")
     run.add_argument("--force", action="store_true", help="write into a non-empty directory")
 

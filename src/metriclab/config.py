@@ -57,16 +57,24 @@ def _parse_float(s: str) -> float:
     return value
 
 
+def int64(s: str) -> int:
+    """The int codec, also of `run --seed`: numpy fails past int64 with a traceback."""
+    value = int(s)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"expected an integer in the int64 range, got {s!r}")
+    return value
+
+
 def _parse_ints(s: str) -> tuple:
     if not s:
         return ()
-    return tuple(int(part.strip()) for part in s.split(","))
+    return tuple(int64(part.strip()) for part in s.split(","))
 
 
 # type of a field's default -> (parse, render)
 _CODECS = {
     bool: (_parse_bool, lambda v: "true" if v else "false"),
-    int: (int, str),
+    int: (int64, str),
     float: (_parse_float, lambda v: repr(float(v))),
     str: (str, str),
     tuple: (_parse_ints, lambda v: ",".join(str(int(x)) for x in v)),

@@ -24,6 +24,7 @@ from .errors import ConfigError, DataFormatError, NumericsError, ShapeError
 __all__ = [
     "Linear",
     "BatchNorm",
+    "standardize",
     "MLP",
     "CenterPredictor",
     "ModelConfig",
@@ -128,13 +129,28 @@ class Linear:
         return [("weight", self.weight), ("bias", self.bias)]
 
 
-class BatchNorm:
-    """Per-feature batch normalization over the sample axis.
+def standardize(x: np.ndarray):
+    """`BatchNorm` without gamma and beta, as the CPL targets use it:
+    (centered, std, xhat, inv_n) with xhat = centered / std, per row."""
+    n = x.shape[1]
+    if n < 2:
+        raise ShapeError("batchnorm: needs a batch of at least 2")
+    inv_n = 1.0 / n
+    mu = x.sum(axis=1, keepdims=True) * inv_n
+    centered = x - mu
+    var = (centered * centered).sum(axis=1, keepdims=True) * inv_n
+    std = np.sqrt(var + BatchNorm.eps)
+    # an overflowing square makes var inf and xhat 0; a zero std divides by zero
+    if not (_all_finite(std) and np.logical_and.reduce(std > 0.0, axis=None)):
+        raise NumericsError("batchnorm: variance is not finite or std is zero")
+    return centered, std, centered / std, inv_n
 
-    Normalizes with the current batch's mean and (biased) variance, so it
-    needs at least 2 samples. The lab uses it only in training-time heads
-    (predictor layers and the CPL target BN), so it keeps no running
-    statistics and has no eval mode.
+
+class BatchNorm:
+    """Per-feature batch normalization over the sample axis: `standardize`
+    with the batch's mean and (biased) variance, so at least 2 samples, then
+    scale gamma and shift beta. The lab uses it only in predictor layers, so
+    it keeps no running statistics and has no eval mode.
 
     Its forward and backward do the numpy operations of the composed graph
     (mean, center, square, mean, add eps, sqrt, divide, scale, shift) in the
@@ -159,22 +175,10 @@ class BatchNorm:
         """Numpy forward: (output, what _grads needs)."""
         if x.shape[0] != self.dim:
             raise ShapeError(f"batchnorm: expected {self.dim} rows, got {x.shape[0]}")
-        n = x.shape[1]
-        if n < 2:
-            raise ShapeError("batchnorm: needs a batch of at least 2")
-        inv_n = 1.0 / n
-        mu = x.sum(axis=1, keepdims=True) * inv_n
-        centered = x - mu
-        var = (centered * centered).sum(axis=1, keepdims=True) * inv_n
-        std = np.sqrt(var + self.eps)
-        # an overflowing square makes var inf and xhat 0, which would pass
-        # the output check; a zero std would divide by zero
-        if not (_all_finite(std) and np.logical_and.reduce(std > 0.0, axis=None)):
-            raise NumericsError("batchnorm: variance is not finite or std is zero")
-        xhat = centered / std
-        out = self.gamma.data * xhat
+        memo = standardize(x)
+        out = self.gamma.data * memo[2]
         out += self.beta.data
-        return out, (centered, std, xhat, inv_n)
+        return out, memo
 
     def _grads(self, g: np.ndarray, memo, need_x: bool):
         centered, std, xhat, inv_n = memo
@@ -247,9 +251,6 @@ class CenterPredictor:
         self.output_bn = BatchNorm(dim) if bn_output else None
 
     def forward(self, x) -> Tensor:
-        x = as_tensor(x)
-        if x.shape[0] != self.dim:
-            raise ShapeError(f"predictor: expected {self.dim} rows, got {x.shape[0]}")
         steps = []
         for i, layer in enumerate(self.layers[:-1]):
             steps.append(layer)

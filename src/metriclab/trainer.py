@@ -2,9 +2,9 @@
 refitting against frozen center-prediction targets.
 
 One shared schedule drives every parameter group (extractor, classifier,
-predictor, centers). Center-prediction targets are built once per batch
-(after the target BatchNorm, when the model has one) and passed to
-`cpl_loss` as a constant; a refit takes its targets from the caller.
+predictor, centers). CPL targets are built once per batch from embedding
+values (standardized, with nothing learned, under `bn_target`) and passed
+to `cpl_loss` as a constant; a refit takes its targets from the caller.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .losses import (
     ranked_list_loss,
     triplet_loss_batch_hard,
 )
-from .nn import MLP, BatchNorm, CenterPredictor, Linear, ModelConfig, save_checkpoint
+from .nn import MLP, CenterPredictor, Linear, ModelConfig, save_checkpoint, standardize
 from .sampling import LabeledBatch, LabeledDataset, PKSamplerConfig, epoch_iter
 from .seeding import subseed, substream
 
@@ -130,7 +130,7 @@ class TrainState:
     extractor: MLP
     classifier: Linear
     predictor: CenterPredictor | None
-    target_bn: BatchNorm | None
+    bn_target: bool
     centers: Tensor | None
     optimizer: SGD
     seed: int
@@ -143,8 +143,6 @@ class TrainState:
         out.update({f"classifier.{n}": p for n, p in self.classifier.params()})
         if self.predictor is not None:
             out.update({f"predictor.{n}": p for n, p in self.predictor.params()})
-        if self.target_bn is not None:
-            out.update({f"target_bn.{n}": p for n, p in self.target_bn.params()})
         if self.centers is not None:
             out["centers"] = self.centers
         return out
@@ -171,7 +169,6 @@ def build_state(
             bn_hidden=model_cfg.bn_predictor_hidden,
             bn_output=model_cfg.bn_predictor_output,
         )
-    target_bn = BatchNorm(model_cfg.embedding_dim) if model_cfg.bn_target else None
     centers = None
     if loss_cfg.weights.get("center", 0.0) > 0.0:
         centers = Tensor(np.zeros((model_cfg.embedding_dim, n_classes)), requires_grad=True)
@@ -179,7 +176,7 @@ def build_state(
         extractor=extractor,
         classifier=classifier,
         predictor=predictor,
-        target_bn=target_bn,
+        bn_target=model_cfg.bn_target,
         centers=centers,
         optimizer=None,
         seed=seed,
@@ -203,8 +200,9 @@ def _loss_parts(state: TrainState, embeddings, labels, loss_cfg: LossConfig) -> 
         if name == "ce":
             parts["ce"] = id_cross_entropy(state.classifier(embeddings), labels)
         elif name == "cpl":
-            # targets are values: the target BN's gamma and beta get no gradient
-            values = embeddings if state.target_bn is None else state.target_bn(embeddings.data)
+            # targets are values: standardized off the graph, where the std check reports an overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = standardize(embeddings.data)[2] if state.bn_target else embeddings
             seed = subseed(state.seed, f"cpl-draw/{state.step}")
             targets = cpl_targets(values, labels, loss_cfg.cpl_target, seed)
             parts["cpl"] = cpl_loss(embeddings, labels, targets, state.predictor)

@@ -275,15 +275,25 @@ def test_export_fixture_rejects_unknown_name(tmp_path, capsys):
     "argv",
     [
         ["run", "exp.cfg", "--seed", "abc"],
+        ["run", "exp.cfg", "--seed", "10000000000000000000"],
         ["run"],
         ["bogus"],
         ["gradcheck", "--batches", "x"],
         ["export-fixture", "nonexistent"],
     ],
-    ids=["bad-seed", "no-config", "unknown-command", "bad-batches", "unknown-fixture"],
+    ids=["bad-seed", "int64-seed", "no-config", "unknown-command", "bad-batches", "unknown-fixture"],
 )
 def test_usage_errors_exit_2_with_one_json_line(capsys, argv):
     _assert_one_config_error_line(*_run(capsys, *argv))
+
+
+def test_int_outside_int64_in_config_exits_2(tmp_path, capsys):
+    big = "model.predictor_hidden = 10000000000000000000\n"
+    cfg = _write(tmp_path, TRAIN_CFG + big + f"out = {tmp_path / 'run'}\n")
+    code, out, err = _run(capsys, "run", str(cfg))
+    _assert_one_config_error_line(code, out, err)
+    assert "model.predictor_hidden" in json.loads(err)["message"]
+    assert not (tmp_path / "run").exists()
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):

@@ -73,6 +73,28 @@ def test_non_finite_float_rejected_with_key_name(key, value):
         parse_config(f"kind = train\n{key} = {value}\n")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("model.predictor_hidden", "10000000000000000000"),
+        ("model.embedding_dim", "10000000000000000000"),
+        ("model.extractor_hidden", "32,10000000000000000000"),
+        ("sampler.k", "10000000000000000000"),
+        ("seed", "9223372036854775808"),
+        ("seed", "-9223372036854775809"),
+    ],
+)
+def test_int_outside_int64_rejected_with_key_name(key, value):
+    # numpy would fail on it later with a traceback
+    with pytest.raises(ConfigError, match=f"{key}.*int64 range"):
+        parse_config(f"kind = train\n{key} = {value}\n")
+
+
+def test_int64_bounds_still_parse():
+    assert parse_config("kind = train\nseed = 9223372036854775807\n").seed == 2**63 - 1
+    assert parse_config("kind = train\nseed = -9223372036854775808\n").seed == -(2**63)
+
+
 def test_k_of_one_names_the_center_prediction_precondition():
     with pytest.raises(ConfigError, match="center-prediction"):
         parse_config("kind = train\nsampler.k = 1\n")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from metriclab.autograd import Tensor, as_tensor, backward, matmul, relu
 from metriclab.errors import ConfigError, DataFormatError, NumericsError, ShapeError
@@ -12,6 +15,7 @@ from metriclab.nn import (
     _stack,
     load_checkpoint,
     save_checkpoint,
+    standardize,
 )
 
 from fd_utils import central_diff, max_rel_err
@@ -33,10 +37,15 @@ def test_linear_init_bounds(rng):
     assert np.array_equal(layer.bias.data, np.zeros((64, 1)))
 
 
-def test_linear_rejects_wrong_input_rows(rng):
-    layer = Linear(3, 2, rng)
-    with pytest.raises(ShapeError):
-        layer(as_tensor(np.zeros((4, 1))))
+@pytest.mark.parametrize(
+    "make",
+    [lambda rng: Linear(3, 2, rng), lambda rng: MLP(3, (4,), 2, rng), lambda rng: CenterPredictor(3, 8, rng)],
+    ids=["Linear", "MLP", "CenterPredictor"],
+)
+def test_linear_rejects_wrong_input_rows(make, rng):
+    # MLP and CenterPredictor rely on their first Linear's row check
+    with pytest.raises(ShapeError, match="^linear: expected 3 rows, got 4$"):
+        make(rng)(as_tensor(np.zeros((4, 2))))
 
 
 def test_batchnorm_two_point_batch_closed_form():
@@ -384,6 +393,29 @@ def test_batchnorm_raises_when_the_square_overflows():
     x = as_tensor([[1e200, -1e200, 0.0], [1.0, 2.0, 3.0]])
     with pytest.raises(NumericsError, match="batchnorm"):
         BatchNorm(2)(x)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(2, 9)),
+        elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+)
+def test_standardize_is_batchnorm_at_init_bit_for_bit(x):
+    # gamma = 1 and beta = 0 at init, so BatchNorm's output is xhat exactly
+    assert np.array_equal(standardize(x)[2], BatchNorm(x.shape[0])(x).data)
+
+
+@pytest.mark.parametrize("x", [[[1e200, -1e200, 0.0]], [[np.inf, 1.0, 2.0]]], ids=["overflow", "inf"])
+def test_standardize_and_batchnorm_reject_a_non_finite_variance(x):
+    x = np.array(x)
+    message = "^batchnorm: variance is not finite or std is zero$"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match=message):
+        standardize(x)
+    with pytest.raises(NumericsError, match=message):
+        BatchNorm(1)(x)
 
 
 def test_batchnorm_rejects_wrong_input_rows():

@@ -4,7 +4,7 @@ import pytest
 from metriclab.autograd import as_tensor, backward
 from metriclab.errors import ConfigError, NumericsError
 from metriclab.losses import cpl_loss, cpl_targets
-from metriclab.nn import CenterPredictor, ModelConfig
+from metriclab.nn import BatchNorm, CenterPredictor, ModelConfig, load_checkpoint
 from metriclab.sampling import LabeledDataset, PKSamplerConfig, epoch_iter
 from metriclab.seeding import substream
 from metriclab.synthetic import four_class_fixture, bimodal_class_fixture
@@ -159,21 +159,14 @@ def _cpl_part_with_target_bn(seed):
 def test_cpl_target_bn_builds_targets_in_bn_space():
     state, embeddings, labels, part = _cpl_part_with_target_bn(37)
     z = embeddings.data
-    z = (z - z.mean(axis=1, keepdims=True)) / np.sqrt(z.var(axis=1, keepdims=True) + state.target_bn.eps)
+    z = (z - z.mean(axis=1, keepdims=True)) / np.sqrt(z.var(axis=1, keepdims=True) + BatchNorm.eps)
     expect = cpl_loss(embeddings, labels, cpl_targets(z, labels), state.predictor)
     assert part.item() == pytest.approx(expect.item(), abs=1e-12)
     plain = cpl_loss(embeddings, labels, cpl_targets(embeddings, labels), state.predictor)
     assert part.item() != pytest.approx(plain.item(), abs=1e-6)
 
 
-def test_cpl_target_bn_params_get_no_gradient():
-    state, embeddings, _, part = _cpl_part_with_target_bn(41)
-    grads = backward(part)
-    assert state.target_bn.gamma not in grads and state.target_bn.beta not in grads
-    assert embeddings in grads
-
-
-def test_target_bn_params_stay_at_init_through_training():
+def test_bn_target_learns_nothing_and_checkpoints_nothing(tmp_path):
     ds = small_ds(2)
     model_cfg = ModelConfig(
         extractor_hidden=(16,), embedding_dim=4, bn_predictor_hidden=True, bn_predictor_output=True
@@ -185,12 +178,21 @@ def test_target_bn_params_stay_at_init_through_training():
         sgd_cfg=SgdConfig(base_lr=0.01, milestones=(10, 20), epochs=30),
         sampler_cfg=PKSamplerConfig(p=2, k=8),
         seed=0,
-        eval_every=0,
+        eval_every=30,
+        out_dir=tmp_path,
     )
-    assert len(timeline) == 60
-    assert np.array_equal(state.target_bn.gamma.data, np.ones((4, 1)))
-    assert np.array_equal(state.target_bn.beta.data, np.zeros((4, 1)))
+    assert len(timeline) == 60 and state.bn_target
+    named = state.named_params()
+    assert not [name for name in named if name.startswith("target_bn.")]
+    # the optimizer carries exactly the named parameters, and the checkpoint holds them
+    assert len(state.optimizer.params) == len(named)
+    assert all(p is q for p, q in zip(state.optimizer.params, named.values()))
+    assert list(load_checkpoint(tmp_path / "checkpoint_epoch0029.txt")) == list(named)
+    # the predictor's own BatchNorm still learns its scale
     assert not np.array_equal(state.predictor.output_bn.gamma.data, np.ones((4, 1)))
+    # the standardized targets are values; the cpl gradient still reaches the embeddings
+    _, embeddings, _, part = _cpl_part_with_target_bn(41)
+    assert embeddings in backward(part)
 
 
 def test_divergence_raises_with_diagnostics():
