@@ -1,9 +1,10 @@
 """Run every checked-in experiment config through the CLI.
 
 Each run lands in runs/<name> (written into with --force on rerun) and
-prints its one-line JSON summary. The package is imported from this
-checkout's src/, so nothing needs to be installed. Run from the repository
-root:
+prints its one-line JSON summary. Without config arguments it also writes
+the seed-0 `metriclab gradcheck --batches 2` stdout to
+runs/gradcheck/report.txt. The package is imported from this checkout's
+src/, so nothing needs to be installed. Run from the repository root:
 
     python3 scripts/run_all_experiments.py [config ...]
 """
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 CONFIG_DIR = Path(__file__).parent / "configs"
+GRADCHECK_REPORT = Path("runs") / "gradcheck" / "report.txt"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -27,6 +29,17 @@ def main(argv):
         proc = subprocess.run(
             [sys.executable, "-m", "metriclab", "run", str(cfg), "--force"], env=env
         )
+        failures += proc.returncode != 0
+    if not argv:
+        print(f"== gradcheck -> {GRADCHECK_REPORT}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "metriclab", "gradcheck", "--batches", "2"],
+            env=env,
+            stdout=subprocess.PIPE,
+        )
+        if proc.returncode == 0:
+            GRADCHECK_REPORT.parent.mkdir(parents=True, exist_ok=True)
+            GRADCHECK_REPORT.write_bytes(proc.stdout)
         failures += proc.returncode != 0
     return 1 if failures else 0
 

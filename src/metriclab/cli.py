@@ -19,15 +19,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ExperimentConfig, int64, parse_config, render_config
+from .config import SURFACE_LOSS_KINDS, ExperimentConfig, int64, parse_config, render_config
 from .errors import ConfigError, DataFormatError, NumericsError, ShapeError
-from .experiments import (
-    SURFACE_LOSS_KINDS,
-    run_bn_ablation,
-    run_boundary_experiment,
-    run_loss_surface,
-    run_target_ablation,
-)
+from .experiments import run_bn_ablation, run_boundary_experiment, run_loss_surface, run_target_ablation
 from .gradcheck import run_gradcheck
 from .sampling import LabeledDataset, save_dataset_csv
 from .seeding import subseed

@@ -27,11 +27,7 @@ from .seeding import subseed
 from .synthetic import FIXTURES
 from .trainer import LOSS_NAMES, LossConfig, SgdConfig
 
-KINDS = ("train", "surface", "boundary", "ablation-target", "ablation-bn")
-DATASET_SOURCES = ("synthetic", "csv", "cifar")
-SURFACE_LOSSES = ("center", "cpl", "both")
-
-# fixture picked when the config does not name one
+# each experiment kind, with the fixture picked when the config names none
 KIND_FIXTURES = {
     "train": "four-class",
     "surface": "two-class",
@@ -39,6 +35,10 @@ KIND_FIXTURES = {
     "ablation-target": "retrieval",
     "ablation-bn": "retrieval",
 }
+KINDS = tuple(KIND_FIXTURES)
+DATASET_SOURCES = ("synthetic", "csv", "cifar")
+SURFACE_LOSS_KINDS = ("center", "cpl")
+SURFACE_LOSSES = (*SURFACE_LOSS_KINDS, "both")
 
 
 def _parse_bool(s: str) -> bool:

@@ -18,15 +18,13 @@ import numpy as np
 
 from . import losses
 from .autograd import _all_finite, as_tensor
-from .config import ExperimentConfig, config_hash, render_config
+from .config import SURFACE_LOSS_KINDS, ExperimentConfig, config_hash, render_config
 from .errors import ConfigError, ShapeError
 from .metrics import evaluate_retrieval, l2_normalize
 from .nn import CenterPredictor
 from .sampling import LabeledDataset
 from .seeding import subseed, substream
 from .trainer import cpl_errors, embed_dataset, refit_predictor, train_accuracy, train_run
-
-SURFACE_LOSS_KINDS = ("center", "cpl")
 
 # fraction of lowest classifier margins treated as the boundary band
 BOUNDARY_DECILE = 0.1

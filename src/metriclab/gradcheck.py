@@ -28,7 +28,7 @@ from .losses import (
     triplet_loss_batch_hard,
 )
 from .metrics import pairwise_distances
-from .nn import MLP, BatchNorm, CenterPredictor, Linear
+from .nn import MLP, RELU, BatchNorm, CenterPredictor, Linear
 from .seeding import substream
 
 FD_STEP = 1e-5
@@ -96,25 +96,25 @@ def _spread_batch(rng, d, p, k, spread=4.0, min_gap=0.05) -> Tensor:
             return Tensor(x, requires_grad=True)
 
 
-def _relu_margin(layers, bns, x_data: np.ndarray) -> float:
-    """Smallest |preactivation| feeding a relu, from the layers' numpy forward."""
+def _relu_margin(net, x_data: np.ndarray) -> float:
+    """Smallest |preactivation| feeding a relu, from net's numpy steps."""
     h = x_data
     worst = np.inf
-    for i, layer in enumerate(layers[:-1]):
-        z, _ = layer._apply(h)
-        if bns:
-            z, _ = bns[i]._apply(z)
-        worst = min(worst, float(np.abs(z).min()))
-        h = np.maximum(z, 0.0)
+    for step in net.steps:
+        if step is RELU:
+            worst = min(worst, float(np.abs(h).min()))
+            h = np.maximum(h, 0.0)
+        else:
+            h, _ = step._apply(h)
     return worst
 
 
-def _off_kink_input(rng, d, n, layers, bns=None, tries: int = 50) -> Tensor:
+def _off_kink_input(rng, d, n, net, tries: int = 50) -> Tensor:
     """Input batch whose relu preactivations are all off the kink."""
     best, best_margin = None, -np.inf
     for _ in range(tries):
         x = rng.uniform(-2.0, 2.0, size=(d, n))
-        margin = _relu_margin(layers, bns, x)
+        margin = _relu_margin(net, x)
         if margin > 1e-3:
             return Tensor(x, requires_grad=True)
         if margin > best_margin:
@@ -126,41 +126,35 @@ def _sum_squares(t: Tensor) -> Tensor:
     return (t * t).sum()
 
 
+def _case_network(net, x, prefix) -> GradProblem:
+    leaves = {"x": x, **{f"{prefix}.{n}": p for n, p in net.params()}}
+    return GradProblem(lambda: _sum_squares(net(x)), leaves)
+
+
 def _case_linear(rng) -> GradProblem:
-    layer = Linear(3, 4, rng)
-    x = _feat(rng, 3, 6)
-    leaves = {"x": x, **{f"linear.{n}": p for n, p in layer.params()}}
-    return GradProblem(lambda: _sum_squares(layer(x)), leaves)
+    return _case_network(Linear(3, 4, rng), _feat(rng, 3, 6), "linear")
 
 
 def _case_batchnorm(rng) -> GradProblem:
     bn = BatchNorm(3)
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=(3, 1))
     bn.beta.data[:] = rng.uniform(-0.5, 0.5, size=(3, 1))
-    x = _feat(rng, 3, 8)
-    leaves = {"x": x, **{f"bn.{n}": p for n, p in bn.params()}}
-    return GradProblem(lambda: _sum_squares(bn(x)), leaves)
+    return _case_network(bn, _feat(rng, 3, 8), "bn")
 
 
 def _case_mlp(rng) -> GradProblem:
     net = MLP(4, (8, 8), 3, rng)
-    x = _off_kink_input(rng, 4, 6, net.layers)
-    leaves = {"x": x, **{f"mlp.{n}": p for n, p in net.params()}}
-    return GradProblem(lambda: _sum_squares(net(x)), leaves)
+    return _case_network(net, _off_kink_input(rng, 4, 6, net), "mlp")
 
 
 def _case_predictor_plain(rng) -> GradProblem:
     net = CenterPredictor(dim=3, hidden=8, rng=rng, depth=2)
-    x = _off_kink_input(rng, 3, 6, net.layers)
-    leaves = {"x": x, **{f"pred.{n}": p for n, p in net.params()}}
-    return GradProblem(lambda: _sum_squares(net(x)), leaves)
+    return _case_network(net, _off_kink_input(rng, 3, 6, net), "pred")
 
 
 def _case_predictor_deep_bn(rng) -> GradProblem:
     net = CenterPredictor(dim=3, hidden=8, rng=rng, depth=4, bn_hidden=True, bn_output=True)
-    x = _off_kink_input(rng, 3, 6, net.layers, bns=net.hidden_bns)
-    leaves = {"x": x, **{f"pred.{n}": p for n, p in net.params()}}
-    return GradProblem(lambda: _sum_squares(net(x)), leaves)
+    return _case_network(net, _off_kink_input(rng, 3, 6, net), "pred")
 
 
 def _case_matmul_chain(rng) -> GradProblem:
@@ -235,7 +229,7 @@ def _case_rll(rng) -> GradProblem:
 def _case_cpl_frozen(rng) -> GradProblem:
     labels = _labels_pk(2, 3)
     net = CenterPredictor(dim=3, hidden=8, rng=rng, depth=2)
-    x = _off_kink_input(rng, 3, 6, net.layers)
+    x = _off_kink_input(rng, 3, 6, net)
     # frozen semantics: the finite difference must not move the targets,
     # so they are pinned at the unperturbed embeddings' values
     pinned = cpl_targets(x.data.copy(), labels)

@@ -200,7 +200,7 @@ def _check_dist(dist, labels, opname: str):
     return dist, labels
 
 
-def triplet_loss_batch_hard(dist, labels, margin: float = 0.3) -> Tensor:
+def triplet_loss_batch_hard(dist, labels, margin: float) -> Tensor:
     """Batch-hard triplet on the N x N distance matrix D: per anchor, the
     hardest positive and hardest negative, hinge at the margin, mean over
     anchors."""
@@ -221,7 +221,7 @@ def triplet_loss_batch_hard(dist, labels, margin: float = 0.3) -> Tensor:
     return (dp - dn + margin).relu().mean()
 
 
-def circle_loss(features, labels, scale: float = 32.0, margin: float = 0.25) -> Tensor:
+def circle_loss(features, labels, scale: float, margin: float) -> Tensor:
     """Mean over anchors of log(1 + sum_j exp(s*(sn_j + m)) * sum_i exp(-s*sp_i))
     on cosine similarities of L2-normalized embeddings.
 
@@ -243,7 +243,7 @@ def circle_loss(features, labels, scale: float = 32.0, margin: float = 0.25) -> 
     return softplus(z).mean()
 
 
-def lifted_structure_loss(dist, labels, margin: float = 1.0) -> Tensor:
+def lifted_structure_loss(dist, labels, margin: float) -> Tensor:
     """Mean over positive pairs (i < j) of
     relu(D_ij + log sum_k exp(m - D_ik) + log sum_l exp(m - D_jl)),
     k and l ranging over the negatives of i and of j.
@@ -264,7 +264,7 @@ def lifted_structure_loss(dist, labels, margin: float = 1.0) -> Tensor:
     return terms.sum() * (1.0 / n_pairs)
 
 
-def ranked_list_loss(dist, labels, alpha: float = 1.2, margin: float = 0.4) -> Tensor:
+def ranked_list_loss(dist, labels, alpha: float, margin: float) -> Tensor:
     """Mean over ordered pairs i != j of the N x N distance matrix D of
     (1-y_ij) * relu(alpha - D_ij) + y_ij * relu(D_ij - (alpha - margin))."""
     dist, labels = _check_dist(dist, labels, "ranked_list_loss")

@@ -108,7 +108,10 @@ def _draw_instances(ds, identity, k, allow_resample, rng) -> np.ndarray:
             f"identity {identity} has {pool.size} samples, needs {k} (allow_resample is off)"
         )
     # too few distinct instances: keep them all and resample the remainder
-    extra = rng.choice(pool, size=k - pool.size, replace=True)
+    try:
+        extra = rng.choice(pool, size=k - pool.size, replace=True)
+    except (ValueError, MemoryError):  # numpy: "array is too big", or no memory for it
+        raise ConfigError(f"sampler.k: cannot allocate a batch of {k} instances per identity") from None
     return np.concatenate([pool, extra])
 
 

@@ -296,6 +296,25 @@ def test_int_outside_int64_in_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+# inside int64, but each array numpy would build from it is too big to index,
+# so numpy refuses before any memory is touched
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("model.predictor_hidden", "linear: cannot allocate a 9000000000000000000 x 8 weight matrix"),
+        ("model.embedding_dim", "linear: cannot allocate a 9000000000000000000 x 32 weight matrix"),
+        ("model.extractor_hidden", "linear: cannot allocate a 9000000000000000000 x 2 weight matrix"),
+        ("sampler.k", "sampler.k: cannot allocate a batch of 9000000000000000000 instances per identity"),
+    ],
+)
+def test_size_numpy_cannot_allocate_exits_2(key, message, tmp_path, capsys):
+    cfg = _write(tmp_path, TRAIN_CFG + f"{key} = 9000000000000000000\nout = {tmp_path / 'run'}\n")
+    code, out, err = _run(capsys, "run", str(cfg))
+    _assert_one_config_error_line(code, out, err)
+    assert json.loads(err)["message"] == message
+    assert not (tmp_path / "run").exists()
+
+
 def test_help_still_prints_usage_and_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "-h"])

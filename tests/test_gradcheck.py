@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,10 @@ from metriclab.gradcheck import (
     run_gradcheck,
 )
 from metriclab.seeding import substream
+
+# seed-0 `metriclab gradcheck --batches 2` stdout, which
+# scripts/run_all_experiments.py regenerates
+REPORT = Path(__file__).resolve().parents[1] / "runs" / "gradcheck" / "report.txt"
 
 
 def test_central_diff_matches_closed_form(rng):
@@ -50,6 +56,12 @@ def test_report_text_format():
     for line in lines[:-1]:
         assert "max_rel_err" in line and line.endswith(("PASS", "FAIL"))
     assert lines[-1].startswith("gradcheck: 16/16 ops")
+
+
+def test_report_matches_checked_in_file_byte_for_byte():
+    # every problem, error and verdict is pinned: a change to a case's draws
+    # or to any op's numerics shows up here
+    assert (run_gradcheck(0, 1e-4, 2).to_text() + "\n").encode() == REPORT.read_bytes()
 
 
 def test_suite_deterministic():

@@ -252,15 +252,11 @@ def test_fused_batchnorm_is_bit_identical_to_composed_graph(n, rng):
 
 def chained(net, x, linear=Linear.forward, batchnorm=BatchNorm.forward):
     """net as a chain of one-layer ops and autograd relus: the reference for
-    its layer stack."""
+    its layer stack, read from its layers and BNs and never from its steps."""
     h = as_tensor(x)
-    if isinstance(net, MLP):
-        for layer in net.layers[:-1]:
-            h = relu(linear(layer, h))
-        return linear(net.layers[-1], h)
     for i, layer in enumerate(net.layers[:-1]):
         h = linear(layer, h)
-        if net.bn_hidden:
+        if net.hidden_bns:
             h = batchnorm(net.hidden_bns[i], h)
         h = relu(h)
     h = linear(net.layers[-1], h)
