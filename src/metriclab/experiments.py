@@ -72,16 +72,17 @@ class SurfaceGrid:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["x", "y", "label", "e", "boundary"])
-        for j in range(self.n):
-            writer.writerow(
-                [
-                    repr(float(self.points[0, j])),
-                    repr(float(self.points[1, j])),
-                    int(self.labels[j]),
-                    repr(float(self.errors[j])),
-                    int(self.boundary[j]),
-                ]
+        # one conversion per column: tolist() gives Python floats, ints and bools
+        xs, ys = self.points.tolist()
+        writer.writerows(
+            zip(
+                map(repr, xs),
+                map(repr, ys),
+                self.labels.tolist(),
+                map(repr, self.errors.tolist()),
+                map(int, self.boundary.tolist()),
             )
+        )
         return buf.getvalue()
 
     def write_csv(self, path):

@@ -32,6 +32,7 @@ from .autograd import (
 )
 from .errors import ConfigError, NumericsError, ShapeError
 from .metrics import pairwise_distances
+from .sampling import group_labels
 from .seeding import substream
 
 __all__ = [
@@ -43,6 +44,8 @@ __all__ = [
     "lifted_structure_loss",
     "ranked_list_loss",
     "cpl_targets",
+    "cpl_weights",
+    "cpl_objective",
     "cpl_loss",
     "TARGET_MODES",
     "pairwise_euclidean",
@@ -307,8 +310,9 @@ def cpl_targets(features, labels, target_mode: str = "leave-one-out-mean", seed:
         raise ConfigError(f"unknown target mode {target_mode!r}; expected one of {TARGET_MODES}")
     values = features.data
     targets = np.empty_like(values)
-    for label in np.unique(labels):
-        idx = np.flatnonzero(labels == label)
+    ids, grouped, starts = group_labels(labels)
+    for label, lo, hi in zip(ids.tolist(), starts[:-1], starts[1:]):
+        idx = grouped[lo:hi]
         k = idx.size
         if k < 2:
             raise ShapeError(f"cpl_targets: identity {label} has {k} sample(s); need >= 2")
@@ -324,10 +328,51 @@ def cpl_targets(features, labels, target_mode: str = "leave-one-out-mean", seed:
             targets[:, idx] = z[:, dist.argmax(axis=1)]  # ties: argmax takes the lowest index
         else:  # random-point
             order = _canonical_order(z)
-            draws = substream(seed, f"cpl-random-target/{int(label)}").integers(0, k - 1, size=k)
+            draws = substream(seed, f"cpl-random-target/{label}").integers(0, k - 1, size=k)
             # rank r draws among the other k - 1 ranks: u < r as is, else u + 1
             targets[:, idx[order]] = z[:, order[draws + (draws >= np.arange(k))]]
     return Tensor(targets)
+
+
+def cpl_weights(labels) -> np.ndarray:
+    """1 x N row of CPL column weights: 1 / (class size) for each column."""
+    _, order, starts = group_labels(labels)
+    counts = np.diff(starts)
+    weights = np.empty((1, order.size))
+    weights[0, order] = np.repeat(1.0 / counts, counts)
+    return weights
+
+
+def cpl_objective(features, labels, targets):
+    """The CPL of one fixed batch as a function of the predictor.
+
+    Checks the inputs and builds the weight row once; each call of the
+    returned `loss(predictor=None)` runs only the predictor and the one-op
+    tail, so a refit over a fixed batch pays for neither again.
+    """
+    features, labels = _check_batch(features, labels, "cpl_loss")
+    targets = as_tensor(targets)
+    if targets.requires_grad:
+        raise ConfigError("cpl_loss: targets must be constant (detached)")
+    if targets.shape != features.shape:
+        raise ShapeError("cpl_loss: targets shape mismatch")
+    weights = cpl_weights(labels)
+    target_values = targets.data
+
+    def loss(predictor=None) -> Tensor:
+        preds = predictor(features) if predictor is not None else features
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = preds.data - target_values
+            sq = (diff * diff).sum(axis=0, keepdims=True)  # 1 x N
+
+        def bw(g):
+            t = np.broadcast_to(np.broadcast_to(g, sq.shape) * weights, diff.shape) * diff
+            return (t + t,)
+
+        bw.__qualname__ = "cpl_loss.<locals>.bw"  # failures name the op, not this helper
+        return _make((sq * weights).sum().reshape(1, 1), (preds,), bw)
+
+    return loss
 
 
 def cpl_loss(features, labels, targets, predictor=None) -> Tensor:
@@ -339,23 +384,6 @@ def cpl_loss(features, labels, targets, predictor=None) -> Tensor:
 
     The tail after the predictor is one autograd op that replays the
     composed graph sum(sum((preds - targets)^2, axis=0) * weights) bit for
-    bit, weights being 1 / (class size) per column.
+    bit, weights being `cpl_weights(labels)`.
     """
-    features, labels = _check_batch(features, labels, "cpl_loss")
-    targets = as_tensor(targets)
-    if targets.requires_grad:
-        raise ConfigError("cpl_loss: targets must be constant (detached)")
-    if targets.shape != features.shape:
-        raise ShapeError("cpl_loss: targets shape mismatch")
-    preds = predictor(features) if predictor is not None else features
-    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    weights = (1.0 / counts)[inverse][None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = preds.data - targets.data
-        sq = (diff * diff).sum(axis=0, keepdims=True)  # 1 x N
-
-    def bw(g):
-        t = np.broadcast_to(np.broadcast_to(g, sq.shape) * weights, diff.shape) * diff
-        return (t + t,)
-
-    return _make((sq * weights).sum().reshape(1, 1), (preds,), bw)
+    return cpl_objective(features, labels, targets)(predictor)

@@ -20,6 +20,7 @@ from .autograd import _all_finite
 from .errors import ConfigError, DataFormatError, ShapeError
 
 __all__ = [
+    "group_labels",
     "LabeledDataset",
     "LabeledBatch",
     "PKSamplerConfig",
@@ -27,6 +28,23 @@ __all__ = [
     "save_dataset_csv",
     "load_dataset_csv",
 ]
+
+
+def group_labels(labels):
+    """Group column indices by integer label with one stable sort.
+
+    Returns (ids, order, starts): the distinct labels in ascending order,
+    the stable argsort of labels, and the start of each id's run in it
+    followed by len(labels). Group g, order[starts[g]:starts[g + 1]], holds
+    the columns of ids[g] in ascending order, as np.flatnonzero(labels ==
+    ids[g]) does, so np.diff(starts) are the class sizes.
+    """
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    heads = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    starts = np.concatenate(([0], heads, [labels.size])) if labels.size else np.zeros(1, np.intp)
+    return ranked[starts[:-1]], order, starts
 
 
 @dataclass
@@ -46,8 +64,9 @@ class LabeledDataset:
             raise ShapeError("dataset needs exactly one label per feature column")
         if not _all_finite(self.features):
             raise ShapeError("dataset features must be finite")
+        ids, order, starts = group_labels(self.labels)
         self.by_identity = {
-            int(label): np.flatnonzero(self.labels == label) for label in np.unique(self.labels)
+            label: order[lo:hi] for label, lo, hi in zip(ids.tolist(), starts[:-1], starts[1:])
         }
 
     @property
@@ -60,7 +79,7 @@ class LabeledDataset:
 
     @property
     def identities(self) -> list:
-        return sorted(self.by_identity)
+        return list(self.by_identity)  # group_labels lists ids ascending
 
     def subset(self, idx) -> "LabeledDataset":
         idx = np.asarray(idx, dtype=np.intp)

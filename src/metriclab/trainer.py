@@ -23,6 +23,7 @@ from .losses import (
     center_loss,
     circle_loss,
     cpl_loss,
+    cpl_objective,
     cpl_targets,
     id_cross_entropy,
     lifted_structure_loss,
@@ -341,14 +342,15 @@ def refit_predictor(
     Returns (best_loss, history of per-step losses); the predictor is left
     holding the best parameters.
     """
-    x = as_tensor(np.asarray(features, dtype=np.float64))
+    # the batch and its targets are fixed: check them and weigh the classes once
+    objective = cpl_objective(np.asarray(features, dtype=np.float64), labels, targets)
     params = [p for _, p in predictor.params()]
     opt = SGD(params)
     best_value = np.inf
     best_params = None
     history = []
     for step in range(steps + 1):
-        loss = cpl_loss(x, labels, targets, predictor)
+        loss = objective(predictor)
         value = loss.item()
         history.append(value)
         if value < best_value:

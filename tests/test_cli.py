@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,3 +470,40 @@ def test_predictor_hidden_sets_surface_and_boundary_refit_width(tmp_path, capsys
     assert _run(capsys, "run", str(surface))[0] == 0
     assert _run(capsys, "run", str(boundary))[0] == 0
     assert widths == [8, 8]
+
+
+# numpy 2.x imports numpy.ma lazily, e.g. on the first bare np.unique call,
+# which costs a run about 18 ms; no surface, train, ablation-bn or gradcheck
+# run should pay it
+NO_MASKED_ARRAYS = """
+import json, sys
+from metriclab.cli import dispatch
+from metriclab.config import parse_config
+from metriclab.gradcheck import run_gradcheck
+
+loaded = {}
+for name, text in json.loads(sys.argv[1]).items():
+    dispatch(parse_config(text))
+    loaded[name] = "numpy.ma" in sys.modules
+run_gradcheck(batches=1)
+loaded["gradcheck"] = "numpy.ma" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_runs_never_import_numpy_ma(tmp_path):
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    if subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True).stdout.strip() != "False":
+        pytest.skip("a bare `import numpy` already loads numpy.ma")
+    configs = {
+        "surface": f"kind = surface\nrefit.steps = 3\nout = {tmp_path / 'surface'}\n",
+        "train": f"kind = train\nsgd.epochs = 2\nsgd.milestones = 1\nout = {tmp_path / 'train'}\n",
+        "ablation-bn": f"kind = ablation-bn\nsgd.epochs = 1\nsgd.milestones =\nout = {tmp_path / 'bn'}\n",
+    }
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, json.dumps(configs)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"surface": False, "train": False, "ablation-bn": False, "gradcheck": False}

@@ -11,6 +11,7 @@ from metriclab.losses import (
     circle_loss,
     cpl_loss,
     cpl_targets,
+    cpl_weights,
     id_cross_entropy,
     lifted_structure_loss,
     pairwise_euclidean,
@@ -553,6 +554,16 @@ def composed_cpl(features, labels, predictor=None):
     sq = (diff * diff).sum(axis=0)
     _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
     return (sq * as_tensor((1.0 / counts)[inverse][None, :])).sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    labels=st.lists(st.integers(-3, 3) | st.sampled_from([-(2**63), 2**63 - 1]), min_size=1, max_size=30)
+)
+def test_cpl_weights_equal_inverse_class_sizes_bit_for_bit(labels):
+    labels = np.array(labels, dtype=np.int64)
+    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    assert np.array_equal(cpl_weights(labels), (1.0 / counts)[inverse][None, :])
 
 
 def _value_and_grad(op, data, r):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metriclab.errors import ConfigError, DataFormatError, ShapeError
 from metriclab.sampling import (
@@ -7,6 +9,7 @@ from metriclab.sampling import (
     LabeledDataset,
     PKSamplerConfig,
     epoch_iter,
+    group_labels,
     load_dataset_csv,
     save_dataset_csv,
 )
@@ -24,6 +27,39 @@ def test_dataset_validates_shapes():
         LabeledDataset(np.zeros((2, 3)), np.array([0, 1]))
     with pytest.raises(ShapeError):
         LabeledDataset(np.zeros(3), np.array([0, 1, 2]))
+
+
+INT64 = np.iinfo(np.int64)
+# a few distinct ids, int64 extremes among them, each drawn any number of times
+LABEL_LISTS = st.lists(
+    st.integers(INT64.min, INT64.max) | st.sampled_from([INT64.min, -1, 0, INT64.max]),
+    min_size=1,
+    max_size=4,
+    unique=True,
+).flatmap(lambda ids: st.lists(st.sampled_from(ids), max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=LABEL_LISTS)
+@example(labels=[])
+@example(labels=[7])
+@example(labels=[3, -2, 3, 3, -2, 9, 3])
+@example(labels=[INT64.max, INT64.min, INT64.max])
+def test_group_labels_matches_unique_and_flatnonzero(labels):
+    labels = np.array(labels, dtype=np.int64)
+    ids, order, starts = group_labels(labels)
+    assert np.array_equal(ids, np.unique(labels)) and ids.dtype == np.int64
+    assert starts[0] == 0 and starts[-1] == labels.size and starts.size == ids.size + 1
+    for label, lo, hi in zip(ids, starts[:-1], starts[1:]):
+        assert np.array_equal(order[lo:hi], np.flatnonzero(labels == label))
+
+
+def test_dataset_groups_columns_by_ascending_identity():
+    labels = np.array([5, -3, 5, 2, -3, 5])
+    ds = LabeledDataset(np.zeros((1, 6)), labels)
+    assert ds.identities == [-3, 2, 5]
+    for label in ds.identities:
+        assert np.array_equal(ds.by_identity[label], np.flatnonzero(labels == label))
 
 
 def test_pk_batch_is_p_times_k():

@@ -9,6 +9,7 @@ from metriclab.sampling import LabeledDataset, PKSamplerConfig, epoch_iter
 from metriclab.seeding import substream
 from metriclab.synthetic import four_class_fixture, bimodal_class_fixture
 from metriclab.trainer import (
+    SGD,
     LossConfig,
     SgdConfig,
     _loss_parts,
@@ -275,6 +276,47 @@ def test_refit_never_exceeds_identity_init(rng):
         assert history[0] == pytest.approx(init_value, rel=1e-12)
         # predictor holds the best params: recomputing reproduces best
         assert cpl_loss(ds.features, ds.labels, targets, pred).item() == pytest.approx(best, rel=1e-12)
+
+
+def _refit_reference(features, labels, targets, predictor, steps, lr):
+    """refit_predictor as a loop that calls cpl_loss at every step."""
+    x = as_tensor(features)
+    params = [p for _, p in predictor.params()]
+    opt = SGD(params)
+    best_value, best_params, history = np.inf, None, []
+    for step in range(steps + 1):
+        loss = cpl_loss(x, labels, targets, predictor)
+        history.append(loss.item())
+        if history[-1] < best_value:
+            best_value, best_params = history[-1], [p.data.copy() for p in params]
+        if step < steps:
+            opt.step(backward(loss), lr)
+    for p, best in zip(params, best_params):
+        p.data[:] = best
+    return best_value, history
+
+
+def _bimodal_points():
+    ds = bimodal_class_fixture(seed=1, n_per_component=30)
+    return ds.features, ds.labels
+
+
+def _ragged_points():
+    # unequal class sizes, negative and non-contiguous ids, classes interleaved
+    labels = np.array([40, -5, 3, -5, 40, 3, 40, 3, -5, 40, 40, 3, 40])
+    return substream(3, "ragged").normal(0, 1, (2, labels.size)), labels
+
+
+@pytest.mark.parametrize("points", [_bimodal_points, _ragged_points], ids=["bimodal", "ragged"])
+def test_refit_matches_a_loop_of_cpl_loss_calls(points):
+    features, labels = points()
+    targets = cpl_targets(features, labels)
+    fitted, reference = (CenterPredictor(dim=2, hidden=8, rng=substream(5, "p"), depth=2) for _ in range(2))
+    best, history = refit_predictor(features, labels, targets, fitted, steps=60, lr=0.01)
+    ref_best, ref_history = _refit_reference(features, labels, targets, reference, steps=60, lr=0.01)
+    assert history == ref_history and best == ref_best
+    for (name, p), (_, q) in zip(fitted.params(), reference.params()):
+        assert np.array_equal(p.data, q.data), name
 
 
 def test_refit_beats_dispersion_bound():
