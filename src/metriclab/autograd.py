@@ -4,8 +4,8 @@ Every value is a 2-D float64 matrix. Batches use the column-per-sample
 convention throughout the package: a batch of N vectors in R^d is a d x N
 matrix. Operations build a define-by-run graph; backward(root) walks it once
 in reverse topological order and returns exact gradients for every node that
-requires them. detach() cuts the graph: the detached value participates in
-later computation but no gradient ever flows into whatever produced it.
+requires them. A tensor built from plain data without requires_grad is a
+constant: it joins later computation but no gradient ever flows into it.
 
 Graphs are cheap and ephemeral (built per step, dropped after backward), so
 nodes hold plain references. An op may overwrite intermediates that it
@@ -94,10 +94,6 @@ class Tensor:
             raise ShapeError(f"item() needs a 1x1 matrix, got {self.data.shape}")
         return float(self.data[0, 0])
 
-    def detach(self) -> "Tensor":
-        """Same value, no history. Gradients never reach this node's origin."""
-        return Tensor(self.data.copy())
-
     # -- operator sugar -------------------------------------------------
 
     def __add__(self, other):
@@ -118,9 +114,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
     def __neg__(self):
         return mul(self, -1.0)

@@ -202,7 +202,6 @@ def _sections(cls) -> dict:
 
 class _Key(NamedTuple):
     path: tuple
-    default: object
     get: Callable
     parse: Callable
     render: Callable
@@ -215,16 +214,14 @@ _DEFAULTS = SimpleNamespace(**{f.name: _field_default(f) for f in fields(Experim
 def _resolve(path: str) -> _Key:
     *parents, leaf = path.split(".")
     owner = attrgetter(".".join(parents)) if parents else (lambda obj: obj)
-    parent = owner(_DEFAULTS)
-    if isinstance(parent, dict):
+    if isinstance(owner(_DEFAULTS), dict):
         # loss weights: a loss missing from the dict weighs 0.0
-        default = parent.get(leaf, 0.0)
         get = lambda cfg: owner(cfg).get(leaf, 0.0)
     else:
-        default = getattr(parent, leaf)
         get = attrgetter(path)
+    default = get(_DEFAULTS)
     codec = _CODECS[str if default is None else type(default)]
-    return _Key((*parents, leaf), default, get, *codec)
+    return _Key((*parents, leaf), get, *codec)
 
 
 # key -> _Key, resolved once at import
@@ -260,16 +257,19 @@ def _build(cls, values: dict):
     return cls(**values)
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """The config that text sets. A key the text omits keeps base's value,
+    or its default when no base is given; only a base lets text omit `kind`."""
     raw = _parse_raw(text)
-    if "kind" not in raw:
+    if base is None and "kind" not in raw:
         raise ConfigError("config must set 'kind'")
+    fallback = _DEFAULTS if base is None else base
     tree = {}
     for key, spec in _KEYS.items():
         node = tree
         for name in spec.path[:-1]:
             node = node.setdefault(name, {})
-        node[spec.path[-1]] = raw.get(key, spec.default)
+        node[spec.path[-1]] = raw[key] if key in raw else spec.get(fallback)
     for name, section in _sections(ExperimentConfig).items():
         try:
             tree[name] = _build(section, tree[name])

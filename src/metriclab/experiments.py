@@ -18,7 +18,7 @@ import numpy as np
 
 from . import losses
 from .autograd import _all_finite, as_tensor
-from .config import SURFACE_LOSS_KINDS, ExperimentConfig, config_hash, render_config
+from .config import SURFACE_LOSS_KINDS, ExperimentConfig, config_hash, parse_config, render_config
 from .errors import ConfigError, ShapeError
 from .metrics import evaluate_retrieval, l2_normalize
 from .nn import CenterPredictor
@@ -51,10 +51,6 @@ class SurfaceGrid:
             raise ShapeError("surface labels/errors/flags must have one entry per point")
         if not _all_finite(self.errors) or np.any(self.errors < 0):
             raise ShapeError("surface errors must be finite and >= 0")
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[1]
 
     def class_mean_error(self, label: int) -> float:
         mask = self.labels == label
@@ -175,18 +171,33 @@ def run_boundary_experiment(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=N
 
 # -- ablations on a held-out-identity retrieval task ---------------------------
 
-# Table-style row order: the naive targets first, the default last
-TARGET_ABLATION_MODES = ("random-point", "farthest-point", "sample-mean", "leave-one-out-mean")
-
-BN_ABLATION_VARIANTS = (
-    # (name, predictor, depth, bn_target, bn_hidden, bn_output)
-    ("no-pred", "none", 2, False, False, False),
-    ("pred2", "mlp", 2, False, False, False),
-    ("pred2+tbn", "mlp", 2, True, False, False),
-    ("pred2+tbn+hbn", "mlp", 2, True, True, False),
-    ("pred4+tbn+hbn", "mlp", 4, True, True, False),
-    ("pred2+tbn+hbn+obn", "mlp", 2, True, True, True),
-)
+# kind -> ordered (variant, {schema key: value text}) rows. A variant is the
+# run's config with its row's keys set, parsed as a config file is. Each BN
+# row builds on the plain 2-layer predictor, so it sets all five predictor keys.
+_PRED2 = {
+    "model.predictor": "mlp",
+    "model.predictor_depth": "2",
+    "model.bn_target": "false",
+    "model.bn_predictor_hidden": "false",
+    "model.bn_predictor_output": "false",
+}
+_PRED2_TBN = {**_PRED2, "model.bn_target": "true"}
+_PRED2_TBN_HBN = {**_PRED2_TBN, "model.bn_predictor_hidden": "true"}
+ABLATIONS = {
+    # the naive targets first, the default last
+    "ablation-target": [
+        (mode, {"loss.cpl.target": mode})
+        for mode in ("random-point", "farthest-point", "sample-mean", "leave-one-out-mean")
+    ],
+    "ablation-bn": [
+        ("no-pred", {**_PRED2, "model.predictor": "none"}),
+        ("pred2", _PRED2),
+        ("pred2+tbn", _PRED2_TBN),
+        ("pred2+tbn+hbn", _PRED2_TBN_HBN),
+        ("pred4+tbn+hbn", {**_PRED2_TBN_HBN, "model.predictor_depth": "4"}),
+        ("pred2+tbn+hbn+obn", {**_PRED2_TBN_HBN, "model.bn_predictor_output": "true"}),
+    ],
+}
 
 
 @dataclass
@@ -260,11 +271,19 @@ def run_retrieval_variant(split: tuple, cfg: ExperimentConfig, variant: str):
     return summary["map"], summary["rank1"]
 
 
-def _run_ablation(ds: LabeledDataset, variants: list) -> AblationReport:
-    """Every (name, config) variant trained and evaluated on one split of ds."""
+def ablation_configs(cfg: ExperimentConfig, kind: str) -> list:
+    """(variant, config) for each row of ABLATIONS[kind]: cfg with the row's keys set."""
+    return [
+        (name, parse_config("".join(f"{key} = {value}\n" for key, value in row.items()), base=cfg))
+        for name, row in ABLATIONS[kind]
+    ]
+
+
+def _run_ablation(ds: LabeledDataset, cfg: ExperimentConfig, kind: str) -> AblationReport:
+    """Every variant of kind, trained and evaluated on one split of ds."""
     split = split_retrieval_task(ds)
     rows, configs = [], {}
-    for name, vcfg in variants:
+    for name, vcfg in ablation_configs(cfg, kind):
         mean_ap, rank1 = run_retrieval_variant(split, vcfg, name)
         rows.append(AblationRow(name, mean_ap, rank1, config_hash(vcfg)))
         configs[name] = render_config(vcfg)
@@ -273,23 +292,9 @@ def _run_ablation(ds: LabeledDataset, variants: list) -> AblationReport:
 
 def run_target_ablation(ds: LabeledDataset, cfg: ExperimentConfig) -> AblationReport:
     """Four identical runs differing only in the prediction-target mode."""
-    variants = [
-        (mode, replace(cfg, loss=replace(cfg.loss, cpl_target=mode))) for mode in TARGET_ABLATION_MODES
-    ]
-    return _run_ablation(ds, variants)
+    return _run_ablation(ds, cfg, "ablation-target")
 
 
 def run_bn_ablation(ds: LabeledDataset, cfg: ExperimentConfig) -> AblationReport:
     """Predictor depth and BN placement grid, from bare distance to all-BN."""
-    variants = []
-    for name, predictor, depth, tbn, hbn, obn in BN_ABLATION_VARIANTS:
-        model = replace(
-            cfg.model,
-            predictor=predictor,
-            predictor_depth=depth,
-            bn_target=tbn,
-            bn_predictor_hidden=hbn,
-            bn_predictor_output=obn,
-        )
-        variants.append((name, replace(cfg, model=model)))
-    return _run_ablation(ds, variants)
+    return _run_ablation(ds, cfg, "ablation-bn")

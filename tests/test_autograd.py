@@ -49,33 +49,6 @@ def test_backward_accumulates_over_fanout():
     assert grads[x][0, 0] == pytest.approx(8.0)
 
 
-def test_detach_keeps_value_blocks_gradient():
-    x = Tensor([[2.0], [5.0]], requires_grad=True)
-    d = (x * 3.0).detach()
-    assert np.array_equal(d.data, [[6.0], [15.0]])
-    assert not d.requires_grad and not d._parents
-    # loss uses both a live and a detached branch of x
-    loss = (x * d).sum()
-    grads = backward(loss)
-    # only the live branch contributes: gradient is d's value, not 6x
-    assert np.array_equal(grads[x], d.data)
-
-
-def test_detach_of_detach_is_detach():
-    x = Tensor([[1.0, -1.0]], requires_grad=True)
-    d1 = x.detach()
-    d2 = d1.detach()
-    assert not d2.requires_grad and not d2._parents
-    assert np.array_equal(d1.data, d2.data)
-
-
-def test_detached_value_is_a_copy():
-    x = Tensor([[1.0]], requires_grad=True)
-    d = x.detach()
-    x.data[0, 0] = 99.0
-    assert d.data[0, 0] == 1.0
-
-
 def test_backward_twice_is_bitwise_identical():
     rng = np.random.default_rng(7)
     x = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)

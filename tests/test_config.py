@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -41,9 +42,14 @@ def test_comments_and_blank_lines_ignored():
     assert cfg.seed == 7
 
 
+# a base config: keys the text omits keep its values, as ablation variants do
+BASE_CFG = parse_config("kind = ablation-bn\nseed = 3\nmodel.predictor_depth = 4\n")
+
+
 def test_unknown_key_rejected_with_key_name():
-    with pytest.raises(ConfigError, match="loss.cpl.wieght"):
-        parse_config("kind = train\nloss.cpl.wieght = 1.0\n")
+    for base in (None, BASE_CFG):
+        with pytest.raises(ConfigError, match="loss.cpl.wieght"):
+            parse_config("kind = train\nloss.cpl.wieght = 1.0\n", base=base)
 
 
 def test_duplicate_key_rejected():
@@ -57,10 +63,38 @@ def test_missing_kind_rejected():
 
 
 def test_bad_value_reports_key_and_line():
-    with pytest.raises(ConfigError, match="sgd.epochs"):
-        parse_config("kind = train\nsgd.epochs = soon\n")
-    with pytest.raises(ConfigError, match="model.bn_target"):
-        parse_config("kind = train\nmodel.bn_target = yes\n")
+    for base in (None, BASE_CFG):
+        with pytest.raises(ConfigError, match="line 2: bad value for 'sgd.epochs'"):
+            parse_config("kind = train\nsgd.epochs = soon\n", base=base)
+        with pytest.raises(ConfigError, match="model.bn_target"):
+            parse_config("kind = train\nmodel.bn_target = yes\n", base=base)
+        # parses, then fails the model section's check
+        with pytest.raises(ConfigError, match="model.predictor_depth must be 2 or 4"):
+            parse_config("kind = train\nmodel.predictor_depth = 3\n", base=base)
+
+
+def test_kind_may_be_omitted_only_with_a_base():
+    with pytest.raises(ConfigError, match="must set 'kind'"):
+        parse_config("seed = 4\n")
+    cfg = parse_config("seed = 4\n", base=BASE_CFG)
+    assert cfg == replace(BASE_CFG, seed=4)
+    with pytest.raises(ConfigError, match="line 1: bad value for 'model.predictor_depth'"):
+        parse_config("model.predictor_depth = four\n", base=BASE_CFG)
+
+
+CONFIG_FILES = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: p.stem)
+def test_empty_text_on_a_base_renders_the_base(path):
+    base = parse_config(path.read_text())
+    assert render_config(parse_config("", base=base)) == render_config(base)
+
+
+def test_base_values_are_kept_verbatim():
+    # a rendered-and-reparsed base would strip these spaces and split at the newline
+    base = replace(BASE_CFG, out="  runs/my run\nnext ")
+    assert parse_config("seed = 9\n", base=base).out == base.out
 
 
 @pytest.mark.parametrize(
@@ -249,3 +283,4 @@ def test_schema_key_lands_in_its_field_and_renders_alone(key):
         else:
             assert line == base_line
     assert parse_config(render_config(cfg)) == cfg
+    assert parse_config(f"{key} = {text}\n", base=base) == cfg

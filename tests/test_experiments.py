@@ -4,14 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metriclab.config import ExperimentConfig, parse_config
+from metriclab.config import ExperimentConfig, parse_config, render_config
 from metriclab.errors import ConfigError, ShapeError
 from metriclab.experiments import (
     AblationReport,
     AblationRow,
-    BN_ABLATION_VARIANTS,
+    ABLATIONS,
     SurfaceGrid,
-    TARGET_ABLATION_MODES,
+    ablation_configs,
     center_surface_errors,
     run_bn_ablation,
     run_boundary_experiment,
@@ -129,7 +129,7 @@ def test_boundary_rejects_wrong_class_count():
 def test_boundary_grid_contract():
     ds = three_class_fixture(seed=subseed(0, "dataset"), n_per_class=60)
     grid, accuracy = run_boundary_experiment(ds, BOUNDARY_CFG)
-    assert grid.n == ds.n
+    assert grid.points.shape == (2, ds.n)
     assert 0.0 <= accuracy <= 1.0
     norms = np.linalg.norm(grid.points, axis=0)
     assert norms == pytest.approx(np.ones(ds.n), abs=1e-9)
@@ -178,7 +178,7 @@ def test_split_needs_enough_identities():
 def test_target_ablation_four_rows_finite():
     cfg = parse_config(ABLATION_CFG)
     report = run_target_ablation(cfg.dataset.load(cfg.seed), cfg)
-    assert [row.variant for row in report.rows] == list(TARGET_ABLATION_MODES)
+    assert [row.variant for row in report.rows] == [name for name, _ in ABLATIONS["ablation-target"]]
     for row in report.rows:
         assert np.isfinite(row.mean_ap) and 0 <= row.mean_ap <= 1
         assert np.isfinite(row.rank1) and 0 <= row.rank1 <= 1
@@ -191,12 +191,49 @@ def test_target_ablation_four_rows_finite():
 def test_bn_ablation_six_rows_finite():
     cfg = parse_config(ABLATION_CFG.replace("ablation-target", "ablation-bn"))
     report = run_bn_ablation(cfg.dataset.load(cfg.seed), cfg)
-    assert [row.variant for row in report.rows] == [v[0] for v in BN_ABLATION_VARIANTS]
+    assert [row.variant for row in report.rows] == [name for name, _ in ABLATIONS["ablation-bn"]]
     assert len(report.rows) == 6
     for row in report.rows:
         assert np.isfinite(row.mean_ap) and np.isfinite(row.rank1)
     assert "model.predictor = none" in report.configs["no-pred"]
     assert "model.predictor_depth = 4" in report.configs["pred4+tbn+hbn"]
+
+
+# sets every key an ablation row overrides to a value no row relies on
+ABLATION_BASE = """
+seed = 5
+out = runs/ablation base
+model.predictor_depth = 4
+model.bn_target = false
+model.bn_predictor_hidden = true
+model.bn_predictor_output = true
+loss.cpl.target = sample-mean
+"""
+
+
+def _rendered(cfg) -> dict:
+    return dict(line.split(" = ", 1) for line in render_config(cfg).splitlines())
+
+
+@pytest.mark.parametrize("kind", list(ABLATIONS))
+def test_ablation_variant_is_base_with_its_row_keys_set(kind):
+    base = parse_config(f"kind = {kind}\n{ABLATION_BASE}")
+    variants = ablation_configs(base, kind)
+    assert [name for name, _ in variants] == [name for name, _ in ABLATIONS[kind]]
+    for (name, vcfg), (_, row) in zip(variants, ABLATIONS[kind]):
+        assert _rendered(vcfg) == {**_rendered(base), **row}, name
+
+
+def test_every_bn_row_sets_all_five_predictor_keys():
+    keys = {
+        "model.predictor",
+        "model.predictor_depth",
+        "model.bn_target",
+        "model.bn_predictor_hidden",
+        "model.bn_predictor_output",
+    }
+    for name, row in ABLATIONS["ablation-bn"]:
+        assert set(row) == keys, name
 
 
 def test_ablation_csv_and_determinism():
