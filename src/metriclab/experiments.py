@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -123,6 +124,33 @@ def run_loss_surface(ds: LabeledDataset, loss_kind: str, cfg: ExperimentConfig) 
     )
 
 
+def linear_quantile(values: np.ndarray, q: float) -> float:
+    """np.quantile(values, q) of a 1-D float array, bit for bit.
+
+    The same linear interpolation between the two order statistics around
+    (n - 1) * q, found by one partition. numpy 2.4's quantile picks its
+    partition points with a bare np.unique, which imports numpy.ma.
+    """
+    n = values.size
+    virtual = (n - 1) * q
+    lo = math.floor(virtual)
+    if virtual >= n - 1:  # numpy takes the last order statistic with index -1
+        lo = hi = -1
+    else:
+        hi = lo + 1
+    # numpy's partition points, so even equal values of opposite sign land alike
+    ordered = np.partition(values, sorted({0, lo % n, hi % n, n - 1}))
+    if np.isnan(ordered[-1]):  # a nan sorts last and makes the quantile nan
+        return float(ordered[-1])
+    gamma = virtual - lo
+    below, above = ordered[lo], ordered[hi]
+    diff = above - below
+    # numpy's _lerp: from the nearer end, as its `where=t >= 0.5` picks
+    if gamma >= 0.5:
+        return float(above - diff * (1 - gamma))
+    return float(below + diff * gamma)
+
+
 def classifier_margins(state, ds: LabeledDataset) -> np.ndarray:
     """Per-sample margin: true-class logit minus best other-class logit."""
     logits = state.classifier(state.extractor(as_tensor(ds.features))).data
@@ -164,7 +192,7 @@ def run_boundary_experiment(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=N
         points=normalized,
         labels=ds.labels,
         errors=_refit_errors(normalized, ds.labels, cfg, "boundary-refit"),
-        boundary=margins <= np.quantile(margins, BOUNDARY_DECILE),
+        boundary=margins <= linear_quantile(margins, BOUNDARY_DECILE),
     )
     return grid, train_accuracy(state, ds)
 

@@ -11,6 +11,14 @@ cross-entropy. `cpl_loss` takes its targets as an input: the d x N
 constant that `cpl_targets` builds from values, so a sample's role as part
 of another sample's target contributes no gradient. Whoever owns the target
 policy (the trainer per batch, a refit once) builds them.
+
+Every loss, `pairwise_euclidean` and the CPL tail is one autograd op that
+replays its composed graph of primitives: the forward runs the graph's numpy
+operations in the same order, and the backward returns the composed sweep's
+gradient terms, an input read more than once being a parent once per use in
+the order that sweep accumulated them. Values and gradients are bit-identical
+to the composed graph's, and a NumericsError, named by the loss, is raised
+wherever one of the graph's checks would have fired.
 """
 
 from __future__ import annotations
@@ -19,17 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import (
-    Tensor,
-    _all_finite,
-    _make,
-    _unbroadcast,
-    as_tensor,
-    gather_cols,
-    gather_pairs,
-    logsumexp,
-    softplus,
-)
+from .autograd import Tensor, _all_finite, _make, _unbroadcast, as_tensor
 from .errors import ConfigError, NumericsError, ShapeError
 from .metrics import pairwise_distances
 from .sampling import group_labels
@@ -129,7 +127,7 @@ def pairwise_euclidean(x: Tensor) -> Tensor:
         # a non-finite intermediate gradient of the composed graph reaches
         # g_gram or g_sq, and from there an x term (inf * 0 is nan), where
         # backward's finiteness check sees it
-        t_sq = np.broadcast_to(g_sq, xd.shape) * xd
+        t_sq = g_sq * xd
         # xt.T, as the composed matmul read its operand from the transpose's copy
         return t_sq, t_sq, xt.T @ g_gram, (g_gram @ xd.T).T
 
@@ -173,6 +171,9 @@ def center_loss(features, labels, centers) -> Tensor:
 
     centers is a d x C matrix (one learnable column per class); gradients
     flow into both features and centers.
+
+    One autograd op that replays the composed graph
+    0.5 * mean(sum((features - centers[:, labels])^2, axis=0)) bit for bit.
     """
     features, labels = _check_batch(features, labels, "center_loss")
     centers = as_tensor(centers)
@@ -180,8 +181,22 @@ def center_loss(features, labels, centers) -> Tensor:
         raise ShapeError("center_loss: feature dim and center dim differ")
     if labels.max() >= centers.shape[1]:
         raise ShapeError(f"center_loss: no center for label {labels.max()}")
-    diff = features - gather_cols(centers, labels)
-    return 0.5 * (diff * diff).sum(axis=0).mean()
+    if labels.min() < 0:
+        raise ShapeError(f"center_loss: no center for label {labels.min()}")
+    x, c = features.data, centers.data
+    scale = 1.0 / labels.size
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term reaches the output
+        diff = x - c[:, labels]
+        per_sample = (diff * diff).sum(axis=0, keepdims=True)
+
+    def bw(g):
+        t = g * 0.5 * scale * diff
+        g_diff = t + t  # the square's two factors
+        g_centers = np.zeros_like(c)
+        np.add.at(g_centers, (slice(None), labels), -g_diff)
+        return g_diff, g_centers
+
+    return _make(per_sample.sum().reshape(1, 1) * scale * 0.5, (features, centers), bw)
 
 
 # -- pairwise losses ----------------------------------------------------------
@@ -203,10 +218,32 @@ def _check_dist(dist, labels, opname: str):
     return dist, labels
 
 
+def _finite(x, opname: str):
+    """Raise where the composed graph's `_make` check would have: a relu, a
+    mask or a division downstream can hide a non-finite intermediate."""
+    if not _all_finite(x):
+        raise NumericsError(f"{opname}: operation produced non-finite entries")
+
+
+def _masked_lse(x, mask):
+    """Forward of logsumexp(x, axis=1, mask=mask): the N x 1 result plus the
+    exponentials and their row sums, which its backward reads."""
+    m = np.maximum.reduce(x, axis=1, keepdims=True, initial=-np.inf, where=mask)
+    # exp(-inf) is numpy's slow path, so the masked zeros are written directly
+    e = np.exp(x - m, out=np.zeros_like(x), where=mask)
+    s = e.sum(axis=1, keepdims=True)
+    return m + np.log(s), e, s
+
+
 def triplet_loss_batch_hard(dist, labels, margin: float) -> Tensor:
     """Batch-hard triplet on the N x N distance matrix D: per anchor, the
     hardest positive and hardest negative, hinge at the margin, mean over
-    anchors."""
+    anchors.
+
+    One autograd op that replays the composed graph
+    mean(relu(D[a, p(a)] - D[a, n(a)] + margin)) bit for bit; D is a parent
+    once per gather, positives first.
+    """
     dist, labels = _check_dist(dist, labels, "triplet_loss_batch_hard")
     pos, neg = _pair_masks(labels)
     if not pos.any(axis=1).all():
@@ -219,9 +256,20 @@ def triplet_loss_batch_hard(dist, labels, margin: float) -> Tensor:
     hardest_pos = np.where(pos, dvals, -np.inf).argmax(axis=1)
     hardest_neg = np.where(neg, dvals, np.inf).argmin(axis=1)
     anchors = np.arange(n)
-    dp = gather_pairs(dist, anchors, hardest_pos)
-    dn = gather_pairs(dist, anchors, hardest_neg)
-    return (dp - dn + margin).relu().mean()
+    with np.errstate(over="ignore", invalid="ignore"):
+        hinge = dvals[anchors, hardest_pos][None, :] - dvals[anchors, hardest_neg][None, :] + margin
+    _finite(hinge, "triplet_loss_batch_hard")  # relu would turn a -inf into 0
+    scale = 1.0 / n
+
+    def bw(g):
+        g_hinge = g * scale * (hinge > 0.0)
+        g_pos, g_neg = np.zeros_like(dvals), np.zeros_like(dvals)
+        # one entry per anchor row, so += adds as the composed np.add.at did
+        g_pos[anchors, hardest_pos] += g_hinge[0]
+        g_neg[anchors, hardest_neg] += -g_hinge[0]
+        return g_pos, g_neg
+
+    return _make(np.maximum(hinge, 0.0).sum().reshape(1, 1) * scale, (dist, dist), bw)
 
 
 def circle_loss(features, labels, scale: float, margin: float) -> Tensor:
@@ -230,7 +278,13 @@ def circle_loss(features, labels, scale: float, margin: float) -> Tensor:
 
     Computed row-wise on the N x N similarity matrix S as
     softplus(logsumexp_neg(s*(S + m)) + logsumexp_pos(-s*S)), each
-    logsumexp masked to the anchor's negatives or positives."""
+    logsumexp masked to the anchor's negatives or positives.
+
+    One autograd op that replays that composed graph bit for bit, with
+    S = xn^T xn for xn = features / sqrt(sum(features^2, axis=0)); features
+    is a parent once for the division and once per factor of the square,
+    the order in which the composed sweep reached them.
+    """
     features, labels = _check_batch(features, labels, "circle_loss")
     if scale <= 0:
         raise ConfigError("circle_loss: scale must be positive")
@@ -239,11 +293,41 @@ def circle_loss(features, labels, scale: float, margin: float) -> Tensor:
         raise ShapeError("circle_loss: an anchor has no positives")
     if not neg.any(axis=1).all():
         raise ShapeError("circle_loss: an anchor has no negatives")
-    norms = (features * features).sum(axis=0).sqrt()  # zero column would fault in div
-    xn = features / norms
-    sim = xn.t() @ xn
-    z = logsumexp(scale * (sim + margin), axis=1, mask=neg) + logsumexp(-scale * sim, axis=1, mask=pos)
-    return softplus(z).mean()
+    x = features.data
+    n = labels.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (x * x).sum(axis=0, keepdims=True)
+        _finite(sq, "circle_loss")  # the division would turn an infinite norm into zeros
+        norms = np.sqrt(sq)
+        if np.any(norms == 0.0):
+            raise NumericsError("circle_loss: a column has zero norm")
+        xn = x / norms
+        xt = xn.T.copy()
+        sim = xt @ xn
+        # masked entries leave the logsumexps, and softplus maps -inf to 0
+        pos_arg = (sim + margin) * scale
+        _finite(pos_arg, "circle_loss")
+        neg_arg = sim * -scale
+        _finite(neg_arg, "circle_loss")
+        lse_neg, e_neg, s_neg = _masked_lse(pos_arg, neg)
+        lse_pos, e_pos, s_pos = _masked_lse(neg_arg, pos)
+        z = lse_neg + lse_pos
+        _finite(z, "circle_loss")
+        # softplus as relu(z) + log(exp(-|z|) + 1)
+        e_z = np.exp(np.abs(z) * -1.0)
+        e_z1 = e_z + 1.0
+        per_anchor = np.maximum(z, 0.0) + np.log(e_z1)
+
+    def bw(g):
+        g_anchor = g * (1.0 / n)
+        g_z = g_anchor * (z > 0.0) + (g_anchor / e_z1 * e_z * -1.0) * np.sign(z)
+        g_sim = (g_z / s_neg) * e_neg * scale + (g_z / s_pos) * e_pos * -scale
+        g_xn = xt.T @ g_sim + (g_sim @ xn.T).T
+        g_norms = (-g_xn * x / (norms * norms)).sum(axis=0, keepdims=True)
+        t_sq = g_norms * 0.5 / norms * x
+        return g_xn / norms, t_sq, t_sq
+
+    return _make(per_anchor.sum().reshape(1, 1) * (1.0 / n), (features, features, features), bw)
 
 
 def lifted_structure_loss(dist, labels, margin: float) -> Tensor:
@@ -253,33 +337,67 @@ def lifted_structure_loss(dist, labels, margin: float) -> Tensor:
 
     Computed on the N x N distance matrix D with the row-wise masked
     L = logsumexp_neg(m - D) (N x 1): relu(D + L + L^T) summed over the
-    strict upper triangle of the positive mask."""
+    strict upper triangle of the positive mask. One autograd op that
+    replays that composed graph bit for bit; D is a parent for the direct
+    term, then for m - D.
+    """
     dist, labels = _check_dist(dist, labels, "lifted_structure_loss")
     pos, neg = _pair_masks(labels)
-    pair_mask = np.triu(pos, 1)
+    order = np.arange(labels.size)
+    pair_mask = pos & (order[:, None] < order)  # the strict upper triangle
     n_pairs = int(pair_mask.sum())
     if n_pairs == 0:
         raise ShapeError("lifted_structure_loss: batch has no positive pairs")
     if not neg.any():
         raise ShapeError("lifted_structure_loss: batch has no negative pairs")
-    neg_lse = logsumexp(margin - dist, axis=1, mask=neg)
-    terms = (dist + neg_lse + neg_lse.t()).relu() * as_tensor(pair_mask.astype(np.float64))
-    return terms.sum() * (1.0 / n_pairs)
+    d = dist.data
+    weights = pair_mask.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = margin - d
+        _finite(shifted, "lifted_structure_loss")  # the mask drops entries
+        lse, e, s = _masked_lse(shifted, neg)
+        hinge = d + lse + lse.T
+        _finite(hinge, "lifted_structure_loss")  # relu would turn a -inf into 0
+        terms = np.maximum(hinge, 0.0) * weights
+
+    def bw(g):
+        g_hinge = g * (1.0 / n_pairs) * weights * (hinge > 0.0)
+        g_lse = g_hinge.sum(axis=1, keepdims=True) + g_hinge.sum(axis=0, keepdims=True).T
+        return g_hinge, -((g_lse / s) * e)
+
+    return _make(terms.sum().reshape(1, 1) * (1.0 / n_pairs), (dist, dist), bw)
 
 
 def ranked_list_loss(dist, labels, alpha: float, margin: float) -> Tensor:
     """Mean over ordered pairs i != j of the N x N distance matrix D of
-    (1-y_ij) * relu(alpha - D_ij) + y_ij * relu(D_ij - (alpha - margin))."""
+    (1-y_ij) * relu(alpha - D_ij) + y_ij * relu(D_ij - (alpha - margin)).
+
+    One autograd op that replays that composed graph bit for bit; D is a
+    parent for the positive term, then for the negative one.
+    """
     dist, labels = _check_dist(dist, labels, "ranked_list_loss")
     if not alpha > margin:
         raise ConfigError("ranked_list_loss: alpha must exceed margin")
     if labels.size < 2:
         raise ShapeError("ranked_list_loss: need at least 2 samples")
     pos, neg = _pair_masks(labels)
-    pos_terms = (dist - (alpha - margin)).relu() * as_tensor(pos.astype(np.float64))
-    neg_terms = (alpha - dist).relu() * as_tensor(neg.astype(np.float64))
+    d = dist.data
+    pos_w, neg_w = pos.astype(np.float64), neg.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos_arg = d - (alpha - margin)
+        neg_arg = alpha - d
+    # relu would turn a -inf into 0
+    _finite(pos_arg, "ranked_list_loss")
+    _finite(neg_arg, "ranked_list_loss")
     n = labels.size
-    return (pos_terms + neg_terms).sum() * (1.0 / (n * (n - 1)))
+    scale = 1.0 / (n * (n - 1))
+    terms = np.maximum(pos_arg, 0.0) * pos_w + np.maximum(neg_arg, 0.0) * neg_w
+
+    def bw(g):
+        g_terms = g * scale
+        return g_terms * pos_w * (pos_arg > 0.0), -(g_terms * neg_w * (neg_arg > 0.0))
+
+    return _make(terms.sum().reshape(1, 1) * scale, (dist, dist), bw)
 
 
 # -- center prediction loss ---------------------------------------------------
@@ -366,7 +484,7 @@ def cpl_objective(features, labels, targets):
             sq = (diff * diff).sum(axis=0, keepdims=True)  # 1 x N
 
         def bw(g):
-            t = np.broadcast_to(np.broadcast_to(g, sq.shape) * weights, diff.shape) * diff
+            t = g * weights * diff
             return (t + t,)
 
         bw.__qualname__ = "cpl_loss.<locals>.bw"  # failures name the op, not this helper

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses
-from .autograd import Tensor, as_tensor, backward
+from .autograd import Tensor, _make, as_tensor, backward
 from .errors import ConfigError, NumericsError
 from .losses import (
     MarginConfig,
@@ -92,6 +92,8 @@ class LossConfig:
         for name, w in self.weights.items():
             if w < 0:
                 raise ConfigError(f"loss.{name}.weight must be >= 0")
+        if self.cpl_target not in losses.TARGET_MODES:
+            raise ConfigError(f"loss.cpl.target must be one of {losses.TARGET_MODES}, got '{self.cpl_target}'")
 
     def enabled(self):
         return [name for name in LOSS_NAMES if self.weights.get(name, 0.0) > 0.0]
@@ -189,9 +191,9 @@ def build_state(
 _DISTANCE_LOSSES = ("triplet", "lifted", "rll")
 
 
-def _loss_parts(state: TrainState, embeddings, labels, loss_cfg: LossConfig) -> dict:
+def _loss_parts(state: TrainState, embeddings, labels, loss_cfg: LossConfig):
+    """Yield (name, part) for each enabled loss, in LOSS_NAMES order."""
     m = loss_cfg.margins
-    parts = {}
     enabled = loss_cfg.enabled()
     # one distance matrix (and one graph through it) for every distance loss
     dist = None
@@ -199,27 +201,43 @@ def _loss_parts(state: TrainState, embeddings, labels, loss_cfg: LossConfig) -> 
         dist = losses.pairwise_euclidean(embeddings)
     for name in enabled:
         if name == "ce":
-            parts["ce"] = id_cross_entropy(state.classifier(embeddings), labels)
+            yield name, id_cross_entropy(state.classifier(embeddings), labels)
         elif name == "cpl":
             # targets are values: standardized off the graph, where the std check reports an overflow
             with np.errstate(over="ignore", invalid="ignore"):
                 values = standardize(embeddings.data)[2] if state.bn_target else embeddings
             seed = subseed(state.seed, f"cpl-draw/{state.step}")
             targets = cpl_targets(values, labels, loss_cfg.cpl_target, seed)
-            parts["cpl"] = cpl_loss(embeddings, labels, targets, state.predictor)
+            yield name, cpl_loss(embeddings, labels, targets, state.predictor)
         elif name == "center":
             if state.centers is None:
                 raise ConfigError("center loss enabled but state has no centers")
-            parts["center"] = center_loss(embeddings, labels, state.centers)
+            yield name, center_loss(embeddings, labels, state.centers)
         elif name == "triplet":
-            parts["triplet"] = triplet_loss_batch_hard(dist, labels, m.triplet_margin)
+            yield name, triplet_loss_batch_hard(dist, labels, m.triplet_margin)
         elif name == "circle":
-            parts["circle"] = circle_loss(embeddings, labels, m.circle_scale, m.circle_margin)
+            yield name, circle_loss(embeddings, labels, m.circle_scale, m.circle_margin)
         elif name == "lifted":
-            parts["lifted"] = lifted_structure_loss(dist, labels, m.lifted_margin)
+            yield name, lifted_structure_loss(dist, labels, m.lifted_margin)
         elif name == "rll":
-            parts["rll"] = ranked_list_loss(dist, labels, m.rll_alpha, m.rll_margin)
-    return parts
+            yield name, ranked_list_loss(dist, labels, m.rll_alpha, m.rll_margin)
+
+
+def _weighted_total(parts: dict, weights: dict) -> Tensor:
+    """sum over parts of weight * part, as one autograd op that replays the
+    composed chain part * w + part * w + ... bit for bit: part i's gradient
+    is g * w_i."""
+    ws = [float(weights[name]) for name in parts]
+    total = None
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum surfaces in _make
+        for part, w in zip(parts.values(), ws):
+            term = part.data * w
+            total = term if total is None else total + term
+
+    def bw(g):
+        return tuple(g * w for w in ws)
+
+    return _make(total, tuple(parts.values()), bw)
 
 
 @dataclass
@@ -237,19 +255,21 @@ def train_step(state: TrainState, batch: LabeledBatch, loss_cfg: LossConfig, lr:
 
     With every enabled weight zero this is a no-op on the parameters. A
     NumericsError leaves with the epoch, the step (numbered as its timeline
-    row would be) and the lr in its context.
+    row would be), the lr and the values of the parts built before it in
+    its context.
     """
+    parts = {}
+    total = None
     try:
         embeddings = state.extractor(as_tensor(batch.features))
-        parts = _loss_parts(state, embeddings, batch.labels, loss_cfg)
-        total = None
-        for name, part in parts.items():
-            term = part * float(loss_cfg.weights[name])
-            total = term if total is None else total + term
-        if total is not None:  # None when every weight is zero: nothing to optimize
+        for name, part in _loss_parts(state, embeddings, batch.labels, loss_cfg):
+            parts[name] = part
+        if parts:  # none when every weight is zero: nothing to optimize
+            total = _weighted_total(parts, loss_cfg.weights)
             state.optimizer.step(backward(total), lr)
     except NumericsError as exc:
-        exc.context.update(epoch=state.epoch, step=state.step + 1, lr=lr)
+        values = {name: part.item() for name, part in parts.items()}
+        exc.context.update(epoch=state.epoch, step=state.step + 1, lr=lr, parts=values)
         raise
     state.step += 1
     return TimelineRow(

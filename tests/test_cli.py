@@ -154,6 +154,8 @@ def test_numeric_failure_line_carries_epoch_step_and_lr(tmp_path, capsys):
     assert record["error"] == "numeric"
     # one batch per epoch, lr x 0.1 from epoch 2: the third step's row would read 2, 3, 1e5
     assert {k: record[k] for k in ("epoch", "step", "lr")} == {"epoch": 2, "step": 3, "lr": 1e5}
+    # the ce part was built; the predictor's forward for the cpl part failed
+    assert list(record["parts"]) == ["ce"]
 
 
 def test_run_boundary_writes_surface_timeline_and_config(tmp_path, capsys):
@@ -297,6 +299,16 @@ def test_int_outside_int64_in_config_exits_2(tmp_path, capsys):
     code, out, err = _run(capsys, "run", str(cfg))
     _assert_one_config_error_line(code, out, err)
     assert "model.predictor_hidden" in json.loads(err)["message"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("kind", ["train", "surface"])
+def test_unknown_cpl_target_exits_2_before_any_output(kind, tmp_path, capsys):
+    # a surface run never builds CPL targets, so only the parse can reject it
+    cfg = _write(tmp_path, f"kind = {kind}\nloss.cpl.target = median\nout = {tmp_path / 'run'}\n")
+    code, out, err = _run(capsys, "run", str(cfg))
+    _assert_one_config_error_line(code, out, err)
+    assert "loss.cpl.target" in json.loads(err)["message"]
     assert not (tmp_path / "run").exists()
 
 
@@ -473,8 +485,8 @@ def test_predictor_hidden_sets_surface_and_boundary_refit_width(tmp_path, capsys
 
 
 # numpy 2.x imports numpy.ma lazily, e.g. on the first bare np.unique call,
-# which costs a run about 18 ms; no surface, train, ablation-bn or gradcheck
-# run should pay it
+# which costs a run about 18 ms; no surface, train, ablation-bn, boundary or
+# gradcheck run should pay it
 NO_MASKED_ARRAYS = """
 import json, sys
 from metriclab.cli import dispatch
@@ -499,6 +511,10 @@ def test_runs_never_import_numpy_ma(tmp_path):
         "surface": f"kind = surface\nrefit.steps = 3\nout = {tmp_path / 'surface'}\n",
         "train": f"kind = train\nsgd.epochs = 2\nsgd.milestones = 1\nout = {tmp_path / 'train'}\n",
         "ablation-bn": f"kind = ablation-bn\nsgd.epochs = 1\nsgd.milestones =\nout = {tmp_path / 'bn'}\n",
+        "boundary": (
+            "kind = boundary\nsampler.p = 3\nsgd.epochs = 2\nsgd.milestones = 1\nrefit.steps = 3\n"
+            f"out = {tmp_path / 'boundary'}\n"
+        ),
     }
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -506,4 +522,10 @@ def test_runs_never_import_numpy_ma(tmp_path):
         [sys.executable, "-c", NO_MASKED_ARRAYS, json.dumps(configs)], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"surface": False, "train": False, "ablation-bn": False, "gradcheck": False}
+    assert json.loads(proc.stdout) == {
+        "surface": False,
+        "train": False,
+        "ablation-bn": False,
+        "boundary": False,
+        "gradcheck": False,
+    }

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metriclab.config import ExperimentConfig, parse_config, render_config
 from metriclab.errors import ConfigError, ShapeError
@@ -10,9 +12,11 @@ from metriclab.experiments import (
     AblationReport,
     AblationRow,
     ABLATIONS,
+    BOUNDARY_DECILE,
     SurfaceGrid,
     ablation_configs,
     center_surface_errors,
+    linear_quantile,
     run_bn_ablation,
     run_boundary_experiment,
     run_loss_surface,
@@ -32,6 +36,30 @@ from metriclab.synthetic import (
 BOUNDARY_CFG = parse_config(
     (Path(__file__).resolve().parents[1] / "scripts" / "configs" / "boundary.cfg").read_text()
 )
+
+
+# few distinct values, so ties and repeats are common, plus signed zeros and
+# magnitudes far apart
+MARGIN_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e300, 1e300]) | st.floats(
+    -1e6, 1e6, allow_nan=False
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(MARGIN_VALUES, min_size=1, max_size=40),
+    q=st.sampled_from([BOUNDARY_DECILE, 0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+)
+@example(values=[3.0], q=BOUNDARY_DECILE)
+@example(values=[2.0, 2.0, 2.0], q=BOUNDARY_DECILE)
+@example(values=[-0.0, 0.0, -0.0], q=BOUNDARY_DECILE)
+@example(values=[5.0, 1.0, 1.0, 1.0, 9.0], q=BOUNDARY_DECILE)
+def test_boundary_band_matches_np_quantile(values, q):
+    margins = np.array(values)
+    expected = np.quantile(margins, q)
+    got = linear_quantile(margins.copy(), q)
+    assert got == expected and np.signbit(got) == np.signbit(expected)
+    assert np.array_equal(margins <= got, margins <= expected)
 
 
 def test_surface_grid_validates():

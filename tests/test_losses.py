@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metriclab.autograd import Tensor, as_tensor, backward, gather_pairs, logsumexp
+from metriclab.autograd import Tensor, as_tensor, backward
 from metriclab.errors import ConfigError, NumericsError, ShapeError
 from metriclab.losses import (
     MarginConfig,
@@ -20,6 +20,16 @@ from metriclab.losses import (
 )
 from metriclab.nn import CenterPredictor, Linear
 
+from composed_graphs import (
+    composed_ce,
+    composed_center,
+    composed_circle,
+    composed_cpl,
+    composed_lifted,
+    composed_pairwise,
+    composed_rll,
+    composed_triplet,
+)
 from fd_utils import central_diff, max_rel_err
 from reference_impls import (
     oracle_center,
@@ -528,34 +538,6 @@ def test_precomputed_dist_of_wrong_shape_rejected(name):
 # -- fused ops against the composed graphs they replace ----------------------------
 
 
-def composed_pairwise(x):
-    """pairwise_euclidean as a graph of autograd primitives."""
-    x = as_tensor(x)
-    gram = x.t() @ x
-    sq = (x * x).sum(axis=0)
-    d2 = (sq.t() + sq - 2.0 * gram).relu()
-    zero_mask = (d2.data < 1e-12).astype(np.float64)
-    return (d2 + as_tensor(zero_mask * 1e-16)).sqrt() * as_tensor(1.0 - zero_mask)
-
-
-def composed_ce(logits, labels):
-    """id_cross_entropy as a graph of autograd primitives."""
-    logits = as_tensor(logits)
-    n = logits.shape[1]
-    return (logsumexp(logits, axis=0) - gather_pairs(logits, labels, np.arange(n))).mean()
-
-
-def composed_cpl(features, labels, predictor=None):
-    """cpl_loss (leave-one-out targets) with its tail as a graph of primitives."""
-    features = as_tensor(features)
-    targets = cpl_targets(features, labels)
-    preds = predictor(features) if predictor is not None else features
-    diff = preds - targets
-    sq = (diff * diff).sum(axis=0)
-    _, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    return (sq * as_tensor((1.0 / counts)[inverse][None, :])).sum()
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     labels=st.lists(st.integers(-3, 3) | st.sampled_from([-(2**63), 2**63 - 1]), min_size=1, max_size=30)
@@ -566,17 +548,24 @@ def test_cpl_weights_equal_inverse_class_sizes_bit_for_bit(labels):
     assert np.array_equal(cpl_weights(labels), (1.0 / counts)[inverse][None, :])
 
 
-def _value_and_grad(op, data, r):
+def _value_and_grads(op, data, r, leaves=()):
     x = Tensor(data.copy(), requires_grad=True)
     out = op(x)
     # a non-uniform upstream gradient, so every backward term is exercised
-    return out.data, backward((out * r + out * out).sum())[x]
+    grads = backward((out * r + out * out).sum())
+    return [out.data, grads[x], *(grads[leaf] for leaf in leaves)]
 
 
-def _assert_same_value_and_grad(fused, composed, data, r):
-    (f_out, f_grad), (c_out, c_grad) = _value_and_grad(fused, data, r), _value_and_grad(composed, data, r)
-    assert np.array_equal(f_out, c_out)
-    assert np.array_equal(f_grad, c_grad)
+def _assert_same_value_and_grad(fused, composed, data, r, leaves=()):
+    got, want = _value_and_grads(fused, data, r, leaves), _value_and_grads(composed, data, r, leaves)
+    for f, c in zip(got, want, strict=True):
+        assert np.array_equal(f, c)
+
+
+def with_other_consumer(loss, shared):
+    # the square's terms reach the input before the loss's own terms, so the
+    # order in which the loss adds its terms shows in the last bits
+    return (lambda t: (t * t).sum() * 0.5 + loss(t)) if shared else loss
 
 
 @pytest.mark.parametrize("n", [1, 2, 9])
@@ -598,15 +587,9 @@ def test_fused_ce_is_bit_identical_to_composed_graph(shared, n, seed):
     data = rng.normal(0, 3.0, (5, n))
     labels = rng.integers(0, 5, n)
     r = as_tensor(rng.normal(0, 1, (1, 1)))
-
-    def with_other_consumer(ce):
-        # the square's terms reach the logits before the two ce terms, so
-        # the order in which those two are added shows in the last bits
-        return lambda t: (t * t).sum() * 0.5 + ce(t) if shared else ce(t)
-
     _assert_same_value_and_grad(
-        with_other_consumer(lambda t: id_cross_entropy(t, labels)),
-        with_other_consumer(lambda t: composed_ce(t, labels)),
+        with_other_consumer(lambda t: id_cross_entropy(t, labels), shared),
+        with_other_consumer(lambda t: composed_ce(t, labels), shared),
         data,
         r,
     )
@@ -628,35 +611,137 @@ def test_fused_cpl_is_bit_identical_to_composed_graph(with_predictor, sizes):
     )
 
 
+# loss name -> (fused, composed), each called as f(embeddings, labels, centers)
+FUSED_LOSSES = {
+    "center": (center_loss, composed_center),
+    "triplet": (
+        lambda t, y, _: triplet_loss_batch_hard(pairwise_euclidean(t), y, 0.3),
+        lambda t, y, _: composed_triplet(pairwise_euclidean(t), y, 0.3),
+    ),
+    # a scale that is not a power of two, so a regrouped product shows
+    "circle": (lambda t, y, _: circle_loss(t, y, 30.0, 0.25), lambda t, y, _: composed_circle(t, y, 30.0, 0.25)),
+    "lifted": (
+        lambda t, y, _: lifted_structure_loss(pairwise_euclidean(t), y, 1.0),
+        lambda t, y, _: composed_lifted(pairwise_euclidean(t), y, 1.0),
+    ),
+    "rll": (
+        lambda t, y, _: ranked_list_loss(pairwise_euclidean(t), y, 1.2, 0.4),
+        lambda t, y, _: composed_rll(pairwise_euclidean(t), y, 1.2, 0.4),
+    ),
+}
+# PK batches and unequal class sizes, columns shuffled in the latter
+BATCH_SIZES = {"pk-4x4": (4, 4, 4, 4), "pk-8x8": (8,) * 8, "unequal": (2, 5, 3, 4)}
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("sizes", sorted(BATCH_SIZES))
+@pytest.mark.parametrize("name", sorted(FUSED_LOSSES))
+def test_fused_loss_is_bit_identical_to_composed_graph(name, sizes, shared):
+    sizes = BATCH_SIZES[sizes]
+    rng = np.random.default_rng(len(sizes))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    if len(set(sizes)) > 1:
+        labels = rng.permutation(labels)
+    data = rng.normal(0, 1.0, (6, labels.size))
+    centers = Tensor(rng.normal(0, 1.0, (6, len(sizes))), requires_grad=True)
+    r = as_tensor(rng.normal(0, 1, (1, 1)))
+    fused, composed = FUSED_LOSSES[name]
+    _assert_same_value_and_grad(
+        with_other_consumer(lambda t: fused(t, labels, centers), shared),
+        with_other_consumer(lambda t: composed(t, labels, centers), shared),
+        data,
+        r,
+        leaves=[centers] if name == "center" else [],
+    )
+
+
+DISTANCE_GRAPHS = {
+    "triplet": (lambda d, y: triplet_loss_batch_hard(d, y, 0.3), lambda d, y: composed_triplet(d, y, 0.3)),
+    "lifted": (lambda d, y: lifted_structure_loss(d, y, 1.0), lambda d, y: composed_lifted(d, y, 1.0)),
+    "rll": (lambda d, y: ranked_list_loss(d, y, 1.2, 0.4), lambda d, y: composed_rll(d, y, 1.2, 0.4)),
+}
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("name", sorted(DISTANCE_GRAPHS))
+def test_fused_distance_loss_on_a_leaf_matrix_is_bit_identical(name, shared):
+    # D as a leaf: each of the two parent uses lands on D itself, after the
+    # other consumer's terms when shared
+    rng = np.random.default_rng(3)
+    labels = rng.permutation(np.repeat(np.arange(3), [3, 4, 2]))
+    data = rng.uniform(0.0, 2.5, (9, 9))
+    r = as_tensor(rng.normal(0, 1, (1, 1)))
+    fused, composed = DISTANCE_GRAPHS[name]
+    _assert_same_value_and_grad(
+        with_other_consumer(lambda d: fused(d, labels), shared),
+        with_other_consumer(lambda d: composed(d, labels), shared),
+        data,
+        r,
+    )
+
+
 def _shared_embedding_step(fused):
-    """One step's graph, shaped like train_step: the embeddings feed a
-    distance matrix (triplet), a classifier Linear (ce) and a predictor
-    (cpl), so gradient terms from every op accumulate into one input."""
+    """One step's graph, shaped like train_step with every loss enabled (as
+    runs/train_all_losses is): the embeddings feed a distance matrix (triplet,
+    lifted, rll), a classifier Linear (ce), a predictor (cpl), the centers
+    (center) and circle, so gradient terms from every op accumulate into one
+    input."""
     rng = np.random.default_rng(5)
     labels = np.repeat(np.arange(3), 3)
     x = Tensor(rng.normal(0, 1, (6, labels.size)), requires_grad=True)
     extractor, classifier = Linear(6, 4, rng), Linear(4, 3, rng)
     predictor = CenterPredictor(4, 8, rng, depth=2)
+    centers = Tensor(rng.normal(0, 1, (4, 3)), requires_grad=True)
     emb = extractor(x)
     dist = (pairwise_euclidean if fused else composed_pairwise)(emb)
-    ce = (id_cross_entropy if fused else composed_ce)(classifier(emb), labels)
+    # in LOSS_NAMES order, as _loss_parts builds them
     if fused:
-        cpl = cpl_loss(emb, labels, cpl_targets(emb, labels), predictor)
+        parts = [
+            id_cross_entropy(classifier(emb), labels),
+            cpl_loss(emb, labels, cpl_targets(emb, labels), predictor),
+            center_loss(emb, labels, centers),
+            triplet_loss_batch_hard(dist, labels, 0.3),
+            circle_loss(emb, labels, 32.0, 0.25),
+            lifted_structure_loss(dist, labels, 1.0),
+            ranked_list_loss(dist, labels, 1.2, 0.4),
+        ]
     else:
-        cpl = composed_cpl(emb, labels, predictor)
-    triplet = triplet_loss_batch_hard(dist, labels, 0.3)
-    total = ce * 1.0 + cpl * 1.0 + triplet * 1.0  # as train_step sums weighted parts
+        parts = [
+            composed_ce(classifier(emb), labels),
+            composed_cpl(emb, labels, predictor),
+            composed_center(emb, labels, centers),
+            composed_triplet(dist, labels, 0.3),
+            composed_circle(emb, labels, 32.0, 0.25),
+            composed_lifted(dist, labels, 1.0),
+            composed_rll(dist, labels, 1.2, 0.4),
+        ]
+    total = None
+    for part in parts:  # as train_step sums weighted parts
+        total = part * 1.0 if total is None else total + part * 1.0
     grads = backward(total)
-    leaves = [x, *(p for layer in (extractor, classifier, predictor) for _, p in layer.params())]
-    return total.data, [grads[emb]] + [grads[leaf] for leaf in leaves]
+    leaves = [x, centers, *(p for layer in (extractor, classifier, predictor) for _, p in layer.params())]
+    return total.data, [grads[emb], grads[dist]] + [grads[leaf] for leaf in leaves]
 
 
 def test_fused_ops_keep_accumulation_order_into_shared_embeddings():
     (f_total, f_grads), (c_total, c_grads) = _shared_embedding_step(True), _shared_embedding_step(False)
     assert np.array_equal(f_total, c_total)
-    assert len(f_grads) == len(c_grads)
+    assert len(f_grads) == len(c_grads) == 12  # emb, dist, x, centers and 8 parameters
     for f, c in zip(f_grads, c_grads):
         assert np.array_equal(f, c)
+
+
+PK4 = np.array([0, 0, 1, 1])
+PK4_DIST = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.5, 1.5], [2.0, 2.5, 0.0, 1.0], [3.0, 1.5, 1.0, 0.0]])
+
+
+def _dist_with(**entries):
+    """PK4_DIST with the named entries ("r0c2" is row 0, column 2) set."""
+    d = PK4_DIST.copy()
+    for key, value in entries.items():
+        row, col = key[1:].split("c")
+        d[int(row), int(col)] = value
+    return d
 
 
 OVERFLOW_CASES = {
@@ -669,12 +754,89 @@ OVERFLOW_CASES = {
         np.array([[1e308], [-1e308]]),
     ),
     "cpl-1e200": (
-        lambda t: cpl_loss(t, np.array([0, 0, 1, 1]), cpl_targets(t, np.array([0, 0, 1, 1]))),
-        lambda t: composed_cpl(t, np.array([0, 0, 1, 1])),
+        lambda t: cpl_loss(t, PK4, cpl_targets(t, PK4)),
+        lambda t: composed_cpl(t, PK4),
         np.array([[1e200, -1e200, 0.0, 1.0], [1.0, 2.0, 3.0, 4.0]]),
     ),
+    # the squares overflow
+    "center-1e200": (
+        lambda t: center_loss(t, PK4, np.zeros((2, 2))),
+        lambda t: composed_center(t, PK4, np.zeros((2, 2))),
+        np.array([[1e200, 0.0, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0]]),
+    ),
+    # a center the batch gathers is not finite
+    "center-inf-center": (
+        lambda t: center_loss(t, PK4, np.array([[0.0, np.inf], [0.0, 0.0]])),
+        lambda t: composed_center(t, PK4, np.array([[0.0, np.inf], [0.0, 0.0]])),
+        np.ones((2, 4)),
+    ),
+    # hardest positive minus hardest negative overflows; the relu would hide
+    # the -inf a huge negative distance gives
+    "triplet-1e308": (
+        lambda t: triplet_loss_batch_hard(t, PK4, 0.3),
+        lambda t: composed_triplet(t, PK4, 0.3),
+        _dist_with(r0c1=1e308, r0c2=-1e308),
+    ),
+    "triplet-minus-inf": (
+        lambda t: triplet_loss_batch_hard(t, PK4, 0.3),
+        lambda t: composed_triplet(t, PK4, 0.3),
+        _dist_with(r0c1=-np.inf, r1c0=-np.inf),
+    ),
+    "circle-1e200": (
+        lambda t: circle_loss(t, PK4, 32.0, 0.25),
+        lambda t: composed_circle(t, PK4, 32.0, 0.25),
+        np.array([[1e200, 1.0, -1.0, 0.5], [1.0, 2.0, 3.0, 4.0]]),
+    ),
+    "circle-zero-norm": (
+        lambda t: circle_loss(t, PK4, 32.0, 0.25),
+        lambda t: composed_circle(t, PK4, 32.0, 0.25),
+        np.array([[1.0, 0.0, -1.0, 0.5], [1.0, 0.0, 3.0, 4.0]]),
+    ),
+    # columns 0 and 2 are parallel negatives: (1 + margin) * scale overflows
+    "circle-scale-1.5e308": (
+        lambda t: circle_loss(t, PK4, 1.5e308, 0.25),
+        lambda t: composed_circle(t, PK4, 1.5e308, 0.25),
+        np.array([[1.0, 0.9, 1.0, 0.5], [1.0, 2.0, 1.0, 4.0]]),
+    ),
+    # margin - D overflows at a positive pair, an entry the negative mask drops
+    "lifted-1e308": (
+        lambda t: lifted_structure_loss(t, PK4, 1e308),
+        lambda t: composed_lifted(t, PK4, 1e308),
+        _dist_with(r0c1=-1e308),
+    ),
+    # D + L + L^T overflows to -inf at a positive pair, where the relu would
+    # hide it: every negative distance is 1e308, so every L is about -1e308
+    "lifted-hinge": (
+        lambda t: lifted_structure_loss(t, PK4, 1.0),
+        lambda t: composed_lifted(t, PK4, 1.0),
+        np.where(PK4[:, None] == PK4[None, :], _dist_with(r0c1=-1.7e308), 1e308),
+    ),
+    "lifted-minus-inf": (
+        lambda t: lifted_structure_loss(t, PK4, 1.0),
+        lambda t: composed_lifted(t, PK4, 1.0),
+        _dist_with(r0c1=-np.inf),
+    ),
+    "rll-minus-inf": (
+        lambda t: ranked_list_loss(t, PK4, 1.2, 0.4),
+        lambda t: composed_rll(t, PK4, 1.2, 0.4),
+        _dist_with(r0c1=-np.inf),
+    ),
+    "rll-inf": (
+        lambda t: ranked_list_loss(t, PK4, 1.2, 0.4),
+        lambda t: composed_rll(t, PK4, 1.2, 0.4),
+        _dist_with(r0c2=np.inf),
+    ),
 }
-OP_NAMES = {"pairwise": "pairwise_euclidean", "ce": "id_cross_entropy", "cpl": "cpl_loss"}
+OP_NAMES = {
+    "pairwise": "pairwise_euclidean",
+    "ce": "id_cross_entropy",
+    "cpl": "cpl_loss",
+    "center": "center_loss",
+    "triplet": "triplet_loss_batch_hard",
+    "circle": "circle_loss",
+    "lifted": "lifted_structure_loss",
+    "rll": "ranked_list_loss",
+}
 
 
 @pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
@@ -694,3 +856,13 @@ def test_fused_pairwise_backward_raises_where_composed_graph_raises():
         x = Tensor(data, requires_grad=True)
         with pytest.raises(NumericsError, match=match):
             backward((op(x) * 1e307).sum())
+
+
+def test_fused_circle_backward_raises_where_composed_graph_raises():
+    # a column of norm 1e-10: the norm's gradient divides by its square, and
+    # a huge upstream gradient overflows there while the forward stays finite
+    data = np.array([[1e-10, 1.0, -1.0, 0.5], [0.0, 2.0, 3.0, 4.0]])
+    for op, match in ((composed_circle, "backward"), (circle_loss, "^circle_loss: backward")):
+        x = Tensor(data, requires_grad=True)
+        with pytest.raises(NumericsError, match=match):
+            backward(op(x, PK4, 32.0, 0.25) * 1e300)

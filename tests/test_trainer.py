@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metriclab.autograd import as_tensor, backward
+from metriclab.autograd import Tensor, as_tensor, backward
 from metriclab.errors import ConfigError, NumericsError
 from metriclab.losses import cpl_loss, cpl_targets
 from metriclab.nn import BatchNorm, CenterPredictor, ModelConfig, load_checkpoint
@@ -13,6 +13,7 @@ from metriclab.trainer import (
     LossConfig,
     SgdConfig,
     _loss_parts,
+    _weighted_total,
     build_state,
     cpl_errors,
     lr_at,
@@ -89,6 +90,29 @@ def test_train_step_row_holds_parts_and_weighted_total():
     assert (row.step, row.parts, row.total) == (2, {}, 0.0)
 
 
+def test_weighted_total_is_bit_identical_to_the_composed_sum():
+    # parts sharing one input, so their gradient terms accumulate into it
+    data = np.random.default_rng(3).normal(0, 1, (3, 5))
+    weights = {"ce": 0.7, "cpl": 1.3, "triplet": 1e-3, "rll": 3.0}
+
+    def value_and_grad(weighted):
+        x = Tensor(data.copy(), requires_grad=True)
+        parts = {name: (x * float(i + 1)).sum() * (1.0 / 7.0) for i, name in enumerate(weights)}
+        total = weighted(parts)
+        return total.data, backward(total)[x]
+
+    def composed(parts):
+        total = None
+        for name, part in parts.items():
+            term = part * float(weights[name])
+            total = term if total is None else total + term
+        return total
+
+    (f_total, f_grad), (c_total, c_grad) = value_and_grad(lambda p: _weighted_total(p, weights)), value_and_grad(composed)
+    assert np.array_equal(f_total, c_total)
+    assert np.array_equal(f_grad, c_grad)
+
+
 def test_numerics_error_in_a_step_carries_epoch_step_and_lr():
     ds = small_ds()
     loss_cfg = LossConfig(weights={"ce": 1.0})
@@ -98,9 +122,27 @@ def test_numerics_error_in_a_step_carries_epoch_step_and_lr():
     batch = next(epoch_iter(ds, PKSamplerConfig(p=2, k=2), substream(0, "s")))
     with pytest.raises(NumericsError, match="^Linear.forward:") as info:
         train_step(state, batch, loss_cfg, lr=0.25)
-    # step is numbered as the failed step's timeline row would have been
-    assert info.value.context == {"epoch": 3, "step": 8, "lr": 0.25}
+    # step is numbered as the failed step's timeline row would have been; the
+    # extractor failed before any loss part was built
+    assert info.value.context == {"epoch": 3, "step": 8, "lr": 0.25, "parts": {}}
     assert state.step == 7
+
+
+def test_numerics_error_in_backward_carries_every_part():
+    ds = small_ds()
+    loss_cfg = LossConfig(weights={"ce": 1.0, "triplet": 1e307})
+    state = build_state(2, 4, ModelConfig(embedding_dim=4, predictor="none", bn_target=False), loss_cfg, seed=1)
+    # nearly coincident embeddings: the forward stays finite, but the distance
+    # matrix's sqrt derivative times the huge triplet weight overflows in backward
+    state.extractor.layers[-1].weight.data *= 1e-3
+    batch = next(epoch_iter(ds, PKSamplerConfig(p=2, k=2), substream(0, "s")))
+    with pytest.raises(NumericsError, match="^pairwise_euclidean: backward") as info:
+        train_step(state, batch, loss_cfg, lr=0.25)
+    parts = info.value.context["parts"]
+    assert list(parts) == ["ce", "triplet"]
+    assert all(np.isfinite(value) for value in parts.values())
+    assert parts["triplet"] > 0.0
+    assert state.step == 0
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -154,7 +196,7 @@ def _cpl_part_with_target_bn(seed):
     state = build_state(2, 4, ModelConfig(extractor_hidden=(8,), embedding_dim=3), CPL_ONLY, seed=seed)
     batch = next(epoch_iter(ds, PKSamplerConfig(p=2, k=4), substream(seed, "s")))
     embeddings = state.extractor(as_tensor(batch.features))
-    return state, embeddings, batch.labels, _loss_parts(state, embeddings, batch.labels, CPL_ONLY)["cpl"]
+    return state, embeddings, batch.labels, dict(_loss_parts(state, embeddings, batch.labels, CPL_ONLY))["cpl"]
 
 
 def test_cpl_target_bn_builds_targets_in_bn_space():
