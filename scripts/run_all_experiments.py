@@ -3,8 +3,10 @@
 Each run lands in runs/<name> (written into with --force on rerun) and
 prints its one-line JSON summary. Without config arguments it also writes
 the seed-0 `metriclab gradcheck --batches 2` stdout to
-runs/gradcheck/report.txt. The package is imported from this checkout's
-src/, so nothing needs to be installed. Run from the repository root:
+runs/gradcheck/report.txt, and this machine's numerics platform (numpy
+version, dispatched SIMD targets, OpenBLAS kernel) to runs/PLATFORM. The
+package is imported from this checkout's src/, so nothing needs to be
+installed. Run from the repository root:
 
     python3 scripts/run_all_experiments.py [config ...]
 """
@@ -16,7 +18,11 @@ from pathlib import Path
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 GRADCHECK_REPORT = Path("runs") / "gradcheck" / "report.txt"
+PLATFORM = Path("runs") / "PLATFORM"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC_DIR))
+
+from metriclab.machine import platform_record  # noqa: E402
 
 
 def main(argv):
@@ -31,6 +37,9 @@ def main(argv):
         )
         failures += proc.returncode != 0
     if not argv:
+        print(f"== platform -> {PLATFORM}")
+        PLATFORM.parent.mkdir(parents=True, exist_ok=True)
+        PLATFORM.write_text(platform_record())
         print(f"== gradcheck -> {GRADCHECK_REPORT}")
         proc = subprocess.run(
             [sys.executable, "-m", "metriclab", "gradcheck", "--batches", "2"],

@@ -40,10 +40,14 @@ def _check_out(cfg: ExperimentConfig, force: bool) -> Path:
     return out
 
 
-def _write_summary(out: Path, summary: dict) -> str:
-    line = json.dumps(summary, sort_keys=True)
-    (out / "summary.json").write_text(line + "\n")
-    return line
+def _first_missing(path: Path):
+    """The topmost directory on path that does not exist yet, or None."""
+    path = path.resolve()
+    return next((d for d in [*reversed(path.parents), path] if not d.exists()), None)
+
+
+def _write_summary(out: Path, summary: dict) -> None:
+    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True) + "\n")
 
 
 def _dispatch_train(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dict:
@@ -111,12 +115,13 @@ def dispatch(cfg: ExperimentConfig, force: bool = False) -> dict:
     """Run one experiment, write its artifacts, return the summary record.
 
     The dataset loads before the output directory is created. If the run
-    then fails, a directory it created is removed again, so a failed run
-    leaves nothing behind; a directory that existed before is left alone.
+    then fails, the directories it created (out and any missing parents)
+    are removed again, so a failed run leaves nothing behind; a directory
+    that existed before is left alone.
     """
     out = _check_out(cfg, force)
     ds = cfg.dataset.load(cfg.seed)
-    created = not out.exists()
+    created = _first_missing(out)
     out.mkdir(parents=True, exist_ok=True)
     try:
         (out / "config.resolved").write_text(render_config(cfg))
@@ -132,8 +137,8 @@ def dispatch(cfg: ExperimentConfig, force: bool = False) -> dict:
         summary["seed"] = cfg.seed
         _write_summary(out, summary)
     except BaseException:
-        if created:
-            shutil.rmtree(out, ignore_errors=True)
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
         raise
     return summary
 

@@ -29,6 +29,8 @@ from .trainer import cpl_errors, embed_dataset, refit_predictor, train_accuracy,
 
 # fraction of lowest classifier margins treated as the boundary band
 BOUNDARY_DECILE = 0.1
+# samples per held-out identity that split_retrieval_task makes queries
+QUERIES_PER_ID = 4
 
 
 @dataclass
@@ -258,9 +260,9 @@ class AblationReport:
             fh.write(self.to_csv())
 
 
-def split_retrieval_task(ds: LabeledDataset, queries_per_id: int = 4):
+def split_retrieval_task(ds: LabeledDataset):
     """Disjoint-identity split: first half of identities train, second half
-    test; each test identity contributes its first queries_per_id samples
+    test; each test identity contributes its first QUERIES_PER_ID samples
     as queries and the rest as gallery."""
     ids = ds.identities
     if len(ids) < 4:
@@ -274,8 +276,8 @@ def split_retrieval_task(ds: LabeledDataset, queries_per_id: int = 4):
     q_idx, g_idx = [], []
     for ident in test.identities:
         cols = test.by_identity[ident]
-        q_idx.extend(cols[:queries_per_id])
-        g_idx.extend(cols[queries_per_id:])
+        q_idx.extend(cols[:QUERIES_PER_ID])
+        g_idx.extend(cols[QUERIES_PER_ID:])
     return train, test.subset(np.array(q_idx)), test.subset(np.array(g_idx))
 
 

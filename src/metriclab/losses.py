@@ -203,10 +203,10 @@ def center_loss(features, labels, centers) -> Tensor:
 
 
 def _pair_masks(labels: np.ndarray):
-    same = labels[:, None] == labels[None, :]
-    eye = np.eye(labels.size, dtype=bool)
-    pos = same & ~eye
-    neg = ~same
+    """(pos, neg): same label off the diagonal, and different label."""
+    pos = labels[:, None] == labels[None, :]
+    neg = ~pos
+    np.fill_diagonal(pos, False)
     return pos, neg
 
 

@@ -1,5 +1,5 @@
 """Layers: linear, batch normalization and the MLP, plus a text checkpoint
-format for parameter matrices. The feature extractor is an MLP; the center
+writer for parameter matrices. The feature extractor is an MLP; the center
 predictor is an MLP with a depth check and an identity init.
 
 All layers consume and produce d x N matrices (column per sample) and expose
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor, _all_finite, _node, _unbroadcast, as_tensor
-from .errors import ConfigError, DataFormatError, NumericsError, ShapeError
+from .errors import ConfigError, NumericsError, ShapeError
 
 __all__ = [
     "Linear",
@@ -30,7 +30,6 @@ __all__ = [
     "CenterPredictor",
     "ModelConfig",
     "save_checkpoint",
-    "load_checkpoint",
 ]
 
 CHECKPOINT_HEADER = "metriclab-checkpoint v1"
@@ -216,7 +215,6 @@ class MLP:
     ):
         dims = [in_dim, *hidden, out_dim]
         self.in_dim = in_dim
-        self.out_dim = out_dim
         self.layers = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
         self.hidden_bns = [BatchNorm(h) for h in hidden] if bn_hidden else []
         self.output_bn = BatchNorm(out_dim) if bn_output else None
@@ -307,48 +305,13 @@ class ModelConfig:
 
 
 def save_checkpoint(path, named_params: dict):
-    """Write named matrices as text: header, then per matrix a name/shape
+    """Write named 2-D Tensors as text: header, then per matrix a name/shape
     line followed by one line of row-major repr floats (repr round-trips
     float64 exactly)."""
     lines = [CHECKPOINT_HEADER]
-    for name in named_params:
-        arr = named_params[name]
-        arr = arr.data if isinstance(arr, Tensor) else np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"checkpoint entry {name!r} is not a matrix")
+    for name, param in named_params.items():
+        arr = param.data
         lines.append(f"{name} {arr.shape[0]} {arr.shape[1]}")
         lines.append(" ".join(repr(float(v)) for v in arr.ravel()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_checkpoint(path) -> dict:
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not a text checkpoint: {exc}") from None
-    if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise DataFormatError(f"not a checkpoint file (missing {CHECKPOINT_HEADER!r} header)")
-    out = {}
-    i = 1
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        fields = lines[i].rsplit(" ", 2)
-        if len(fields) != 3:
-            raise DataFormatError(f"malformed checkpoint entry line: {lines[i]!r}")
-        name = fields[0]
-        if i + 1 == len(lines):
-            raise DataFormatError(f"checkpoint entry {name!r}: file ends before its values line")
-        try:
-            rows, cols = int(fields[1]), int(fields[2])
-            values = np.array([float(v) for v in lines[i + 1].split()])
-        except ValueError as exc:
-            raise DataFormatError(f"checkpoint entry {name!r}: {exc}") from None
-        if rows < 0 or cols < 0 or values.size != rows * cols:
-            raise DataFormatError(f"checkpoint entry {name!r}: expected {rows * cols} values, got {values.size}")
-        out[name] = values.reshape(rows, cols)
-        i += 2
-    return out

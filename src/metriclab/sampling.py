@@ -22,7 +22,6 @@ from .errors import ConfigError, DataFormatError, ShapeError
 __all__ = [
     "group_labels",
     "LabeledDataset",
-    "LabeledBatch",
     "PKSamplerConfig",
     "epoch_iter",
     "save_dataset_csv",
@@ -87,22 +86,6 @@ class LabeledDataset:
 
 
 @dataclass
-class LabeledBatch:
-    """Sampler output: raw features for p identity groups of k instances."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    p: int
-    k: int
-
-    def __post_init__(self):
-        if self.features.shape[1] != self.labels.shape[0]:
-            raise ShapeError("batch needs one label per column")
-        if self.features.shape[1] != self.p * self.k:
-            raise ShapeError(f"batch size {self.features.shape[1]} != p*k = {self.p * self.k}")
-
-
-@dataclass
 class PKSamplerConfig:
     p: int = 4
     k: int = 4
@@ -135,7 +118,8 @@ def _draw_instances(ds, identity, k, allow_resample, rng) -> np.ndarray:
 
 
 def epoch_iter(ds: LabeledDataset, cfg: PKSamplerConfig, rng: np.random.Generator):
-    """Yield ceil(n_ids / p) batches; every identity anchors exactly once."""
+    """Yield ceil(n_ids / p) (features, labels) batches, k columns per
+    identity; every identity anchors exactly once."""
     ids = np.array(ds.identities)
     if len(ids) < cfg.p:
         raise ConfigError(f"dataset has {len(ids)} identities, sampler needs p={cfg.p}")
@@ -145,7 +129,7 @@ def epoch_iter(ds: LabeledDataset, cfg: PKSamplerConfig, rng: np.random.Generato
         cols = np.concatenate(
             [_draw_instances(ds, int(i), cfg.k, cfg.allow_resample, rng) for i in group]
         )
-        yield LabeledBatch(ds.features[:, cols], ds.labels[cols], p=len(group), k=cfg.k)
+        yield ds.features[:, cols], ds.labels[cols]
 
 
 # -- CSV round-trip ------------------------------------------------------------

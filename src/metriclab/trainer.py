@@ -31,7 +31,7 @@ from .losses import (
     triplet_loss_batch_hard,
 )
 from .nn import MLP, CenterPredictor, Linear, ModelConfig, save_checkpoint, standardize
-from .sampling import LabeledBatch, LabeledDataset, PKSamplerConfig, epoch_iter
+from .sampling import LabeledDataset, PKSamplerConfig, epoch_iter
 from .seeding import subseed, substream
 
 __all__ = [
@@ -249,20 +249,22 @@ class TimelineRow:
     total: float
 
 
-def train_step(state: TrainState, batch: LabeledBatch, loss_cfg: LossConfig, lr: float) -> TimelineRow:
-    """One SGD update on one batch against total = sum of weight * part
-    over the enabled losses; returns the step's timeline row.
+def train_step(state: TrainState, batch: tuple, loss_cfg: LossConfig, lr: float) -> TimelineRow:
+    """One SGD update on one (features, labels) batch against total = sum
+    of weight * part over the enabled losses; returns the step's timeline
+    row.
 
     With every enabled weight zero this is a no-op on the parameters. A
     NumericsError leaves with the epoch, the step (numbered as its timeline
     row would be), the lr and the values of the parts built before it in
     its context.
     """
+    features, labels = batch
     parts = {}
     total = None
     try:
-        embeddings = state.extractor(as_tensor(batch.features))
-        for name, part in _loss_parts(state, embeddings, batch.labels, loss_cfg):
+        embeddings = state.extractor(as_tensor(features))
+        for name, part in _loss_parts(state, embeddings, labels, loss_cfg):
             parts[name] = part
         if parts:  # none when every weight is zero: nothing to optimize
             total = _weighted_total(parts, loss_cfg.weights)

@@ -411,6 +411,14 @@ def test_failed_run_removes_the_directory_it_created(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_failed_run_removes_the_parents_it_created(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "kind = boundary\n")  # fails in training, as above
+    code, _, err = _run(capsys, "run", str(cfg), "--out", "a/b/c")
+    assert code == 2 and "p=4" in json.loads(err)["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
 def test_failed_forced_run_leaves_an_existing_directory(tmp_path, capsys):
     out_dir = tmp_path / "run"
     out_dir.mkdir()

@@ -6,7 +6,9 @@ there, and every file it writes must be byte-identical to the one under the
 repository's `runs/<name>/`: CSVs, resolved configs, checkpoints and
 `summary.json` alike. Rerun determinism (criterion 10) compares a run with
 itself; this compares it with the reference outputs, so any last-bit change
-in training shows up here.
+in training shows up here. The outputs are byte-identical only on the
+numerics platform that made them, so a failure names `runs/PLATFORM` and
+this machine's platform side by side.
 """
 
 from pathlib import Path
@@ -15,6 +17,7 @@ import pytest
 
 from metriclab.cli import dispatch
 from metriclab.config import parse_config
+from metriclab.machine import platform_record
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((REPO / "scripts" / "configs").glob("*.cfg"))
@@ -38,4 +41,8 @@ def test_config_reproduces_reference_outputs_byte_for_byte(cfg_path, tmp_path, m
     ref, got = REPO / cfg.out, tmp_path / cfg.out
     assert _files(got) == _files(ref)
     differ = [name for name in _files(ref) if (got / name).read_bytes() != (ref / name).read_bytes()]
-    assert not differ, f"{cfg.out}: differs from the checked-in file: {', '.join(differ)}"
+    assert not differ, (
+        f"{cfg.out}: differs from the checked-in file: {', '.join(differ)}\n"
+        f"runs/ was made on:\n{(REPO / 'runs' / 'PLATFORM').read_text()}"
+        f"this machine is:\n{platform_record()}"
+    )

@@ -10,6 +10,7 @@ from metriclab.gradcheck import (
     max_rel_err,
     run_gradcheck,
 )
+from metriclab.machine import platform_record
 from metriclab.seeding import substream
 
 # seed-0 `metriclab gradcheck --batches 2` stdout, which
@@ -60,8 +61,12 @@ def test_report_text_format():
 
 def test_report_matches_checked_in_file_byte_for_byte():
     # every problem, error and verdict is pinned: a change to a case's draws
-    # or to any op's numerics shows up here
-    assert (run_gradcheck(0, 1e-4, 2).to_text() + "\n").encode() == REPORT.read_bytes()
+    # or to any op's numerics shows up here; the error figures are
+    # byte-identical only on the platform that made the report
+    assert (run_gradcheck(0, 1e-4, 2).to_text() + "\n").encode() == REPORT.read_bytes(), (
+        f"runs/ was made on:\n{(REPORT.parents[1] / 'PLATFORM').read_text()}"
+        f"this machine is:\n{platform_record()}"
+    )
 
 
 def test_suite_deterministic():

@@ -5,15 +5,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from metriclab.autograd import Tensor, as_tensor, backward, matmul, relu
-from metriclab.errors import ConfigError, DataFormatError, NumericsError, ShapeError
+from metriclab.errors import ConfigError, NumericsError, ShapeError
 from metriclab.nn import (
+    CHECKPOINT_HEADER,
     RELU,
     BatchNorm,
     CenterPredictor,
     Linear,
     MLP,
     _stack,
-    load_checkpoint,
     save_checkpoint,
     standardize,
 )
@@ -150,21 +150,16 @@ def test_predictor_bn_variants_forward_and_grads(rng):
 def test_checkpoint_round_trip_exact(tmp_path, rng):
     mlp = MLP(3, (5,), 2, rng)
     named = {f"extractor.{n}": p for n, p in mlp.params()}
-    named["centers"] = rng.normal(0, 1, (2, 4))
+    named["centers"] = Tensor(rng.normal(0, 1, (2, 4)))
     path = tmp_path / "ckpt.txt"
     save_checkpoint(path, named)
-    loaded = load_checkpoint(path)
-    assert set(loaded) == set(named)
-    for name, ref in named.items():
-        ref = ref.data if hasattr(ref, "data") else ref
-        assert np.array_equal(loaded[name], ref), name
-
-
-def test_checkpoint_rejects_wrong_header(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("something else\n")
-    with pytest.raises(DataFormatError):
-        load_checkpoint(p)
+    header, *lines = path.read_text().splitlines()
+    assert header == CHECKPOINT_HEADER
+    assert len(lines) == 2 * len(named)
+    for (name, ref), entry, values in zip(named.items(), lines[::2], lines[1::2]):
+        assert entry == f"{name} {ref.shape[0]} {ref.shape[1]}"
+        parsed = np.array([float(v) for v in values.split()]).reshape(ref.shape)
+        assert np.array_equal(parsed, ref.data), name
 
 
 # -- fused layers against the composed graphs they replace ------------------
@@ -418,27 +413,3 @@ def test_batchnorm_rejects_wrong_input_rows():
     # wrong rows for Linear and a 1-sample batch are tested above
     with pytest.raises(ShapeError):
         BatchNorm(3)(as_tensor(np.ones((4, 5))))
-
-
-def test_checkpoint_rejects_truncated_file(tmp_path):
-    p = tmp_path / "cut.txt"
-    save_checkpoint(p, {"w": np.ones((2, 2))})
-    p.write_text("\n".join(p.read_text().splitlines()[:2]) + "\n")
-    with pytest.raises(DataFormatError, match="'w'"):
-        load_checkpoint(p)
-
-
-def test_checkpoint_rejects_undecodable_bytes(tmp_path):
-    p = tmp_path / "bad.txt"
-    save_checkpoint(p, {"w": np.ones((2, 2))})
-    p.write_bytes(p.read_bytes().replace(b"1.0", b"1.\x80", 1))
-    with pytest.raises(DataFormatError, match="bad.txt"):
-        load_checkpoint(p)
-
-
-@pytest.mark.parametrize("entry", ["w 1 2\n1.0 abc\n", "w 1 x\n1.0\n"], ids=["value", "shape"])
-def test_checkpoint_rejects_non_numeric_entry(tmp_path, entry):
-    p = tmp_path / "bad.txt"
-    p.write_text("metriclab-checkpoint v1\n" + entry)
-    with pytest.raises(DataFormatError, match="'w'"):
-        load_checkpoint(p)

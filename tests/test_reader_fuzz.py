@@ -1,8 +1,8 @@
-"""Byte-level fuzz of the file readers and of the CLI.
+"""Byte-level fuzz of the dataset reader and of the CLI.
 
-A valid checkpoint and a valid dataset CSV get a few random byte edits
-(overwrite, insert, delete); whatever the bytes, `load_checkpoint` and
-`load_dataset_csv` either load them or raise DataFormatError. The same
+A valid dataset CSV gets a few random byte edits (overwrite, insert,
+delete); whatever the bytes, `load_dataset_csv` either loads it or raises
+DataFormatError. The same
 edits on a train config, and on the dataset CSV a fixed config reads, go
 through `main`: it exits 0, 2, 3 or 4, and on failure stderr is exactly one
 JSON line with `error` and `message`.
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from metriclab.cli import main
 from metriclab.errors import DataFormatError
-from metriclab.nn import load_checkpoint, save_checkpoint
 from metriclab.sampling import LabeledDataset, load_dataset_csv, save_dataset_csv
 
 
@@ -42,7 +41,6 @@ def byte_edits(draw, valid: bytes) -> bytes:
     return bytes(data)
 
 
-CHECKPOINT = {"w": np.array([[0.5, -1.25, 3.0], [1e-3, 2.0, -0.0]]), "b": np.array([[1.0], [-2.0]])}
 DATASET = LabeledDataset(
     np.array([[0.5, 1.5, -2.0, 0.25, 3.0, 1.0], [1.0, 0.0, 2.5, -1.0, 0.5, 4.0]]), np.array([0, 0, 1, 1, 2, 2])
 )
@@ -51,30 +49,19 @@ DATASET = LabeledDataset(
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("readers")
-    save_checkpoint(tmp / "checkpoint.txt", CHECKPOINT)
     save_dataset_csv(DATASET, tmp / "dataset.csv")
     return tmp
-
-
-def _loads_or_rejects(load, valid_path, data):
-    path = valid_path.with_suffix(".mutated")
-    path.write_bytes(data.draw(byte_edits(valid_path.read_bytes())))
-    try:
-        load(path)
-    except DataFormatError:
-        pass
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_mutated_checkpoint_loads_or_raises_data_format_error(files, data):
-    _loads_or_rejects(load_checkpoint, files / "checkpoint.txt", data)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_mutated_dataset_csv_loads_or_raises_data_format_error(files, data):
-    _loads_or_rejects(load_dataset_csv, files / "dataset.csv", data)
+    path = files / "dataset.mutated"
+    path.write_bytes(data.draw(byte_edits((files / "dataset.csv").read_bytes())))
+    try:
+        load_dataset_csv(path)
+    except DataFormatError:
+        pass
 
 
 # single-digit sizes, so an edited digit keeps the run small

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from metriclab.errors import ConfigError, DataFormatError, ShapeError
 from metriclab.sampling import (
-    LabeledBatch,
     LabeledDataset,
     PKSamplerConfig,
     epoch_iter,
@@ -65,29 +64,29 @@ def test_dataset_groups_columns_by_ascending_identity():
 def test_pk_batch_is_p_times_k():
     ds = make_ds(n_ids=16, per_id=8)
     cfg = PKSamplerConfig(p=16, k=4)
-    batch = next(epoch_iter(ds, cfg, substream(0, "sampler")))
-    assert batch.features.shape[1] == 64
-    labels, counts = np.unique(batch.labels, return_counts=True)
+    features, labels = next(epoch_iter(ds, cfg, substream(0, "sampler")))
+    assert features.shape[1] == 64
+    labels, counts = np.unique(labels, return_counts=True)
     assert len(labels) == 16 and (counts == 4).all()
 
 
 def test_pk_batch_deterministic_under_seed():
     ds = make_ds()
     cfg = PKSamplerConfig(p=4, k=3)
-    b1 = next(epoch_iter(ds, cfg, substream(7, "sampler")))
-    b2 = next(epoch_iter(ds, cfg, substream(7, "sampler")))
-    assert np.array_equal(b1.features, b2.features)
-    assert np.array_equal(b1.labels, b2.labels)
+    features1, labels1 = next(epoch_iter(ds, cfg, substream(7, "sampler")))
+    features2, labels2 = next(epoch_iter(ds, cfg, substream(7, "sampler")))
+    assert np.array_equal(features1, features2)
+    assert np.array_equal(labels1, labels2)
 
 
 def test_pk_batch_columns_come_from_dataset():
     ds = make_ds()
-    batch = next(epoch_iter(ds, PKSamplerConfig(p=3, k=2), substream(1, "s")))
-    for j in range(batch.features.shape[1]):
-        col = batch.features[:, j]
+    features, labels = next(epoch_iter(ds, PKSamplerConfig(p=3, k=2), substream(1, "s")))
+    for j in range(features.shape[1]):
+        col = features[:, j]
         matches = np.flatnonzero((ds.features == col[:, None]).all(axis=0))
         assert matches.size >= 1
-        assert batch.labels[j] in ds.labels[matches]
+        assert labels[j] in ds.labels[matches]
 
 
 def test_small_identity_resamples_when_allowed():
@@ -95,8 +94,8 @@ def test_small_identity_resamples_when_allowed():
     labels = np.array([0, 0, 0, 0, 0, 0, 0, 0, 1, 1])  # identity 1 has 2 samples
     ds = LabeledDataset(feats, labels)
     cfg = PKSamplerConfig(p=2, k=4, allow_resample=True)
-    batch = next(epoch_iter(ds, cfg, substream(0, "s")))
-    assert (batch.labels == 1).sum() == 4  # 2 distinct + 2 resampled
+    _, batch_labels = next(epoch_iter(ds, cfg, substream(0, "s")))
+    assert (batch_labels == 1).sum() == 4  # 2 distinct + 2 resampled
 
 
 def test_small_identity_errors_when_resample_off():
@@ -118,7 +117,7 @@ def test_epoch_has_ceil_batches_each_identity_once():
     ds = make_ds(n_ids=8, per_id=4)
     batches = list(epoch_iter(ds, PKSamplerConfig(p=2, k=3), substream(3, "e")))
     assert len(batches) == 4
-    anchored = np.concatenate([np.unique(b.labels) for b in batches])
+    anchored = np.concatenate([np.unique(labels) for _, labels in batches])
     assert sorted(anchored.tolist()) == list(range(8))
 
 
@@ -126,8 +125,8 @@ def test_epoch_ragged_final_batch():
     ds = make_ds(n_ids=5, per_id=4)
     batches = list(epoch_iter(ds, PKSamplerConfig(p=2, k=2), substream(0, "e")))
     assert len(batches) == 3  # ceil(5/2)
-    assert [b.p for b in batches] == [2, 2, 1]
-    anchored = sorted(np.concatenate([np.unique(b.labels) for b in batches]).tolist())
+    assert [np.unique(labels).size for _, labels in batches] == [2, 2, 1]
+    anchored = sorted(np.concatenate([np.unique(labels) for _, labels in batches]).tolist())
     assert anchored == list(range(5))
 
 
@@ -138,15 +137,29 @@ def test_epoch_orderings_vary_across_epochs():
     orders = set()
     for _ in range(100):
         first_labels = tuple(
-            int(b.labels[0]) for b in epoch_iter(ds, cfg, rng)
+            int(labels[0]) for _, labels in epoch_iter(ds, cfg, rng)
         )
         orders.add(first_labels)
     assert len(orders) > 1
 
 
-def test_batch_invariant_checked():
-    with pytest.raises(ShapeError):
-        LabeledBatch(np.zeros((2, 5)), np.zeros(5, dtype=int), p=2, k=2)
+@settings(max_examples=100, deadline=None)
+@given(
+    n_ids=st.integers(2, 9),
+    per_id=st.integers(1, 6),
+    p=st.integers(2, 9),
+    k=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_batch_has_k_columns_per_identity(n_ids, per_id, p, k, seed):
+    ds = make_ds(n_ids=n_ids, per_id=per_id, dim=3)
+    p = min(p, n_ids)
+    batches = list(epoch_iter(ds, PKSamplerConfig(p=p, k=k), substream(seed, "s")))
+    assert len(batches) == -(-n_ids // p)  # the last one is ragged when p does not divide n_ids
+    for features, labels in batches:
+        ids, counts = np.unique(labels, return_counts=True)
+        assert len(labels) == features.shape[1] == ids.size * k
+        assert (counts == k).all()
 
 
 def test_csv_round_trip_exact(tmp_path):
