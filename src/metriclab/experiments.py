@@ -297,8 +297,7 @@ def run_retrieval_variant(split: tuple, cfg: ExperimentConfig, variant: str):
     result = evaluate_retrieval(
         embed_dataset(state, queries), queries.labels, embed_dataset(state, gallery), gallery.labels
     )
-    summary = result.summary()
-    return summary["map"], summary["rank1"]
+    return result.mean_ap, result.rank_k(1)
 
 
 def ablation_configs(cfg: ExperimentConfig, kind: str) -> list:

@@ -32,21 +32,24 @@ from .nn import MLP, RELU, BatchNorm, CenterPredictor, Linear
 from .seeding import substream
 
 FD_STEP = 1e-5
+_SPREAD = 4.0  # half-width of the box _spread_batch draws cluster centers from
+_MIN_GAP = 0.05  # smallest distance _spread_batch allows between two points
+_OFF_KINK_TRIES = 50  # draws _off_kink_input makes before settling for its best
 
 
-def central_diff(fd_forward, leaf: Tensor, step: float = FD_STEP) -> np.ndarray:
+def central_diff(fd_forward, leaf: Tensor) -> np.ndarray:
     """Central finite difference of fd_forward() w.r.t. every leaf entry."""
     grad = np.zeros_like(leaf.data)
     it = np.nditer(leaf.data, flags=["multi_index"])
     for _ in it:
         idx = it.multi_index
         orig = leaf.data[idx]
-        leaf.data[idx] = orig + step
+        leaf.data[idx] = orig + FD_STEP
         hi = fd_forward()
-        leaf.data[idx] = orig - step
+        leaf.data[idx] = orig - FD_STEP
         lo = fd_forward()
         leaf.data[idx] = orig
-        grad[idx] = (hi - lo) / (2.0 * step)
+        grad[idx] = (hi - lo) / (2.0 * FD_STEP)
     return grad
 
 
@@ -80,19 +83,19 @@ def _feat(rng, d, n, lo=-2.0, hi=2.0) -> Tensor:
     return Tensor(rng.uniform(lo, hi, size=(d, n)), requires_grad=True)
 
 
-def _spread_batch(rng, d, p, k, spread=4.0, min_gap=0.05) -> Tensor:
-    """Clustered batch with every pair of points separated by min_gap.
+def _spread_batch(rng, d, p, k) -> Tensor:
+    """Clustered batch with every pair of points separated by _MIN_GAP.
 
     The separation keeps the distance matrix away from its sqrt kink and
     mining/hinge switch points, where a central difference stops being a
     valid oracle. Redrawing from the same stream stays deterministic.
     """
     while True:
-        centers = rng.uniform(-spread, spread, size=(d, p))
+        centers = rng.uniform(-_SPREAD, _SPREAD, size=(d, p))
         x = centers[:, np.repeat(np.arange(p), k)] + rng.uniform(-0.6, 0.6, size=(d, p * k))
         dist = pairwise_distances(x, x)
         np.fill_diagonal(dist, np.inf)
-        if dist.min() > min_gap:
+        if dist.min() > _MIN_GAP:
             return Tensor(x, requires_grad=True)
 
 
@@ -109,10 +112,10 @@ def _relu_margin(net, x_data: np.ndarray) -> float:
     return worst
 
 
-def _off_kink_input(rng, d, n, net, tries: int = 50) -> Tensor:
+def _off_kink_input(rng, d, n, net) -> Tensor:
     """Input batch whose relu preactivations are all off the kink."""
     best, best_margin = None, -np.inf
-    for _ in range(tries):
+    for _ in range(_OFF_KINK_TRIES):
         x = rng.uniform(-2.0, 2.0, size=(d, n))
         margin = _relu_margin(net, x)
         if margin > 1e-3:

@@ -421,7 +421,8 @@ def cpl_targets(features, labels, target_mode: str = "leave-one-out-mean", seed:
     Modes: leave-one-out-mean (mean of the other K-1 same-class samples),
     sample-mean (mean including self), random-point (seeded uniform draw
     among the other K-1), farthest-point (the same-class sample at greatest
-    Euclidean distance, ties to the lowest batch index).
+    Euclidean distance, ties to the lowest batch index). A target that
+    overflows raises NumericsError.
     """
     features, labels = _check_batch(features, labels, "cpl_targets")
     if target_mode not in TARGET_MODES:
@@ -429,26 +430,29 @@ def cpl_targets(features, labels, target_mode: str = "leave-one-out-mean", seed:
     values = features.data
     targets = np.empty_like(values)
     ids, grouped, starts = group_labels(labels)
-    for label, lo, hi in zip(ids.tolist(), starts[:-1], starts[1:]):
-        idx = grouped[lo:hi]
-        k = idx.size
-        if k < 2:
-            raise ShapeError(f"cpl_targets: identity {label} has {k} sample(s); need >= 2")
-        z = values[:, idx]
-        if target_mode == "leave-one-out-mean":
-            total = z.sum(axis=1, keepdims=True)
-            targets[:, idx] = (total - z) / (k - 1)
-        elif target_mode == "sample-mean":
-            targets[:, idx] = z.mean(axis=1, keepdims=True)
-        elif target_mode == "farthest-point":
-            dist = pairwise_distances(z, z)
-            np.fill_diagonal(dist, -np.inf)
-            targets[:, idx] = z[:, dist.argmax(axis=1)]  # ties: argmax takes the lowest index
-        else:  # random-point
-            order = _canonical_order(z)
-            draws = substream(seed, f"cpl-random-target/{label}").integers(0, k - 1, size=k)
-            # rank r draws among the other k - 1 ranks: u < r as is, else u + 1
-            targets[:, idx[order]] = z[:, order[draws + (draws >= np.arange(k))]]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        for label, lo, hi in zip(ids.tolist(), starts[:-1], starts[1:]):
+            idx = grouped[lo:hi]
+            k = idx.size
+            if k < 2:
+                raise ShapeError(f"cpl_targets: identity {label} has {k} sample(s); need >= 2")
+            z = values[:, idx]
+            if target_mode == "leave-one-out-mean":
+                total = z.sum(axis=1, keepdims=True)
+                targets[:, idx] = (total - z) / (k - 1)
+            elif target_mode == "sample-mean":
+                targets[:, idx] = z.mean(axis=1, keepdims=True)
+            elif target_mode == "farthest-point":
+                dist = pairwise_distances(z, z)
+                np.fill_diagonal(dist, -np.inf)
+                targets[:, idx] = z[:, dist.argmax(axis=1)]  # ties: argmax takes the lowest index
+            else:  # random-point
+                order = _canonical_order(z)
+                draws = substream(seed, f"cpl-random-target/{label}").integers(0, k - 1, size=k)
+                # rank r draws among the other k - 1 ranks: u < r as is, else u + 1
+                targets[:, idx[order]] = z[:, order[draws + (draws >= np.arange(k))]]
+    if not _all_finite(targets):
+        raise NumericsError("cpl_targets: targets are not finite")
     return Tensor(targets)
 
 

@@ -62,15 +62,6 @@ class RankingResult:
     def rank_k(self, k: int) -> float:
         return float(self.cmc[min(k, len(self.cmc)) - 1])
 
-    def summary(self) -> dict:
-        return {
-            "map": self.mean_ap,
-            "rank1": self.rank_k(1),
-            "rank5": self.rank_k(5),
-            "queries": int(self.ap.size),
-            "excluded": len(self.excluded),
-        }
-
 
 def evaluate_retrieval(
     query_features,

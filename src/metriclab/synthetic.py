@@ -2,9 +2,8 @@
 
 Standard normals come from the Box-Muller transform over uniforms drawn
 from numpy's PCG64 generator (see seeding.substream), so the sampling
-algorithm is pinned down exactly; correlated samples are mean + L z where
-L L^T is the covariance (Cholesky when positive definite, eigenvalue
-factor for the semi-definite boundary).
+algorithm is pinned down exactly. Components are axis-aligned: a sample
+is mean + sqrt(var) * z, with one variance per axis (or one for all).
 """
 
 from __future__ import annotations
@@ -29,32 +28,28 @@ __all__ = [
     "FIXTURES",
 ]
 
-_SYM_TOL = 1e-12
-_EIG_TOL = -1e-10
-
 
 @dataclass
 class GaussianSpec:
-    """One mixture component: mean vector, covariance, count, class label."""
+    """One axis-aligned mixture component: mean vector, variance (a scalar or
+    one per axis), count, class label."""
 
     mean: np.ndarray
-    cov: np.ndarray
+    var: np.ndarray
     count: int
     label: int
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64).reshape(-1)
-        self.cov = np.asarray(self.cov, dtype=np.float64)
         d = self.mean.size
-        if self.cov.shape != (d, d):
-            raise ConfigError(f"covariance must be {d}x{d}, got {self.cov.shape}")
+        try:
+            self.var = np.broadcast_to(np.asarray(self.var, dtype=np.float64), (d,))
+        except ValueError:
+            raise ConfigError(f"variance must be a scalar or {d} values, got {np.shape(self.var)}") from None
         if self.count < 1:
             raise ConfigError("component count must be >= 1")
-        if np.abs(self.cov - self.cov.T).max() > _SYM_TOL:
-            raise ConfigError("covariance must be symmetric")
-        eigs = np.linalg.eigvalsh(self.cov)
-        if eigs.min() < _EIG_TOL:
-            raise ConfigError(f"covariance is not positive semi-definite (min eig {eigs.min():g})")
+        if not (self.var >= 0.0).all():
+            raise ConfigError("variances must be >= 0")
 
 
 def standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -65,15 +60,6 @@ def standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
     r = np.sqrt(-2.0 * np.log(u1))
     z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
     return z[:n]
-
-
-def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        # semi-definite boundary (e.g. zero covariance): eigenvalue factor
-        w, v = np.linalg.eigh(cov)
-        return v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
 
 def sample_mixture(components: list, seed: int) -> LabeledDataset:
@@ -88,7 +74,7 @@ def sample_mixture(components: list, seed: int) -> LabeledDataset:
             raise ConfigError("all components must share the feature dimension")
         rng = substream(seed, f"mixture-component/{idx}")
         z = standard_normal(rng, dim * comp.count).reshape(dim, comp.count)
-        blocks.append(comp.mean[:, None] + _psd_factor(comp.cov) @ z)
+        blocks.append(comp.mean[:, None] + np.sqrt(comp.var)[:, None] * z)
         labels.append(np.full(comp.count, comp.label, dtype=np.int64))
     return LabeledDataset(np.concatenate(blocks, axis=1), np.concatenate(labels))
 
@@ -100,8 +86,8 @@ def two_class_fixture(seed: int, n_per_class: int = 500) -> LabeledDataset:
     """Two separated 2-D Gaussians: class 0 isotropic (var 0.25), class 1
     elongated (vars 4.0 and 0.25, condition number 16)."""
     comps = [
-        GaussianSpec(mean=(-4.0, 0.0), cov=0.25 * np.eye(2), count=n_per_class, label=0),
-        GaussianSpec(mean=(4.0, 0.0), cov=np.diag([4.0, 0.25]), count=n_per_class, label=1),
+        GaussianSpec(mean=(-4.0, 0.0), var=0.25, count=n_per_class, label=0),
+        GaussianSpec(mean=(4.0, 0.0), var=(4.0, 0.25), count=n_per_class, label=1),
     ]
     return sample_mixture(comps, seed)
 
@@ -111,9 +97,9 @@ def bimodal_class_fixture(seed: int, n_per_component: int = 500) -> LabeledDatas
     compact distractor at (0, 8); the class-0 mean sits between its modes,
     far from every class-0 sample."""
     comps = [
-        GaussianSpec(mean=(-4.0, 0.0), cov=0.25 * np.eye(2), count=n_per_component, label=0),
-        GaussianSpec(mean=(4.0, 0.0), cov=0.25 * np.eye(2), count=n_per_component, label=0),
-        GaussianSpec(mean=(0.0, 8.0), cov=0.25 * np.eye(2), count=n_per_component, label=1),
+        GaussianSpec(mean=(-4.0, 0.0), var=0.25, count=n_per_component, label=0),
+        GaussianSpec(mean=(4.0, 0.0), var=0.25, count=n_per_component, label=0),
+        GaussianSpec(mean=(0.0, 8.0), var=0.25, count=n_per_component, label=1),
     ]
     return sample_mixture(comps, seed)
 
@@ -125,14 +111,14 @@ def three_class_fixture(seed: int, n_per_class: int = 150) -> LabeledDataset:
     for c, angle in enumerate((90.0, 210.0, 330.0)):
         t = np.deg2rad(angle)
         mean = (3.0 * np.cos(t), 3.0 * np.sin(t))
-        comps.append(GaussianSpec(mean=mean, cov=np.eye(2), count=n_per_class, label=c))
+        comps.append(GaussianSpec(mean=mean, var=1.0, count=n_per_class, label=c))
     return sample_mixture(comps, seed)
 
 
 def four_class_fixture(seed: int, n_per_class: int = 32) -> LabeledDataset:
     """Four well-separated corner Gaussians; linearly separable."""
     comps = [
-        GaussianSpec(mean=(sx * 5.0, sy * 5.0), cov=0.25 * np.eye(2), count=n_per_class, label=c)
+        GaussianSpec(mean=(sx * 5.0, sy * 5.0), var=0.25, count=n_per_class, label=c)
         for c, (sx, sy) in enumerate([(-1, -1), (-1, 1), (1, -1), (1, 1)])
     ]
     return sample_mixture(comps, seed)
@@ -147,7 +133,7 @@ def retrieval_fixture(
     comps = [
         GaussianSpec(
             mean=3.0 * standard_normal(mean_rng, dim),
-            cov=0.49 * np.eye(dim),
+            var=0.49,
             count=per_id,
             label=i,
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses
-from .autograd import Tensor, _make, as_tensor, backward
+from .autograd import Tensor, _all_finite, _make, as_tensor, backward
 from .errors import ConfigError, NumericsError
 from .losses import (
     MarginConfig,
@@ -119,13 +119,15 @@ class SGD:
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, grads: dict, lr: float):
-        for p, v in zip(self.params, self.velocity):
-            g = grads.get(p)
-            if g is None:
-                continue
-            v *= self.momentum
-            v += g
-            p.data -= lr * v
+        # an overflowing update surfaces in the next forward's finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, v in zip(self.params, self.velocity):
+                g = grads.get(p)
+                if g is None:
+                    continue
+                v *= self.momentum
+                v += g
+                p.data -= lr * v
 
 
 @dataclass
@@ -387,7 +389,12 @@ def refit_predictor(
 
 def cpl_errors(features: np.ndarray, targets, predictor=None) -> np.ndarray:
     """Per-sample squared prediction error ||f(x_i) - c_i||^2 (values only)
-    against the targets from `cpl_targets`."""
+    against the targets from `cpl_targets`. An error that overflows raises
+    NumericsError."""
     x = np.asarray(features, dtype=np.float64)
     preds = predictor(as_tensor(x)).data if predictor is not None else x
-    return ((preds - as_tensor(targets).data) ** 2).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = ((preds - as_tensor(targets).data) ** 2).sum(axis=0)
+    if not _all_finite(errors):
+        raise NumericsError("cpl_errors: errors are not finite")
+    return errors

@@ -115,15 +115,47 @@ def test_run_undecodable_config_exits_2_with_one_json_line(tmp_path, capsys):
     assert str(cfg) in record["message"]
 
 
-def test_run_divergence_exits_3(tmp_path, capsys):
-    cfg = _write(
-        tmp_path,
-        "kind = train\nsgd.base_lr = 1e9\nsgd.epochs = 4\nsgd.milestones = 1\n"
-        f"out = {tmp_path / 'run'}\n",
-    )
-    code, _, err = _run(capsys, "run", str(cfg))
-    assert code == 3
-    assert json.loads(err)["error"] == "numeric"
+# two 2-D classes of three points: squared errors overflow at 1e200, class sums at 1.6e308
+LARGE_CSV = (
+    "f0,f1,label\n1e200,2e200,0\n-1e200,3e200,0\n2e200,-1e200,0\n"
+    "1e200,1e200,1\n-3e200,2e200,1\n2e200,2e200,1\n"
+)
+EXTREME_CSV = (
+    "f0,f1,label\n1.6e308,1.6e308,0\n1.6e308,-1.6e308,0\n1.6e308,1.6e308,0\n"
+    "-1.6e308,1.6e308,1\n-1.6e308,-1.6e308,1\n-1.6e308,1.6e308,1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, data, message",
+    [
+        ("kind = train\nsgd.base_lr = 1e9\nsgd.epochs = 4\nsgd.milestones = 1\n", None, "batchnorm:"),
+        ("kind = train\nsgd.base_lr = 1.7e308\nsgd.epochs = 3\nsgd.milestones = 1,2\n", None, "Linear.forward:"),
+        ("kind = surface\nsurface.loss = center\n", LARGE_CSV, "cpl_errors:"),
+        ("kind = surface\nsurface.loss = center\n", EXTREME_CSV, "cpl_targets:"),
+        ("kind = surface\nsurface.loss = cpl\n", EXTREME_CSV, "cpl_targets:"),
+    ],
+    ids=[
+        "divergence",
+        "sgd-update-overflow",
+        "center-errors-overflow",
+        "center-targets-overflow",
+        "cpl-targets-overflow",
+    ],
+)
+def test_numeric_failure_exits_3_with_one_json_line(tmp_path, capsys, text, data, message):
+    if data is not None:
+        (tmp_path / "data.csv").write_text(data)
+        text += f"dataset.source = csv\ndataset.path = {tmp_path / 'data.csv'}\n"
+    cfg = _write(tmp_path, text + f"out = {tmp_path / 'run'}\n")
+    code, out, err = _run(capsys, "run", str(cfg))
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "numeric"
+    assert record["message"].startswith(message)
+    assert not (tmp_path / "run").exists()
 
 
 def test_numeric_failure_names_the_op(tmp_path, capsys):

@@ -17,20 +17,29 @@ from metriclab.seeding import substream
 
 
 def test_zero_covariance_copies_mean():
-    spec = GaussianSpec(mean=(5.0, 5.0), cov=np.zeros((2, 2)), count=3, label=0)
+    spec = GaussianSpec(mean=(5.0, 5.0), var=0.0, count=3, label=0)
     ds = sample_mixture([spec], seed=0)
     assert ds.features.shape == (2, 3)
-    assert np.allclose(ds.features, 5.0, atol=1e-12)
+    assert np.array_equal(ds.features, np.full((2, 3), 5.0))
 
 
-def test_indefinite_covariance_rejected():
+@pytest.mark.parametrize("var", [-0.5, (1.0, -1e-12), (1.0, np.nan), (1.0, 2.0, 3.0), np.ones((2, 2))])
+def test_negative_or_missized_variance_rejected(var):
     with pytest.raises(ConfigError):
-        GaussianSpec(mean=(0.0, 0.0), cov=np.array([[1.0, 2.0], [2.0, 1.0]]), count=1, label=0)
+        GaussianSpec(mean=(0.0, 0.0), var=var, count=1, label=0)
 
 
-def test_asymmetric_covariance_rejected():
-    with pytest.raises(ConfigError):
-        GaussianSpec(mean=(0.0, 0.0), cov=np.array([[1.0, 0.5], [0.1, 1.0]]), count=1, label=0)
+def test_sample_mixture_is_mean_plus_scaled_normals_bitwise():
+    comps = [
+        GaussianSpec(mean=(1.0, -2.0, 3.0), var=(2.0, 0.5, 0.0), count=7, label=0),
+        GaussianSpec(mean=(0.0, 4.0, -1.0), var=0.49, count=5, label=1),
+    ]
+    ds = sample_mixture(comps, seed=11)
+    for i, (comp, cols) in enumerate(zip(comps, (slice(0, 7), slice(7, 12)))):
+        z = standard_normal(substream(11, f"mixture-component/{i}"), 3 * comp.count).reshape(3, comp.count)
+        expected = comp.mean[:, None] + np.sqrt(np.broadcast_to(comp.var, (3,)))[:, None] * z
+        assert ds.features[:, cols].tobytes() == expected.tobytes()
+    assert ds.labels.tolist() == [0] * 7 + [1] * 5
 
 
 def test_standard_normal_moments():
@@ -41,16 +50,17 @@ def test_standard_normal_moments():
 
 def test_mixture_law_of_large_numbers():
     mean = np.array([1.0, -2.0, 3.0])
-    cov = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
-    ds = sample_mixture([GaussianSpec(mean=mean, cov=cov, count=20_000, label=0)], seed=4)
+    var = np.array([2.0, 1.0, 0.5])
+    ds = sample_mixture([GaussianSpec(mean=mean, var=var, count=20_000, label=0)], seed=4)
     sample_mean = ds.features.mean(axis=1)
     sample_cov = np.cov(ds.features)
     assert np.abs(sample_mean - mean).max() < 0.05
-    assert np.abs(sample_cov - cov).max() < 0.1
+    # axis-aligned: the off-diagonal covariances are zero
+    assert np.abs(sample_cov - np.diag(var)).max() < 0.1
 
 
 def test_mixture_deterministic_bitwise():
-    comps = [GaussianSpec(mean=(0.0, 1.0), cov=np.eye(2), count=50, label=0)]
+    comps = [GaussianSpec(mean=(0.0, 1.0), var=1.0, count=50, label=0)]
     a = sample_mixture(comps, seed=8)
     b = sample_mixture(comps, seed=8)
     assert np.array_equal(a.features, b.features)
