@@ -160,7 +160,7 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="override the config's output directory")
     run.add_argument("--force", action="store_true", help="write into a non-empty directory")
 
-    grad = sub.add_parser("gradcheck", help="finite-difference check of every op")
+    grad = sub.add_parser("gradcheck", help="finite-difference check of the layers, losses and step total")
     grad.add_argument("--seed", type=int, default=0)
     grad.add_argument("--tolerance", type=float, default=1e-4)
     grad.add_argument("--batches", type=int, default=20)

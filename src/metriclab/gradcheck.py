@@ -1,11 +1,12 @@
-"""Finite-difference validation of every differentiable operation.
+"""Finite-difference validation of the layers, the losses and a step total.
 
 Each registry entry builds a small random problem and exposes the scalar
 to differentiate plus its leaf tensors. Analytic gradients come from the
 reverse sweep; the oracle is a central difference with step 1e-5. The
 prediction loss is checked in its frozen-target form: the analytic
 gradient of the live loss must match the finite difference of the loss
-with targets pinned at their unperturbed values.
+with targets pinned at their unperturbed values, alone (`cpl-frozen`) and
+in a training step's total with target standardization on (`step-total`).
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, backward, logsumexp, softplus
+from .autograd import Tensor, _make, backward
 from .errors import ConfigError
 from .losses import (
+    MarginConfig,
     center_loss,
     circle_loss,
     cpl_loss,
@@ -28,8 +30,9 @@ from .losses import (
     triplet_loss_batch_hard,
 )
 from .metrics import pairwise_distances
-from .nn import MLP, RELU, BatchNorm, CenterPredictor, Linear
+from .nn import MLP, RELU, BatchNorm, CenterPredictor, Linear, standardize
 from .seeding import substream
+from .trainer import LossConfig, TrainState, _loss_parts, _weighted_total
 
 FD_STEP = 1e-5
 _SPREAD = 4.0  # half-width of the box _spread_batch draws cluster centers from
@@ -125,8 +128,25 @@ def _off_kink_input(rng, d, n, net) -> Tensor:
     return Tensor(best, requires_grad=True)
 
 
+def _sum(t: Tensor) -> Tensor:
+    """sum(t) as one op that replays the composed sum: each entry gets g."""
+
+    def bw(g):
+        return (np.broadcast_to(g, t.shape),)
+
+    return _make(t.data.sum().reshape(1, 1), (t,), bw)
+
+
 def _sum_squares(t: Tensor) -> Tensor:
-    return (t * t).sum()
+    """sum(t * t) as one op that replays the composed sum(mul(t, t)) bit for
+    bit: t is a parent twice, and each use gets g * t.data."""
+    with np.errstate(over="ignore"):  # an overflow surfaces in _make
+        total = (t.data * t.data).sum().reshape(1, 1)
+
+    def bw(g):
+        return g * t.data, g * t.data
+
+    return _make(total, (t, t), bw)
 
 
 def _case_network(net, x, prefix) -> GradProblem:
@@ -150,6 +170,14 @@ def _case_mlp(rng) -> GradProblem:
     return _case_network(net, _off_kink_input(rng, 4, 6, net), "mlp")
 
 
+def _case_mlp_constant_input(rng) -> GradProblem:
+    # a constant batch, as the extractor and every refit predictor get: the
+    # stack skips its input gradient, so only the parameters are leaves
+    net = MLP(3, (4,), 2, rng)
+    x = _off_kink_input(rng, 3, 5, net).data
+    return GradProblem(lambda: _sum_squares(net(x)), {f"mlp.{n}": p for n, p in net.params()})
+
+
 def _case_predictor_plain(rng) -> GradProblem:
     net = CenterPredictor(dim=3, hidden=8, rng=rng, depth=2)
     return _case_network(net, _off_kink_input(rng, 3, 6, net), "pred")
@@ -160,31 +188,9 @@ def _case_predictor_deep_bn(rng) -> GradProblem:
     return _case_network(net, _off_kink_input(rng, 3, 6, net), "pred")
 
 
-def _case_matmul_chain(rng) -> GradProblem:
-    a = _feat(rng, 3, 4)
-    b = _feat(rng, 4, 5)
-    c = _feat(rng, 5, 2)
-    leaves = {"a": a, "b": b, "c": c}
-    return GradProblem(lambda: ((a @ b) @ c).sum(), leaves)
-
-
-def _case_elementwise(rng) -> GradProblem:
-    x = _feat(rng, 3, 5, lo=0.5, hi=2.0)  # positive keeps log/sqrt/abs smooth
-
-    def root():
-        return (x.exp() * 0.1 + (x * x + 1.5).log() + (x * x + 0.5).sqrt() + x.abs() * 0.7).sum()
-
-    return GradProblem(root, {"x": x})
-
-
-def _case_logsumexp_softplus(rng) -> GradProblem:
-    x = _feat(rng, 4, 6)
-    return GradProblem(lambda: logsumexp(x, axis=0).sum() + softplus(x).mean(), {"x": x})
-
-
 def _case_pairwise(rng) -> GradProblem:
     x = _spread_batch(rng, 3, 2, 3)
-    return GradProblem(lambda: pairwise_euclidean(x).sum(), {"x": x})
+    return GradProblem(lambda: _sum(pairwise_euclidean(x)), {"x": x})
 
 
 def _case_ce(rng) -> GradProblem:
@@ -244,15 +250,54 @@ def _case_cpl_frozen(rng) -> GradProblem:
     )
 
 
+def _case_weighted_total(rng) -> GradProblem:
+    x = _feat(rng, 2, 4)
+    labels = _labels_pk(2, 2)
+    centers, targets = rng.uniform(-1, 1, size=(2, 2)), rng.uniform(-1, 1, size=(2, 4))
+    weights = dict(zip(("ce", "cpl", "center"), rng.uniform(0.5, 2.0, size=3)))
+
+    def root():
+        parts = (id_cross_entropy(x, labels), cpl_loss(x, labels, targets), center_loss(x, labels, centers))
+        return _weighted_total(dict(zip(weights, parts)), weights)
+
+    return GradProblem(root, {"x": x})
+
+
+def _case_step_total(rng) -> GradProblem:
+    labels = _labels_pk(2, 2)
+    weights = dict(zip(("ce", "cpl", "center", "triplet"), rng.uniform(0.5, 2.0, size=4)))
+    # margin 20 keeps every triplet hinge active, as in the triplet case
+    loss_cfg = LossConfig(weights, MarginConfig(triplet_margin=20.0))
+    centers = Tensor(rng.uniform(-1, 1, size=(2, 2)))
+    # no extractor (the embedding x is the leaf) and bn_target on, the lab's default
+    state = TrainState(None, Linear(2, 2, rng), CenterPredictor(2, 4, rng), True, centers, optimizer=None, seed=0)
+    x = _off_kink_input(rng, 2, 4, state.predictor)
+    # frozen semantics for the whole step: the finite difference keeps the
+    # targets the step takes from the standardized embeddings where they were
+    pinned = cpl_targets(standardize(x.data)[2], labels)
+    rest = LossConfig({n: w for n, w in weights.items() if n != "cpl"}, loss_cfg.margins)
+
+    def fd_forward():
+        parts = dict(_loss_parts(state, x, labels, rest))
+        parts["cpl"] = cpl_loss(x, labels, pinned, state.predictor)
+        return _weighted_total(parts, weights).item()
+
+    return GradProblem(
+        root=lambda: _weighted_total(dict(_loss_parts(state, x, labels, loss_cfg)), weights),
+        leaves={"x": x},
+        fd_forward=fd_forward,
+    )
+
+
 REGISTRY = (
     ("linear", _case_linear),
     ("batchnorm", _case_batchnorm),
     ("mlp", _case_mlp),
     ("predictor-2layer", _case_predictor_plain),
     ("predictor-4layer-bn", _case_predictor_deep_bn),
-    ("matmul-chain", _case_matmul_chain),
-    ("elementwise", _case_elementwise),
-    ("logsumexp-softplus", _case_logsumexp_softplus),
+    ("mlp-constant-input", _case_mlp_constant_input),
+    ("weighted-total", _case_weighted_total),
+    ("step-total", _case_step_total),
     ("pairwise-euclidean", _case_pairwise),
     ("cross-entropy", _case_ce),
     ("center-loss", _case_center),
@@ -296,7 +341,7 @@ class GradcheckReport:
 
 
 def run_gradcheck(seed: int = 0, tolerance: float = 1e-4, batches: int = 20) -> GradcheckReport:
-    """Check every registered op over `batches` seeded random problems.
+    """Check every registered case over `batches` seeded random problems.
 
     A check of no batches, or against a tolerance that is not a finite
     positive number, would pass on nothing: both are config errors."""

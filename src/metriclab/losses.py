@@ -421,8 +421,9 @@ def cpl_targets(features, labels, target_mode: str = "leave-one-out-mean", seed:
     Modes: leave-one-out-mean (mean of the other K-1 same-class samples),
     sample-mean (mean including self), random-point (seeded uniform draw
     among the other K-1), farthest-point (the same-class sample at greatest
-    Euclidean distance, ties to the lowest batch index). A target that
-    overflows raises NumericsError.
+    Euclidean distance, ties to the lowest batch index). Every mode but
+    sample-mean reads another same-class sample, so needs >= 2 per identity.
+    A target that overflows raises NumericsError.
     """
     features, labels = _check_batch(features, labels, "cpl_targets")
     if target_mode not in TARGET_MODES:
@@ -434,7 +435,7 @@ def cpl_targets(features, labels, target_mode: str = "leave-one-out-mean", seed:
         for label, lo, hi in zip(ids.tolist(), starts[:-1], starts[1:]):
             idx = grouped[lo:hi]
             k = idx.size
-            if k < 2:
+            if k < 2 and target_mode != "sample-mean":
                 raise ShapeError(f"cpl_targets: identity {label} has {k} sample(s); need >= 2")
             z = values[:, idx]
             if target_mode == "leave-one-out-mean":

@@ -158,6 +158,18 @@ def test_numeric_failure_exits_3_with_one_json_line(tmp_path, capsys, text, data
     assert not (tmp_path / "run").exists()
 
 
+def test_center_surface_takes_a_one_sample_class_and_cpl_refuses_it(tmp_path, capsys):
+    # the class mean of one sample is that sample; CPL needs another to predict
+    (tmp_path / "data.csv").write_text("f0,f1,label\n0.0,0.0,0\n1.0,2.0,0\n5.0,5.0,1\n")
+    data = f"dataset.source = csv\ndataset.path = {tmp_path / 'data.csv'}\n"
+    cfg = _write(tmp_path, f"kind = surface\nsurface.loss = center\n{data}out = {tmp_path / 'run'}\n")
+    assert _run(capsys, "run", str(cfg))[0] == 0
+    rows = [line.split(",") for line in (tmp_path / "run" / "surface.csv").read_text().splitlines()[1:]]
+    assert [(label, float(e)) for _, _, label, e, _ in rows] == [("0", 1.25), ("0", 1.25), ("1", 0.0)]
+    cfg = _write(tmp_path, f"kind = surface\nsurface.loss = cpl\n{data}out = {tmp_path / 'run2'}\n")
+    _assert_one_config_error_line(*_run(capsys, "run", str(cfg)))
+
+
 def test_numeric_failure_names_the_op(tmp_path, capsys):
     cfg = _write(
         tmp_path,

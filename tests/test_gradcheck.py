@@ -6,12 +6,17 @@ import pytest
 from metriclab.autograd import Tensor, backward
 from metriclab.gradcheck import (
     REGISTRY,
+    _sum,
+    _sum_squares,
     central_diff,
     max_rel_err,
     run_gradcheck,
 )
 from metriclab.machine import platform_record
+from metriclab.nn import Linear
 from metriclab.seeding import substream
+
+from primitives import mul, tsum
 
 # seed-0 `metriclab gradcheck --batches 2` stdout, which
 # scripts/run_all_experiments.py regenerates
@@ -85,3 +90,20 @@ def test_every_case_checks_a_nonzero_gradient():
             problem = builder(substream(0, f"gradcheck/{name}/{b}"))
             grads = backward(problem.root())
             assert any(np.any(grads.get(leaf, 0.0) != 0.0) for leaf in problem.leaves.values()), (name, b)
+
+
+@pytest.mark.parametrize("upstream", [1.0, 0.37])
+def test_fused_sums_are_bit_identical_to_composed_graphs(upstream, rng):
+    # a layer under the sum, so both uses of its output accumulate into it
+    layer = Linear(3, 4, rng)
+    data = rng.normal(0, 2, (3, 6))
+
+    def run(total):
+        x = Tensor(data.copy(), requires_grad=True)
+        root = mul(total(layer(x)), upstream)
+        grads = backward(root)
+        return [root.data, grads[x], grads[layer.weight], grads[layer.bias]]
+
+    for fused, composed in ((_sum_squares, lambda t: tsum(mul(t, t))), (_sum, tsum)):
+        for f, c in zip(run(fused), run(composed), strict=True):
+            assert np.array_equal(f, c)

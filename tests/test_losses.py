@@ -31,6 +31,7 @@ from composed_graphs import (
     composed_triplet,
 )
 from fd_utils import central_diff, max_rel_err
+from primitives import add, mul, tsum
 from reference_impls import (
     oracle_center,
     oracle_circle,
@@ -552,7 +553,7 @@ def _value_and_grads(op, data, r, leaves=()):
     x = Tensor(data.copy(), requires_grad=True)
     out = op(x)
     # a non-uniform upstream gradient, so every backward term is exercised
-    grads = backward((out * r + out * out).sum())
+    grads = backward(tsum(add(mul(out, r), mul(out, out))))
     return [out.data, grads[x], *(grads[leaf] for leaf in leaves)]
 
 
@@ -565,7 +566,7 @@ def _assert_same_value_and_grad(fused, composed, data, r, leaves=()):
 def with_other_consumer(loss, shared):
     # the square's terms reach the input before the loss's own terms, so the
     # order in which the loss adds its terms shows in the last bits
-    return (lambda t: (t * t).sum() * 0.5 + loss(t)) if shared else loss
+    return (lambda t: add(mul(tsum(mul(t, t)), 0.5), loss(t))) if shared else loss
 
 
 @pytest.mark.parametrize("n", [1, 2, 9])
@@ -717,7 +718,7 @@ def _shared_embedding_step(fused):
         ]
     total = None
     for part in parts:  # as train_step sums weighted parts
-        total = part * 1.0 if total is None else total + part * 1.0
+        total = mul(part, 1.0) if total is None else add(total, mul(part, 1.0))
     grads = backward(total)
     leaves = [x, centers, *(p for layer in (extractor, classifier, predictor) for _, p in layer.params())]
     return total.data, [grads[emb], grads[dist]] + [grads[leaf] for leaf in leaves]
@@ -855,7 +856,7 @@ def test_fused_pairwise_backward_raises_where_composed_graph_raises():
     for op, match in ((composed_pairwise, "backward"), (pairwise_euclidean, "^pairwise_euclidean: backward")):
         x = Tensor(data, requires_grad=True)
         with pytest.raises(NumericsError, match=match):
-            backward((op(x) * 1e307).sum())
+            backward(tsum(mul(op(x), 1e307)))
 
 
 def test_fused_circle_backward_raises_where_composed_graph_raises():
@@ -865,4 +866,4 @@ def test_fused_circle_backward_raises_where_composed_graph_raises():
     for op, match in ((composed_circle, "backward"), (circle_loss, "^circle_loss: backward")):
         x = Tensor(data, requires_grad=True)
         with pytest.raises(NumericsError, match=match):
-            backward(op(x, PK4, 32.0, 0.25) * 1e300)
+            backward(mul(op(x, PK4, 32.0, 0.25), 1e300))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from metriclab.autograd import Tensor, as_tensor, backward, matmul, relu
+from metriclab.autograd import Tensor, as_tensor, backward
 from metriclab.errors import ConfigError, NumericsError, ShapeError
 from metriclab.nn import (
     CHECKPOINT_HEADER,
@@ -19,6 +19,7 @@ from metriclab.nn import (
 )
 
 from fd_utils import central_diff, max_rel_err
+from primitives import add, div, matmul, mul, relu, sqrt, sub, tmean, tsum
 
 
 def test_linear_applies_affine_map(rng):
@@ -87,7 +88,7 @@ def test_batchnorm_gradients_match_fd(rng):
 
     def forward():
         out = bn(x)
-        return (out * r + out * out).sum()
+        return tsum(add(mul(out, r), mul(out, out)))
 
     analytic = backward(forward())
     for leaf in (x, bn.gamma, bn.beta):
@@ -99,7 +100,7 @@ def test_mlp_shapes_and_gradients(rng):
     x = Tensor(rng.uniform(-2, 2, (4, 5)), requires_grad=True)
     out = mlp(x)
     assert out.shape == (3, 5)
-    grads = backward((out * out).sum())
+    grads = backward(tsum(mul(out, out)))
     for name, p in mlp.params():
         assert p in grads, f"parameter {name} got no gradient"
         assert np.linalg.norm(grads[p]) > 0, f"parameter {name} gradient is zero"
@@ -142,7 +143,7 @@ def test_predictor_bn_variants_forward_and_grads(rng):
     x = Tensor(rng.uniform(-2, 2, (3, 6)), requires_grad=True)
     out = pred(x)
     assert out.shape == (3, 6)
-    grads = backward((out * out).sum())
+    grads = backward(tsum(mul(out, out)))
     for name, p in pred.params():
         assert p in grads and np.linalg.norm(grads[p]) > 0, name
 
@@ -166,24 +167,24 @@ def test_checkpoint_round_trip_exact(tmp_path, rng):
 
 
 def composed_linear(layer, x):
-    """Linear as two autograd ops, the reference for the fused op."""
-    return matmul(layer.weight, as_tensor(x)) + layer.bias
+    """Linear as two primitives, the reference for the fused op."""
+    return add(matmul(layer.weight, as_tensor(x)), layer.bias)
 
 
 def composed_batchnorm(bn, x):
-    """BatchNorm as a graph of autograd primitives, the reference for the
+    """BatchNorm as a graph of primitives, the reference for the
     fused op: same ops, same order."""
     x = as_tensor(x)
-    centered = x - x.mean(axis=1)
-    var = (centered * centered).mean(axis=1)
-    xhat = centered / (var + bn.eps).sqrt()
-    return bn.gamma * xhat + bn.beta
+    centered = sub(x, tmean(x, axis=1))
+    var = tmean(mul(centered, centered), axis=1)
+    xhat = div(centered, sqrt(add(var, bn.eps)))
+    return add(mul(bn.gamma, xhat), bn.beta)
 
 
 def _value_and_grads(forward, x, r, leaves):
     out = forward(x)
     # a non-uniform upstream gradient, so every backward term is exercised
-    grads = backward((out * r + out * out).sum())
+    grads = backward(tsum(add(mul(out, r), mul(out, out))))
     return out.data, [grads[leaf] for leaf in (x, *leaves)]
 
 
@@ -224,7 +225,7 @@ def test_linear_on_a_constant_input_keeps_composed_param_gradients(n, rng):
 
     def run(forward):
         out = forward(x)
-        grads = backward((out * r + out * out).sum())
+        grads = backward(tsum(add(mul(out, r), mul(out, out))))
         assert x not in grads
         return out.data, [grads[layer.weight], grads[layer.bias]]
 
@@ -246,7 +247,7 @@ def test_fused_batchnorm_is_bit_identical_to_composed_graph(n, rng):
 
 
 def chained(net, x, linear=Linear.forward, batchnorm=BatchNorm.forward):
-    """net as a chain of one-layer ops and autograd relus: the reference for
+    """net as a chain of one-layer ops and primitive relus: the reference for
     its layer stack, read from its layers and BNs and never from its steps."""
     h = as_tensor(x)
     for i, layer in enumerate(net.layers[:-1]):
@@ -264,7 +265,7 @@ def test_fused_predictor_gradients_bit_identical_to_composed_graph():
     def run(forward):
         x = Tensor(np.random.default_rng(8).normal(0, 1, (3, 6)), requires_grad=True)
         out = forward(x)
-        grads = backward((out * out).sum())
+        grads = backward(tsum(mul(out, out)))
         return out.data, [grads[x]] + [grads[p] for _, p in pred.params()]
 
     _assert_bit_equal(run(pred), run(lambda t: chained(pred, t, composed_linear, composed_batchnorm)))
@@ -303,7 +304,7 @@ def test_stack_is_bit_identical_to_chained_one_layer_ops(name, x_grad, rng):
 
     def run(forward):
         out = forward(x)
-        grads = backward((out * r + out * out).sum())
+        grads = backward(tsum(add(mul(out, r), mul(out, out))))
         assert (x in grads) == x_grad
         return out.data, [grads[leaf] for leaf in ([x] if x_grad else []) + leaves]
 
@@ -323,7 +324,7 @@ def test_stack_writes_no_input_parameter_or_upstream_gradient(name, x_grad, rng)
     for a in inputs:  # an in-place write into any of them raises
         a.flags.writeable = False
     out = net(x)
-    grads = backward((out * r).sum())
+    grads = backward(tsum(mul(out, r)))
     # the sweep keeps the upstream gradient the stack's rule received
     assert np.array_equal(grads[out], r.data)
     g = np.ones(out.shape)
@@ -373,7 +374,7 @@ def test_stack_backward_failure_names_the_owning_module(net, rng):
     net.layers[0].bias.data[:] = 1e-3
     net.layers[1].weight.data[:] = 100.0
     # the forward stays finite; W^T g overflows in the stack's backward
-    root = (net(rng.normal(0, 1, (3, 5))) * 1e307).sum()
+    root = tsum(mul(net(rng.normal(0, 1, (3, 5))), 1e307))
     owner = type(net).__name__
     with pytest.raises(NumericsError, match=f"^{owner}.forward: backward produced non-finite gradient entries$"):
         backward(root)

@@ -22,6 +22,7 @@ from metriclab.trainer import (
     train_step,
 )
 
+from primitives import add, mul, tsum
 from reference_impls import oracle_cpl
 
 
@@ -97,15 +98,15 @@ def test_weighted_total_is_bit_identical_to_the_composed_sum():
 
     def value_and_grad(weighted):
         x = Tensor(data.copy(), requires_grad=True)
-        parts = {name: (x * float(i + 1)).sum() * (1.0 / 7.0) for i, name in enumerate(weights)}
+        parts = {name: mul(tsum(mul(x, float(i + 1))), 1.0 / 7.0) for i, name in enumerate(weights)}
         total = weighted(parts)
         return total.data, backward(total)[x]
 
     def composed(parts):
         total = None
         for name, part in parts.items():
-            term = part * float(weights[name])
-            total = term if total is None else total + term
+            term = mul(part, float(weights[name]))
+            total = term if total is None else add(total, term)
         return total
 
     (f_total, f_grad), (c_total, c_grad) = value_and_grad(lambda p: _weighted_total(p, weights)), value_and_grad(composed)
