@@ -51,16 +51,7 @@ def _write_summary(out: Path, summary: dict) -> None:
 
 
 def _dispatch_train(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dict:
-    state, timeline, snapshots = train_run(
-        ds,
-        model_cfg=cfg.model,
-        loss_cfg=cfg.loss,
-        sgd_cfg=cfg.sgd,
-        sampler_cfg=cfg.sampler,
-        seed=cfg.seed,
-        eval_every=cfg.eval_every,
-        out_dir=out,
-    )
+    state, timeline, snapshots = train_run(ds, cfg, out_dir=out)
     return {
         "kind": "train",
         "steps": state.step,

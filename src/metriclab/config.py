@@ -7,6 +7,10 @@ config hashing meaningful.
 
 `SCHEMA` names each key's field in `ExperimentConfig`; the key's default
 and its value type (bool, int, float, str or int tuple) are that field's.
+Each section (dataset, model, loss, sgd, sampler) is a flat dataclass of
+plain values, the loss weights dict included, so `parse_config` builds it
+from its keys in one call; the loss section also holds the pairwise
+losses' margins and scales.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from functools import cache
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -102,12 +105,12 @@ SCHEMA = {
     "model.bn_predictor_output": "model.bn_predictor_output",
     **{f"loss.{name}.weight": f"loss.weights.{name}" for name in LOSS_NAMES},
     "loss.cpl.target": "loss.cpl_target",
-    "loss.triplet.margin": "loss.margins.triplet_margin",
-    "loss.circle.margin": "loss.margins.circle_margin",
-    "loss.circle.scale": "loss.margins.circle_scale",
-    "loss.lifted.margin": "loss.margins.lifted_margin",
-    "loss.rll.alpha": "loss.margins.rll_alpha",
-    "loss.rll.margin": "loss.margins.rll_margin",
+    "loss.triplet.margin": "loss.triplet_margin",
+    "loss.circle.margin": "loss.circle_margin",
+    "loss.circle.scale": "loss.circle_scale",
+    "loss.lifted.margin": "loss.lifted_margin",
+    "loss.rll.alpha": "loss.rll_alpha",
+    "loss.rll.margin": "loss.rll_margin",
     "sgd.base_lr": "sgd.base_lr",
     "sgd.milestones": "sgd.milestones",
     "sgd.decay_factor": "sgd.decay_factor",
@@ -194,12 +197,6 @@ def _field_default(f):
     return None if f.default is MISSING else f.default
 
 
-@cache
-def _sections(cls) -> dict:
-    """cls's dataclass-valued fields: name -> their dataclass."""
-    return {f.name: type(d) for f in fields(cls) if is_dataclass(d := _field_default(f))}
-
-
 class _Key(NamedTuple):
     path: tuple
     get: Callable
@@ -209,6 +206,8 @@ class _Key(NamedTuple):
 
 # every ExperimentConfig field at its default; `kind` is None
 _DEFAULTS = SimpleNamespace(**{f.name: _field_default(f) for f in fields(ExperimentConfig)})
+# ExperimentConfig's sections, name -> dataclass; a section's fields are plain values
+_SECTIONS = {name: type(value) for name, value in vars(_DEFAULTS).items() if is_dataclass(value)}
 
 
 def _resolve(path: str) -> _Key:
@@ -250,13 +249,6 @@ def _parse_raw(text: str) -> dict:
     return raw
 
 
-def _build(cls, values: dict):
-    """cls(**values), building its dataclass fields from sub-dicts first."""
-    for name, section in _sections(cls).items():
-        values[name] = _build(section, values[name])
-    return cls(**values)
-
-
 def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """The config that text sets. A key the text omits keeps base's value,
     or its default when no base is given; only a base lets text omit `kind`."""
@@ -270,9 +262,9 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         for name in spec.path[:-1]:
             node = node.setdefault(name, {})
         node[spec.path[-1]] = raw[key] if key in raw else spec.get(fallback)
-    for name, section in _sections(ExperimentConfig).items():
+    for name, section in _SECTIONS.items():
         try:
-            tree[name] = _build(section, tree[name])
+            tree[name] = section(**tree[name])
         except ConfigError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
     return ExperimentConfig(**tree)

@@ -175,19 +175,10 @@ def run_boundary_experiment(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=N
         raise ConfigError(
             f"boundary experiment expects a 2- or 3-class dataset, got {len(ds.identities)} classes"
         )
-    model_cfg = replace(cfg.model, embedding_dim=2)  # analysis needs a plane
-    if model_cfg.predictor != "mlp":
+    if cfg.model.predictor != "mlp":
         raise ConfigError("boundary experiment trains CE+CPL and needs model.predictor = mlp")
-    state, _, _ = train_run(
-        ds,
-        model_cfg=model_cfg,
-        loss_cfg=cfg.loss,
-        sgd_cfg=cfg.sgd,
-        sampler_cfg=cfg.sampler,
-        seed=cfg.seed,
-        eval_every=cfg.eval_every,
-        out_dir=out_dir,
-    )
+    plane = replace(cfg, model=replace(cfg.model, embedding_dim=2))  # analysis needs a plane
+    state, _, _ = train_run(ds, plane, out_dir=out_dir)
     margins = classifier_margins(state, ds)
     normalized = l2_normalize(embed_dataset(state, ds))
     grid = SurfaceGrid(
@@ -285,15 +276,7 @@ def run_retrieval_variant(split: tuple, cfg: ExperimentConfig, variant: str):
     """One ablation training run + held-out retrieval eval on a
     `split_retrieval_task` split; the run is seeded per variant name."""
     train, queries, gallery = split
-    state, _, _ = train_run(
-        train,
-        model_cfg=cfg.model,
-        loss_cfg=cfg.loss,
-        sgd_cfg=cfg.sgd,
-        sampler_cfg=cfg.sampler,
-        seed=subseed(cfg.seed, f"ablation/{variant}"),
-        eval_every=0,
-    )
+    state, _, _ = train_run(train, replace(cfg, seed=subseed(cfg.seed, f"ablation/{variant}"), eval_every=0))
     result = evaluate_retrieval(
         embed_dataset(state, queries), queries.labels, embed_dataset(state, gallery), gallery.labels
     )

@@ -11,14 +11,13 @@ in a training step's total with target standardization on (`step-total`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autograd import Tensor, _make, backward
 from .errors import ConfigError
 from .losses import (
-    MarginConfig,
     center_loss,
     circle_loss,
     cpl_loss,
@@ -267,7 +266,7 @@ def _case_step_total(rng) -> GradProblem:
     labels = _labels_pk(2, 2)
     weights = dict(zip(("ce", "cpl", "center", "triplet"), rng.uniform(0.5, 2.0, size=4)))
     # margin 20 keeps every triplet hinge active, as in the triplet case
-    loss_cfg = LossConfig(weights, MarginConfig(triplet_margin=20.0))
+    loss_cfg = LossConfig(weights, triplet_margin=20.0)
     centers = Tensor(rng.uniform(-1, 1, size=(2, 2)))
     # no extractor (the embedding x is the leaf) and bn_target on, the lab's default
     state = TrainState(None, Linear(2, 2, rng), CenterPredictor(2, 4, rng), True, centers, optimizer=None, seed=0)
@@ -275,7 +274,7 @@ def _case_step_total(rng) -> GradProblem:
     # frozen semantics for the whole step: the finite difference keeps the
     # targets the step takes from the standardized embeddings where they were
     pinned = cpl_targets(standardize(x.data)[2], labels)
-    rest = LossConfig({n: w for n, w in weights.items() if n != "cpl"}, loss_cfg.margins)
+    rest = replace(loss_cfg, weights={n: w for n, w in weights.items() if n != "cpl"})
 
     def fd_forward():
         parts = dict(_loss_parts(state, x, labels, rest))
@@ -334,7 +333,7 @@ class GradcheckReport:
         ]
         verdict = "all passed" if self.all_passed else "FAILURES above tolerance"
         lines.append(
-            f"gradcheck: {sum(r.passed for r in self.rows)}/{len(self.rows)} ops "
+            f"gradcheck: {sum(r.passed for r in self.rows)}/{len(self.rows)} cases "
             f"within {self.tolerance:g} over {self.batches} batches ({verdict})"
         )
         return "\n".join(lines)

@@ -23,8 +23,6 @@ wherever one of the graph's checks would have fired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autograd import Tensor, _all_finite, _make, _unbroadcast, as_tensor
@@ -34,7 +32,6 @@ from .sampling import group_labels
 from .seeding import substream
 
 __all__ = [
-    "MarginConfig",
     "id_cross_entropy",
     "center_loss",
     "triplet_loss_batch_hard",
@@ -50,28 +47,6 @@ __all__ = [
 ]
 
 TARGET_MODES = ("leave-one-out-mean", "random-point", "farthest-point", "sample-mean")
-
-
-@dataclass
-class MarginConfig:
-    """Margin/scale constants shared by the pairwise losses."""
-
-    triplet_margin: float = 0.3
-    circle_margin: float = 0.25
-    circle_scale: float = 32.0
-    lifted_margin: float = 1.0
-    rll_alpha: float = 1.2
-    rll_margin: float = 0.4
-
-    def __post_init__(self):
-        if self.triplet_margin < 0 or self.circle_margin < 0 or self.lifted_margin < 0:
-            raise ConfigError("margins must be non-negative")
-        if self.circle_scale <= 0:
-            raise ConfigError("circle_scale must be positive")
-        if self.rll_margin < 0:
-            raise ConfigError("rll_margin must be non-negative")
-        if not self.rll_alpha > self.rll_margin:
-            raise ConfigError("rll_alpha must exceed rll_margin")
 
 
 def _check_batch(features, labels, opname: str):

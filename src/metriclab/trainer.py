@@ -5,6 +5,10 @@ One shared schedule drives every parameter group (extractor, classifier,
 predictor, centers). CPL targets are built once per batch from embedding
 values (standardized, with nothing learned, under `bn_target`) and passed
 to `cpl_loss` as a constant; a refit takes its targets from the caller.
+
+`LossConfig` is the config's flat `loss` section and holds every loss
+setting: the weights, the CPL target mode and the pairwise losses' margins
+and scales. `train_run` takes the run's whole `ExperimentConfig`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from . import losses
 from .autograd import Tensor, _all_finite, _make, as_tensor, backward
 from .errors import ConfigError, NumericsError
 from .losses import (
-    MarginConfig,
     center_loss,
     circle_loss,
     cpl_loss,
@@ -31,7 +34,7 @@ from .losses import (
     triplet_loss_batch_hard,
 )
 from .nn import MLP, CenterPredictor, Linear, ModelConfig, save_checkpoint, standardize
-from .sampling import LabeledDataset, PKSamplerConfig, epoch_iter
+from .sampling import LabeledDataset, epoch_iter
 from .seeding import subseed, substream
 
 __all__ = [
@@ -79,13 +82,26 @@ class SgdConfig:
 
 @dataclass
 class LossConfig:
-    """Which losses train, their weights, margins, and target policy."""
+    """Which losses train, their weights, the CPL target policy, and the
+    margin and scale constants of the pairwise losses."""
 
     weights: dict = field(default_factory=lambda: {"ce": 1.0, "cpl": 1.0})
-    margins: MarginConfig = field(default_factory=MarginConfig)
     cpl_target: str = "leave-one-out-mean"
+    triplet_margin: float = 0.3
+    circle_margin: float = 0.25
+    circle_scale: float = 32.0
+    lifted_margin: float = 1.0
+    rll_alpha: float = 1.2
+    rll_margin: float = 0.4
 
     def __post_init__(self):
+        for name in ("triplet", "circle", "lifted", "rll"):
+            if getattr(self, f"{name}_margin") < 0:
+                raise ConfigError(f"loss.{name}.margin must be non-negative")
+        if self.circle_scale <= 0:
+            raise ConfigError("loss.circle.scale must be positive")
+        if not self.rll_alpha > self.rll_margin:
+            raise ConfigError("loss.rll.alpha must exceed loss.rll.margin")
         unknown = set(self.weights) - set(LOSS_NAMES)
         if unknown:
             raise ConfigError(f"unknown loss names {sorted(unknown)}; expected {LOSS_NAMES}")
@@ -195,7 +211,6 @@ _DISTANCE_LOSSES = ("triplet", "lifted", "rll")
 
 def _loss_parts(state: TrainState, embeddings, labels, loss_cfg: LossConfig):
     """Yield (name, part) for each enabled loss, in LOSS_NAMES order."""
-    m = loss_cfg.margins
     enabled = loss_cfg.enabled()
     # one distance matrix (and one graph through it) for every distance loss
     dist = None
@@ -216,13 +231,13 @@ def _loss_parts(state: TrainState, embeddings, labels, loss_cfg: LossConfig):
                 raise ConfigError("center loss enabled but state has no centers")
             yield name, center_loss(embeddings, labels, state.centers)
         elif name == "triplet":
-            yield name, triplet_loss_batch_hard(dist, labels, m.triplet_margin)
+            yield name, triplet_loss_batch_hard(dist, labels, loss_cfg.triplet_margin)
         elif name == "circle":
-            yield name, circle_loss(embeddings, labels, m.circle_scale, m.circle_margin)
+            yield name, circle_loss(embeddings, labels, loss_cfg.circle_scale, loss_cfg.circle_margin)
         elif name == "lifted":
-            yield name, lifted_structure_loss(dist, labels, m.lifted_margin)
+            yield name, lifted_structure_loss(dist, labels, loss_cfg.lifted_margin)
         elif name == "rll":
-            yield name, ranked_list_loss(dist, labels, m.rll_alpha, m.rll_margin)
+            yield name, ranked_list_loss(dist, labels, loss_cfg.rll_alpha, loss_cfg.rll_margin)
 
 
 def _weighted_total(parts: dict, weights: dict) -> Tensor:
@@ -302,17 +317,10 @@ def train_accuracy(state: TrainState, ds: LabeledDataset) -> float:
     return float((logits.argmax(axis=0) == ds.labels).mean())
 
 
-def train_run(
-    ds: LabeledDataset,
-    model_cfg: ModelConfig,
-    loss_cfg: LossConfig,
-    sgd_cfg: SgdConfig,
-    sampler_cfg: PKSamplerConfig,
-    seed: int,
-    eval_every: int,
-    out_dir=None,
-):
-    """Full training loop. Returns (state, timeline rows, snapshots).
+def train_run(ds: LabeledDataset, cfg, out_dir=None):
+    """Full training loop of cfg, the run's `config.ExperimentConfig`: its
+    model, loss, sgd and sampler sections, seed and eval_every. Returns
+    (state, timeline rows, snapshots).
 
     Snapshots are (epoch, train accuracy) pairs taken every eval_every
     epochs and at the end; checkpoints go to out_dir when given.
@@ -320,15 +328,16 @@ def train_run(
     n_classes = len(ds.identities)
     if ds.identities != list(range(n_classes)):
         raise ConfigError("training expects dense labels 0..C-1")
-    state = build_state(ds.dim, n_classes, model_cfg, loss_cfg, seed, momentum=sgd_cfg.momentum)
-    sampler_rng = substream(seed, "sampler")
+    loss_cfg, sgd_cfg, eval_every = cfg.loss, cfg.sgd, cfg.eval_every
+    state = build_state(ds.dim, n_classes, cfg.model, loss_cfg, cfg.seed, momentum=sgd_cfg.momentum)
+    sampler_rng = substream(cfg.seed, "sampler")
     timeline = []
     snapshots = []
     part_names = loss_cfg.enabled()
     for epoch in range(sgd_cfg.epochs):
         state.epoch = epoch
         lr = lr_at(sgd_cfg, epoch)
-        for batch in epoch_iter(ds, sampler_cfg, sampler_rng):
+        for batch in epoch_iter(ds, cfg.sampler, sampler_rng):
             timeline.append(train_step(state, batch, loss_cfg, lr))
         last = epoch == sgd_cfg.epochs - 1
         if eval_every and (epoch % eval_every == eval_every - 1 or last):

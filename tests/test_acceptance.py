@@ -51,7 +51,7 @@ def test_criterion_01_gradient_suite_matches_finite_differences():
     worst = max(row.max_rel_err for row in report.rows)
     ok = report.all_passed and len(report.rows) == 16 and elapsed < 30.0
     _report(1, "gradient suite vs central differences", ok,
-            f"16 ops x 20 batches, worst rel err {worst:.2e}, {elapsed:.1f}s < 30s")
+            f"16 cases x 20 batches, worst rel err {worst:.2e}, {elapsed:.1f}s < 30s")
     assert report.all_passed, report.to_text()
     assert len(report.rows) == 16
     assert elapsed < 30.0
@@ -241,22 +241,30 @@ def test_criterion_09_training_sanity_ce_then_ce_plus_cpl():
     t0 = time.perf_counter()
     sgd = SgdConfig(base_lr=0.01, milestones=(10, 20), decay_factor=0.1, epochs=30, momentum=0.9)
     sampler = PKSamplerConfig(p=2, k=8)
-    ce_model = ModelConfig(extractor_hidden=(16,), embedding_dim=4, predictor="none", bn_target=False)
+    ce_cfg = ExperimentConfig(
+        kind="train",
+        model=ModelConfig(extractor_hidden=(16,), embedding_dim=4, predictor="none", bn_target=False),
+        loss=LossConfig(weights={"ce": 1.0}),
+        sgd=sgd,
+        sampler=sampler,
+        eval_every=0,
+    )
     # the joint run normalizes both predictions and targets; that keeps the
     # prediction term's scale bounded so it cannot crush the 4 clusters
-    joint_model = ModelConfig(
-        extractor_hidden=(16,), embedding_dim=4, predictor="mlp",
-        bn_target=True, bn_predictor_hidden=True, bn_predictor_output=True,
+    joint_cfg = replace(
+        ce_cfg,
+        model=ModelConfig(
+            extractor_hidden=(16,), embedding_dim=4, predictor="mlp",
+            bn_target=True, bn_predictor_hidden=True, bn_predictor_output=True,
+        ),
+        loss=LossConfig(weights={"ce": 1.0, "cpl": 1.0}),
     )
     ce_ok = joint_ok = decreased = 0
     for seed in range(10):
         ds = four_class_fixture(seed=subseed(seed, "dataset"))
-        state, _, _ = train_run(ds, model_cfg=ce_model, loss_cfg=LossConfig(weights={"ce": 1.0}),
-                                sgd_cfg=sgd, sampler_cfg=sampler, seed=seed, eval_every=0)
+        state, _, _ = train_run(ds, replace(ce_cfg, seed=seed))
         ce_ok += train_accuracy(state, ds) >= 0.95
-        state2, timeline, _ = train_run(ds, model_cfg=joint_model,
-                                        loss_cfg=LossConfig(weights={"ce": 1.0, "cpl": 1.0}),
-                                        sgd_cfg=sgd, sampler_cfg=sampler, seed=seed, eval_every=0)
+        state2, timeline, _ = train_run(ds, replace(joint_cfg, seed=seed))
         joint_ok += train_accuracy(state2, ds) >= 0.95
         # epoch means smooth out batch-order noise in the step-level series
         first = np.mean([r.parts["cpl"] for r in timeline if r.epoch == 0])

@@ -100,7 +100,7 @@ def test_run_invalid_config_exits_2_with_json_error(tmp_path, capsys):
     assert code == 2
     record = json.loads(err)
     assert record["error"] == "config"
-    assert "rll_alpha" in record["message"]
+    assert "loss.rll.alpha" in record["message"]
 
 
 def test_run_undecodable_config_exits_2_with_one_json_line(tmp_path, capsys):
@@ -269,7 +269,7 @@ def test_run_surface_single_loss_writes_one_csv(tmp_path, capsys):
 def test_gradcheck_command_exit_codes(capsys):
     code, out, _ = _run(capsys, "gradcheck", "--batches", "1")
     assert code == 0
-    assert "16/16 ops" in out
+    assert "16/16 cases" in out
     code, out, _ = _run(capsys, "gradcheck", "--batches", "1", "--tolerance", "1e-15")
     assert code == 1
     assert "FAIL" in out

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -135,8 +135,35 @@ def test_k_of_one_names_the_center_prediction_precondition():
 
 
 def test_rll_alpha_must_exceed_margin():
-    with pytest.raises(ConfigError, match="rll_alpha must exceed rll_margin"):
+    with pytest.raises(ConfigError, match="loss.rll.alpha must exceed loss.rll.margin"):
         parse_config("kind = train\nloss.rll.alpha = 0.3\nloss.rll.margin = 0.4\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("loss.triplet.margin = -0.1", "loss.triplet.margin must be non-negative"),
+        ("loss.circle.margin = -0.1", "loss.circle.margin must be non-negative"),
+        ("loss.lifted.margin = -0.1", "loss.lifted.margin must be non-negative"),
+        ("loss.circle.scale = 0.0", "loss.circle.scale must be positive"),
+        ("loss.rll.margin = -0.1", "loss.rll.margin must be non-negative"),
+    ],
+)
+def test_margin_and_scale_rules_name_their_keys(text, message):
+    # the fourth rule, rll alpha above rll margin, is test_rll_alpha_must_exceed_margin's
+    with pytest.raises(ConfigError, match=message):
+        parse_config(f"kind = train\n{text}\n")
+
+
+def test_config_sections_are_flat():
+    # parse_config builds each section with one call on plain values
+    cfg = parse_config("kind = train\n")
+    sections = [f.name for f in fields(cfg) if is_dataclass(getattr(cfg, f.name))]
+    assert sections == ["dataset", "model", "loss", "sgd", "sampler"]
+    for name in sections:
+        section = getattr(cfg, name)
+        nested = [f.name for f in fields(section) if is_dataclass(getattr(section, f.name))]
+        assert not nested, f"{name} has dataclass-valued fields {nested}"
 
 
 def test_milestones_checked_against_epochs():
@@ -225,12 +252,12 @@ NON_DEFAULTS = {
     "loss.lifted.weight": ("0.5", "loss.weights.lifted", 0.5),
     "loss.rll.weight": ("0.5", "loss.weights.rll", 0.5),
     "loss.cpl.target": ("sample-mean", "loss.cpl_target", "sample-mean"),
-    "loss.triplet.margin": ("0.5", "loss.margins.triplet_margin", 0.5),
-    "loss.circle.margin": ("0.5", "loss.margins.circle_margin", 0.5),
-    "loss.circle.scale": ("16.0", "loss.margins.circle_scale", 16.0),
-    "loss.lifted.margin": ("2.0", "loss.margins.lifted_margin", 2.0),
-    "loss.rll.alpha": ("1.5", "loss.margins.rll_alpha", 1.5),
-    "loss.rll.margin": ("0.2", "loss.margins.rll_margin", 0.2),
+    "loss.triplet.margin": ("0.5", "loss.triplet_margin", 0.5),
+    "loss.circle.margin": ("0.5", "loss.circle_margin", 0.5),
+    "loss.circle.scale": ("16.0", "loss.circle_scale", 16.0),
+    "loss.lifted.margin": ("2.0", "loss.lifted_margin", 2.0),
+    "loss.rll.alpha": ("1.5", "loss.rll_alpha", 1.5),
+    "loss.rll.margin": ("0.2", "loss.rll_margin", 0.2),
     "sgd.base_lr": ("0.01", "sgd.base_lr", 0.01),
     "sgd.milestones": ("5,15", "sgd.milestones", (5, 15)),
     "sgd.decay_factor": ("0.5", "sgd.decay_factor", 0.5),

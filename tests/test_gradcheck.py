@@ -61,7 +61,7 @@ def test_report_text_format():
     assert len(lines) == len(REGISTRY) + 1
     for line in lines[:-1]:
         assert "max_rel_err" in line and line.endswith(("PASS", "FAIL"))
-    assert lines[-1].startswith("gradcheck: 16/16 ops")
+    assert lines[-1].startswith("gradcheck: 16/16 cases")
 
 
 def test_report_matches_checked_in_file_byte_for_byte():

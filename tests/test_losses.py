@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from metriclab.autograd import Tensor, as_tensor, backward
 from metriclab.errors import ConfigError, NumericsError, ShapeError
 from metriclab.losses import (
-    MarginConfig,
     center_loss,
     circle_loss,
     cpl_loss,
@@ -19,6 +18,7 @@ from metriclab.losses import (
     triplet_loss_batch_hard,
 )
 from metriclab.nn import CenterPredictor, Linear
+from metriclab.trainer import LossConfig
 
 from composed_graphs import (
     composed_ce,
@@ -262,7 +262,7 @@ def unequal_batch(sizes, seed, dim=3):
 @pytest.mark.parametrize("seed", range(2))
 def test_pairwise_losses_match_oracles_on_pk_8x8_batch(seed):
     feats, labels = random_batch(seed, dim=16, p=8, k=8)
-    m = MarginConfig()
+    m = LossConfig()
     got = circle_loss(feats, labels, scale=m.circle_scale, margin=m.circle_margin).item()
     assert got == pytest.approx(oracle_circle(feats, labels, m.circle_scale, m.circle_margin), abs=1e-10)
     got = lifted_structure_loss(pairwise_euclidean(feats), labels, margin=m.lifted_margin).item()
@@ -319,7 +319,7 @@ def test_rll_alpha_must_exceed_margin():
     with pytest.raises(ConfigError):
         ranked_list_loss(pairwise_euclidean(np.zeros((2, 2))), np.array([0, 1]), alpha=0.4, margin=0.4)
     with pytest.raises(ConfigError):
-        MarginConfig(rll_alpha=0.3, rll_margin=0.4)
+        LossConfig(rll_alpha=0.3, rll_margin=0.4)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from metriclab import trainer
 from metriclab.autograd import Tensor, as_tensor, backward
+from metriclab.config import ExperimentConfig
 from metriclab.errors import ConfigError, NumericsError
 from metriclab.losses import cpl_loss, cpl_targets
-from metriclab.nn import BatchNorm, CenterPredictor, ModelConfig
+from metriclab.gradcheck import _off_kink_input
+from metriclab.nn import BatchNorm, CenterPredictor, Linear, ModelConfig
 from metriclab.sampling import LabeledDataset, PKSamplerConfig, epoch_iter
 from metriclab.seeding import substream
 from metriclab.synthetic import four_class_fixture, bimodal_class_fixture
@@ -12,6 +17,7 @@ from metriclab.trainer import (
     SGD,
     LossConfig,
     SgdConfig,
+    TrainState,
     _loss_parts,
     _weighted_total,
     build_state,
@@ -22,6 +28,7 @@ from metriclab.trainer import (
     train_step,
 )
 
+from fd_utils import central_diff, max_rel_err
 from primitives import add, mul, tsum
 from reference_impls import oracle_cpl
 
@@ -114,6 +121,27 @@ def test_weighted_total_is_bit_identical_to_the_composed_sum():
     assert np.array_equal(f_grad, c_grad)
 
 
+def test_step_total_without_target_bn_keeps_targets_frozen(monkeypatch):
+    # a whole step's total with bn_target off: the gradient is the finite
+    # difference of the total with the CPL targets pinned where they were
+    rng = substream(0, "step-total")
+    labels = np.repeat(np.arange(2), 2)  # PK 2 x 2
+    loss_cfg = LossConfig(weights={"ce": 0.8, "cpl": 1.5, "center": 0.6, "triplet": 1.2}, triplet_margin=20.0)
+    centers = Tensor(rng.uniform(-1, 1, size=(2, 2)))
+    state = TrainState(None, Linear(2, 2, rng), CenterPredictor(2, 4, rng), False, centers, optimizer=None, seed=0)
+    x = _off_kink_input(rng, 2, 4, state.predictor)
+
+    def total():
+        return _weighted_total(dict(_loss_parts(state, x, labels, loss_cfg)), loss_cfg.weights)
+
+    analytic = backward(total())[x]
+    # targets that follow the perturbation give a different derivative
+    assert max_rel_err(analytic, central_diff(total, x)) > 1e-2
+    pinned = cpl_targets(x.data, labels, loss_cfg.cpl_target)
+    monkeypatch.setattr(trainer, "cpl_targets", lambda *args: pinned)
+    assert max_rel_err(analytic, central_diff(total, x)) < 1e-4
+
+
 def test_numerics_error_in_a_step_carries_epoch_step_and_lr():
     ds = small_ds()
     loss_cfg = LossConfig(weights={"ce": 1.0})
@@ -160,31 +188,34 @@ def test_single_ce_step_decreases_loss(seed):
 
 def test_train_run_deterministic_same_seed():
     ds = small_ds()
-    kwargs = dict(
-        model_cfg=ModelConfig(extractor_hidden=(8,), embedding_dim=4),
-        loss_cfg=LossConfig(weights={"ce": 1.0, "cpl": 1.0}),
-        sgd_cfg=SgdConfig(base_lr=0.005, milestones=(), epochs=3),
-        sampler_cfg=PKSamplerConfig(p=2, k=3),
+    cfg = ExperimentConfig(
+        kind="train",
         seed=17,
+        model=ModelConfig(extractor_hidden=(8,), embedding_dim=4),
+        loss=LossConfig(weights={"ce": 1.0, "cpl": 1.0}),
+        sgd=SgdConfig(base_lr=0.005, milestones=(), epochs=3),
+        sampler=PKSamplerConfig(p=2, k=3),
         eval_every=0,
     )
-    _, t1, _ = train_run(ds, **kwargs)
-    _, t2, _ = train_run(ds, **kwargs)
+    _, t1, _ = train_run(ds, cfg)
+    _, t2, _ = train_run(ds, cfg)
     assert [r.total for r in t1] == [r.total for r in t2]
     assert [r.parts for r in t1] == [r.parts for r in t2]
 
 
 def test_train_run_different_seed_differs():
     ds = small_ds()
-    kwargs = dict(
-        model_cfg=ModelConfig(extractor_hidden=(8,), embedding_dim=4),
-        loss_cfg=LossConfig(weights={"ce": 1.0}),
-        sgd_cfg=SgdConfig(base_lr=0.05, milestones=(), epochs=2),
-        sampler_cfg=PKSamplerConfig(p=2, k=3),
+    cfg = ExperimentConfig(
+        kind="train",
+        seed=1,
+        model=ModelConfig(extractor_hidden=(8,), embedding_dim=4),
+        loss=LossConfig(weights={"ce": 1.0}),
+        sgd=SgdConfig(base_lr=0.05, milestones=(), epochs=2),
+        sampler=PKSamplerConfig(p=2, k=3),
         eval_every=0,
     )
-    _, t1, _ = train_run(ds, seed=1, **kwargs)
-    _, t2, _ = train_run(ds, seed=2, **kwargs)
+    _, t1, _ = train_run(ds, cfg)
+    _, t2, _ = train_run(ds, replace(cfg, seed=2))
     assert [r.total for r in t1] != [r.total for r in t2]
 
 
@@ -215,16 +246,14 @@ def test_bn_target_learns_nothing_and_checkpoints_nothing(tmp_path):
     model_cfg = ModelConfig(
         extractor_hidden=(16,), embedding_dim=4, bn_predictor_hidden=True, bn_predictor_output=True
     )
-    state, timeline, _ = train_run(
-        ds,
-        model_cfg=model_cfg,
-        loss_cfg=LossConfig(),
-        sgd_cfg=SgdConfig(base_lr=0.01, milestones=(10, 20), epochs=30),
-        sampler_cfg=PKSamplerConfig(p=2, k=8),
-        seed=0,
+    cfg = ExperimentConfig(
+        kind="train",
+        model=model_cfg,
+        sgd=SgdConfig(base_lr=0.01, milestones=(10, 20), epochs=30),
+        sampler=PKSamplerConfig(p=2, k=8),
         eval_every=30,
-        out_dir=tmp_path,
     )
+    state, timeline, _ = train_run(ds, cfg, out_dir=tmp_path)
     assert len(timeline) == 60 and state.bn_target
     named = state.named_params()
     assert not [name for name in named if name.startswith("target_bn.")]
@@ -252,16 +281,15 @@ def test_divergence_raises_with_diagnostics():
 
 def test_train_run_writes_timeline_and_checkpoints(tmp_path):
     ds = small_ds()
-    train_run(
-        ds,
-        model_cfg=ModelConfig(extractor_hidden=(8,), embedding_dim=4),
-        loss_cfg=LossConfig(weights={"ce": 1.0, "cpl": 1.0}),
-        sgd_cfg=SgdConfig(base_lr=0.005, milestones=(), epochs=4),
-        sampler_cfg=PKSamplerConfig(p=2, k=3),
-        seed=0,
+    cfg = ExperimentConfig(
+        kind="train",
+        model=ModelConfig(extractor_hidden=(8,), embedding_dim=4),
+        loss=LossConfig(weights={"ce": 1.0, "cpl": 1.0}),
+        sgd=SgdConfig(base_lr=0.005, milestones=(), epochs=4),
+        sampler=PKSamplerConfig(p=2, k=3),
         eval_every=2,
-        out_dir=tmp_path,
     )
+    train_run(ds, cfg, out_dir=tmp_path)
     lines = (tmp_path / "timeline.csv").read_text().splitlines()
     assert lines[0] == "epoch,step,lr,ce,cpl,total"
     assert len(lines) == 1 + 4 * 2  # 4 identities / p=2 -> 2 batches per epoch
@@ -271,15 +299,16 @@ def test_train_run_writes_timeline_and_checkpoints(tmp_path):
 
 def test_params_finite_after_training():
     ds = small_ds()
-    state, _, _ = train_run(
-        ds,
-        model_cfg=ModelConfig(extractor_hidden=(8,), embedding_dim=4),
-        loss_cfg=LossConfig(weights={"ce": 1.0, "cpl": 1.0, "triplet": 1.0}),
-        sgd_cfg=SgdConfig(base_lr=0.005, milestones=(5,), epochs=8),
-        sampler_cfg=PKSamplerConfig(p=2, k=4),
+    cfg = ExperimentConfig(
+        kind="train",
         seed=4,
+        model=ModelConfig(extractor_hidden=(8,), embedding_dim=4),
+        loss=LossConfig(weights={"ce": 1.0, "cpl": 1.0, "triplet": 1.0}),
+        sgd=SgdConfig(base_lr=0.005, milestones=(5,), epochs=8),
+        sampler=PKSamplerConfig(p=2, k=4),
         eval_every=0,
     )
+    state, _, _ = train_run(ds, cfg)
     for n, p in state.named_params().items():
         assert np.all(np.isfinite(p.data)), n
 
@@ -293,15 +322,15 @@ def test_ce_reaches_train_accuracy_on_separable_classes():
         for j in range(ds.n)
     ]
     assert (np.array(nearest) == ds.labels).mean() >= 0.95
-    state, _, snapshots = train_run(
-        ds,
-        model_cfg=ModelConfig(extractor_hidden=(16,), embedding_dim=4, predictor="none", bn_target=False),
-        loss_cfg=LossConfig(weights={"ce": 1.0}),
-        sgd_cfg=SgdConfig(base_lr=0.1, milestones=(10, 20), epochs=30),
-        sampler_cfg=PKSamplerConfig(p=2, k=8),
-        seed=0,
+    cfg = ExperimentConfig(
+        kind="train",
+        model=ModelConfig(extractor_hidden=(16,), embedding_dim=4, predictor="none", bn_target=False),
+        loss=LossConfig(weights={"ce": 1.0}),
+        sgd=SgdConfig(base_lr=0.1, milestones=(10, 20), epochs=30),
+        sampler=PKSamplerConfig(p=2, k=8),
         eval_every=5,
     )
+    state, _, snapshots = train_run(ds, cfg)
     assert snapshots[-1][1] >= 0.95
 
 
