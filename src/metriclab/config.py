@@ -263,10 +263,7 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
             node = node.setdefault(name, {})
         node[spec.path[-1]] = raw[key] if key in raw else spec.get(fallback)
     for name, section in _SECTIONS.items():
-        try:
-            tree[name] = section(**tree[name])
-        except ConfigError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
+        tree[name] = section(**tree[name])
     return ExperimentConfig(**tree)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autograd import Tensor, _make, backward
+from .config import ExperimentConfig
 from .errors import ConfigError
 from .losses import (
     center_loss,
@@ -265,24 +266,26 @@ def _case_weighted_total(rng) -> GradProblem:
 def _case_step_total(rng) -> GradProblem:
     labels = _labels_pk(2, 2)
     weights = dict(zip(("ce", "cpl", "center", "triplet"), rng.uniform(0.5, 2.0, size=4)))
-    # margin 20 keeps every triplet hinge active, as in the triplet case
-    loss_cfg = LossConfig(weights, triplet_margin=20.0)
+    # margin 20 keeps every triplet hinge active, as in the triplet case;
+    # the default model section has bn_target on, the lab's default
+    cfg = ExperimentConfig("train", loss=LossConfig(weights, triplet_margin=20.0))
     centers = Tensor(rng.uniform(-1, 1, size=(2, 2)))
-    # no extractor (the embedding x is the leaf) and bn_target on, the lab's default
-    state = TrainState(None, Linear(2, 2, rng), CenterPredictor(2, 4, rng), True, centers, optimizer=None, seed=0)
+    # no extractor: the embedding x is the leaf
+    state = TrainState(None, Linear(2, 2, rng), CenterPredictor(2, 4, rng), centers, optimizer=None, cfg=cfg)
     x = _off_kink_input(rng, 2, 4, state.predictor)
     # frozen semantics for the whole step: the finite difference keeps the
     # targets the step takes from the standardized embeddings where they were
     pinned = cpl_targets(standardize(x.data)[2], labels)
-    rest = replace(loss_cfg, weights={n: w for n, w in weights.items() if n != "cpl"})
+    rest = replace(cfg.loss, weights={n: w for n, w in weights.items() if n != "cpl"})
+    without_cpl = replace(state, cfg=replace(cfg, loss=rest))
 
     def fd_forward():
-        parts = dict(_loss_parts(state, x, labels, rest))
+        parts = dict(_loss_parts(without_cpl, x, labels))
         parts["cpl"] = cpl_loss(x, labels, pinned, state.predictor)
         return _weighted_total(parts, weights).item()
 
     return GradProblem(
-        root=lambda: _weighted_total(dict(_loss_parts(state, x, labels, loss_cfg)), weights),
+        root=lambda: _weighted_total(dict(_loss_parts(state, x, labels)), weights),
         leaves={"x": x},
         fd_forward=fd_forward,
     )

@@ -298,7 +298,7 @@ class ModelConfig:
         if self.embedding_dim < 1:
             raise ConfigError("model.embedding_dim must be positive")
         if self.predictor == "none" and (self.bn_predictor_hidden or self.bn_predictor_output):
-            raise ConfigError("predictor BN flags require model.predictor = mlp")
+            raise ConfigError("model.bn_predictor_hidden and model.bn_predictor_output require model.predictor = mlp")
 
 
 # -- checkpoints -------------------------------------------------------------

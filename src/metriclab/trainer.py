@@ -8,7 +8,9 @@ to `cpl_loss` as a constant; a refit takes its targets from the caller.
 
 `LossConfig` is the config's flat `loss` section and holds every loss
 setting: the weights, the CPL target mode and the pairwise losses' margins
-and scales. `train_run` takes the run's whole `ExperimentConfig`.
+and scales. A `TrainState` holds the run's whole `ExperimentConfig`, so
+`train_step(state, batch, lr)` trains under the config the state was built
+from; `train_run` takes the same config.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .losses import (
     ranked_list_loss,
     triplet_loss_batch_hard,
 )
-from .nn import MLP, CenterPredictor, Linear, ModelConfig, save_checkpoint, standardize
+from .nn import MLP, CenterPredictor, Linear, save_checkpoint, standardize
 from .sampling import LabeledDataset, epoch_iter
 from .seeding import subseed, substream
 
@@ -148,13 +150,16 @@ class SGD:
 
 @dataclass
 class TrainState:
+    """The model, centers and optimizer of one run, stepped under cfg, the
+    run's `config.ExperimentConfig`: its loss section, `model.bn_target`
+    and seed drive every step."""
+
     extractor: MLP
     classifier: Linear
     predictor: CenterPredictor | None
-    bn_target: bool
     centers: Tensor | None
     optimizer: SGD
-    seed: int
+    cfg: object
     epoch: int = 0
     step: int = 0
 
@@ -169,15 +174,12 @@ class TrainState:
         return out
 
 
-def build_state(
-    input_dim: int,
-    n_classes: int,
-    model_cfg: ModelConfig,
-    loss_cfg: LossConfig,
-    seed: int,
-    momentum: float = 0.9,
-) -> TrainState:
-    rng = substream(seed, "init")
+def build_state(cfg, input_dim: int, n_classes: int) -> TrainState:
+    """A fresh state for cfg, the run's `config.ExperimentConfig`: its
+    model section, its seed and `sgd.momentum`. It holds centers exactly
+    when cfg's loss section weighs the center loss."""
+    model_cfg = cfg.model
+    rng = substream(cfg.seed, "init")
     extractor = MLP(input_dim, tuple(model_cfg.extractor_hidden), model_cfg.embedding_dim, rng)
     classifier = Linear(model_cfg.embedding_dim, n_classes, rng)
     predictor = None
@@ -191,26 +193,19 @@ def build_state(
             bn_output=model_cfg.bn_predictor_output,
         )
     centers = None
-    if loss_cfg.weights.get("center", 0.0) > 0.0:
+    if cfg.loss.weights.get("center", 0.0) > 0.0:
         centers = Tensor(np.zeros((model_cfg.embedding_dim, n_classes)), requires_grad=True)
-    state = TrainState(
-        extractor=extractor,
-        classifier=classifier,
-        predictor=predictor,
-        bn_target=model_cfg.bn_target,
-        centers=centers,
-        optimizer=None,
-        seed=seed,
-    )
-    state.optimizer = SGD(list(state.named_params().values()), momentum=momentum)
+    state = TrainState(extractor, classifier, predictor, centers, optimizer=None, cfg=cfg)
+    state.optimizer = SGD(list(state.named_params().values()), momentum=cfg.sgd.momentum)
     return state
 
 
 _DISTANCE_LOSSES = ("triplet", "lifted", "rll")
 
 
-def _loss_parts(state: TrainState, embeddings, labels, loss_cfg: LossConfig):
-    """Yield (name, part) for each enabled loss, in LOSS_NAMES order."""
+def _loss_parts(state: TrainState, embeddings, labels):
+    """Yield (name, part) for each loss state.cfg enables, in LOSS_NAMES order."""
+    loss_cfg = state.cfg.loss
     enabled = loss_cfg.enabled()
     # one distance matrix (and one graph through it) for every distance loss
     dist = None
@@ -222,13 +217,11 @@ def _loss_parts(state: TrainState, embeddings, labels, loss_cfg: LossConfig):
         elif name == "cpl":
             # targets are values: standardized off the graph, where the std check reports an overflow
             with np.errstate(over="ignore", invalid="ignore"):
-                values = standardize(embeddings.data)[2] if state.bn_target else embeddings
-            seed = subseed(state.seed, f"cpl-draw/{state.step}")
+                values = standardize(embeddings.data)[2] if state.cfg.model.bn_target else embeddings
+            seed = subseed(state.cfg.seed, f"cpl-draw/{state.step}")
             targets = cpl_targets(values, labels, loss_cfg.cpl_target, seed)
             yield name, cpl_loss(embeddings, labels, targets, state.predictor)
         elif name == "center":
-            if state.centers is None:
-                raise ConfigError("center loss enabled but state has no centers")
             yield name, center_loss(embeddings, labels, state.centers)
         elif name == "triplet":
             yield name, triplet_loss_batch_hard(dist, labels, loss_cfg.triplet_margin)
@@ -266,10 +259,10 @@ class TimelineRow:
     total: float
 
 
-def train_step(state: TrainState, batch: tuple, loss_cfg: LossConfig, lr: float) -> TimelineRow:
+def train_step(state: TrainState, batch: tuple, lr: float) -> TimelineRow:
     """One SGD update on one (features, labels) batch against total = sum
-    of weight * part over the enabled losses; returns the step's timeline
-    row.
+    of weight * part over the losses state.cfg enables; returns the step's
+    timeline row.
 
     With every enabled weight zero this is a no-op on the parameters. A
     NumericsError leaves with the epoch, the step (numbered as its timeline
@@ -281,10 +274,10 @@ def train_step(state: TrainState, batch: tuple, loss_cfg: LossConfig, lr: float)
     total = None
     try:
         embeddings = state.extractor(as_tensor(features))
-        for name, part in _loss_parts(state, embeddings, labels, loss_cfg):
+        for name, part in _loss_parts(state, embeddings, labels):
             parts[name] = part
         if parts:  # none when every weight is zero: nothing to optimize
-            total = _weighted_total(parts, loss_cfg.weights)
+            total = _weighted_total(parts, state.cfg.loss.weights)
             state.optimizer.step(backward(total), lr)
     except NumericsError as exc:
         values = {name: part.item() for name, part in parts.items()}
@@ -328,17 +321,17 @@ def train_run(ds: LabeledDataset, cfg, out_dir=None):
     n_classes = len(ds.identities)
     if ds.identities != list(range(n_classes)):
         raise ConfigError("training expects dense labels 0..C-1")
-    loss_cfg, sgd_cfg, eval_every = cfg.loss, cfg.sgd, cfg.eval_every
-    state = build_state(ds.dim, n_classes, cfg.model, loss_cfg, cfg.seed, momentum=sgd_cfg.momentum)
+    sgd_cfg, eval_every = cfg.sgd, cfg.eval_every
+    state = build_state(cfg, ds.dim, n_classes)
     sampler_rng = substream(cfg.seed, "sampler")
     timeline = []
     snapshots = []
-    part_names = loss_cfg.enabled()
+    part_names = cfg.loss.enabled()
     for epoch in range(sgd_cfg.epochs):
         state.epoch = epoch
         lr = lr_at(sgd_cfg, epoch)
         for batch in epoch_iter(ds, cfg.sampler, sampler_rng):
-            timeline.append(train_step(state, batch, loss_cfg, lr))
+            timeline.append(train_step(state, batch, lr))
         last = epoch == sgd_cfg.epochs - 1
         if eval_every and (epoch % eval_every == eval_every - 1 or last):
             snapshots.append((epoch, train_accuracy(state, ds)))

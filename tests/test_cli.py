@@ -103,6 +103,25 @@ def test_run_invalid_config_exits_2_with_json_error(tmp_path, capsys):
     assert "loss.rll.alpha" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("dataset.source = hdf5\n", "dataset.source"),
+        ("model.predictor = none\nmodel.bn_predictor_hidden = true\n", "model.bn_predictor_hidden"),
+        ("loss.circle.scale = 0\n", "loss.circle.scale"),
+        ("sgd.momentum = 1.0\n", "sgd.momentum"),
+        ("sampler.p = 1\n", "sampler.p"),
+    ],
+    ids=["dataset", "model", "loss", "sgd", "sampler"],
+)
+def test_section_error_message_starts_with_its_key(text, key, tmp_path, capsys):
+    cfg = _write(tmp_path, f"kind = train\n{text}out = {tmp_path / 'run'}\n")
+    code, out, err = _run(capsys, "run", str(cfg))
+    _assert_one_config_error_line(code, out, err)
+    assert json.loads(err)["message"].startswith(key)
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_undecodable_config_exits_2_with_one_json_line(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_bytes(b"kind = train\n# \x80\n")

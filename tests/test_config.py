@@ -10,6 +10,7 @@ from metriclab.config import (
     render_config,
 )
 from metriclab.errors import ConfigError
+from metriclab.trainer import LOSS_NAMES
 
 
 def test_minimal_config_resolves_defaults_and_round_trips():
@@ -311,3 +312,15 @@ def test_schema_key_lands_in_its_field_and_renders_alone(key):
             assert line == base_line
     assert parse_config(render_config(cfg)) == cfg
     assert parse_config(f"{key} = {text}\n", base=base) == cfg
+
+
+def test_readme_config_table_lists_the_schema_keys_in_order():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("| key | default | meaning |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    keys = []
+    for row in table.splitlines():
+        # a row names one key, or "`a` / `b`" for two; loss.<name>.weight stands for every loss
+        for cell in row.split(" | ")[0].removeprefix("| ").split(" / "):
+            key = cell.strip("`")
+            keys += [f"loss.{name}.weight" for name in LOSS_NAMES] if key == "loss.<name>.weight" else [key]
+    assert keys == list(SCHEMA)

@@ -9,7 +9,7 @@ from metriclab.config import ExperimentConfig
 from metriclab.errors import ConfigError, NumericsError
 from metriclab.losses import cpl_loss, cpl_targets
 from metriclab.gradcheck import _off_kink_input
-from metriclab.nn import BatchNorm, CenterPredictor, Linear, ModelConfig
+from metriclab.nn import BatchNorm, CenterPredictor, Linear, ModelConfig, standardize
 from metriclab.sampling import LabeledDataset, PKSamplerConfig, epoch_iter
 from metriclab.seeding import substream
 from metriclab.synthetic import four_class_fixture, bimodal_class_fixture
@@ -69,10 +69,11 @@ def small_ds(seed=0):
 def test_zero_weight_step_leaves_params_bitwise(rng):
     ds = small_ds()
     loss_cfg = LossConfig(weights={"ce": 0.0, "cpl": 0.0})
-    state = build_state(2, 4, ModelConfig(embedding_dim=4), loss_cfg, seed=1)
+    cfg = ExperimentConfig("train", seed=1, model=ModelConfig(embedding_dim=4), loss=loss_cfg)
+    state = build_state(cfg, 2, 4)
     before = {n: p.data.copy() for n, p in state.named_params().items()}
     batch = next(epoch_iter(ds, PKSamplerConfig(p=2, k=2), substream(0, "s")))
-    train_step(state, batch, loss_cfg, lr=0.1)
+    train_step(state, batch, lr=0.1)
     for n, p in state.named_params().items():
         assert np.array_equal(p.data, before[n]), n
 
@@ -85,16 +86,17 @@ def test_loss_config_rejects_unknown_loss_name():
 def test_train_step_row_holds_parts_and_weighted_total():
     ds = small_ds()
     loss_cfg = LossConfig(weights={"cpl": 2.0, "ce": 0.5, "triplet": 0.0})
-    state = build_state(2, 4, ModelConfig(embedding_dim=4), loss_cfg, seed=1)
+    cfg = ExperimentConfig("train", seed=1, model=ModelConfig(embedding_dim=4), loss=loss_cfg)
+    state = build_state(cfg, 2, 4)
     state.epoch = 3
     batch = next(epoch_iter(ds, PKSamplerConfig(p=2, k=2), substream(0, "s")))
-    row = train_step(state, batch, loss_cfg, lr=0.1)
+    row = train_step(state, batch, lr=0.1)
     assert (row.epoch, row.step, row.lr) == (3, 1, 0.1)
     assert list(row.parts) == ["ce", "cpl"]  # enabled order, zero weights left out
     assert row.total == row.parts["ce"] * 0.5 + row.parts["cpl"] * 2.0
 
-    idle = LossConfig(weights={"ce": 0.0})
-    row = train_step(state, batch, idle, lr=0.1)
+    idle = replace(state.cfg, loss=LossConfig(weights={"ce": 0.0}))
+    row = train_step(replace(state, cfg=idle), batch, lr=0.1)
     assert (row.step, row.parts, row.total) == (2, {}, 0.0)
 
 
@@ -127,12 +129,13 @@ def test_step_total_without_target_bn_keeps_targets_frozen(monkeypatch):
     rng = substream(0, "step-total")
     labels = np.repeat(np.arange(2), 2)  # PK 2 x 2
     loss_cfg = LossConfig(weights={"ce": 0.8, "cpl": 1.5, "center": 0.6, "triplet": 1.2}, triplet_margin=20.0)
+    cfg = ExperimentConfig("train", model=ModelConfig(bn_target=False), loss=loss_cfg)
     centers = Tensor(rng.uniform(-1, 1, size=(2, 2)))
-    state = TrainState(None, Linear(2, 2, rng), CenterPredictor(2, 4, rng), False, centers, optimizer=None, seed=0)
+    state = TrainState(None, Linear(2, 2, rng), CenterPredictor(2, 4, rng), centers, optimizer=None, cfg=cfg)
     x = _off_kink_input(rng, 2, 4, state.predictor)
 
     def total():
-        return _weighted_total(dict(_loss_parts(state, x, labels, loss_cfg)), loss_cfg.weights)
+        return _weighted_total(dict(_loss_parts(state, x, labels)), loss_cfg.weights)
 
     analytic = backward(total())[x]
     # targets that follow the perturbation give a different derivative
@@ -142,15 +145,61 @@ def test_step_total_without_target_bn_keeps_targets_frozen(monkeypatch):
     assert max_rel_err(analytic, central_diff(total, x)) < 1e-4
 
 
+def test_whole_train_step_matches_central_differences_with_targets_pinned(monkeypatch):
+    # one train_step, extractor included: with momentum 0 an lr = 1 update is
+    # exactly -g, and the oracle is the finite difference of the step's total
+    # with the CPL targets pinned where the unperturbed step builds them
+    rng = substream(0, "whole-step")
+    cfg = ExperimentConfig(
+        "train",
+        model=ModelConfig(extractor_hidden=(3,), embedding_dim=2, predictor_hidden=4),
+        loss=LossConfig(weights={"ce": 0.8, "cpl": 1.5, "center": 0.6, "triplet": 1.2}, triplet_margin=20.0),
+        sgd=SgdConfig(momentum=0.0),
+    )
+    state = build_state(cfg, 2, 2)
+    state.centers.data[:] = rng.uniform(-1, 1, size=(2, 2))
+    batch = (_off_kink_input(rng, 2, 4, state.extractor).data, np.repeat(np.arange(2), 2))  # PK 2 x 2
+    params = state.named_params()
+    assert sum(p.data.size for p in params.values()) == 49
+    before = {name: p.data.copy() for name, p in params.items()}
+    train_step(state, batch, lr=1.0)
+    analytic = {name: before[name] - p.data for name, p in params.items()}
+    for name, p in params.items():
+        p.data[:] = before[name]
+
+    def max_err():
+        total = lambda: np.float64(train_step(state, batch, lr=0.0).total)
+        return max(max_rel_err(analytic[name], central_diff(total, p)) for name, p in params.items())
+
+    # targets that follow the perturbation give a different derivative
+    assert max_err() > 1e-2
+    embeddings = state.extractor(as_tensor(batch[0])).data
+    pinned = cpl_targets(standardize(embeddings)[2], batch[1])
+    monkeypatch.setattr(trainer, "cpl_targets", lambda *args: pinned)
+    assert max_err() < 1e-4
+
+
+@pytest.mark.parametrize("weights", [{"ce": 1.0, "center": 0.5}, {"ce": 1.0, "center": 0.0}, {"ce": 1.0}])
+def test_build_state_has_centers_exactly_when_the_center_loss_is_weighed(weights):
+    state = build_state(ExperimentConfig("train", loss=LossConfig(weights=weights)), 2, 4)
+    if weights.get("center", 0.0) > 0.0:
+        assert state.centers.requires_grad
+        assert np.array_equal(state.centers.data, np.zeros((ModelConfig().embedding_dim, 4)))
+        assert state.centers is state.named_params()["centers"]
+    else:
+        assert state.centers is None and "centers" not in state.named_params()
+
+
 def test_numerics_error_in_a_step_carries_epoch_step_and_lr():
     ds = small_ds()
     loss_cfg = LossConfig(weights={"ce": 1.0})
-    state = build_state(2, 4, ModelConfig(embedding_dim=4), loss_cfg, seed=1)
+    cfg = ExperimentConfig("train", seed=1, model=ModelConfig(embedding_dim=4), loss=loss_cfg)
+    state = build_state(cfg, 2, 4)
     state.epoch, state.step = 3, 7
     state.extractor.layers[0].weight.data[0, 0] = np.inf
     batch = next(epoch_iter(ds, PKSamplerConfig(p=2, k=2), substream(0, "s")))
     with pytest.raises(NumericsError, match="^Linear.forward:") as info:
-        train_step(state, batch, loss_cfg, lr=0.25)
+        train_step(state, batch, lr=0.25)
     # step is numbered as the failed step's timeline row would have been; the
     # extractor failed before any loss part was built
     assert info.value.context == {"epoch": 3, "step": 8, "lr": 0.25, "parts": {}}
@@ -159,14 +208,19 @@ def test_numerics_error_in_a_step_carries_epoch_step_and_lr():
 
 def test_numerics_error_in_backward_carries_every_part():
     ds = small_ds()
-    loss_cfg = LossConfig(weights={"ce": 1.0, "triplet": 1e307})
-    state = build_state(2, 4, ModelConfig(embedding_dim=4, predictor="none", bn_target=False), loss_cfg, seed=1)
+    cfg = ExperimentConfig(
+        "train",
+        seed=1,
+        model=ModelConfig(embedding_dim=4, predictor="none", bn_target=False),
+        loss=LossConfig(weights={"ce": 1.0, "triplet": 1e307}),
+    )
+    state = build_state(cfg, 2, 4)
     # nearly coincident embeddings: the forward stays finite, but the distance
     # matrix's sqrt derivative times the huge triplet weight overflows in backward
     state.extractor.layers[-1].weight.data *= 1e-3
     batch = next(epoch_iter(ds, PKSamplerConfig(p=2, k=2), substream(0, "s")))
     with pytest.raises(NumericsError, match="^pairwise_euclidean: backward") as info:
-        train_step(state, batch, loss_cfg, lr=0.25)
+        train_step(state, batch, lr=0.25)
     parts = info.value.context["parts"]
     assert list(parts) == ["ce", "triplet"]
     assert all(np.isfinite(value) for value in parts.values())
@@ -177,12 +231,12 @@ def test_numerics_error_in_backward_carries_every_part():
 @pytest.mark.parametrize("seed", range(20))
 def test_single_ce_step_decreases_loss(seed):
     ds = small_ds(seed)
-    loss_cfg = LossConfig(weights={"ce": 1.0})
     model_cfg = ModelConfig(extractor_hidden=(8,), embedding_dim=4, predictor="none", bn_target=False)
-    state = build_state(2, 4, model_cfg, loss_cfg, seed=seed)
+    loss_cfg = LossConfig(weights={"ce": 1.0})
+    state = build_state(ExperimentConfig("train", seed=seed, model=model_cfg, loss=loss_cfg), 2, 4)
     batch = next(epoch_iter(ds, PKSamplerConfig(p=4, k=4), substream(seed, "s")))
-    before = train_step(state, batch, loss_cfg, lr=0.05).parts["ce"]
-    after = train_step(state, batch, loss_cfg, lr=0.0).parts["ce"]
+    before = train_step(state, batch, lr=0.05).parts["ce"]
+    after = train_step(state, batch, lr=0.0).parts["ce"]
     assert after < before
 
 
@@ -225,10 +279,11 @@ CPL_ONLY = LossConfig(weights={"cpl": 1.0})
 def _cpl_part_with_target_bn(seed):
     """The trainer's cpl part on one batch of a bn_target model, with its embeddings."""
     ds = small_ds(seed)
-    state = build_state(2, 4, ModelConfig(extractor_hidden=(8,), embedding_dim=3), CPL_ONLY, seed=seed)
+    model_cfg = ModelConfig(extractor_hidden=(8,), embedding_dim=3)
+    state = build_state(ExperimentConfig("train", seed=seed, model=model_cfg, loss=CPL_ONLY), 2, 4)
     features, labels = next(epoch_iter(ds, PKSamplerConfig(p=2, k=4), substream(seed, "s")))
     embeddings = state.extractor(as_tensor(features))
-    return state, embeddings, labels, dict(_loss_parts(state, embeddings, labels, CPL_ONLY))["cpl"]
+    return state, embeddings, labels, dict(_loss_parts(state, embeddings, labels))["cpl"]
 
 
 def test_cpl_target_bn_builds_targets_in_bn_space():
@@ -254,7 +309,7 @@ def test_bn_target_learns_nothing_and_checkpoints_nothing(tmp_path):
         eval_every=30,
     )
     state, timeline, _ = train_run(ds, cfg, out_dir=tmp_path)
-    assert len(timeline) == 60 and state.bn_target
+    assert len(timeline) == 60 and state.cfg.model.bn_target
     named = state.named_params()
     assert not [name for name in named if name.startswith("target_bn.")]
     # the optimizer carries exactly the named parameters, and the checkpoint holds them
@@ -272,11 +327,12 @@ def test_bn_target_learns_nothing_and_checkpoints_nothing(tmp_path):
 def test_divergence_raises_with_diagnostics():
     ds = small_ds()
     loss_cfg = LossConfig(weights={"ce": 1.0})
-    state = build_state(2, 4, ModelConfig(extractor_hidden=(8,), embedding_dim=4), loss_cfg, seed=0)
+    model_cfg = ModelConfig(extractor_hidden=(8,), embedding_dim=4)
+    state = build_state(ExperimentConfig("train", model=model_cfg, loss=loss_cfg), 2, 4)
     batch = next(epoch_iter(ds, PKSamplerConfig(p=4, k=4), substream(0, "s")))
     with pytest.raises(NumericsError):
         for _ in range(200):
-            train_step(state, batch, loss_cfg, lr=1e9)
+            train_step(state, batch, lr=1e9)
 
 
 def test_train_run_writes_timeline_and_checkpoints(tmp_path):
@@ -427,8 +483,8 @@ def test_distance_matrix_built_once_per_step(monkeypatch):
     ds = small_ds()
     loss_cfg = LossConfig(weights={"ce": 1.0, "triplet": 1.0, "lifted": 1.0, "rll": 1.0})
     model_cfg = ModelConfig(extractor_hidden=(8,), embedding_dim=4, predictor="none", bn_target=False)
-    state = build_state(2, 4, model_cfg, loss_cfg, seed=0)
+    state = build_state(ExperimentConfig("train", model=model_cfg, loss=loss_cfg), 2, 4)
     batch = next(epoch_iter(ds, PKSamplerConfig(p=2, k=3), substream(0, "s")))
-    parts = train_step(state, batch, loss_cfg, lr=0.01).parts
+    parts = train_step(state, batch, lr=0.01).parts
     assert len(calls) == 1
     assert set(parts) == {"ce", "triplet", "lifted", "rll"}
