@@ -6,7 +6,9 @@ the seed-0 `metriclab gradcheck --batches 2` stdout to
 runs/gradcheck/report.txt, and this machine's numerics platform (numpy
 version, dispatched SIMD targets, OpenBLAS kernel) to runs/PLATFORM. The
 package is imported from this checkout's src/, so nothing needs to be
-installed. Run from the repository root:
+installed. Config arguments are read relative to the working directory;
+every run and both records are made in this checkout's root, so they land
+in its runs/ from any working directory:
 
     python3 scripts/run_all_experiments.py [config ...]
 """
@@ -16,24 +18,25 @@ import subprocess
 import sys
 from pathlib import Path
 
-CONFIG_DIR = Path(__file__).parent / "configs"
-GRADCHECK_REPORT = Path("runs") / "gradcheck" / "report.txt"
-PLATFORM = Path("runs") / "PLATFORM"
-SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "scripts" / "configs"
+GRADCHECK_REPORT = ROOT / "runs" / "gradcheck" / "report.txt"
+PLATFORM = ROOT / "runs" / "PLATFORM"
+SRC_DIR = ROOT / "src"
 sys.path.insert(0, str(SRC_DIR))
 
 from metriclab.machine import platform_record  # noqa: E402
 
 
 def main(argv):
-    configs = [Path(a) for a in argv] or sorted(CONFIG_DIR.glob("*.cfg"))
+    configs = [Path(a).resolve() for a in argv] or sorted(CONFIG_DIR.glob("*.cfg"))
     path = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     failures = 0
     for cfg in configs:
         print(f"== {cfg.name}")
         proc = subprocess.run(
-            [sys.executable, "-m", "metriclab", "run", str(cfg), "--force"], env=env
+            [sys.executable, "-m", "metriclab", "run", str(cfg), "--force"], env=env, cwd=ROOT
         )
         failures += proc.returncode != 0
     if not argv:
@@ -44,6 +47,7 @@ def main(argv):
         proc = subprocess.run(
             [sys.executable, "-m", "metriclab", "gradcheck", "--batches", "2"],
             env=env,
+            cwd=ROOT,
             stdout=subprocess.PIPE,
         )
         if proc.returncode == 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .sampling import LabeledDataset
+from .sampling import LabeledDataset, first_per_label
 
 __all__ = ["load_cifar_bin", "downsample_flatten", "load_cifar_features"]
 
@@ -40,43 +40,36 @@ def load_cifar_bin(path, class_filter=None, max_per_class=None) -> LabeledDatase
     if labels.max() > 9:
         raise DataFormatError(f"{path}: label byte {labels.max()} outside 0..9 (corrupt file)")
     # dense remap over the filter when given, else over classes present
-    keep_classes = sorted(set(labels.tolist()) if class_filter is None else set(class_filter))
-    if any(c < 0 or c > 9 for c in keep_classes):
-        raise ConfigError(f"class filter {keep_classes} outside 0..9")
-    remap = {orig: new for new, orig in enumerate(keep_classes)}
-    taken = {c: 0 for c in keep_classes}
-    cols, new_labels = [], []
-    for i in range(records.shape[0]):
-        orig = int(labels[i])
-        if orig not in remap:
-            continue
-        if max_per_class is not None and taken[orig] >= max_per_class:
-            continue
-        taken[orig] += 1
-        cols.append(i)
-        new_labels.append(remap[orig])
-    if not cols:
+    keep_classes = np.unique(labels if class_filter is None else np.asarray(class_filter))
+    if keep_classes.size and (keep_classes[0] < 0 or keep_classes[-1] > 9):
+        raise ConfigError(f"class filter {keep_classes.tolist()} outside 0..9")
+    cols = np.flatnonzero(np.isin(labels, keep_classes))
+    if max_per_class is not None:
+        cols = np.sort(cols[first_per_label(labels[cols], max_per_class)[0]])
+    if not cols.size:
         raise ConfigError(f"{path}: no records left after class filter")
     pixels = records[cols, 1:].astype(np.float64).T / 255.0
-    return LabeledDataset(pixels, np.array(new_labels, dtype=np.int64))
+    return LabeledDataset(pixels, np.searchsorted(keep_classes, labels[cols]))
 
 
 def downsample_flatten(pixels: np.ndarray, factor: int) -> np.ndarray:
     """Box-average each 32 x 32 channel plane by factor, flatten channels in
-    order. factor must divide 32; factor 1 is the identity."""
-    pixels = np.asarray(pixels, dtype=np.float64).reshape(-1)
-    if pixels.size != PIXELS:
-        raise ConfigError(f"expected {PIXELS} pixel values, got {pixels.size}")
+    order. pixels is one record of PIXELS values, or an N x PIXELS array of
+    records pooled one per row. factor must divide 32; factor 1 is the
+    identity."""
+    pixels = np.asarray(pixels, dtype=np.float64)
+    records = pixels if pixels.ndim == 2 else pixels.reshape(1, -1)
+    if records.shape[1] != PIXELS:
+        raise ConfigError(f"expected {PIXELS} pixel values, got {records.shape[1]}")
     if factor < 1 or IMAGE_SIDE % factor != 0:
         raise ConfigError(f"downsample factor must divide {IMAGE_SIDE}, got {factor}")
     side = IMAGE_SIDE // factor
-    planes = pixels.reshape(CHANNELS, IMAGE_SIDE, IMAGE_SIDE)
-    pooled = planes.reshape(CHANNELS, side, factor, side, factor).mean(axis=(2, 4))
-    return pooled.reshape(-1)
+    planes = records.reshape(len(records), CHANNELS, side, factor, side, factor)
+    pooled = planes.mean(axis=(3, 5)).reshape(len(records), CHANNELS * side * side)
+    return pooled if pixels.ndim == 2 else pooled[0]
 
 
 def load_cifar_features(path, class_filter=None, max_per_class=None, factor: int = 4) -> LabeledDataset:
-    """load_cifar_bin + per-record downsample_flatten."""
+    """load_cifar_bin + downsample_flatten of every record."""
     ds = load_cifar_bin(path, class_filter=class_filter, max_per_class=max_per_class)
-    feats = np.stack([downsample_flatten(ds.features[:, j], factor) for j in range(ds.n)], axis=1)
-    return LabeledDataset(feats, ds.labels)
+    return LabeledDataset(downsample_flatten(ds.features.T, factor).T, ds.labels)

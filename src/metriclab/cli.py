@@ -19,12 +19,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import SURFACE_LOSS_KINDS, ExperimentConfig, int64, parse_config, render_config
+from .config import SURFACE_LOSS_KINDS, DatasetConfig, ExperimentConfig, int64, parse_config, render_config
 from .errors import ConfigError, DataFormatError, NumericsError, ShapeError
 from .experiments import run_bn_ablation, run_boundary_experiment, run_loss_surface, run_target_ablation
 from .gradcheck import run_gradcheck
 from .sampling import LabeledDataset, save_dataset_csv
-from .seeding import subseed
 from .synthetic import FIXTURES
 from .trainer import train_accuracy, train_run
 
@@ -191,7 +190,7 @@ def main(argv=None) -> int:
         path = Path(args.out)
         if path.exists() and not args.force:
             raise FileExistsError(f"'{path}' exists; pass --force to overwrite")
-        ds = FIXTURES[args.name](seed=subseed(args.seed, "dataset"))
+        ds = DatasetConfig(fixture=args.name).load(args.seed)
         save_dataset_csv(ds, path)
         print(json.dumps({"fixture": args.name, "out": str(path), "n": ds.n, "dim": ds.dim}))
         return 0

@@ -214,8 +214,8 @@ def _resolve(path: str) -> _Key:
     *parents, leaf = path.split(".")
     owner = attrgetter(".".join(parents)) if parents else (lambda obj: obj)
     if isinstance(owner(_DEFAULTS), dict):
-        # loss weights: a loss missing from the dict weighs 0.0
-        get = lambda cfg: owner(cfg).get(leaf, 0.0)
+        # loss weights: LossConfig names every loss
+        get = lambda cfg: owner(cfg)[leaf]
     else:
         get = attrgetter(path)
     default = get(_DEFAULTS)

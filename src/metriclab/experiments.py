@@ -23,7 +23,7 @@ from .config import SURFACE_LOSS_KINDS, ExperimentConfig, config_hash, parse_con
 from .errors import ConfigError, ShapeError
 from .metrics import evaluate_retrieval, l2_normalize
 from .nn import CenterPredictor
-from .sampling import LabeledDataset
+from .sampling import LabeledDataset, first_per_label
 from .seeding import subseed, substream
 from .trainer import cpl_errors, embed_dataset, refit_predictor, train_accuracy, train_run
 
@@ -255,21 +255,15 @@ def split_retrieval_task(ds: LabeledDataset):
     """Disjoint-identity split: first half of identities train, second half
     test; each test identity contributes its first QUERIES_PER_ID samples
     as queries and the rest as gallery."""
-    ids = ds.identities
+    ids = np.array(ds.identities)
     if len(ids) < 4:
         raise ConfigError("retrieval task needs at least 4 identities to split")
-    train_ids = set(ids[: len(ids) // 2])
-    train = ds.subset(np.flatnonzero(np.isin(ds.labels, sorted(train_ids))))
+    in_train = ds.labels < ids[len(ids) // 2]
     # dense remap so the classifier head matches the training identities
-    lut = {old: new for new, old in enumerate(train.identities)}
-    train = LabeledDataset(train.features, np.array([lut[l] for l in train.labels]))
-    test = ds.subset(np.flatnonzero(~np.isin(ds.labels, sorted(train_ids))))
-    q_idx, g_idx = [], []
-    for ident in test.identities:
-        cols = test.by_identity[ident]
-        q_idx.extend(cols[:QUERIES_PER_ID])
-        g_idx.extend(cols[QUERIES_PER_ID:])
-    return train, test.subset(np.array(q_idx)), test.subset(np.array(g_idx))
+    train = LabeledDataset(ds.features[:, in_train], np.searchsorted(ids, ds.labels[in_train]))
+    test = ds.subset(np.flatnonzero(~in_train))
+    queries, gallery = first_per_label(test.labels, QUERIES_PER_ID)
+    return train, test.subset(queries), test.subset(gallery)
 
 
 def run_retrieval_variant(split: tuple, cfg: ExperimentConfig, variant: str):

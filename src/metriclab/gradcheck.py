@@ -70,7 +70,7 @@ class GradProblem:
     """
 
     root: callable  # () -> Tensor, rebuilt from the live leaf data
-    leaves: dict  # name -> Tensor
+    leaves: tuple  # the tensors to perturb
     fd_forward: callable = None
 
     def __post_init__(self):
@@ -149,25 +149,24 @@ def _sum_squares(t: Tensor) -> Tensor:
     return _make(total, (t, t), bw)
 
 
-def _case_network(net, x, prefix) -> GradProblem:
-    leaves = {"x": x, **{f"{prefix}.{n}": p for n, p in net.params()}}
-    return GradProblem(lambda: _sum_squares(net(x)), leaves)
+def _case_network(net, x) -> GradProblem:
+    return GradProblem(lambda: _sum_squares(net(x)), (x, *(p for _, p in net.params())))
 
 
 def _case_linear(rng) -> GradProblem:
-    return _case_network(Linear(3, 4, rng), _feat(rng, 3, 6), "linear")
+    return _case_network(Linear(3, 4, rng), _feat(rng, 3, 6))
 
 
 def _case_batchnorm(rng) -> GradProblem:
     bn = BatchNorm(3)
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=(3, 1))
     bn.beta.data[:] = rng.uniform(-0.5, 0.5, size=(3, 1))
-    return _case_network(bn, _feat(rng, 3, 8), "bn")
+    return _case_network(bn, _feat(rng, 3, 8))
 
 
 def _case_mlp(rng) -> GradProblem:
     net = MLP(4, (8, 8), 3, rng)
-    return _case_network(net, _off_kink_input(rng, 4, 6, net), "mlp")
+    return _case_network(net, _off_kink_input(rng, 4, 6, net))
 
 
 def _case_mlp_constant_input(rng) -> GradProblem:
@@ -175,35 +174,35 @@ def _case_mlp_constant_input(rng) -> GradProblem:
     # stack skips its input gradient, so only the parameters are leaves
     net = MLP(3, (4,), 2, rng)
     x = _off_kink_input(rng, 3, 5, net).data
-    return GradProblem(lambda: _sum_squares(net(x)), {f"mlp.{n}": p for n, p in net.params()})
+    return GradProblem(lambda: _sum_squares(net(x)), tuple(p for _, p in net.params()))
 
 
 def _case_predictor_plain(rng) -> GradProblem:
     net = CenterPredictor(dim=3, hidden=8, rng=rng, depth=2)
-    return _case_network(net, _off_kink_input(rng, 3, 6, net), "pred")
+    return _case_network(net, _off_kink_input(rng, 3, 6, net))
 
 
 def _case_predictor_deep_bn(rng) -> GradProblem:
     net = CenterPredictor(dim=3, hidden=8, rng=rng, depth=4, bn_hidden=True, bn_output=True)
-    return _case_network(net, _off_kink_input(rng, 3, 6, net), "pred")
+    return _case_network(net, _off_kink_input(rng, 3, 6, net))
 
 
 def _case_pairwise(rng) -> GradProblem:
     x = _spread_batch(rng, 3, 2, 3)
-    return GradProblem(lambda: _sum(pairwise_euclidean(x)), {"x": x})
+    return GradProblem(lambda: _sum(pairwise_euclidean(x)), (x,))
 
 
 def _case_ce(rng) -> GradProblem:
     logits = _feat(rng, 4, 8)
     labels = rng.integers(0, 4, size=8)
-    return GradProblem(lambda: id_cross_entropy(logits, labels), {"logits": logits})
+    return GradProblem(lambda: id_cross_entropy(logits, labels), (logits,))
 
 
 def _case_center(rng) -> GradProblem:
     x = _feat(rng, 3, 6)
     labels = _labels_pk(2, 3)
     centers = Tensor(rng.uniform(-1, 1, size=(3, 2)), requires_grad=True)
-    return GradProblem(lambda: center_loss(x, labels, centers), {"x": x, "centers": centers})
+    return GradProblem(lambda: center_loss(x, labels, centers), (x, centers))
 
 
 def _case_triplet(rng) -> GradProblem:
@@ -211,27 +210,27 @@ def _case_triplet(rng) -> GradProblem:
     labels = _labels_pk(3, 3)
     # every distance in a 3-D _spread_batch is below sqrt(3) * 9.2 < 16, so
     # margin 20 keeps each hinge active and the checked gradient nonzero
-    return GradProblem(lambda: triplet_loss_batch_hard(pairwise_euclidean(x), labels, margin=20.0), {"x": x})
+    return GradProblem(lambda: triplet_loss_batch_hard(pairwise_euclidean(x), labels, margin=20.0), (x,))
 
 
 def _case_circle(rng) -> GradProblem:
     x = _spread_batch(rng, 3, 2, 3)
     labels = _labels_pk(2, 3)
-    return GradProblem(lambda: circle_loss(x, labels, scale=4.0, margin=0.25), {"x": x})
+    return GradProblem(lambda: circle_loss(x, labels, scale=4.0, margin=0.25), (x,))
 
 
 def _case_lifted(rng) -> GradProblem:
     x = _spread_batch(rng, 3, 2, 3)
     labels = _labels_pk(2, 3)
     # margin 20 keeps every hinge active, as in the triplet case
-    return GradProblem(lambda: lifted_structure_loss(pairwise_euclidean(x), labels, margin=20.0), {"x": x})
+    return GradProblem(lambda: lifted_structure_loss(pairwise_euclidean(x), labels, margin=20.0), (x,))
 
 
 def _case_rll(rng) -> GradProblem:
     x = _spread_batch(rng, 3, 2, 3)
     labels = _labels_pk(2, 3)
     return GradProblem(
-        lambda: ranked_list_loss(pairwise_euclidean(x), labels, alpha=1.2, margin=0.4), {"x": x}
+        lambda: ranked_list_loss(pairwise_euclidean(x), labels, alpha=1.2, margin=0.4), (x,)
     )
 
 
@@ -242,10 +241,9 @@ def _case_cpl_frozen(rng) -> GradProblem:
     # frozen semantics: the finite difference must not move the targets,
     # so they are pinned at the unperturbed embeddings' values
     pinned = cpl_targets(x.data.copy(), labels)
-    leaves = {"x": x, **{f"pred.{n}": p for n, p in net.params()}}
     return GradProblem(
         root=lambda: cpl_loss(x, labels, cpl_targets(x, labels), net),
-        leaves=leaves,
+        leaves=(x, *(p for _, p in net.params())),
         fd_forward=lambda: cpl_loss(x, labels, pinned, net).item(),
     )
 
@@ -260,7 +258,7 @@ def _case_weighted_total(rng) -> GradProblem:
         parts = (id_cross_entropy(x, labels), cpl_loss(x, labels, targets), center_loss(x, labels, centers))
         return _weighted_total(dict(zip(weights, parts)), weights)
 
-    return GradProblem(root, {"x": x})
+    return GradProblem(root, (x,))
 
 
 def _case_step_total(rng) -> GradProblem:
@@ -286,7 +284,7 @@ def _case_step_total(rng) -> GradProblem:
 
     return GradProblem(
         root=lambda: _weighted_total(dict(_loss_parts(state, x, labels)), weights),
-        leaves={"x": x},
+        leaves=(x,),
         fd_forward=fd_forward,
     )
 
@@ -357,7 +355,7 @@ def run_gradcheck(seed: int = 0, tolerance: float = 1e-4, batches: int = 20) -> 
         for b in range(batches):
             problem = builder(substream(seed, f"gradcheck/{name}/{b}"))
             grads = backward(problem.root())
-            for leaf in problem.leaves.values():
+            for leaf in problem.leaves:
                 analytic = grads.get(leaf)
                 if analytic is None:
                     analytic = np.zeros_like(leaf.data)

@@ -21,6 +21,7 @@ from .errors import ConfigError, DataFormatError, ShapeError
 
 __all__ = [
     "group_labels",
+    "first_per_label",
     "LabeledDataset",
     "PKSamplerConfig",
     "epoch_iter",
@@ -44,6 +45,17 @@ def group_labels(labels):
     heads = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
     starts = np.concatenate(([0], heads, [labels.size])) if labels.size else np.zeros(1, np.intp)
     return ranked[starts[:-1]], order, starts
+
+
+def first_per_label(labels, m):
+    """Split columns into (head, rest): head holds each label's first m
+    columns, rest the others. Both list labels ascending and columns
+    ascending within a label, in group_labels order."""
+    _, order, starts = group_labels(labels)
+    # a column's rank within its label: its position minus its run's start
+    rank = np.arange(order.size) - np.repeat(starts[:-1], np.diff(starts))
+    head = rank < m
+    return order[head], order[~head]
 
 
 @dataclass

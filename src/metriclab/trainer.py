@@ -110,11 +110,13 @@ class LossConfig:
         for name, w in self.weights.items():
             if w < 0:
                 raise ConfigError(f"loss.{name}.weight must be >= 0")
+        # every loss named, in LOSS_NAMES order: one the dict omits weighs 0.0
+        self.weights = {name: float(self.weights.get(name, 0.0)) for name in LOSS_NAMES}
         if self.cpl_target not in losses.TARGET_MODES:
             raise ConfigError(f"loss.cpl.target must be one of {losses.TARGET_MODES}, got '{self.cpl_target}'")
 
     def enabled(self):
-        return [name for name in LOSS_NAMES if self.weights.get(name, 0.0) > 0.0]
+        return [name for name in LOSS_NAMES if self.weights[name] > 0.0]
 
 
 def lr_at(cfg: SgdConfig, epoch: int) -> float:
@@ -193,7 +195,7 @@ def build_state(cfg, input_dim: int, n_classes: int) -> TrainState:
             bn_output=model_cfg.bn_predictor_output,
         )
     centers = None
-    if cfg.loss.weights.get("center", 0.0) > 0.0:
+    if cfg.loss.weights["center"] > 0.0:
         centers = Tensor(np.zeros((model_cfg.embedding_dim, n_classes)), requires_grad=True)
     state = TrainState(extractor, classifier, predictor, centers, optimizer=None, cfg=cfg)
     state.optimizer = SGD(list(state.named_params().values()), momentum=cfg.sgd.momentum)

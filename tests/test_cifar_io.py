@@ -68,6 +68,42 @@ def test_class_filter_and_cap(tmp_path):
     assert np.allclose(np.unique(ds.features), np.array([1, 3, 4]) / 255.0)
 
 
+def _kept_by_record_loop(labels, class_filter, cap):
+    """Reference selection in one pass over the records in file order: the
+    kept record indices and their dense labels."""
+    keep = sorted(set(labels if class_filter is None else class_filter))
+    taken = dict.fromkeys(keep, 0)
+    cols = []
+    for i, label in enumerate(labels):
+        if label in taken and (cap is None or taken[label] < cap):
+            taken[label] += 1
+            cols.append(i)
+    return cols, [keep.index(labels[i]) for i in cols]
+
+
+@pytest.mark.parametrize(
+    "class_filter,cap",
+    [(None, None), (None, 2), ([0, 2, 7], 3), ([7, 2, 7], 1), ([9, 0, 4, 2], 50), ([5], None)],
+)
+def test_filter_and_cap_match_a_per_record_loop(tmp_path, class_filter, cap):
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 10, size=60)  # classes interleaved in file order
+    pixels = rng.integers(0, 256, size=(60, 3072))
+    p = tmp_path / "batch.bin"
+    write_records(p, list(zip(labels.tolist(), pixels)))
+    cols, dense = _kept_by_record_loop(labels.tolist(), class_filter, cap)
+    ds = load_cifar_bin(p, class_filter=class_filter, max_per_class=cap)
+    assert ds.labels.tolist() == dense
+    assert np.array_equal(ds.features, pixels[cols].T / 255.0)
+
+
+def test_cap_zero_leaves_no_records(tmp_path):
+    p = tmp_path / "batch.bin"
+    write_records(p, [(0, 1), (1, 2), (0, 3)])
+    with pytest.raises(ConfigError, match="no records left after class filter"):
+        load_cifar_bin(p, class_filter=[0, 1], max_per_class=0)
+
+
 def test_downsample_factor_one_is_identity():
     pix = np.arange(3072) / 3071.0
     assert np.array_equal(downsample_flatten(pix, 1), pix)
@@ -90,6 +126,19 @@ def test_downsample_checkerboard_averages_to_half():
 def test_downsample_factor_must_divide():
     with pytest.raises(ConfigError):
         downsample_flatten(np.zeros(3072), 5)
+
+
+@pytest.mark.parametrize("factor", [1, 2, 4, 8, 16, 32])
+def test_batched_downsample_equals_per_record_calls(factor):
+    records = np.random.default_rng(factor).random((5, 3072))
+    batched = downsample_flatten(records, factor)
+    assert np.array_equal(batched, np.stack([downsample_flatten(r, factor) for r in records]))
+
+
+@pytest.mark.parametrize("pixels", [np.zeros(3071), np.zeros((2, 3073)), np.zeros((3072, 2))])
+def test_mis_sized_record_rejected(pixels):
+    with pytest.raises(ConfigError, match="expected 3072 pixel values"):
+        downsample_flatten(pixels, 4)
 
 
 def test_load_cifar_features_downsampled(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from metriclab.cli import main
+from metriclab.config import parse_config
 from metriclab.sampling import load_dataset_csv
 
 TRAIN_CFG = """\
@@ -326,6 +327,10 @@ def test_export_fixture_round_trips(tmp_path, capsys):
     ds = load_dataset_csv(dest)
     assert ds.n == 1500 and ds.dim == 2
     assert np.all(np.isfinite(ds.features))
+    # exactly the data a run of that fixture at that seed loads
+    cfg = parse_config("kind = surface\ndataset.fixture = bimodal\nseed = 7\n")
+    run_ds = cfg.dataset.load(cfg.seed)
+    assert np.array_equal(ds.features, run_ds.features) and np.array_equal(ds.labels, run_ds.labels)
 
     code, _, err = _run(capsys, "export-fixture", "bimodal", "--out", str(dest))
     assert code == 4

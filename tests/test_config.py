@@ -5,12 +5,13 @@ import pytest
 
 from metriclab.config import (
     SCHEMA,
+    ExperimentConfig,
     config_hash,
     parse_config,
     render_config,
 )
 from metriclab.errors import ConfigError
-from metriclab.trainer import LOSS_NAMES
+from metriclab.trainer import LOSS_NAMES, LossConfig
 
 
 def test_minimal_config_resolves_defaults_and_round_trips():
@@ -223,6 +224,13 @@ def test_loss_weights_flow_into_enabled_list():
         "kind = train\nloss.cpl.weight = 0\nloss.triplet.weight = 2.0\n"
     )
     assert cfg.loss.enabled() == ["ce", "triplet"]
+
+
+def test_partial_loss_weights_equal_their_parsed_render():
+    # a loss the dict omits weighs 0.0 in the config as in its rendered text
+    cfg = ExperimentConfig("train", loss=LossConfig(weights={"ce": 1.0}))
+    assert list(cfg.loss.weights) == list(LOSS_NAMES)
+    assert parse_config(render_config(cfg)) == cfg
 
 
 # every key: a valid non-default value as text, the field it must land in,

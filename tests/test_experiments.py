@@ -13,6 +13,7 @@ from metriclab.experiments import (
     AblationRow,
     ABLATIONS,
     BOUNDARY_DECILE,
+    QUERIES_PER_ID,
     SurfaceGrid,
     ablation_configs,
     center_surface_errors,
@@ -25,6 +26,7 @@ from metriclab.experiments import (
 )
 from metriclab.losses import cpl_loss, cpl_targets
 from metriclab.nn import CenterPredictor
+from metriclab.sampling import LabeledDataset
 from metriclab.seeding import subseed
 from metriclab.synthetic import (
     bimodal_class_fixture,
@@ -201,6 +203,44 @@ def test_split_needs_enough_identities():
     ds = retrieval_fixture(seed=0, n_ids=3, per_id=4, dim=4)
     with pytest.raises(ConfigError):
         split_retrieval_task(ds)
+
+
+def _split_by_identity(labels):
+    """Reference split, one identity at a time: the original columns of the
+    train, query and gallery sets, and the dense train labels."""
+    ids = sorted(set(labels))
+    train_ids = ids[: len(ids) // 2]
+    train = [j for j, label in enumerate(labels) if label in train_ids]
+    queries, gallery = [], []
+    for ident in ids[len(ids) // 2 :]:
+        cols = [j for j, label in enumerate(labels) if label == ident]
+        queries += cols[:QUERIES_PER_ID]
+        gallery += cols[QUERIES_PER_ID:]
+    return train, [train_ids.index(labels[j]) for j in train], queries, gallery
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # ids with gaps, some identities below QUERIES_PER_ID samples
+    id_counts=st.lists(
+        st.tuples(st.integers(-300, 699), st.integers(1, 2 * QUERIES_PER_ID)),
+        min_size=4,
+        max_size=10,
+        unique_by=lambda pair: pair[0],
+    ),
+    random=st.randoms(use_true_random=False),
+)
+def test_split_matches_a_per_identity_reference(id_counts, random):
+    labels = [ident for ident, count in id_counts for _ in range(count)]
+    random.shuffle(labels)
+    # one feature row holding each column's index traces every column
+    ds = LabeledDataset(np.arange(len(labels), dtype=np.float64)[None, :], np.array(labels))
+    train_cols, train_labels, query_cols, gallery_cols = _split_by_identity(labels)
+    train, queries, gallery = split_retrieval_task(ds)
+    assert train.features[0].tolist() == train_cols and train.labels.tolist() == train_labels
+    assert queries.features[0].tolist() == query_cols and gallery.features[0].tolist() == gallery_cols
+    assert queries.labels.tolist() == [labels[j] for j in query_cols]
+    assert gallery.labels.tolist() == [labels[j] for j in gallery_cols]
 
 
 def test_target_ablation_four_rows_finite():

@@ -8,6 +8,7 @@ from metriclab.sampling import (
     LabeledDataset,
     PKSamplerConfig,
     epoch_iter,
+    first_per_label,
     group_labels,
     load_dataset_csv,
     save_dataset_csv,
@@ -51,6 +52,23 @@ def test_group_labels_matches_unique_and_flatnonzero(labels):
     assert starts[0] == 0 and starts[-1] == labels.size and starts.size == ids.size + 1
     for label, lo, hi in zip(ids, starts[:-1], starts[1:]):
         assert np.array_equal(order[lo:hi], np.flatnonzero(labels == label))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=LABEL_LISTS, m=st.integers(0, 45))
+@example(labels=[], m=2)
+@example(labels=[3, -2, 3, 3, -2, 9, 3], m=0)
+@example(labels=[3, -2, 3, 3, -2, 9, 3], m=2)
+@example(labels=[3, -2, 3, 3, -2, 9, 3], m=99)
+def test_first_per_label_matches_a_per_label_loop(labels, m):
+    # m = 0 puts every column in rest; m past every class size, in head
+    head, rest = [], []
+    for label in sorted(set(labels)):
+        cols = [j for j, other in enumerate(labels) if other == label]
+        head += cols[:m]
+        rest += cols[m:]
+    got_head, got_rest = first_per_label(np.array(labels, dtype=np.int64), m)
+    assert got_head.tolist() == head and got_rest.tolist() == rest
 
 
 def test_dataset_groups_columns_by_ascending_identity():
