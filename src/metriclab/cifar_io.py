@@ -19,15 +19,13 @@ RECORD_BYTES = 3073
 IMAGE_SIDE = 32
 CHANNELS = 3
 PIXELS = CHANNELS * IMAGE_SIDE * IMAGE_SIDE
+# records that load_cifar_features scales to float64 and pools at a time
+CHUNK_RECORDS = 256
 
 
-def load_cifar_bin(path, class_filter=None, max_per_class=None) -> LabeledDataset:
-    """Load records as a 3072 x N dataset with pixels in [0, 1].
-
-    class_filter keeps only the listed original labels; labels remap to
-    0..C-1 in sorted original order. max_per_class truncates per class in
-    file order.
-    """
+def _select_records(path, class_filter, max_per_class):
+    """The file's records as an N x RECORD_BYTES uint8 array, the rows that
+    the filter and cap keep, in file order, and their dense labels."""
     raw = np.fromfile(path, dtype=np.uint8)
     if raw.size == 0:
         raise DataFormatError(f"{path}: empty file")
@@ -48,8 +46,26 @@ def load_cifar_bin(path, class_filter=None, max_per_class=None) -> LabeledDatase
         cols = np.sort(cols[first_per_label(labels[cols], max_per_class)[0]])
     if not cols.size:
         raise ConfigError(f"{path}: no records left after class filter")
-    pixels = records[cols, 1:].astype(np.float64).T / 255.0
-    return LabeledDataset(pixels, np.searchsorted(keep_classes, labels[cols]))
+    return records, cols, np.searchsorted(keep_classes, labels[cols])
+
+
+def _scaled(pixel_bytes: np.ndarray) -> np.ndarray:
+    """uint8 pixels as float64 in [0, 1]: astype(float64) / 255.0, with the
+    division done in place on the float copy."""
+    pixels = pixel_bytes.astype(np.float64)
+    pixels /= 255.0
+    return pixels
+
+
+def load_cifar_bin(path, class_filter=None, max_per_class=None) -> LabeledDataset:
+    """Load records as a 3072 x N dataset with pixels in [0, 1].
+
+    class_filter keeps only the listed original labels; labels remap to
+    0..C-1 in sorted original order. max_per_class truncates per class in
+    file order.
+    """
+    records, cols, labels = _select_records(path, class_filter, max_per_class)
+    return LabeledDataset(_scaled(records[cols, 1:]).T, labels)
 
 
 def downsample_flatten(pixels: np.ndarray, factor: int) -> np.ndarray:
@@ -70,6 +86,12 @@ def downsample_flatten(pixels: np.ndarray, factor: int) -> np.ndarray:
 
 
 def load_cifar_features(path, class_filter=None, max_per_class=None, factor: int = 4) -> LabeledDataset:
-    """load_cifar_bin + downsample_flatten of every record."""
-    ds = load_cifar_bin(path, class_filter=class_filter, max_per_class=max_per_class)
-    return LabeledDataset(downsample_flatten(ds.features.T, factor).T, ds.labels)
+    """load_cifar_bin + downsample_flatten of every record, with the same
+    values: records are scaled to [0, 1] and then pooled CHUNK_RECORDS at a
+    time, so the full-resolution float64 pixels are never held at once."""
+    records, cols, labels = _select_records(path, class_filter, max_per_class)
+    pooled = [
+        downsample_flatten(_scaled(records[cols[start : start + CHUNK_RECORDS], 1:]), factor)
+        for start in range(0, cols.size, CHUNK_RECORDS)
+    ]
+    return LabeledDataset(np.concatenate(pooled).T, labels)

@@ -7,15 +7,25 @@ prediction loss is checked in its frozen-target form: the analytic
 gradient of the live loss must match the finite difference of the loss
 with targets pinned at their unperturbed values, alone (`cpl-frozen`) and
 in a training step's total with target standardization on (`step-total`).
+
+A network case (a layer or a layer stack under sum(out^2)) perturbs a
+leaf that step s holds by re-running only the steps from s onward. They
+start from x itself for x and step 0's parameters; for a later step, from
+the activation that the steps before it give on the unperturbed data,
+computed once when the case is built and kept read-only, as perturbing a
+leaf of step s or later never moves it. The suffix runs the same numpy
+operations on the same inputs as the whole forward does, so every finite
+difference is bit-identical to it, and each layer output is still checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .autograd import Tensor, _make, backward
+from .autograd import Tensor, _make, as_tensor, backward
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .losses import (
@@ -30,7 +40,7 @@ from .losses import (
     triplet_loss_batch_hard,
 )
 from .metrics import pairwise_distances
-from .nn import MLP, RELU, BatchNorm, CenterPredictor, Linear, standardize
+from .nn import MLP, RELU, BatchNorm, CenterPredictor, Linear, _run_steps, standardize
 from .seeding import substream
 from .trainer import LossConfig, TrainState, _loss_parts, _weighted_total
 
@@ -66,12 +76,14 @@ class GradProblem:
     """One built instance: scalar graph root plus the tensors to perturb.
 
     fd_forward defaults to evaluating root() fresh; the prediction loss
-    overrides it with the frozen-target evaluation.
+    overrides it with the frozen-target evaluation. A leaf in leaf_forwards
+    is perturbed under its own forward instead.
     """
 
     root: callable  # () -> Tensor, rebuilt from the live leaf data
     leaves: tuple  # the tensors to perturb
     fd_forward: callable = None
+    leaf_forwards: dict = field(default_factory=dict)  # leaf -> () -> float
 
     def __post_init__(self):
         if self.fd_forward is None:
@@ -109,9 +121,7 @@ def _relu_margin(net, x_data: np.ndarray) -> float:
     for step in net.steps:
         if step is RELU:
             worst = min(worst, float(np.abs(h).min()))
-            h = np.maximum(h, 0.0)
-        else:
-            h, _ = step._apply(h)
+        h = _run_steps((step,), h)[0]  # a relu runs in place on the layer output before it
     return worst
 
 
@@ -149,8 +159,29 @@ def _sum_squares(t: Tensor) -> Tensor:
     return _make(total, (t, t), bw)
 
 
+def _tail_value(steps, h) -> float:
+    """The network root's value with steps run from the activation h."""
+    return _sum_squares(Tensor(_run_steps(steps, h)[0])).item()
+
+
 def _case_network(net, x) -> GradProblem:
-    return GradProblem(lambda: _sum_squares(net(x)), (x, *(p for _, p in net.params())))
+    """sum(net(x)^2) over the net's parameters and x, unless x is a plain
+    array; a leaf of step s is perturbed under _tail_value(steps[s:], ...)."""
+    steps, x_data = net.steps, as_tensor(x).data
+    forwards = {}
+    for s, step in enumerate(steps):
+        if step is RELU:
+            continue
+        h = _run_steps(steps[:s], x_data)[0]
+        if s:  # step 0 runs from x itself, which a finite difference on x moves
+            h.flags.writeable = False
+        forward = partial(_tail_value, steps[s:], h)
+        forwards.update((p, forward) for _, p in step.params())
+    leaves = tuple(p for _, p in net.params())
+    if isinstance(x, Tensor):  # x enters at step 0, as leaves[0] does
+        forwards[x] = forwards[leaves[0]]
+        leaves = (x, *leaves)
+    return GradProblem(lambda: _sum_squares(net(x)), leaves, leaf_forwards=forwards)
 
 
 def _case_linear(rng) -> GradProblem:
@@ -173,8 +204,7 @@ def _case_mlp_constant_input(rng) -> GradProblem:
     # a constant batch, as the extractor and every refit predictor get: the
     # stack skips its input gradient, so only the parameters are leaves
     net = MLP(3, (4,), 2, rng)
-    x = _off_kink_input(rng, 3, 5, net).data
-    return GradProblem(lambda: _sum_squares(net(x)), tuple(p for _, p in net.params()))
+    return _case_network(net, _off_kink_input(rng, 3, 5, net).data)
 
 
 def _case_predictor_plain(rng) -> GradProblem:
@@ -359,7 +389,7 @@ def run_gradcheck(seed: int = 0, tolerance: float = 1e-4, batches: int = 20) -> 
                 analytic = grads.get(leaf)
                 if analytic is None:
                     analytic = np.zeros_like(leaf.data)
-                fd = central_diff(problem.fd_forward, leaf)
+                fd = central_diff(problem.leaf_forwards.get(leaf, problem.fd_forward), leaf)
                 worst = max(worst, max_rel_err(analytic, fd))
         rows.append(GradcheckRow(name, worst, worst < tolerance))
     return GradcheckReport(rows, tolerance, batches)

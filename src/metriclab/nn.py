@@ -6,11 +6,12 @@ All layers consume and produce d x N matrices (column per sample) and expose
 params() as (name, Tensor) pairs for the optimizer and checkpointing.
 
 Every layer forward is one autograd op, a layer stack: a chain of Linear and
-BatchNorm steps with relu between them, run on plain arrays. Linear and
-BatchNorm are one-step stacks; an MLP runs the step list its constructor
-built as one node, so the hidden activations never become Tensors. The
-stack's backward replays each step's rule in reverse, so values and
-gradients are bit-identical to the chain of one-layer ops and relus.
+BatchNorm steps with relu between them, run on plain arrays by
+`_run_steps`. Linear and BatchNorm are one-step stacks (their `steps` is
+(self,)); an MLP runs the step list its constructor built as one node, so
+the hidden activations never become Tensors. The stack's backward replays
+each step's rule in reverse, so values and gradients are bit-identical to
+the chain of one-layer ops and relus.
 """
 
 from __future__ import annotations
@@ -38,40 +39,46 @@ CHECKPOINT_HEADER = "metriclab-checkpoint v1"
 RELU = "relu"
 
 
-def _stack(owner, steps, x) -> Tensor:
-    """Run steps on x as one autograd op that failures name as owner's forward.
+def _run_steps(steps, h: np.ndarray):
+    """The numpy forward of steps from h: (output, saved), where saved holds
+    each layer's memo for its rule and each relu's bool mask.
 
-    steps are Linear and BatchNorm layers with RELU between them; the op's
-    parents are the first layer's (weight or gamma, x, bias or beta), then
-    the later layers' parameters. Each layer output is checked with that
-    layer's own message; a relu output of finite input is finite.
-
-    Buffers: the op overwrites only arrays that it allocated itself. Each
-    relu runs in place on the previous step's output and keeps a bool mask;
-    backward multiplies that mask in place into the gradient that the next
-    step's rule just returned. x.data, the parameters and the upstream
-    gradient are never written, which is why a stack never starts or ends
-    with a relu.
+    steps are Linear and BatchNorm layers with RELU between them. Each layer
+    output is checked with that layer's own message; a relu output of finite
+    input is finite. Each relu runs in place on the output of the step
+    before it, so h itself is never written when steps start with a layer.
     """
-    if steps[0] is RELU or steps[-1] is RELU:
-        raise ValueError("a layer stack starts and ends with a Linear or BatchNorm step")
-    x = as_tensor(x)
-    h = x.data
     saved = []
-    params = []
     with np.errstate(over="ignore", invalid="ignore"):
         for step in steps:
             if step is RELU:
-                mask = h > 0.0
+                saved.append(h > 0.0)
                 np.maximum(h, 0.0, out=h)
-                saved.append(mask)
                 continue
             h, memo = step._apply(h)
             if not _all_finite(h):
                 raise NumericsError(f"{type(step).__name__}.forward: operation produced non-finite entries")
             saved.append(memo)
-            params.extend(p for _, p in step.params())
-    first_a, first_b, *later = params
+    return h, saved
+
+
+def _stack(owner, steps, x) -> Tensor:
+    """Run steps on x as one autograd op that failures name as owner's forward.
+
+    The forward is `_run_steps`; the op's parents are the first layer's
+    (weight or gamma, x, bias or beta), then the later layers' parameters.
+
+    Buffers: the op overwrites only arrays that it allocated itself. Each
+    relu keeps the bool mask of its in-place forward; backward multiplies
+    that mask in place into the gradient that the next step's rule just
+    returned. x.data, the parameters and the upstream gradient are never
+    written, which is why a stack never starts or ends with a relu.
+    """
+    if steps[0] is RELU or steps[-1] is RELU:
+        raise ValueError("a layer stack starts and ends with a Linear or BatchNorm step")
+    x = as_tensor(x)
+    h, saved = _run_steps(steps, x.data)
+    first_a, first_b, *later = (p for step in steps if step is not RELU for _, p in step.params())
 
     def bw(g):
         grads = []  # (grad a, grad b) per layer, last layer first
@@ -112,8 +119,12 @@ class Linear:
         self.weight = Tensor(weight, requires_grad=True)
         self.bias = Tensor(np.zeros((out_dim, 1)), requires_grad=True)
 
+    @property
+    def steps(self) -> tuple:
+        return (self,)
+
     def forward(self, x) -> Tensor:
-        return _stack(self, (self,), x)
+        return _stack(self, self.steps, x)
 
     __call__ = forward
 
@@ -170,8 +181,12 @@ class BatchNorm:
         self.gamma = Tensor(np.ones((dim, 1)), requires_grad=True)
         self.beta = Tensor(np.zeros((dim, 1)), requires_grad=True)
 
+    @property
+    def steps(self) -> tuple:
+        return (self,)
+
     def forward(self, x) -> Tensor:
-        return _stack(self, (self,), x)
+        return _stack(self, self.steps, x)
 
     __call__ = forward
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,7 +65,6 @@ class LabeledDataset:
 
     features: np.ndarray
     labels: np.ndarray
-    by_identity: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -75,10 +75,13 @@ class LabeledDataset:
             raise ShapeError("dataset needs exactly one label per feature column")
         if not _all_finite(self.features):
             raise ShapeError("dataset features must be finite")
+
+    @cached_property
+    def by_identity(self) -> dict:
+        """{label: its columns, ascending}, labels ascending; built on first
+        use, as only a sampled dataset reads it."""
         ids, order, starts = group_labels(self.labels)
-        self.by_identity = {
-            label: order[lo:hi] for label, lo, hi in zip(ids.tolist(), starts[:-1], starts[1:])
-        }
+        return {label: order[lo:hi] for label, lo, hi in zip(ids.tolist(), starts[:-1], starts[1:])}
 
     @property
     def dim(self) -> int:

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from metriclab import cifar_io
 from metriclab.cifar_io import (
+    CHUNK_RECORDS,
+    PIXELS,
     RECORD_BYTES,
     downsample_flatten,
     load_cifar_bin,
@@ -147,3 +152,40 @@ def test_load_cifar_features_downsampled(tmp_path):
     ds = load_cifar_features(p, factor=4)
     assert ds.features.shape == (3 * 8 * 8, 2)
     assert np.allclose(ds.features[:, 0], 100 / 255.0)
+
+
+def _random_file(path, n, seed=0):
+    rng = np.random.default_rng(seed)
+    blob = np.empty((n, RECORD_BYTES), dtype=np.uint8)
+    blob[:, 0] = rng.integers(0, 10, size=n)
+    blob[:, 1:] = rng.integers(0, 256, size=(n, PIXELS))
+    blob.tofile(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, CHUNK_RECORDS, 1024])
+@pytest.mark.parametrize("class_filter,cap", [(None, None), ([0, 3, 8], None), (None, 40), ([2, 5], 100)])
+def test_chunked_features_equal_pooling_the_whole_dataset(tmp_path, monkeypatch, chunk, class_filter, cap):
+    p = tmp_path / "batch.bin"
+    _random_file(p, 600)  # more than two default chunks
+    monkeypatch.setattr(cifar_io, "CHUNK_RECORDS", chunk)
+    for factor in (1, 4):
+        whole = load_cifar_bin(p, class_filter=class_filter, max_per_class=cap)
+        ds = load_cifar_features(p, class_filter=class_filter, max_per_class=cap, factor=factor)
+        assert np.array_equal(ds.features, downsample_flatten(whole.features.T, factor).T)
+        assert np.array_equal(ds.labels, whole.labels)
+
+
+def test_features_never_hold_the_full_resolution_pixels(tmp_path):
+    p = tmp_path / "batch.bin"
+    _random_file(p, 2000)
+    tracemalloc.start()
+    try:
+        ds = load_cifar_features(p, factor=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.shape == (3 * 8 * 8, 2000)
+    # the file (6.1 MB), one chunk of float64 pixels (6.3 MB) and the
+    # pooled features twice (2 x 3.1 MB) make 18.6 MB; the full-resolution
+    # float64 pixels alone would take 49 MB
+    assert peak < 24e6, peak

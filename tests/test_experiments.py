@@ -205,6 +205,15 @@ def test_split_needs_enough_identities():
         split_retrieval_task(ds)
 
 
+def test_split_query_and_gallery_build_no_identity_index_until_read():
+    ds = retrieval_fixture(seed=subseed(0, "dataset"))
+    _, queries, gallery = split_retrieval_task(ds)
+    for part in (queries, gallery):
+        assert "by_identity" not in vars(part)
+        assert part.identities == sorted(set(part.labels.tolist()))
+        assert "by_identity" in vars(part)
+
+
 def _split_by_identity(labels):
     """Reference split, one identity at a time: the original columns of the
     train, query and gallery sets, and the dense train labels."""

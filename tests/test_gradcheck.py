@@ -107,3 +107,41 @@ def test_fused_sums_are_bit_identical_to_composed_graphs(upstream, rng):
     for fused, composed in ((_sum_squares, lambda t: tsum(mul(t, t))), (_sum, tsum)):
         for f, c in zip(run(fused), run(composed), strict=True):
             assert np.array_equal(f, c)
+
+
+# the cases built by _case_network: a layer stack under _sum_squares
+NETWORK_CASES = ("linear", "batchnorm", "mlp", "predictor-2layer", "predictor-4layer-bn", "mlp-constant-input")
+
+
+@pytest.mark.parametrize("name", NETWORK_CASES)
+def test_suffix_finite_difference_is_bit_identical_to_the_whole_forward(name):
+    builder = dict(REGISTRY)[name]
+    for b in range(20):
+        problem = builder(substream(0, f"gradcheck/{name}/{b}"))
+        assert set(problem.leaf_forwards) == set(problem.leaves)
+
+        def whole():
+            return problem.root().item()
+
+        for leaf in problem.leaves:
+            suffix = problem.leaf_forwards[leaf]
+            assert suffix() == whole(), (name, b)
+            assert np.array_equal(central_diff(suffix, leaf), central_diff(whole, leaf)), (name, b)
+
+
+@pytest.mark.parametrize("name", NETWORK_CASES)
+def test_cached_activations_survive_a_sweep_and_are_read_only(name):
+    problem = dict(REGISTRY)[name](substream(0, f"gradcheck/{name}/0"))
+    # each forward is partial(_tail_value, steps, h); the longest starts at
+    # step 0 from x, every shorter one from an activation cached at build
+    forwards = problem.leaf_forwards.values()
+    depth = max(len(f.args[0]) for f in forwards)
+    cached = {id(f.args[1]): f.args[1] for f in forwards if len(f.args[0]) < depth}
+    assert bool(cached) == (depth > 1)  # a one-layer case caches nothing
+    before = {key: h.copy() for key, h in cached.items()}
+    for leaf in problem.leaves:
+        central_diff(problem.leaf_forwards[leaf], leaf)
+    for key, h in cached.items():
+        assert np.array_equal(h, before[key])
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 0] = 1.0
