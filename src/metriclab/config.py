@@ -5,12 +5,16 @@ One `key = value` pair per line, `#` comments, every key optional except
 that round-trips exactly, which is what makes resolved-config reruns and
 config hashing meaningful.
 
-`SCHEMA` names each key's field in `ExperimentConfig`; the key's default
-and its value type (bool, int, float, str or int tuple) are that field's.
-Each section (dataset, model, loss, sgd, sampler) is a flat dataclass of
-plain values, the loss weights dict included, so `parse_config` builds it
-from its keys in one call; the loss section also holds the pairwise
-losses' margins and scales.
+The keys derive from `ExperimentConfig`'s fields, in field order, which
+is the render order. A section field's key is `<section>.<field>`; at the
+top level and in the loss section the first `_` of a field name reads as
+a dot (`eval_every` is `eval.every`, `rll_alpha` is `loss.rll.alpha`), and
+`loss.weights` gives one `loss.<name>.weight` key per loss. A key's
+default and its value type (bool, int, float, str or int tuple) are its
+field's. Each section (dataset, model, loss, sgd, sampler) is a flat
+dataclass of plain values, the loss weights dict included, so
+`parse_config` builds it from its keys in one call; the loss section also
+holds the pairwise losses' margins and scales.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -81,48 +84,6 @@ _CODECS = {
     float: (_parse_float, lambda v: repr(float(v))),
     str: (str, str),
     tuple: (_parse_ints, lambda v: ",".join(str(int(x)) for x in v)),
-}
-
-# key -> field path in ExperimentConfig. Schema order is render order. A
-# key's default and codec come from the dataclass field it names.
-SCHEMA = {
-    "kind": "kind",
-    "seed": "seed",
-    "out": "out",
-    "dataset.source": "dataset.source",
-    "dataset.fixture": "dataset.fixture",
-    "dataset.path": "dataset.path",
-    "dataset.classes": "dataset.classes",
-    "dataset.max_per_class": "dataset.max_per_class",
-    "dataset.downsample": "dataset.downsample",
-    "model.extractor_hidden": "model.extractor_hidden",
-    "model.embedding_dim": "model.embedding_dim",
-    "model.predictor": "model.predictor",
-    "model.predictor_depth": "model.predictor_depth",
-    "model.predictor_hidden": "model.predictor_hidden",
-    "model.bn_target": "model.bn_target",
-    "model.bn_predictor_hidden": "model.bn_predictor_hidden",
-    "model.bn_predictor_output": "model.bn_predictor_output",
-    **{f"loss.{name}.weight": f"loss.weights.{name}" for name in LOSS_NAMES},
-    "loss.cpl.target": "loss.cpl_target",
-    "loss.triplet.margin": "loss.triplet_margin",
-    "loss.circle.margin": "loss.circle_margin",
-    "loss.circle.scale": "loss.circle_scale",
-    "loss.lifted.margin": "loss.lifted_margin",
-    "loss.rll.alpha": "loss.rll_alpha",
-    "loss.rll.margin": "loss.rll_margin",
-    "sgd.base_lr": "sgd.base_lr",
-    "sgd.milestones": "sgd.milestones",
-    "sgd.decay_factor": "sgd.decay_factor",
-    "sgd.epochs": "sgd.epochs",
-    "sgd.momentum": "sgd.momentum",
-    "sampler.p": "sampler.p",
-    "sampler.k": "sampler.k",
-    "sampler.allow_resample": "sampler.allow_resample",
-    "eval.every": "eval_every",
-    "refit.steps": "refit_steps",
-    "refit.lr": "refit_lr",
-    "surface.loss": "surface_loss",
 }
 
 
@@ -198,10 +159,14 @@ def _field_default(f):
 
 
 class _Key(NamedTuple):
-    path: tuple
-    get: Callable
+    path: tuple  # field names from ExperimentConfig down; a loss weight's path ends in its loss name
     parse: Callable
     render: Callable
+
+    def get(self, cfg):
+        for name in self.path:
+            cfg = cfg[name] if isinstance(cfg, dict) else getattr(cfg, name)
+        return cfg
 
 
 # every ExperimentConfig field at its default; `kind` is None
@@ -210,21 +175,31 @@ _DEFAULTS = SimpleNamespace(**{f.name: _field_default(f) for f in fields(Experim
 _SECTIONS = {name: type(value) for name, value in vars(_DEFAULTS).items() if is_dataclass(value)}
 
 
-def _resolve(path: str) -> _Key:
-    *parents, leaf = path.split(".")
-    owner = attrgetter(".".join(parents)) if parents else (lambda obj: obj)
-    if isinstance(owner(_DEFAULTS), dict):
-        # loss weights: LossConfig names every loss
-        get = lambda cfg: owner(cfg)[leaf]
-    else:
-        get = attrgetter(path)
-    default = get(_DEFAULTS)
-    codec = _CODECS[str if default is None else type(default)]
-    return _Key((*parents, leaf), get, *codec)
+def _derive_schema() -> dict:
+    """key -> _Key for every leaf field, in field order (the render order)."""
+    schema = {}
+
+    def add(key, path, default):
+        schema[key] = _Key(path, *_CODECS[str if default is None else type(default)])
+
+    for name, value in vars(_DEFAULTS).items():
+        if name not in _SECTIONS:
+            add(name.replace("_", ".", 1), (name,), value)
+            continue
+        for f in fields(value):
+            default = getattr(value, f.name)
+            if f.name == "weights":
+                for loss in LOSS_NAMES:
+                    add(f"loss.{loss}.weight", (name, f.name, loss), default[loss])
+            else:
+                # loss keys group by loss: `rll_alpha` is loss.rll.alpha
+                leaf = f.name.replace("_", ".", 1) if name == "loss" else f.name
+                add(f"{name}.{leaf}", (name, f.name), default)
+    return schema
 
 
-# key -> _Key, resolved once at import
-_KEYS = {key: _resolve(path) for key, path in SCHEMA.items()}
+# key -> _Key, derived once at import
+SCHEMA = _derive_schema()
 
 
 def _parse_raw(text: str) -> dict:
@@ -238,12 +213,12 @@ def _parse_raw(text: str) -> dict:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KEYS:
+        if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown config key '{key}'")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate config key '{key}'")
         try:
-            raw[key] = _KEYS[key].parse(value)
+            raw[key] = SCHEMA[key].parse(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for '{key}': {exc}") from exc
     return raw
@@ -257,7 +232,7 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         raise ConfigError("config must set 'kind'")
     fallback = _DEFAULTS if base is None else base
     tree = {}
-    for key, spec in _KEYS.items():
+    for key, spec in SCHEMA.items():
         node = tree
         for name in spec.path[:-1]:
             node = node.setdefault(name, {})
@@ -268,7 +243,7 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
 
 
 def render_config(cfg: ExperimentConfig) -> str:
-    return "".join(f"{key} = {spec.render(spec.get(cfg))}\n" for key, spec in _KEYS.items())
+    return "".join(f"{key} = {spec.render(spec.get(cfg))}\n" for key, spec in SCHEMA.items())
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

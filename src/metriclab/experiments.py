@@ -20,7 +20,7 @@ import numpy as np
 from . import losses
 from .autograd import _all_finite, as_tensor
 from .config import SURFACE_LOSS_KINDS, ExperimentConfig, config_hash, parse_config, render_config
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericsError, ShapeError
 from .metrics import evaluate_retrieval, l2_normalize
 from .nn import CenterPredictor
 from .sampling import LabeledDataset, first_per_label
@@ -65,7 +65,15 @@ class SurfaceGrid:
         """Mean error in the boundary band over mean error outside it."""
         if not self.boundary.any() or self.boundary.all():
             raise ConfigError("boundary ratio needs both band and interior points")
-        return float(self.errors[self.boundary].mean() / self.errors[~self.boundary].mean())
+        with np.errstate(all="ignore"):
+            band, interior = self.errors[self.boundary].mean(), self.errors[~self.boundary].mean()
+            ratio = band / interior
+        # a zero interior mean gives nan (0/0) or inf, and neither is JSON
+        if not math.isfinite(ratio):
+            raise NumericsError(
+                f"boundary_ratio: band mean error {band:.6g} over interior mean error {interior:.6g} is not finite"
+            )
+        return float(ratio)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -26,9 +26,8 @@ def l2_normalize(x: np.ndarray) -> np.ndarray:
     return x / norms
 
 
-def pairwise_distances(query: np.ndarray, gallery: np.ndarray, normalize: bool = False) -> np.ndarray:
-    """Nq x Ng Euclidean distances between columns, optionally after
-    L2-normalizing every column."""
+def pairwise_distances(query: np.ndarray, gallery: np.ndarray) -> np.ndarray:
+    """Nq x Ng Euclidean distances between columns."""
     query = np.asarray(query, dtype=np.float64)
     gallery = np.asarray(gallery, dtype=np.float64)
     if query.ndim != 2 or gallery.ndim != 2:
@@ -37,8 +36,6 @@ def pairwise_distances(query: np.ndarray, gallery: np.ndarray, normalize: bool =
         raise ShapeError(
             f"feature dims differ: query {query.shape[0]}, gallery {gallery.shape[0]}"
         )
-    if normalize:
-        query, gallery = l2_normalize(query), l2_normalize(gallery)
     q2 = (query * query).sum(axis=0)[:, None]
     g2 = (gallery * gallery).sum(axis=0)[None, :]
     d2 = np.maximum(q2 + g2 - 2.0 * (query.T @ gallery), 0.0)
@@ -72,7 +69,9 @@ def evaluate_retrieval(
 ) -> RankingResult:
     query_labels = np.asarray(query_labels)
     gallery_labels = np.asarray(gallery_labels)
-    dist = pairwise_distances(query_features, gallery_features, normalize=normalize)
+    if normalize:
+        query_features, gallery_features = l2_normalize(query_features), l2_normalize(gallery_features)
+    dist = pairwise_distances(query_features, gallery_features)
     nq, ng = dist.shape
     if query_labels.shape != (nq,) or gallery_labels.shape != (ng,):
         raise ShapeError("label arrays must match query/gallery counts")

@@ -145,6 +145,10 @@ EXTREME_CSV = (
     "-1.6e308,1.6e308,1\n-1.6e308,-1.6e308,1\n-1.6e308,1.6e308,1\n"
 )
 
+# two classes at one point: every refit error is 0, so the boundary ratio is 0/0
+IDENTICAL_CSV = "f0,f1,label\n1,2,0\n1,2,0\n1,2,1\n1,2,1\n"
+BOUNDARY_ZERO_CFG = "kind = boundary\nsampler.p = 2\nsgd.epochs = 1\nsgd.milestones =\nrefit.steps = 2\n"
+
 
 @pytest.mark.parametrize(
     "text, data, message",
@@ -154,6 +158,7 @@ EXTREME_CSV = (
         ("kind = surface\nsurface.loss = center\n", LARGE_CSV, "cpl_errors:"),
         ("kind = surface\nsurface.loss = center\n", EXTREME_CSV, "cpl_targets:"),
         ("kind = surface\nsurface.loss = cpl\n", EXTREME_CSV, "cpl_targets:"),
+        (BOUNDARY_ZERO_CFG, IDENTICAL_CSV, "boundary_ratio:"),
     ],
     ids=[
         "divergence",
@@ -161,6 +166,7 @@ EXTREME_CSV = (
         "center-errors-overflow",
         "center-targets-overflow",
         "cpl-targets-overflow",
+        "boundary-ratio-zero-over-zero",
     ],
 )
 def test_numeric_failure_exits_3_with_one_json_line(tmp_path, capsys, text, data, message):

@@ -332,3 +332,22 @@ def test_readme_config_table_lists_the_schema_keys_in_order():
             key = cell.strip("`")
             keys += [f"loss.{name}.weight" for name in LOSS_NAMES] if key == "loss.<name>.weight" else [key]
     assert keys == list(SCHEMA)
+
+
+def test_every_leaf_field_derives_exactly_one_key():
+    # a leaf is a top-level plain field, a section field, or one loss weight;
+    # two leaves deriving one key would leave one of them without a key
+    cfg = ExperimentConfig("train")
+    leaves = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if not is_dataclass(value):
+            leaves.append((f.name,))
+            continue
+        for g in fields(value):
+            if isinstance(getattr(value, g.name), dict):
+                leaves += [(f.name, g.name, name) for name in LOSS_NAMES]
+            else:
+                leaves.append((f.name, g.name))
+    assert len(leaves) == 43 == len(SCHEMA)
+    assert [spec.path for spec in SCHEMA.values()] == leaves

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metriclab.config import ExperimentConfig, parse_config, render_config
-from metriclab.errors import ConfigError, ShapeError
+from metriclab.errors import ConfigError, NumericsError, ShapeError
 from metriclab.experiments import (
     AblationReport,
     AblationRow,
@@ -74,6 +74,16 @@ def test_surface_grid_validates():
         SurfaceGrid(pts, np.zeros(3), np.array([1.0, -0.1, 0.0]), np.zeros(3, bool))
     with pytest.raises(ShapeError):
         SurfaceGrid(pts, np.zeros(3), np.array([1.0, np.nan, 0.0]), np.zeros(3, bool))
+
+
+@pytest.mark.parametrize(
+    "errors", [[0.0, 0.0], [1.0, 0.0], [1e300, 1e-300]], ids=["zero-over-zero", "over-zero", "overflow"]
+)
+def test_boundary_ratio_that_is_not_finite_is_a_numerics_error(errors):
+    # nan or inf would land in summary.json, which is then not JSON
+    grid = SurfaceGrid(np.zeros((2, 2)), np.array([0, 1]), np.array(errors), np.array([True, False]))
+    with pytest.raises(NumericsError, match="boundary_ratio:"):
+        grid.boundary_ratio()
 
 
 def test_surface_csv_shape():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metriclab.errors import ShapeError
-from metriclab.metrics import evaluate_retrieval, pairwise_distances
+from metriclab.metrics import evaluate_retrieval, l2_normalize, pairwise_distances
 
 from reference_impls import oracle_retrieval
 
@@ -21,7 +21,7 @@ def test_pairwise_pythagorean():
 def test_pairwise_normalized():
     q = np.array([[2.0], [0.0]])
     g = np.array([[0.0], [3.0]])
-    d = pairwise_distances(q, g, normalize=True)
+    d = pairwise_distances(l2_normalize(q), l2_normalize(g))
     assert d[0, 0] == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
