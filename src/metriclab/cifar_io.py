@@ -1,4 +1,5 @@
-"""Reader for the CIFAR-10 binary format and a box-average downsampler.
+"""Reader for the CIFAR-10 binary format: `load_cifar_features` loads a
+batch file as box-averaged float features (factor 1 keeps every pixel).
 
 Each record is 3073 bytes: one label byte (0..9) followed by 3072 pixel
 bytes in channel-planar order (1024 red, 1024 green, 1024 blue, row-major
@@ -13,7 +14,7 @@ import numpy as np
 from .errors import ConfigError, DataFormatError
 from .sampling import LabeledDataset, first_per_label
 
-__all__ = ["load_cifar_bin", "downsample_flatten", "load_cifar_features"]
+__all__ = ["downsample_flatten", "load_cifar_features"]
 
 RECORD_BYTES = 3073
 IMAGE_SIDE = 32
@@ -57,38 +58,29 @@ def _scaled(pixel_bytes: np.ndarray) -> np.ndarray:
     return pixels
 
 
-def load_cifar_bin(path, class_filter=None, max_per_class=None) -> LabeledDataset:
-    """Load records as a 3072 x N dataset with pixels in [0, 1].
-
-    class_filter keeps only the listed original labels; labels remap to
-    0..C-1 in sorted original order. max_per_class truncates per class in
-    file order.
-    """
-    records, cols, labels = _select_records(path, class_filter, max_per_class)
-    return LabeledDataset(_scaled(records[cols, 1:]).T, labels)
-
-
-def downsample_flatten(pixels: np.ndarray, factor: int) -> np.ndarray:
-    """Box-average each 32 x 32 channel plane by factor, flatten channels in
-    order. pixels is one record of PIXELS values, or an N x PIXELS array of
-    records pooled one per row. factor must divide 32; factor 1 is the
-    identity."""
-    pixels = np.asarray(pixels, dtype=np.float64)
-    records = pixels if pixels.ndim == 2 else pixels.reshape(1, -1)
-    if records.shape[1] != PIXELS:
-        raise ConfigError(f"expected {PIXELS} pixel values, got {records.shape[1]}")
+def downsample_flatten(records: np.ndarray, factor: int) -> np.ndarray:
+    """Box-average each 32 x 32 channel plane of an N x PIXELS record matrix
+    by factor and flatten the channels in order, one record per row.
+    factor must divide 32; factor 1 is the identity."""
+    records = np.asarray(records, dtype=np.float64)
+    if records.ndim != 2 or records.shape[1] != PIXELS:
+        raise ConfigError(f"expected {PIXELS} pixel values per record row, got shape {records.shape}")
     if factor < 1 or IMAGE_SIDE % factor != 0:
         raise ConfigError(f"downsample factor must divide {IMAGE_SIDE}, got {factor}")
     side = IMAGE_SIDE // factor
     planes = records.reshape(len(records), CHANNELS, side, factor, side, factor)
-    pooled = planes.mean(axis=(3, 5)).reshape(len(records), CHANNELS * side * side)
-    return pooled if pixels.ndim == 2 else pooled[0]
+    return planes.mean(axis=(3, 5)).reshape(len(records), CHANNELS * side * side)
 
 
 def load_cifar_features(path, class_filter=None, max_per_class=None, factor: int = 4) -> LabeledDataset:
-    """load_cifar_bin + downsample_flatten of every record, with the same
-    values: records are scaled to [0, 1] and then pooled CHUNK_RECORDS at a
-    time, so the full-resolution float64 pixels are never held at once."""
+    """Load records as a D x N dataset of pooled features in [0, 1].
+
+    class_filter keeps only the listed original labels; labels remap to
+    0..C-1 in sorted original order. max_per_class truncates per class in
+    file order. Each record's pixels are scaled to [0, 1] and then
+    box-averaged by factor (downsample_flatten; factor 1 keeps all 3072),
+    CHUNK_RECORDS records at a time, so the full-resolution float64 pixels
+    are never held at once."""
     records, cols, labels = _select_records(path, class_filter, max_per_class)
     pooled = [
         downsample_flatten(_scaled(records[cols[start : start + CHUNK_RECORDS], 1:]), factor)

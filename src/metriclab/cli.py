@@ -46,7 +46,12 @@ def _first_missing(path: Path):
 
 
 def _write_summary(out: Path, summary: dict) -> None:
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True) + "\n")
+    """Write summary.json; a nan or infinite value, which is not JSON, is a NumericsError."""
+    try:
+        text = json.dumps(summary, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericsError(f"summary.json: {exc}") from None
+    (out / "summary.json").write_text(text + "\n")
 
 
 def _dispatch_train(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dict:

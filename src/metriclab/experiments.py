@@ -2,9 +2,10 @@
 
 Four reproductions on synthetic fixtures: per-sample loss surfaces for the
 center and center-prediction losses, the boundary-error profile of a
-jointly trained classifier, and the target-mode / BN-placement ablation
-grids on a held-out-identity retrieval task. Each experiment takes the
-loaded dataset and the `ExperimentConfig` that holds all of its settings.
+jointly trained classifier (its band: the margins at or below numpy's
+lower decile), and the target-mode / BN-placement ablation grids on a
+held-out-identity retrieval task. Each experiment takes the loaded
+dataset and the `ExperimentConfig` that holds all of its settings.
 Everything is seeded and exports CSV.
 """
 
@@ -59,7 +60,12 @@ class SurfaceGrid:
         mask = self.labels == label
         if not mask.any():
             raise ConfigError(f"surface has no points with label {label}")
-        return float(self.errors[mask].mean())
+        with np.errstate(all="ignore"):
+            mean = self.errors[mask].mean()
+        # finite errors can still sum past float64, and inf is not JSON
+        if not math.isfinite(mean):
+            raise NumericsError(f"class_mean_error: class {label} mean error is not finite")
+        return float(mean)
 
     def boundary_ratio(self) -> float:
         """Mean error in the boundary band over mean error outside it."""
@@ -134,33 +140,6 @@ def run_loss_surface(ds: LabeledDataset, loss_kind: str, cfg: ExperimentConfig) 
     )
 
 
-def linear_quantile(values: np.ndarray, q: float) -> float:
-    """np.quantile(values, q) of a 1-D float array, bit for bit.
-
-    The same linear interpolation between the two order statistics around
-    (n - 1) * q, found by one partition. numpy 2.4's quantile picks its
-    partition points with a bare np.unique, which imports numpy.ma.
-    """
-    n = values.size
-    virtual = (n - 1) * q
-    lo = math.floor(virtual)
-    if virtual >= n - 1:  # numpy takes the last order statistic with index -1
-        lo = hi = -1
-    else:
-        hi = lo + 1
-    # numpy's partition points, so even equal values of opposite sign land alike
-    ordered = np.partition(values, sorted({0, lo % n, hi % n, n - 1}))
-    if np.isnan(ordered[-1]):  # a nan sorts last and makes the quantile nan
-        return float(ordered[-1])
-    gamma = virtual - lo
-    below, above = ordered[lo], ordered[hi]
-    diff = above - below
-    # numpy's _lerp: from the nearer end, as its `where=t >= 0.5` picks
-    if gamma >= 0.5:
-        return float(above - diff * (1 - gamma))
-    return float(below + diff * gamma)
-
-
 def classifier_margins(state, ds: LabeledDataset) -> np.ndarray:
     """Per-sample margin: true-class logit minus best other-class logit."""
     logits = state.classifier(state.extractor(as_tensor(ds.features))).data
@@ -174,9 +153,11 @@ def classifier_margins(state, ds: LabeledDataset) -> np.ndarray:
 def run_boundary_experiment(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=None):
     """Train CE+CPL with 2-D embeddings, then profile the prediction error.
 
-    Embeddings are L2-normalized, a fresh identity-initialized predictor is
-    refit on them, and each sample is flagged boundary/interior by whether
-    its classifier margin falls in the lowest decile. Returns (grid,
+    cfg must set model.embedding_dim = 2. Embeddings are L2-normalized, a
+    fresh identity-initialized predictor is refit on them, and a sample is
+    flagged boundary when its classifier margin is at most numpy's lower
+    BOUNDARY_DECILE quantile: the margin at 0-based rank
+    floor((n - 1) * BOUNDARY_DECILE) in ascending order. Returns (grid,
     train_accuracy).
     """
     if len(ds.identities) not in (2, 3):
@@ -185,15 +166,19 @@ def run_boundary_experiment(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=N
         )
     if cfg.model.predictor != "mlp":
         raise ConfigError("boundary experiment trains CE+CPL and needs model.predictor = mlp")
-    plane = replace(cfg, model=replace(cfg.model, embedding_dim=2))  # analysis needs a plane
-    state, _, _ = train_run(ds, plane, out_dir=out_dir)
+    if cfg.model.embedding_dim != 2:
+        raise ConfigError(
+            f"model.embedding_dim must be 2 for the boundary experiment's plane, got {cfg.model.embedding_dim}"
+        )
+    state, _, _ = train_run(ds, cfg, out_dir=out_dir)
     margins = classifier_margins(state, ds)
     normalized = l2_normalize(embed_dataset(state, ds))
     grid = SurfaceGrid(
         points=normalized,
         labels=ds.labels,
         errors=_refit_errors(normalized, ds.labels, cfg, "boundary-refit"),
-        boundary=margins <= linear_quantile(margins, BOUNDARY_DECILE),
+        # unlike the default linear method, "lower" does not import numpy.ma
+        boundary=margins <= np.quantile(margins, BOUNDARY_DECILE, method="lower"),
     )
     return grid, train_accuracy(state, ds)
 

@@ -1,7 +1,8 @@
 """Finite-difference validation of the layers, the losses and a step total.
 
 Each registry entry builds a small random problem and exposes the scalar
-to differentiate plus its leaf tensors. Analytic gradients come from the
+to differentiate plus its leaf tensors, each with the forward that its
+finite difference evaluates. Analytic gradients come from the
 reverse sweep; the oracle is a central difference with step 1e-5. The
 prediction loss is checked in its frozen-target form: the analytic
 gradient of the live loss must match the finite difference of the loss
@@ -20,7 +21,7 @@ difference is bit-identical to it, and each layer output is still checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -73,21 +74,16 @@ def max_rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
 
 @dataclass
 class GradProblem:
-    """One built instance: scalar graph root plus the tensors to perturb.
-
-    fd_forward defaults to evaluating root() fresh; the prediction loss
-    overrides it with the frozen-target evaluation. A leaf in leaf_forwards
-    is perturbed under its own forward instead.
-    """
+    """One built instance: scalar graph root plus the tensors to perturb,
+    each mapped to the forward its finite difference evaluates."""
 
     root: callable  # () -> Tensor, rebuilt from the live leaf data
-    leaves: tuple  # the tensors to perturb
-    fd_forward: callable = None
-    leaf_forwards: dict = field(default_factory=dict)  # leaf -> () -> float
+    forwards: dict  # leaf -> () -> float, in leaf order
 
-    def __post_init__(self):
-        if self.fd_forward is None:
-            self.fd_forward = lambda: self.root().item()
+
+def _fresh(root, leaves) -> GradProblem:
+    """root's problem with every leaf perturbed under root() evaluated fresh."""
+    return GradProblem(root, dict.fromkeys(leaves, lambda: root().item()))
 
 
 def _labels_pk(p: int, k: int) -> np.ndarray:
@@ -168,7 +164,7 @@ def _case_network(net, x) -> GradProblem:
     """sum(net(x)^2) over the net's parameters and x, unless x is a plain
     array; a leaf of step s is perturbed under _tail_value(steps[s:], ...)."""
     steps, x_data = net.steps, as_tensor(x).data
-    forwards = {}
+    forward_of = {}
     for s, step in enumerate(steps):
         if step is RELU:
             continue
@@ -176,12 +172,12 @@ def _case_network(net, x) -> GradProblem:
         if s:  # step 0 runs from x itself, which a finite difference on x moves
             h.flags.writeable = False
         forward = partial(_tail_value, steps[s:], h)
-        forwards.update((p, forward) for _, p in step.params())
-    leaves = tuple(p for _, p in net.params())
+        forward_of.update((p, forward) for _, p in step.params())
+    leaves = [p for _, p in net.params()]
     if isinstance(x, Tensor):  # x enters at step 0, as leaves[0] does
-        forwards[x] = forwards[leaves[0]]
-        leaves = (x, *leaves)
-    return GradProblem(lambda: _sum_squares(net(x)), leaves, leaf_forwards=forwards)
+        forward_of[x] = forward_of[leaves[0]]
+        leaves.insert(0, x)
+    return GradProblem(lambda: _sum_squares(net(x)), {leaf: forward_of[leaf] for leaf in leaves})
 
 
 def _case_linear(rng) -> GradProblem:
@@ -219,20 +215,20 @@ def _case_predictor_deep_bn(rng) -> GradProblem:
 
 def _case_pairwise(rng) -> GradProblem:
     x = _spread_batch(rng, 3, 2, 3)
-    return GradProblem(lambda: _sum(pairwise_euclidean(x)), (x,))
+    return _fresh(lambda: _sum(pairwise_euclidean(x)), (x,))
 
 
 def _case_ce(rng) -> GradProblem:
     logits = _feat(rng, 4, 8)
     labels = rng.integers(0, 4, size=8)
-    return GradProblem(lambda: id_cross_entropy(logits, labels), (logits,))
+    return _fresh(lambda: id_cross_entropy(logits, labels), (logits,))
 
 
 def _case_center(rng) -> GradProblem:
     x = _feat(rng, 3, 6)
     labels = _labels_pk(2, 3)
     centers = Tensor(rng.uniform(-1, 1, size=(3, 2)), requires_grad=True)
-    return GradProblem(lambda: center_loss(x, labels, centers), (x, centers))
+    return _fresh(lambda: center_loss(x, labels, centers), (x, centers))
 
 
 def _case_triplet(rng) -> GradProblem:
@@ -240,28 +236,26 @@ def _case_triplet(rng) -> GradProblem:
     labels = _labels_pk(3, 3)
     # every distance in a 3-D _spread_batch is below sqrt(3) * 9.2 < 16, so
     # margin 20 keeps each hinge active and the checked gradient nonzero
-    return GradProblem(lambda: triplet_loss_batch_hard(pairwise_euclidean(x), labels, margin=20.0), (x,))
+    return _fresh(lambda: triplet_loss_batch_hard(pairwise_euclidean(x), labels, margin=20.0), (x,))
 
 
 def _case_circle(rng) -> GradProblem:
     x = _spread_batch(rng, 3, 2, 3)
     labels = _labels_pk(2, 3)
-    return GradProblem(lambda: circle_loss(x, labels, scale=4.0, margin=0.25), (x,))
+    return _fresh(lambda: circle_loss(x, labels, scale=4.0, margin=0.25), (x,))
 
 
 def _case_lifted(rng) -> GradProblem:
     x = _spread_batch(rng, 3, 2, 3)
     labels = _labels_pk(2, 3)
     # margin 20 keeps every hinge active, as in the triplet case
-    return GradProblem(lambda: lifted_structure_loss(pairwise_euclidean(x), labels, margin=20.0), (x,))
+    return _fresh(lambda: lifted_structure_loss(pairwise_euclidean(x), labels, margin=20.0), (x,))
 
 
 def _case_rll(rng) -> GradProblem:
     x = _spread_batch(rng, 3, 2, 3)
     labels = _labels_pk(2, 3)
-    return GradProblem(
-        lambda: ranked_list_loss(pairwise_euclidean(x), labels, alpha=1.2, margin=0.4), (x,)
-    )
+    return _fresh(lambda: ranked_list_loss(pairwise_euclidean(x), labels, alpha=1.2, margin=0.4), (x,))
 
 
 def _case_cpl_frozen(rng) -> GradProblem:
@@ -271,10 +265,10 @@ def _case_cpl_frozen(rng) -> GradProblem:
     # frozen semantics: the finite difference must not move the targets,
     # so they are pinned at the unperturbed embeddings' values
     pinned = cpl_targets(x.data.copy(), labels)
+    leaves = (x, *(p for _, p in net.params()))
     return GradProblem(
         root=lambda: cpl_loss(x, labels, cpl_targets(x, labels), net),
-        leaves=(x, *(p for _, p in net.params())),
-        fd_forward=lambda: cpl_loss(x, labels, pinned, net).item(),
+        forwards=dict.fromkeys(leaves, lambda: cpl_loss(x, labels, pinned, net).item()),
     )
 
 
@@ -288,7 +282,7 @@ def _case_weighted_total(rng) -> GradProblem:
         parts = (id_cross_entropy(x, labels), cpl_loss(x, labels, targets), center_loss(x, labels, centers))
         return _weighted_total(dict(zip(weights, parts)), weights)
 
-    return GradProblem(root, (x,))
+    return _fresh(root, (x,))
 
 
 def _case_step_total(rng) -> GradProblem:
@@ -314,8 +308,7 @@ def _case_step_total(rng) -> GradProblem:
 
     return GradProblem(
         root=lambda: _weighted_total(dict(_loss_parts(state, x, labels)), weights),
-        leaves=(x,),
-        fd_forward=fd_forward,
+        forwards={x: fd_forward},
     )
 
 
@@ -385,11 +378,11 @@ def run_gradcheck(seed: int = 0, tolerance: float = 1e-4, batches: int = 20) -> 
         for b in range(batches):
             problem = builder(substream(seed, f"gradcheck/{name}/{b}"))
             grads = backward(problem.root())
-            for leaf in problem.leaves:
+            for leaf, forward in problem.forwards.items():
                 analytic = grads.get(leaf)
                 if analytic is None:
                     analytic = np.zeros_like(leaf.data)
-                fd = central_diff(problem.leaf_forwards.get(leaf, problem.fd_forward), leaf)
+                fd = central_diff(forward, leaf)
                 worst = max(worst, max_rel_err(analytic, fd))
         rows.append(GradcheckRow(name, worst, worst < tolerance))
     return GradcheckReport(rows, tolerance, batches)

@@ -1,6 +1,7 @@
 """Retrieval evaluation: pairwise distances, per-query average precision,
 and cumulative match characteristic curves.
 
+Features are L2-normalized before ranking, so only their directions count.
 Ranking sorts gallery items by ascending distance with ties broken by
 gallery index (stable sort). AP for a query is the mean over its relevant
 gallery items of (relevant-seen-so-far / rank); queries with no relevant
@@ -60,18 +61,12 @@ class RankingResult:
         return float(self.cmc[min(k, len(self.cmc)) - 1])
 
 
-def evaluate_retrieval(
-    query_features,
-    query_labels,
-    gallery_features,
-    gallery_labels,
-    normalize: bool = True,
-) -> RankingResult:
+def evaluate_retrieval(query_features, query_labels, gallery_features, gallery_labels) -> RankingResult:
+    """Rank the gallery for each query by the distance between the
+    L2-normalized feature columns, then score the rankings."""
     query_labels = np.asarray(query_labels)
     gallery_labels = np.asarray(gallery_labels)
-    if normalize:
-        query_features, gallery_features = l2_normalize(query_features), l2_normalize(gallery_features)
-    dist = pairwise_distances(query_features, gallery_features)
+    dist = pairwise_distances(l2_normalize(query_features), l2_normalize(gallery_features))
     nq, ng = dist.shape
     if query_labels.shape != (nq,) or gallery_labels.shape != (ng,):
         raise ShapeError("label arrays must match query/gallery counts")

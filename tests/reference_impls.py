@@ -137,15 +137,15 @@ def oracle_cpl(features, labels, pred_fn=None, mode="leave-one-out-mean"):
     return total
 
 
-def oracle_retrieval(query_feats, query_labels, gallery_feats, gallery_labels, normalize=True):
-    """Per-query AP and CMC computed by explicit ranked-list walking.
+def oracle_retrieval(query_feats, query_labels, gallery_feats, gallery_labels):
+    """Per-query AP and CMC of the L2-normalized features, computed by
+    explicit ranked-list walking.
 
     Returns (mean_ap, cmc_array, excluded_query_indices)."""
     qs = _cols(np.asarray(query_feats, dtype=float))
     gs = _cols(np.asarray(gallery_feats, dtype=float))
-    if normalize:
-        qs = [tuple(v / math.sqrt(sum(w * w for w in c)) for v in c) for c in qs]
-        gs = [tuple(v / math.sqrt(sum(w * w for w in c)) for v in c) for c in gs]
+    qs = [tuple(v / math.sqrt(sum(w * w for w in c)) for v in c) for c in qs]
+    gs = [tuple(v / math.sqrt(sum(w * w for w in c)) for v in c) for c in gs]
     n_g = len(gs)
     aps = []
     first_hits = []

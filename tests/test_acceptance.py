@@ -101,16 +101,15 @@ def test_criterion_03_retrieval_metrics_match_bruteforce_oracle():
         gallery = rng.normal(size=(d, ng))
         queries = rng.normal(size=(d, nq))
         res = evaluate_retrieval(queries, query_labels, gallery, gallery_labels)
-        o_map, o_cmc, o_excluded = oracle_retrieval(
-            queries, query_labels, gallery, gallery_labels, normalize=True
-        )
+        o_map, o_cmc, o_excluded = oracle_retrieval(queries, query_labels, gallery, gallery_labels)
         assert not o_excluded and not res.excluded
         worst = max(worst, abs(res.mean_ap - o_map), float(np.abs(res.cmc - o_cmc).max()))
-    # worked example: hits at ranks 1 and 3 give AP (1/1 + 2/3) / 2 = 5/6
+    # worked example: hits at ranks 1 and 3 give AP (1/1 + 2/3) / 2 = 5/6;
+    # unit gallery columns at angles 0.1..0.4 from the query rank in that order
+    angles = np.array([0.1, 0.2, 0.3, 0.4])
     res = evaluate_retrieval(
-        np.array([[0.0]]), np.array([0]),
-        np.array([[1.0, 2.0, 3.0, 4.0]]), np.array([0, 1, 0, 1]),
-        normalize=False,
+        np.array([[1.0], [0.0]]), np.array([0]),
+        np.stack([np.cos(angles), np.sin(angles)]), np.array([0, 1, 0, 1]),
     )
     ap_err = abs(res.ap[0] - 5.0 / 6.0)
     elapsed = time.perf_counter() - t0
@@ -287,7 +286,7 @@ def test_criterion_10_rerun_from_resolved_config_is_byte_identical(tmp_path):
         "surface": "kind = surface\nseed = 1\nrefit.steps = 50\n",
         "boundary": (
             "kind = boundary\nseed = 2\nsgd.base_lr = 0.01\nsgd.epochs = 6\nsgd.milestones = 4\n"
-            "model.bn_target = false\nsampler.p = 3\nsampler.k = 8\nrefit.steps = 80\neval.every = 0\n"
+            "model.bn_target = false\nmodel.embedding_dim = 2\nsampler.p = 3\nsampler.k = 8\nrefit.steps = 80\neval.every = 0\n"
         ),
         "ablation-target": (
             "kind = ablation-target\nloss.triplet.weight = 1.0\nsgd.base_lr = 0.001\n"

@@ -9,7 +9,6 @@ from metriclab.cifar_io import (
     PIXELS,
     RECORD_BYTES,
     downsample_flatten,
-    load_cifar_bin,
     load_cifar_features,
 )
 from metriclab.errors import ConfigError, DataFormatError
@@ -32,7 +31,7 @@ def test_load_round_trip_values(tmp_path):
     rng = np.random.default_rng(0)
     pix = rng.integers(0, 256, 3072)
     write_records(p, [(3, pix), (7, 128)])
-    ds = load_cifar_bin(p)
+    ds = load_cifar_features(p, factor=1)
     assert ds.features.shape == (3072, 2)
     assert np.array_equal(ds.features[:, 0], pix / 255.0)
     assert np.allclose(ds.features[:, 1], 128 / 255.0)
@@ -43,7 +42,7 @@ def test_load_round_trip_values(tmp_path):
 def test_load_twice_identical(tmp_path):
     p = tmp_path / "batch.bin"
     write_records(p, [(0, 10), (1, 20), (2, 30)])
-    a, b = load_cifar_bin(p), load_cifar_bin(p)
+    a, b = load_cifar_features(p, factor=1), load_cifar_features(p, factor=1)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
 
@@ -53,20 +52,20 @@ def test_truncated_file_rejected(tmp_path):
     write_records(p, [(0, 0)])
     p.write_bytes(p.read_bytes()[: RECORD_BYTES - 10])
     with pytest.raises(DataFormatError):
-        load_cifar_bin(p)
+        load_cifar_features(p, factor=1)
 
 
 def test_corrupt_label_rejected(tmp_path):
     p = tmp_path / "corrupt.bin"
     write_records(p, [(11, 0)])
     with pytest.raises(DataFormatError):
-        load_cifar_bin(p)
+        load_cifar_features(p, factor=1)
 
 
 def test_class_filter_and_cap(tmp_path):
     p = tmp_path / "batch.bin"
     write_records(p, [(0, 1), (1, 2), (0, 3), (2, 4), (0, 5), (1, 6)])
-    ds = load_cifar_bin(p, class_filter=[0, 2], max_per_class=2)
+    ds = load_cifar_features(p, class_filter=[0, 2], max_per_class=2, factor=1)
     assert ds.labels.tolist() == [0, 0, 1]  # records kept in file order; 2 remaps to 1
     assert ds.features.shape[1] == 3
     # cap keeps file order: fills 1 and 3, drops fill 5
@@ -97,7 +96,7 @@ def test_filter_and_cap_match_a_per_record_loop(tmp_path, class_filter, cap):
     p = tmp_path / "batch.bin"
     write_records(p, list(zip(labels.tolist(), pixels)))
     cols, dense = _kept_by_record_loop(labels.tolist(), class_filter, cap)
-    ds = load_cifar_bin(p, class_filter=class_filter, max_per_class=cap)
+    ds = load_cifar_features(p, class_filter=class_filter, max_per_class=cap, factor=1)
     assert ds.labels.tolist() == dense
     assert np.array_equal(ds.features, pixels[cols].T / 255.0)
 
@@ -106,17 +105,17 @@ def test_cap_zero_leaves_no_records(tmp_path):
     p = tmp_path / "batch.bin"
     write_records(p, [(0, 1), (1, 2), (0, 3)])
     with pytest.raises(ConfigError, match="no records left after class filter"):
-        load_cifar_bin(p, class_filter=[0, 1], max_per_class=0)
+        load_cifar_features(p, class_filter=[0, 1], max_per_class=0, factor=1)
 
 
 def test_downsample_factor_one_is_identity():
-    pix = np.arange(3072) / 3071.0
+    pix = np.arange(2 * 3072).reshape(2, 3072) / 6143.0
     assert np.array_equal(downsample_flatten(pix, 1), pix)
 
 
 def test_downsample_constant_plane():
     pix = np.concatenate([np.full(1024, 0.2), np.full(1024, 0.5), np.full(1024, 0.9)])
-    out = downsample_flatten(pix, 4)
+    (out,) = downsample_flatten(pix[None, :], 4)
     assert out.shape == (3 * 8 * 8,)
     assert np.allclose(out[:64], 0.2) and np.allclose(out[64:128], 0.5) and np.allclose(out[128:], 0.9)
 
@@ -124,23 +123,23 @@ def test_downsample_constant_plane():
 def test_downsample_checkerboard_averages_to_half():
     plane = np.indices((32, 32)).sum(axis=0) % 2  # perfect checkerboard
     pix = np.tile(plane.reshape(-1), 3).astype(float)
-    out = downsample_flatten(pix, 2)
+    out = downsample_flatten(pix[None, :], 2)
     assert np.allclose(out, 0.5)
 
 
 def test_downsample_factor_must_divide():
     with pytest.raises(ConfigError):
-        downsample_flatten(np.zeros(3072), 5)
+        downsample_flatten(np.zeros((1, 3072)), 5)
 
 
 @pytest.mark.parametrize("factor", [1, 2, 4, 8, 16, 32])
 def test_batched_downsample_equals_per_record_calls(factor):
     records = np.random.default_rng(factor).random((5, 3072))
     batched = downsample_flatten(records, factor)
-    assert np.array_equal(batched, np.stack([downsample_flatten(r, factor) for r in records]))
+    assert np.array_equal(batched, np.concatenate([downsample_flatten(r[None, :], factor) for r in records]))
 
 
-@pytest.mark.parametrize("pixels", [np.zeros(3071), np.zeros((2, 3073)), np.zeros((3072, 2))])
+@pytest.mark.parametrize("pixels", [np.zeros(3071), np.zeros((2, 3073)), np.zeros((3072, 2)), np.zeros(3072)])
 def test_mis_sized_record_rejected(pixels):
     with pytest.raises(ConfigError, match="expected 3072 pixel values"):
         downsample_flatten(pixels, 4)
@@ -167,11 +166,12 @@ def _random_file(path, n, seed=0):
 def test_chunked_features_equal_pooling_the_whole_dataset(tmp_path, monkeypatch, chunk, class_filter, cap):
     p = tmp_path / "batch.bin"
     _random_file(p, 600)  # more than two default chunks
-    monkeypatch.setattr(cifar_io, "CHUNK_RECORDS", chunk)
     for factor in (1, 4):
-        whole = load_cifar_bin(p, class_filter=class_filter, max_per_class=cap)
+        monkeypatch.setattr(cifar_io, "CHUNK_RECORDS", 600)  # one chunk holds every record
+        whole = load_cifar_features(p, class_filter=class_filter, max_per_class=cap, factor=factor)
+        monkeypatch.setattr(cifar_io, "CHUNK_RECORDS", chunk)
         ds = load_cifar_features(p, class_filter=class_filter, max_per_class=cap, factor=factor)
-        assert np.array_equal(ds.features, downsample_flatten(whole.features.T, factor).T)
+        assert np.array_equal(ds.features, whole.features)
         assert np.array_equal(ds.labels, whole.labels)
 
 

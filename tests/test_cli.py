@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metriclab.cli import main
+from metriclab.cli import _write_summary, main
 from metriclab.config import parse_config
+from metriclab.errors import NumericsError
 from metriclab.sampling import load_dataset_csv
 
 TRAIN_CFG = """\
@@ -105,18 +106,21 @@ def test_run_invalid_config_exits_2_with_json_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, key",
+    "kind, text, key",
     [
-        ("dataset.source = hdf5\n", "dataset.source"),
-        ("model.predictor = none\nmodel.bn_predictor_hidden = true\n", "model.bn_predictor_hidden"),
-        ("loss.circle.scale = 0\n", "loss.circle.scale"),
-        ("sgd.momentum = 1.0\n", "sgd.momentum"),
-        ("sampler.p = 1\n", "sampler.p"),
+        ("train", "dataset.source = hdf5\n", "dataset.source"),
+        ("train", "model.predictor = none\nmodel.bn_predictor_hidden = true\n", "model.bn_predictor_hidden"),
+        ("train", "loss.circle.scale = 0\n", "loss.circle.scale"),
+        ("train", "sgd.momentum = 1.0\n", "sgd.momentum"),
+        ("train", "sampler.p = 1\n", "sampler.p"),
+        # the default sampler.p = 4 fails in training on the 3-class fixture,
+        # so this key's message shows the check runs before training
+        ("boundary", "model.embedding_dim = 5\n", "model.embedding_dim"),
     ],
-    ids=["dataset", "model", "loss", "sgd", "sampler"],
+    ids=["dataset", "model", "loss", "sgd", "sampler", "boundary-embedding-dim"],
 )
-def test_section_error_message_starts_with_its_key(text, key, tmp_path, capsys):
-    cfg = _write(tmp_path, f"kind = train\n{text}out = {tmp_path / 'run'}\n")
+def test_section_error_message_starts_with_its_key(kind, text, key, tmp_path, capsys):
+    cfg = _write(tmp_path, f"kind = {kind}\n{text}out = {tmp_path / 'run'}\n")
     code, out, err = _run(capsys, "run", str(cfg))
     _assert_one_config_error_line(code, out, err)
     assert json.loads(err)["message"].startswith(key)
@@ -145,9 +149,14 @@ EXTREME_CSV = (
     "-1.6e308,1.6e308,1\n-1.6e308,-1.6e308,1\n-1.6e308,1.6e308,1\n"
 )
 
+# class 0's squared errors (1.44e308 each) are finite, but their sum overflows
+CLASS_MEAN_OVERFLOW_CSV = "f0,f1,label\n1.2e154,0,0\n-1.2e154,0,0\n1,0,1\n2,0,1\n"
+
 # two classes at one point: every refit error is 0, so the boundary ratio is 0/0
 IDENTICAL_CSV = "f0,f1,label\n1,2,0\n1,2,0\n1,2,1\n1,2,1\n"
-BOUNDARY_ZERO_CFG = "kind = boundary\nsampler.p = 2\nsgd.epochs = 1\nsgd.milestones =\nrefit.steps = 2\n"
+BOUNDARY_ZERO_CFG = (
+    "kind = boundary\nmodel.embedding_dim = 2\nsampler.p = 2\nsgd.epochs = 1\nsgd.milestones =\nrefit.steps = 2\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -159,6 +168,7 @@ BOUNDARY_ZERO_CFG = "kind = boundary\nsampler.p = 2\nsgd.epochs = 1\nsgd.milesto
         ("kind = surface\nsurface.loss = center\n", EXTREME_CSV, "cpl_targets:"),
         ("kind = surface\nsurface.loss = cpl\n", EXTREME_CSV, "cpl_targets:"),
         (BOUNDARY_ZERO_CFG, IDENTICAL_CSV, "boundary_ratio:"),
+        ("kind = surface\nsurface.loss = center\n", CLASS_MEAN_OVERFLOW_CSV, "class_mean_error: class 0"),
     ],
     ids=[
         "divergence",
@@ -167,6 +177,7 @@ BOUNDARY_ZERO_CFG = "kind = boundary\nsampler.p = 2\nsgd.epochs = 1\nsgd.milesto
         "center-targets-overflow",
         "cpl-targets-overflow",
         "boundary-ratio-zero-over-zero",
+        "center-class-mean-overflow",
     ],
 )
 def test_numeric_failure_exits_3_with_one_json_line(tmp_path, capsys, text, data, message):
@@ -182,6 +193,13 @@ def test_numeric_failure_exits_3_with_one_json_line(tmp_path, capsys, text, data
     assert record["error"] == "numeric"
     assert record["message"].startswith(message)
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_summary_writer_refuses_a_value_that_is_not_json(tmp_path, value):
+    with pytest.raises(NumericsError, match="summary.json:"):
+        _write_summary(tmp_path, {"kind": "surface", "e": value})
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_center_surface_takes_a_one_sample_class_and_cpl_refuses_it(tmp_path, capsys):
@@ -232,7 +250,7 @@ def test_run_boundary_writes_surface_timeline_and_config(tmp_path, capsys):
     cfg = _write(
         tmp_path,
         "kind = boundary\nseed = 2\nsgd.base_lr = 0.01\nsgd.epochs = 6\n"
-        "sgd.milestones = 4\nmodel.bn_target = false\nsampler.p = 3\nsampler.k = 8\n"
+        "sgd.milestones = 4\nmodel.bn_target = false\nmodel.embedding_dim = 2\nsampler.p = 3\nsampler.k = 8\n"
         f"refit.steps = 80\neval.every = 0\nout = {tmp_path / 'run'}\n",
     )
     code, out, _ = _run(capsys, "run", str(cfg))
@@ -478,7 +496,7 @@ def test_failed_run_removes_the_directory_it_created(tmp_path, capsys):
     # the boundary fixture has 3 identities and the default sampler needs 4;
     # only training finds that, after the output directory exists
     out_dir = tmp_path / "run"
-    cfg = _write(tmp_path, f"kind = boundary\nout = {out_dir}\n")
+    cfg = _write(tmp_path, f"kind = boundary\nmodel.embedding_dim = 2\nout = {out_dir}\n")
     for _ in range(2):  # the rerun needs no --force
         code, _, err = _run(capsys, "run", str(cfg))
         assert code == 2 and "p=4" in json.loads(err)["message"]
@@ -487,7 +505,7 @@ def test_failed_run_removes_the_directory_it_created(tmp_path, capsys):
 
 def test_failed_run_removes_the_parents_it_created(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    cfg = _write(tmp_path, "kind = boundary\n")  # fails in training, as above
+    cfg = _write(tmp_path, "kind = boundary\nmodel.embedding_dim = 2\n")  # fails in training, as above
     code, _, err = _run(capsys, "run", str(cfg), "--out", "a/b/c")
     assert code == 2 and "p=4" in json.loads(err)["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
@@ -497,7 +515,7 @@ def test_failed_forced_run_leaves_an_existing_directory(tmp_path, capsys):
     out_dir = tmp_path / "run"
     out_dir.mkdir()
     (out_dir / "keep.txt").write_text("x\n")
-    cfg = _write(tmp_path, f"kind = boundary\nout = {out_dir}\n")
+    cfg = _write(tmp_path, f"kind = boundary\nmodel.embedding_dim = 2\nout = {out_dir}\n")
     code, _, _ = _run(capsys, "run", str(cfg), "--force")
     assert code == 2
     assert (out_dir / "keep.txt").read_text() == "x\n"
@@ -507,7 +525,7 @@ def test_boundary_run_honours_eval_every(tmp_path, capsys):
     cfg = _write(
         tmp_path,
         "kind = boundary\nsgd.base_lr = 0.01\nsgd.epochs = 4\nsgd.milestones =\n"
-        "model.bn_target = false\nsampler.p = 3\nsampler.k = 8\n"
+        "model.bn_target = false\nmodel.embedding_dim = 2\nsampler.p = 3\nsampler.k = 8\n"
         f"refit.steps = 5\neval.every = 2\nout = {tmp_path / 'run'}\n",
     )
     assert _run(capsys, "run", str(cfg))[0] == 0
@@ -557,7 +575,7 @@ def test_predictor_hidden_sets_surface_and_boundary_refit_width(tmp_path, capsys
     boundary = _write(
         tmp_path,
         "kind = boundary\nsgd.base_lr = 0.01\nsgd.epochs = 2\nsgd.milestones =\n"
-        "model.bn_target = false\nmodel.predictor_hidden = 8\nsampler.p = 3\nsampler.k = 8\n"
+        "model.bn_target = false\nmodel.embedding_dim = 2\nmodel.predictor_hidden = 8\nsampler.p = 3\nsampler.k = 8\n"
         f"refit.steps = 5\neval.every = 0\nout = {tmp_path / 'boundary'}\n",
         name="boundary.cfg",
     )
@@ -594,7 +612,7 @@ def test_runs_never_import_numpy_ma(tmp_path):
         "train": f"kind = train\nsgd.epochs = 2\nsgd.milestones = 1\nout = {tmp_path / 'train'}\n",
         "ablation-bn": f"kind = ablation-bn\nsgd.epochs = 1\nsgd.milestones =\nout = {tmp_path / 'bn'}\n",
         "boundary": (
-            "kind = boundary\nsampler.p = 3\nsgd.epochs = 2\nsgd.milestones = 1\nrefit.steps = 3\n"
+            "kind = boundary\nmodel.embedding_dim = 2\nsampler.p = 3\nsgd.epochs = 2\nsgd.milestones = 1\nrefit.steps = 3\n"
             f"out = {tmp_path / 'boundary'}\n"
         ),
     }

@@ -8,6 +8,7 @@ from metriclab.gradcheck import (
     REGISTRY,
     _sum,
     _sum_squares,
+    _tail_value,
     central_diff,
     max_rel_err,
     run_gradcheck,
@@ -89,7 +90,7 @@ def test_every_case_checks_a_nonzero_gradient():
         for b in range(20):
             problem = builder(substream(0, f"gradcheck/{name}/{b}"))
             grads = backward(problem.root())
-            assert any(np.any(grads.get(leaf, 0.0) != 0.0) for leaf in problem.leaves), (name, b)
+            assert any(np.any(grads.get(leaf, 0.0) != 0.0) for leaf in problem.forwards), (name, b)
 
 
 @pytest.mark.parametrize("upstream", [1.0, 0.37])
@@ -118,13 +119,13 @@ def test_suffix_finite_difference_is_bit_identical_to_the_whole_forward(name):
     builder = dict(REGISTRY)[name]
     for b in range(20):
         problem = builder(substream(0, f"gradcheck/{name}/{b}"))
-        assert set(problem.leaf_forwards) == set(problem.leaves)
+        # every leaf is perturbed under a suffix of the network, none under the whole root
+        assert all(f.func is _tail_value for f in problem.forwards.values())
 
         def whole():
             return problem.root().item()
 
-        for leaf in problem.leaves:
-            suffix = problem.leaf_forwards[leaf]
+        for leaf, suffix in problem.forwards.items():
             assert suffix() == whole(), (name, b)
             assert np.array_equal(central_diff(suffix, leaf), central_diff(whole, leaf)), (name, b)
 
@@ -134,13 +135,13 @@ def test_cached_activations_survive_a_sweep_and_are_read_only(name):
     problem = dict(REGISTRY)[name](substream(0, f"gradcheck/{name}/0"))
     # each forward is partial(_tail_value, steps, h); the longest starts at
     # step 0 from x, every shorter one from an activation cached at build
-    forwards = problem.leaf_forwards.values()
+    forwards = problem.forwards.values()
     depth = max(len(f.args[0]) for f in forwards)
     cached = {id(f.args[1]): f.args[1] for f in forwards if len(f.args[0]) < depth}
     assert bool(cached) == (depth > 1)  # a one-layer case caches nothing
     before = {key: h.copy() for key, h in cached.items()}
-    for leaf in problem.leaves:
-        central_diff(problem.leaf_forwards[leaf], leaf)
+    for leaf, forward in problem.forwards.items():
+        central_diff(forward, leaf)
     for key, h in cached.items():
         assert np.array_equal(h, before[key])
         with pytest.raises(ValueError, match="read-only"):

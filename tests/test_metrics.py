@@ -9,6 +9,13 @@ from metriclab.metrics import evaluate_retrieval, l2_normalize, pairwise_distanc
 from reference_impls import oracle_retrieval
 
 
+def _unit(*angles):
+    """2 x n unit columns at the given angles in radians; the chord between
+    two of them grows with the angle between them up to pi."""
+    angles = np.array(angles)
+    return np.stack([np.cos(angles), np.sin(angles)])
+
+
 def test_pairwise_pythagorean():
     q = np.array([[0.0], [0.0]])
     g = np.array([[3.0, 0.0], [0.0, 4.0]])
@@ -32,27 +39,27 @@ def test_pairwise_dim_mismatch():
 
 def test_ap_hits_at_ranks_one_and_three():
     # gallery laid out so the two relevant items land at ranks 1 and 3
-    q = np.array([[0.0]])
-    g = np.array([[1.0, 2.0, 3.0, 4.0]])
+    q = _unit(0.0)
+    g = _unit(0.1, 0.2, 0.3, 0.4)
     ql = np.array([0])
     gl = np.array([0, 1, 0, 1])
-    res = evaluate_retrieval(q, ql, g, gl, normalize=False)
+    res = evaluate_retrieval(q, ql, g, gl)
     assert res.ap[0] == pytest.approx(5.0 / 6.0, rel=1e-12)
     assert res.first_hit[0] == 1
 
 
 def test_perfect_ranking_map_one():
-    q = np.array([[0.0, 10.0]])
-    g = np.array([[0.1, 0.2, 10.1, 10.2]])
-    res = evaluate_retrieval(q, np.array([0, 1]), g, np.array([0, 0, 1, 1]), normalize=False)
+    q = _unit(0.0, 1.5)
+    g = _unit(0.1, 0.2, 1.6, 1.7)
+    res = evaluate_retrieval(q, np.array([0, 1]), g, np.array([0, 0, 1, 1]))
     assert res.mean_ap == pytest.approx(1.0)
     assert res.rank_k(1) == 1.0
 
 
 def test_ties_break_by_gallery_index():
-    q = np.array([[0.0]])
-    g = np.array([[1.0, 1.0, 1.0]])  # all tied
-    res = evaluate_retrieval(q, np.array([0]), g, np.array([1, 0, 1]), normalize=False)
+    q = _unit(0.0)
+    g = _unit(1.0, 1.0, 1.0)  # all tied
+    res = evaluate_retrieval(q, np.array([0]), g, np.array([1, 0, 1]))
     assert res.order[0].tolist() == [0, 1, 2]
     assert res.first_hit[0] == 2
 
@@ -69,9 +76,9 @@ def test_cmc_monotone_and_ends_at_one():
 
 
 def test_queries_without_relevant_are_excluded():
-    q = np.array([[0.0, 1.0]])
-    g = np.array([[0.5, 0.6]])
-    res = evaluate_retrieval(q, np.array([0, 9]), g, np.array([0, 0]), normalize=False)
+    q = _unit(0.0, 1.0)
+    g = _unit(0.5, 0.6)
+    res = evaluate_retrieval(q, np.array([0, 9]), g, np.array([0, 0]))
     assert res.excluded == [1]
     assert np.isnan(res.ap[1])
     assert res.mean_ap == pytest.approx(res.ap[0])
@@ -87,8 +94,8 @@ def test_matches_brute_force_oracle(seed):
     gl = rng.integers(0, 4, ng)
     if not np.isin(ql, gl).any():
         gl[0] = ql[0]
-    res = evaluate_retrieval(q, ql, g, gl, normalize=True)
-    o_map, o_cmc, o_excluded = oracle_retrieval(q, ql, g, gl, normalize=True)
+    res = evaluate_retrieval(q, ql, g, gl)
+    o_map, o_cmc, o_excluded = oracle_retrieval(q, ql, g, gl)
     assert res.mean_ap == pytest.approx(o_map, abs=1e-12)
     assert np.allclose(res.cmc, o_cmc, atol=1e-12)
     assert res.excluded == o_excluded
