@@ -150,6 +150,9 @@ class ExperimentConfig:
             raise ConfigError("refit.lr must be positive")
         if self.surface_loss not in SURFACE_LOSSES:
             raise ConfigError(f"surface.loss must be one of {SURFACE_LOSSES}")
+        # the target mode and the predictor's BN, which the ablations vary, act only through CPL
+        if self.kind in ("ablation-target", "ablation-bn") and self.loss.weights["cpl"] == 0:
+            raise ConfigError(f"loss.cpl.weight must be > 0 for {self.kind}: its rows vary only CPL settings")
 
 
 def _field_default(f):

@@ -9,11 +9,16 @@ gradient of the live loss must match the finite difference of the loss
 with targets pinned at their unperturbed values, alone (`cpl-frozen`) and
 in a training step's total with target standardization on (`step-total`).
 
-A network case (a layer or a layer stack under sum(out^2)) perturbs a
+Most rows come from one of two recipes: `_network`, a layer or a layer
+stack under sum(out^2) on an input drawn off the relu kinks, and
+`_spread`, a loss on a clustered PK batch whose points keep apart, with
+the batch as its only leaf.
+
+A `_network` row (a layer or a layer stack under sum(out^2)) perturbs a
 leaf that step s holds by re-running only the steps from s onward. They
 start from x itself for x and step 0's parameters; for a later step, from
 the activation that the steps before it give on the unperturbed data,
-computed once when the case is built and kept read-only, as perturbing a
+computed once when the row is built and kept read-only, as perturbing a
 leaf of step s or later never moves it. The suffix runs the same numpy
 operations on the same inputs as the whole forward does, so every finite
 difference is bit-identical to it, and each layer output is still checked.
@@ -26,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .autograd import Tensor, _make, as_tensor, backward
+from .autograd import Tensor, _make, backward
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .losses import (
@@ -90,8 +95,8 @@ def _labels_pk(p: int, k: int) -> np.ndarray:
     return np.repeat(np.arange(p), k)
 
 
-def _feat(rng, d, n, lo=-2.0, hi=2.0) -> Tensor:
-    return Tensor(rng.uniform(lo, hi, size=(d, n)), requires_grad=True)
+def _feat(rng, d, n) -> Tensor:
+    return Tensor(rng.uniform(-2.0, 2.0, size=(d, n)), requires_grad=True)
 
 
 def _spread_batch(rng, d, p, k) -> Tensor:
@@ -160,62 +165,53 @@ def _tail_value(steps, h) -> float:
     return _sum_squares(Tensor(_run_steps(steps, h)[0])).item()
 
 
-def _case_network(net, x) -> GradProblem:
-    """sum(net(x)^2) over the net's parameters and x, unless x is a plain
-    array; a leaf of step s is perturbed under _tail_value(steps[s:], ...)."""
-    steps, x_data = net.steps, as_tensor(x).data
-    forward_of = {}
-    for s, step in enumerate(steps):
-        if step is RELU:
-            continue
-        h = _run_steps(steps[:s], x_data)[0]
-        if s:  # step 0 runs from x itself, which a finite difference on x moves
-            h.flags.writeable = False
-        forward = partial(_tail_value, steps[s:], h)
-        forward_of.update((p, forward) for _, p in step.params())
-    leaves = [p for _, p in net.params()]
-    if isinstance(x, Tensor):  # x enters at step 0, as leaves[0] does
-        forward_of[x] = forward_of[leaves[0]]
-        leaves.insert(0, x)
-    return GradProblem(lambda: _sum_squares(net(x)), {leaf: forward_of[leaf] for leaf in leaves})
+def _network(make, d, n, leaf_x=True):
+    """Builder of sum(net(x)^2) for net = make(rng) on a d x n batch off the
+    relu kinks, over the net's parameters and x; with leaf_x false, x enters
+    as a plain array, as the extractor's and every refit predictor's batch
+    does, and the stack skips its input gradient. A leaf of step s is
+    perturbed under _tail_value(steps[s:], ...)."""
+
+    def build(rng) -> GradProblem:
+        net = make(rng)
+        x = _off_kink_input(rng, d, n, net)
+        steps, forward_of = net.steps, {}
+        for s, step in enumerate(steps):
+            if step is RELU:
+                continue
+            h = _run_steps(steps[:s], x.data)[0]
+            if s:  # step 0 runs from x itself, which a finite difference on x moves
+                h.flags.writeable = False
+            forward = partial(_tail_value, steps[s:], h)
+            forward_of.update((p, forward) for _, p in step.params())
+        leaves = [p for _, p in net.params()]
+        if leaf_x:  # x enters at step 0, as leaves[0] does
+            forward_of[x] = forward_of[leaves[0]]
+            leaves.insert(0, x)
+        else:
+            x = x.data
+        return GradProblem(lambda: _sum_squares(net(x)), {leaf: forward_of[leaf] for leaf in leaves})
+
+    return build
 
 
-def _case_linear(rng) -> GradProblem:
-    return _case_network(Linear(3, 4, rng), _feat(rng, 3, 6))
-
-
-def _case_batchnorm(rng) -> GradProblem:
+def _batchnorm(rng) -> BatchNorm:
     bn = BatchNorm(3)
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=(3, 1))
     bn.beta.data[:] = rng.uniform(-0.5, 0.5, size=(3, 1))
-    return _case_network(bn, _feat(rng, 3, 8))
+    return bn
 
 
-def _case_mlp(rng) -> GradProblem:
-    net = MLP(4, (8, 8), 3, rng)
-    return _case_network(net, _off_kink_input(rng, 4, 6, net))
+def _spread(p, loss):
+    """Builder of loss(x, labels) on a 3-D _spread_batch of p identities of
+    three; x is the only leaf."""
 
+    def build(rng) -> GradProblem:
+        x = _spread_batch(rng, 3, p, 3)
+        labels = _labels_pk(p, 3)
+        return _fresh(lambda: loss(x, labels), (x,))
 
-def _case_mlp_constant_input(rng) -> GradProblem:
-    # a constant batch, as the extractor and every refit predictor get: the
-    # stack skips its input gradient, so only the parameters are leaves
-    net = MLP(3, (4,), 2, rng)
-    return _case_network(net, _off_kink_input(rng, 3, 5, net).data)
-
-
-def _case_predictor_plain(rng) -> GradProblem:
-    net = CenterPredictor(dim=3, hidden=8, rng=rng, depth=2)
-    return _case_network(net, _off_kink_input(rng, 3, 6, net))
-
-
-def _case_predictor_deep_bn(rng) -> GradProblem:
-    net = CenterPredictor(dim=3, hidden=8, rng=rng, depth=4, bn_hidden=True, bn_output=True)
-    return _case_network(net, _off_kink_input(rng, 3, 6, net))
-
-
-def _case_pairwise(rng) -> GradProblem:
-    x = _spread_batch(rng, 3, 2, 3)
-    return _fresh(lambda: _sum(pairwise_euclidean(x)), (x,))
+    return build
 
 
 def _case_ce(rng) -> GradProblem:
@@ -229,33 +225,6 @@ def _case_center(rng) -> GradProblem:
     labels = _labels_pk(2, 3)
     centers = Tensor(rng.uniform(-1, 1, size=(3, 2)), requires_grad=True)
     return _fresh(lambda: center_loss(x, labels, centers), (x, centers))
-
-
-def _case_triplet(rng) -> GradProblem:
-    x = _spread_batch(rng, 3, 3, 3)
-    labels = _labels_pk(3, 3)
-    # every distance in a 3-D _spread_batch is below sqrt(3) * 9.2 < 16, so
-    # margin 20 keeps each hinge active and the checked gradient nonzero
-    return _fresh(lambda: triplet_loss_batch_hard(pairwise_euclidean(x), labels, margin=20.0), (x,))
-
-
-def _case_circle(rng) -> GradProblem:
-    x = _spread_batch(rng, 3, 2, 3)
-    labels = _labels_pk(2, 3)
-    return _fresh(lambda: circle_loss(x, labels, scale=4.0, margin=0.25), (x,))
-
-
-def _case_lifted(rng) -> GradProblem:
-    x = _spread_batch(rng, 3, 2, 3)
-    labels = _labels_pk(2, 3)
-    # margin 20 keeps every hinge active, as in the triplet case
-    return _fresh(lambda: lifted_structure_loss(pairwise_euclidean(x), labels, margin=20.0), (x,))
-
-
-def _case_rll(rng) -> GradProblem:
-    x = _spread_batch(rng, 3, 2, 3)
-    labels = _labels_pk(2, 3)
-    return _fresh(lambda: ranked_list_loss(pairwise_euclidean(x), labels, alpha=1.2, margin=0.4), (x,))
 
 
 def _case_cpl_frozen(rng) -> GradProblem:
@@ -288,7 +257,7 @@ def _case_weighted_total(rng) -> GradProblem:
 def _case_step_total(rng) -> GradProblem:
     labels = _labels_pk(2, 2)
     weights = dict(zip(("ce", "cpl", "center", "triplet"), rng.uniform(0.5, 2.0, size=4)))
-    # margin 20 keeps every triplet hinge active, as in the triplet case;
+    # margin 20 keeps every triplet hinge active, as in the triplet row;
     # the default model section has bn_target on, the lab's default
     cfg = ExperimentConfig("train", loss=LossConfig(weights, triplet_margin=20.0))
     centers = Tensor(rng.uniform(-1, 1, size=(2, 2)))
@@ -313,21 +282,25 @@ def _case_step_total(rng) -> GradProblem:
 
 
 REGISTRY = (
-    ("linear", _case_linear),
-    ("batchnorm", _case_batchnorm),
-    ("mlp", _case_mlp),
-    ("predictor-2layer", _case_predictor_plain),
-    ("predictor-4layer-bn", _case_predictor_deep_bn),
-    ("mlp-constant-input", _case_mlp_constant_input),
+    ("linear", _network(partial(Linear, 3, 4), 3, 6)),
+    ("batchnorm", _network(_batchnorm, 3, 8)),
+    ("mlp", _network(partial(MLP, 4, (8, 8), 3), 4, 6)),
+    ("predictor-2layer", _network(partial(CenterPredictor, 3, 8, depth=2), 3, 6)),
+    ("predictor-4layer-bn", _network(partial(CenterPredictor, 3, 8, depth=4, bn_hidden=True, bn_output=True), 3, 6)),
+    # a constant batch, as the extractor and every refit predictor get
+    ("mlp-constant-input", _network(partial(MLP, 3, (4,), 2), 3, 5, leaf_x=False)),
     ("weighted-total", _case_weighted_total),
     ("step-total", _case_step_total),
-    ("pairwise-euclidean", _case_pairwise),
+    ("pairwise-euclidean", _spread(2, lambda x, labels: _sum(pairwise_euclidean(x)))),
     ("cross-entropy", _case_ce),
     ("center-loss", _case_center),
-    ("triplet-batch-hard", _case_triplet),
-    ("circle-loss", _case_circle),
-    ("lifted-structure", _case_lifted),
-    ("ranked-list", _case_rll),
+    # every distance in a 3-D _spread_batch is below sqrt(3) * 9.2 < 16, so
+    # margin 20 keeps each hinge active and the checked gradient nonzero
+    ("triplet-batch-hard", _spread(3, lambda x, y: triplet_loss_batch_hard(pairwise_euclidean(x), y, margin=20.0))),
+    ("circle-loss", _spread(2, lambda x, y: circle_loss(x, y, scale=4.0, margin=0.25))),
+    # margin 20 keeps every hinge active, as in the triplet row
+    ("lifted-structure", _spread(2, lambda x, y: lifted_structure_loss(pairwise_euclidean(x), y, margin=20.0))),
+    ("ranked-list", _spread(2, lambda x, y: ranked_list_loss(pairwise_euclidean(x), y, alpha=1.2, margin=0.4))),
     ("cpl-frozen", _case_cpl_frozen),
 )
 

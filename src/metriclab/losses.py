@@ -125,12 +125,13 @@ def id_cross_entropy(logits, labels) -> Tensor:
         raise ShapeError(f"id_cross_entropy: labels outside [0, {n_classes})")
     x = logits.data
     cols = np.arange(n)
+    scale = 1.0 / n
     with np.errstate(over="ignore", invalid="ignore"):  # surfaces in _make
         m = np.max(x, axis=0, keepdims=True)
         e = np.exp(x - m)
         s = e.sum(axis=0, keepdims=True)
         per_sample = m + np.log(s) - x[labels, cols][None, :]  # 1 x N
-    scale = 1.0 / n
+        total = per_sample.sum().reshape(1, 1) * scale
 
     def bw(g):
         g_per_sample = np.broadcast_to(g * scale, per_sample.shape)
@@ -138,7 +139,7 @@ def id_cross_entropy(logits, labels) -> Tensor:
         np.add.at(g_true, (labels, cols), -g_per_sample[0])
         return (g_per_sample / s) * e, g_true
 
-    return _make(per_sample.sum().reshape(1, 1) * scale, (logits, logits), bw)
+    return _make(total, (logits, logits), bw)
 
 
 def center_loss(features, labels, centers) -> Tensor:
@@ -163,6 +164,7 @@ def center_loss(features, labels, centers) -> Tensor:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term reaches the output
         diff = x - c[:, labels]
         per_sample = (diff * diff).sum(axis=0, keepdims=True)
+        total = per_sample.sum().reshape(1, 1) * scale * 0.5
 
     def bw(g):
         t = g * 0.5 * scale * diff
@@ -171,7 +173,7 @@ def center_loss(features, labels, centers) -> Tensor:
         np.add.at(g_centers, (slice(None), labels), -g_diff)
         return g_diff, g_centers
 
-    return _make(per_sample.sum().reshape(1, 1) * scale * 0.5, (features, centers), bw)
+    return _make(total, (features, centers), bw)
 
 
 # -- pairwise losses ----------------------------------------------------------
@@ -231,10 +233,11 @@ def triplet_loss_batch_hard(dist, labels, margin: float) -> Tensor:
     hardest_pos = np.where(pos, dvals, -np.inf).argmax(axis=1)
     hardest_neg = np.where(neg, dvals, np.inf).argmin(axis=1)
     anchors = np.arange(n)
+    scale = 1.0 / n
     with np.errstate(over="ignore", invalid="ignore"):
         hinge = dvals[anchors, hardest_pos][None, :] - dvals[anchors, hardest_neg][None, :] + margin
+        total = np.maximum(hinge, 0.0).sum().reshape(1, 1) * scale
     _finite(hinge, "triplet_loss_batch_hard")  # relu would turn a -inf into 0
-    scale = 1.0 / n
 
     def bw(g):
         g_hinge = g * scale * (hinge > 0.0)
@@ -244,7 +247,7 @@ def triplet_loss_batch_hard(dist, labels, margin: float) -> Tensor:
         g_neg[anchors, hardest_neg] += -g_hinge[0]
         return g_pos, g_neg
 
-    return _make(np.maximum(hinge, 0.0).sum().reshape(1, 1) * scale, (dist, dist), bw)
+    return _make(total, (dist, dist), bw)
 
 
 def circle_loss(features, labels, scale: float, margin: float) -> Tensor:
@@ -292,6 +295,7 @@ def circle_loss(features, labels, scale: float, margin: float) -> Tensor:
         e_z = np.exp(np.abs(z) * -1.0)
         e_z1 = e_z + 1.0
         per_anchor = np.maximum(z, 0.0) + np.log(e_z1)
+        total = per_anchor.sum().reshape(1, 1) * (1.0 / n)
 
     def bw(g):
         g_anchor = g * (1.0 / n)
@@ -302,7 +306,7 @@ def circle_loss(features, labels, scale: float, margin: float) -> Tensor:
         t_sq = g_norms * 0.5 / norms * x
         return g_xn / norms, t_sq, t_sq
 
-    return _make(per_anchor.sum().reshape(1, 1) * (1.0 / n), (features, features, features), bw)
+    return _make(total, (features, features, features), bw)
 
 
 def lifted_structure_loss(dist, labels, margin: float) -> Tensor:
@@ -333,14 +337,14 @@ def lifted_structure_loss(dist, labels, margin: float) -> Tensor:
         lse, e, s = _masked_lse(shifted, neg)
         hinge = d + lse + lse.T
         _finite(hinge, "lifted_structure_loss")  # relu would turn a -inf into 0
-        terms = np.maximum(hinge, 0.0) * weights
+        total = (np.maximum(hinge, 0.0) * weights).sum().reshape(1, 1) * (1.0 / n_pairs)
 
     def bw(g):
         g_hinge = g * (1.0 / n_pairs) * weights * (hinge > 0.0)
         g_lse = g_hinge.sum(axis=1, keepdims=True) + g_hinge.sum(axis=0, keepdims=True).T
         return g_hinge, -((g_lse / s) * e)
 
-    return _make(terms.sum().reshape(1, 1) * (1.0 / n_pairs), (dist, dist), bw)
+    return _make(total, (dist, dist), bw)
 
 
 def ranked_list_loss(dist, labels, alpha: float, margin: float) -> Tensor:
@@ -358,21 +362,22 @@ def ranked_list_loss(dist, labels, alpha: float, margin: float) -> Tensor:
     pos, neg = _pair_masks(labels)
     d = dist.data
     pos_w, neg_w = pos.astype(np.float64), neg.astype(np.float64)
+    n = labels.size
+    scale = 1.0 / (n * (n - 1))
     with np.errstate(over="ignore", invalid="ignore"):
         pos_arg = d - (alpha - margin)
         neg_arg = alpha - d
+        terms = np.maximum(pos_arg, 0.0) * pos_w + np.maximum(neg_arg, 0.0) * neg_w
+        total = terms.sum().reshape(1, 1) * scale
     # relu would turn a -inf into 0
     _finite(pos_arg, "ranked_list_loss")
     _finite(neg_arg, "ranked_list_loss")
-    n = labels.size
-    scale = 1.0 / (n * (n - 1))
-    terms = np.maximum(pos_arg, 0.0) * pos_w + np.maximum(neg_arg, 0.0) * neg_w
 
     def bw(g):
         g_terms = g * scale
         return g_terms * pos_w * (pos_arg > 0.0), -(g_terms * neg_w * (neg_arg > 0.0))
 
-    return _make(terms.sum().reshape(1, 1) * scale, (dist, dist), bw)
+    return _make(total, (dist, dist), bw)
 
 
 # -- center prediction loss ---------------------------------------------------
@@ -462,13 +467,14 @@ def cpl_objective(features, labels, targets):
         with np.errstate(over="ignore", invalid="ignore"):
             diff = preds.data - target_values
             sq = (diff * diff).sum(axis=0, keepdims=True)  # 1 x N
+            total = (sq * weights).sum().reshape(1, 1)
 
         def bw(g):
             t = g * weights * diff
             return (t + t,)
 
         bw.__qualname__ = "cpl_loss.<locals>.bw"  # failures name the op, not this helper
-        return _make((sq * weights).sum().reshape(1, 1), (preds,), bw)
+        return _make(total, (preds,), bw)
 
     return loss
 

@@ -116,8 +116,20 @@ def test_run_invalid_config_exits_2_with_json_error(tmp_path, capsys):
         # the default sampler.p = 4 fails in training on the 3-class fixture,
         # so this key's message shows the check runs before training
         ("boundary", "model.embedding_dim = 5\n", "model.embedding_dim"),
+        # with CPL off, no row of either ablation differs but for its seed
+        ("ablation-target", "loss.cpl.weight = 0\n", "loss.cpl.weight"),
+        ("ablation-bn", "loss.cpl.weight = 0\n", "loss.cpl.weight"),
     ],
-    ids=["dataset", "model", "loss", "sgd", "sampler", "boundary-embedding-dim"],
+    ids=[
+        "dataset",
+        "model",
+        "loss",
+        "sgd",
+        "sampler",
+        "boundary-embedding-dim",
+        "ablation-target-without-cpl",
+        "ablation-bn-without-cpl",
+    ],
 )
 def test_section_error_message_starts_with_its_key(kind, text, key, tmp_path, capsys):
     cfg = _write(tmp_path, f"kind = {kind}\n{text}out = {tmp_path / 'run'}\n")
@@ -154,6 +166,7 @@ CLASS_MEAN_OVERFLOW_CSV = "f0,f1,label\n1.2e154,0,0\n-1.2e154,0,0\n1,0,1\n2,0,1\
 
 # two classes at one point: every refit error is 0, so the boundary ratio is 0/0
 IDENTICAL_CSV = "f0,f1,label\n1,2,0\n1,2,0\n1,2,1\n1,2,1\n"
+LOSS_SUM_CFG = "kind = train\nsgd.epochs = 2\nsgd.milestones = 1\n"
 BOUNDARY_ZERO_CFG = (
     "kind = boundary\nmodel.embedding_dim = 2\nsampler.p = 2\nsgd.epochs = 1\nsgd.milestones =\nrefit.steps = 2\n"
 )
@@ -169,6 +182,9 @@ BOUNDARY_ZERO_CFG = (
         ("kind = surface\nsurface.loss = cpl\n", EXTREME_CSV, "cpl_targets:"),
         (BOUNDARY_ZERO_CFG, IDENTICAL_CSV, "boundary_ratio:"),
         ("kind = surface\nsurface.loss = center\n", CLASS_MEAN_OVERFLOW_CSV, "class_mean_error: class 0"),
+        # every anchor's hinge is finite, but their sum overflows
+        (LOSS_SUM_CFG + "loss.triplet.weight = 1\nloss.triplet.margin = 1e308\n", None, "triplet_loss_batch_hard:"),
+        (LOSS_SUM_CFG + "loss.rll.weight = 1\nloss.rll.alpha = 1e308\n", None, "ranked_list_loss:"),
     ],
     ids=[
         "divergence",
@@ -178,6 +194,8 @@ BOUNDARY_ZERO_CFG = (
         "cpl-targets-overflow",
         "boundary-ratio-zero-over-zero",
         "center-class-mean-overflow",
+        "triplet-sum-overflow",
+        "rll-sum-overflow",
     ],
 )
 def test_numeric_failure_exits_3_with_one_json_line(tmp_path, capsys, text, data, message):

@@ -110,8 +110,17 @@ def test_fused_sums_are_bit_identical_to_composed_graphs(upstream, rng):
             assert np.array_equal(f, c)
 
 
-# the cases built by _case_network: a layer stack under _sum_squares
+# the rows built by _network: a layer stack under _sum_squares
 NETWORK_CASES = ("linear", "batchnorm", "mlp", "predictor-2layer", "predictor-4layer-bn", "mlp-constant-input")
+
+
+def test_network_cases_are_every_row_perturbed_under_suffixes():
+    # a new network row cannot skip the suffix tests below
+    def suffix_only(builder):
+        forwards = builder(substream(0, "suffix-only")).forwards.values()
+        return all(getattr(f, "func", None) is _tail_value for f in forwards)
+
+    assert set(NETWORK_CASES) == {name for name, builder in REGISTRY if suffix_only(builder)}
 
 
 @pytest.mark.parametrize("name", NETWORK_CASES)

@@ -736,6 +736,10 @@ PK4 = np.array([0, 0, 1, 1])
 PK4_DIST = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.5, 1.5], [2.0, 2.5, 0.0, 1.0], [3.0, 1.5, 1.0, 0.0]])
 
 
+# two tight classes far apart: with a huge margin or alpha, each anchor's term is finite
+SUM_DIST = np.array([[0.0, 1.0, 5.0, 5.0], [1.0, 0.0, 5.0, 5.0], [5.0, 5.0, 0.0, 1.0], [5.0, 5.0, 1.0, 0.0]])
+
+
 def _dist_with(**entries):
     """PK4_DIST with the named entries ("r0c2" is row 0, column 2) set."""
     d = PK4_DIST.copy()
@@ -827,6 +831,38 @@ OVERFLOW_CASES = {
         lambda t: composed_rll(t, PK4, 1.2, 0.4),
         _dist_with(r0c2=np.inf),
     ),
+    # the cases below have finite per-sample terms whose sum overflows: the
+    # sum must overflow inside the op's errstate block, or numpy warns first
+    "ce-sum": (
+        lambda t: id_cross_entropy(t, np.array([1, 1])),
+        lambda t: composed_ce(t, np.array([1, 1])),
+        np.array([[0.0, 0.0], [-1.5e308, -1.5e308]]),
+    ),
+    "center-sum": (
+        lambda t: center_loss(t, PK4, np.zeros((2, 2))),
+        lambda t: composed_center(t, PK4, np.zeros((2, 2))),
+        np.array([[1.2e154, -1.2e154, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),
+    ),
+    "triplet-sum": (
+        lambda t: triplet_loss_batch_hard(t, PK4, 1e308),
+        lambda t: composed_triplet(t, PK4, 1e308),
+        SUM_DIST,
+    ),
+    "rll-sum": (
+        lambda t: ranked_list_loss(t, PK4, 1e308, 0.0),
+        lambda t: composed_rll(t, PK4, 1e308, 0.0),
+        SUM_DIST,
+    ),
+    "lifted-sum": (
+        lambda t: lifted_structure_loss(t, PK4, 0.0),
+        lambda t: composed_lifted(t, PK4, 0.0),
+        np.kron(np.eye(2), [[0.0, 1e308], [1e308, 0.0]]),  # 1e308 on the positive pairs
+    ),
+    "circle-sum": (
+        lambda t: circle_loss(t, PK4, 7e307, 0.25),
+        lambda t: composed_circle(t, PK4, 7e307, 0.25),
+        np.array([[1.0, -1.0, 1.0, -1.0], [0.0, 0.0, 0.0, 0.0]]),
+    ),
 }
 OP_NAMES = {
     "pairwise": "pairwise_euclidean",
@@ -847,6 +883,14 @@ def test_fused_ops_raise_where_composed_graph_raises(case):
         composed(Tensor(data, requires_grad=True))
     with pytest.raises(NumericsError, match=f"^{OP_NAMES[case.split('-')[0]]}:"):
         fused(Tensor(data, requires_grad=True))
+
+
+def test_cpl_sum_overflow_raises_without_a_warning():
+    # each column's weighted square (7.2e307) is finite, their sum is not; the
+    # table above cannot hold it, as composed_cpl builds its own targets
+    x = Tensor(np.full((1, 4), 1.2e154), requires_grad=True)
+    with pytest.raises(NumericsError, match="^cpl_loss:"):
+        cpl_loss(x, PK4, np.zeros((1, 4)))
 
 
 def test_fused_pairwise_backward_raises_where_composed_graph_raises():
