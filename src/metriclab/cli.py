@@ -60,7 +60,7 @@ def _dispatch_train(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dic
         "kind": "train",
         "steps": state.step,
         "train_accuracy": train_accuracy(state, ds),
-        "final": timeline[-1].parts if timeline else {},
+        "final": timeline[-1].parts,
         "snapshots": snapshots,
     }
 

@@ -153,6 +153,13 @@ class ExperimentConfig:
         # the target mode and the predictor's BN, which the ablations vary, act only through CPL
         if self.kind in ("ablation-target", "ablation-bn") and self.loss.weights["cpl"] == 0:
             raise ConfigError(f"loss.cpl.weight must be > 0 for {self.kind}: its rows vary only CPL settings")
+        # the refit predictor starts as the identity map of the plane, which needs hidden >= 2 * 2
+        refits = self.kind == "boundary" or (self.kind == "surface" and self.surface_loss != "center")
+        if refits and self.model.predictor_hidden < 4:
+            raise ConfigError(
+                f"model.predictor_hidden must be >= 4 for {self.kind}: its refit predictor starts as "
+                f"the identity map of the plane, got {self.model.predictor_hidden}"
+            )
 
 
 def _field_default(f):

@@ -11,8 +11,6 @@ Everything is seeded and exports CSV.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -24,7 +22,7 @@ from .config import SURFACE_LOSS_KINDS, ExperimentConfig, config_hash, parse_con
 from .errors import ConfigError, NumericsError, ShapeError
 from .metrics import evaluate_retrieval, l2_normalize
 from .nn import CenterPredictor
-from .sampling import LabeledDataset, first_per_label
+from .sampling import LabeledDataset, first_per_label, write_csv
 from .seeding import subseed, substream
 from .trainer import cpl_errors, embed_dataset, refit_predictor, train_accuracy, train_run
 
@@ -81,26 +79,11 @@ class SurfaceGrid:
             )
         return float(ratio)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["x", "y", "label", "e", "boundary"])
+    def write_csv(self, path):
         # one conversion per column: tolist() gives Python floats, ints and bools
         xs, ys = self.points.tolist()
-        writer.writerows(
-            zip(
-                map(repr, xs),
-                map(repr, ys),
-                self.labels.tolist(),
-                map(repr, self.errors.tolist()),
-                map(int, self.boundary.tolist()),
-            )
-        )
-        return buf.getvalue()
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
+        rows = zip(xs, ys, self.labels.tolist(), self.errors.tolist(), map(int, self.boundary.tolist()))
+        write_csv(path, ["x", "y", "label", "e", "boundary"], rows)
 
 
 def center_surface_errors(ds: LabeledDataset) -> np.ndarray:
@@ -231,17 +214,9 @@ class AblationReport:
         if len({row.variant for row in self.rows}) != len(self.rows):
             raise ConfigError("ablation variants must be unique")
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["variant", "map", "rank1", "config_hash"])
-        for row in self.rows:
-            writer.writerow([row.variant, repr(row.mean_ap), repr(row.rank1), row.config_hash])
-        return buf.getvalue()
-
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
+        rows = [(row.variant, row.mean_ap, row.rank1, row.config_hash) for row in self.rows]
+        write_csv(path, ["variant", "map", "rank1", "config_hash"], rows)
 
 
 def split_retrieval_task(ds: LabeledDataset):

@@ -26,6 +26,7 @@ __all__ = [
     "LabeledDataset",
     "PKSamplerConfig",
     "epoch_iter",
+    "write_csv",
     "save_dataset_csv",
     "load_dataset_csv",
 ]
@@ -150,13 +151,23 @@ def epoch_iter(ds: LabeledDataset, cfg: PKSamplerConfig, rng: np.random.Generato
 # -- CSV round-trip ------------------------------------------------------------
 
 
-def save_dataset_csv(ds: LabeledDataset, path):
-    """Header f0..f{d-1},label; one sample per row, label last."""
+def write_csv(path, header, rows):
+    """The one table writer: a header row, then rows, each CRLF-terminated.
+
+    The csv module writes a Python float as its repr, which round-trips
+    bitwise, so fields must be Python floats, ints or strs (`tolist()`,
+    `.item()`): numpy 2 scalars repr as `np.float64(...)`.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(ds.dim)] + ["label"])
-        for j in range(ds.n):
-            writer.writerow([repr(float(v)) for v in ds.features[:, j]] + [int(ds.labels[j])])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_dataset_csv(ds: LabeledDataset, path):
+    """Header f0..f{d-1},label; one sample per row, label last."""
+    header = [f"f{i}" for i in range(ds.dim)] + ["label"]
+    write_csv(path, header, zip(*ds.features.tolist(), ds.labels.tolist()))
 
 
 def load_dataset_csv(path) -> LabeledDataset:

@@ -15,7 +15,6 @@ from; `train_run` takes the same config.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -36,7 +35,7 @@ from .losses import (
     triplet_loss_batch_hard,
 )
 from .nn import MLP, CenterPredictor, Linear, save_checkpoint, standardize
-from .sampling import LabeledDataset, epoch_iter
+from .sampling import LabeledDataset, epoch_iter, write_csv
 from .seeding import subseed, substream
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "train_run",
     "refit_predictor",
     "cpl_errors",
-    "write_timeline_csv",
 ]
 
 LOSS_NAMES = ("ce", "cpl", "center", "triplet", "circle", "lifted", "rll")
@@ -295,18 +293,6 @@ def train_step(state: TrainState, batch: tuple, lr: float) -> TimelineRow:
     )
 
 
-def write_timeline_csv(rows: list, path, part_names: list):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "step", "lr", *part_names, "total"])
-        for row in rows:
-            writer.writerow(
-                [row.epoch, row.step, repr(row.lr)]
-                + [repr(row.parts.get(n, 0.0)) for n in part_names]
-                + [repr(row.total)]
-            )
-
-
 def train_accuracy(state: TrainState, ds: LabeledDataset) -> float:
     logits = state.classifier(state.extractor(as_tensor(ds.features))).data
     return float((logits.argmax(axis=0) == ds.labels).mean())
@@ -342,7 +328,11 @@ def train_run(ds: LabeledDataset, cfg, out_dir=None):
                     f"{out_dir}/checkpoint_epoch{epoch:04d}.txt", state.named_params()
                 )
     if out_dir is not None:
-        write_timeline_csv(timeline, f"{out_dir}/timeline.csv", part_names)
+        write_csv(
+            f"{out_dir}/timeline.csv",
+            ["epoch", "step", "lr", *part_names, "total"],
+            [(row.epoch, row.step, row.lr, *[row.parts[n] for n in part_names], row.total) for row in timeline],
+        )
     return state, timeline, snapshots
 
 

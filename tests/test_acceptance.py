@@ -204,7 +204,7 @@ def test_criterion_07_lr_schedule_bitwise():
         assert lr_at(sched, epoch) == expected
 
 
-def test_criterion_08_ablation_harnesses_run_to_completion():
+def test_criterion_08_ablation_harnesses_run_to_completion(tmp_path):
     t0 = time.perf_counter()
     base = parse_config(
         "kind = ablation-target\n"
@@ -216,8 +216,10 @@ def test_criterion_08_ablation_harnesses_run_to_completion():
     ds = base.dataset.load(base.seed)
     target_rep = run_target_ablation(ds, base)
     bn_rep = run_bn_ablation(ds, replace(base, kind="ablation-bn"))
-    target_lines = target_rep.to_csv().strip().splitlines()
-    bn_lines = bn_rep.to_csv().strip().splitlines()
+    target_rep.write_csv(tmp_path / "target.csv")
+    bn_rep.write_csv(tmp_path / "bn.csv")
+    target_lines = (tmp_path / "target.csv").read_text().strip().splitlines()
+    bn_lines = (tmp_path / "bn.csv").read_text().strip().splitlines()
     finite = all(
         np.isfinite(row.mean_ap) and np.isfinite(row.rank1)
         for rep in (target_rep, bn_rep)

@@ -119,6 +119,9 @@ def test_run_invalid_config_exits_2_with_json_error(tmp_path, capsys):
         # with CPL off, no row of either ablation differs but for its seed
         ("ablation-target", "loss.cpl.weight = 0\n", "loss.cpl.weight"),
         ("ablation-bn", "loss.cpl.weight = 0\n", "loss.cpl.weight"),
+        # the refit predictor's identity init on the plane needs hidden >= 4
+        ("surface", "model.predictor_hidden = 3\n", "model.predictor_hidden"),
+        ("boundary", "model.predictor_hidden = 3\n", "model.predictor_hidden"),
     ],
     ids=[
         "dataset",
@@ -129,6 +132,8 @@ def test_run_invalid_config_exits_2_with_json_error(tmp_path, capsys):
         "boundary-embedding-dim",
         "ablation-target-without-cpl",
         "ablation-bn-without-cpl",
+        "surface-predictor-hidden",
+        "boundary-predictor-hidden",
     ],
 )
 def test_section_error_message_starts_with_its_key(kind, text, key, tmp_path, capsys):

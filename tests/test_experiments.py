@@ -62,14 +62,20 @@ def test_boundary_ratio_that_is_not_finite_is_a_numerics_error(errors):
         grid.boundary_ratio()
 
 
-def test_surface_csv_shape():
+def _written(table, path) -> str:
+    """The text table.write_csv writes to path."""
+    table.write_csv(path)
+    return path.read_text()
+
+
+def test_surface_csv_shape(tmp_path):
     grid = SurfaceGrid(
         np.array([[1.0, 2.0], [3.0, 4.0]]),
         np.array([0, 1]),
         np.array([0.5, 1.5]),
         np.array([False, True]),
     )
-    lines = grid.to_csv().splitlines()
+    lines = _written(grid, tmp_path / "surface.csv").splitlines()
     assert lines[0] == "x,y,label,e,boundary"
     assert lines[1] == "1.0,3.0,0,0.5,0"
     assert lines[2] == "2.0,4.0,1,1.5,1"
@@ -124,13 +130,13 @@ def test_cpl_beats_center_on_bimodal_class():
         assert cpl.class_mean_error(0) < center.class_mean_error(0)
 
 
-def test_surface_errors_nonnegative_and_deterministic():
+def test_surface_errors_nonnegative_and_deterministic(tmp_path):
     ds = two_class_fixture(seed=1, n_per_class=40)
     cfg = ExperimentConfig(kind="surface", seed=3, refit_steps=50)
     a = run_loss_surface(ds, "cpl", cfg)
     b = run_loss_surface(ds, "cpl", cfg)
     assert np.all(a.errors >= 0)
-    assert a.to_csv() == b.to_csv()
+    assert _written(a, tmp_path / "a.csv") == _written(b, tmp_path / "b.csv")
 
 
 # -- boundary -------------------------------------------------------------------
@@ -142,7 +148,7 @@ def test_boundary_rejects_wrong_class_count():
         run_boundary_experiment(ds, BOUNDARY_CFG)
 
 
-def test_boundary_grid_contract():
+def test_boundary_grid_contract(tmp_path):
     ds = three_class_fixture(seed=subseed(0, "dataset"), n_per_class=60)
     grid, accuracy = run_boundary_experiment(ds, BOUNDARY_CFG)
     assert grid.points.shape == (2, ds.n)
@@ -151,7 +157,7 @@ def test_boundary_grid_contract():
     assert norms == pytest.approx(np.ones(ds.n), abs=1e-9)
     # numpy's lower decile of distinct margins: the floor((n - 1) * decile) + 1 smallest
     assert grid.boundary.sum() == math.floor((ds.n - 1) * BOUNDARY_DECILE) + 1
-    rows = grid.to_csv().splitlines()
+    rows = _written(grid, tmp_path / "surface.csv").splitlines()
     assert len(rows) == 1 + ds.n
 
 
@@ -298,12 +304,13 @@ def test_every_bn_row_sets_all_five_predictor_keys():
         assert set(row) == keys, name
 
 
-def test_ablation_csv_and_determinism():
+def test_ablation_csv_and_determinism(tmp_path):
     cfg = replace(parse_config(ABLATION_CFG), seed=1)
     a = run_target_ablation(cfg.dataset.load(cfg.seed), cfg)
     b = run_target_ablation(cfg.dataset.load(cfg.seed), cfg)
-    assert a.to_csv() == b.to_csv()
-    lines = a.to_csv().splitlines()
+    a_text = _written(a, tmp_path / "a.csv")
+    assert a_text == _written(b, tmp_path / "b.csv")
+    lines = a_text.splitlines()
     assert lines[0] == "variant,map,rank1,config_hash"
     assert len(lines) == 5
 

@@ -12,6 +12,7 @@ from metriclab.sampling import (
     group_labels,
     load_dataset_csv,
     save_dataset_csv,
+    write_csv,
 )
 from metriclab.seeding import substream
 
@@ -189,6 +190,24 @@ def test_csv_round_trip_exact(tmp_path):
     assert np.array_equal(back.labels, ds.labels)
     header = path.read_text().splitlines()[0]
     assert header == "f0,f1,f2,f3,f4,label"
+
+
+def test_write_csv_writes_floats_as_repr_with_crlf_rows(tmp_path):
+    # repr is the shortest text that parses back to the same float
+    header = ["name", "count", "value"]
+    rows = [
+        ("tiny", 1, 5e-324),
+        ("negzero", -2, -0.0),
+        ("big", 0, 1e22),
+        ("sum", 3, 0.1 + 0.2),
+        ("third", 4, 1 / 3),
+    ]
+    path = tmp_path / "table.csv"
+    write_csv(path, header, rows)
+    expected = "name,count,value\r\n" + "".join(
+        ",".join([name, *map(repr, numbers)]) + "\r\n" for name, *numbers in rows
+    )
+    assert path.read_bytes() == expected.encode()
 
 
 def test_csv_rejects_missing_label_column(tmp_path):
