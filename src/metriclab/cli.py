@@ -90,20 +90,25 @@ def _dispatch_boundary(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> 
 
 
 def _dispatch_ablation(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dict:
-    runner = run_target_ablation if cfg.kind == "ablation-target" else run_bn_ablation
+    # looked up per call, so a wrapper patched over either runner is the one that runs
+    runner = {"ablation-target": run_target_ablation, "ablation-bn": run_bn_ablation}[cfg.kind]
     report = runner(ds, cfg)
     report.write_csv(out / "report.csv")
     cfg_dir = out / "configs"
     cfg_dir.mkdir(exist_ok=True)
     for variant, text in report.configs.items():
         (cfg_dir / f"{variant}.resolved").write_text(text)
-    return {
-        "kind": cfg.kind,
-        "rows": [
-            {"variant": r.variant, "map": r.mean_ap, "rank1": r.rank1, "config_hash": r.config_hash}
-            for r in report.rows
-        ],
-    }
+    return {"kind": cfg.kind, "rows": [row._asdict() for row in report.rows]}
+
+
+# kind -> the runner that writes its artifacts and returns its summary
+_DISPATCH = {
+    "train": _dispatch_train,
+    "surface": _dispatch_surface,
+    "boundary": _dispatch_boundary,
+    "ablation-target": _dispatch_ablation,
+    "ablation-bn": _dispatch_ablation,
+}
 
 
 def dispatch(cfg: ExperimentConfig, force: bool = False) -> dict:
@@ -120,14 +125,7 @@ def dispatch(cfg: ExperimentConfig, force: bool = False) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     try:
         (out / "config.resolved").write_text(render_config(cfg))
-        if cfg.kind == "train":
-            summary = _dispatch_train(cfg, ds, out)
-        elif cfg.kind == "surface":
-            summary = _dispatch_surface(cfg, ds, out)
-        elif cfg.kind == "boundary":
-            summary = _dispatch_boundary(cfg, ds, out)
-        else:
-            summary = _dispatch_ablation(cfg, ds, out)
+        summary = _DISPATCH[cfg.kind](cfg, ds, out)
         summary["out"] = str(out)
         summary["seed"] = cfg.seed
         _write_summary(out, summary)

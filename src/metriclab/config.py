@@ -12,7 +12,7 @@ a dot (`eval_every` is `eval.every`, `rll_alpha` is `loss.rll.alpha`), and
 `loss.weights` gives one `loss.<name>.weight` key per loss. A key's
 default and its value type (bool, int, float, str or int tuple) are its
 field's. Each section (dataset, model, loss, sgd, sampler) is a flat
-dataclass of plain values, the loss weights dict included, so
+dataclass of plain values defined here, the loss weights dict included, so
 `parse_config` builds it from its keys in one call; the loss section also
 holds the pairwise losses' margins and scales.
 """
@@ -27,11 +27,10 @@ from typing import Callable, NamedTuple
 
 from .errors import ConfigError
 from .cifar_io import load_cifar_features
-from .nn import ModelConfig
-from .sampling import LabeledDataset, PKSamplerConfig, load_dataset_csv
+from .losses import TARGET_MODES
+from .sampling import LabeledDataset, load_dataset_csv
 from .seeding import subseed
 from .synthetic import FIXTURES
-from .trainer import LOSS_NAMES, LossConfig, SgdConfig
 
 # each experiment kind, with the fixture picked when the config names none
 KIND_FIXTURES = {
@@ -45,6 +44,7 @@ KINDS = tuple(KIND_FIXTURES)
 DATASET_SOURCES = ("synthetic", "csv", "cifar")
 SURFACE_LOSS_KINDS = ("center", "cpl")
 SURFACE_LOSSES = (*SURFACE_LOSS_KINDS, "both")
+LOSS_NAMES = ("ce", "cpl", "center", "triplet", "circle", "lifted", "rll")
 
 
 def _parse_bool(s: str) -> bool:
@@ -120,6 +120,113 @@ class DatasetConfig:
             max_per_class=self.max_per_class or None,
             factor=self.downsample,
         )
+
+
+@dataclass
+class ModelConfig:
+    """Architecture knobs for one training run."""
+
+    extractor_hidden: tuple = (32, 32)
+    embedding_dim: int = 8
+    predictor: str = "mlp"  # "mlp" | "none"
+    predictor_depth: int = 2
+    predictor_hidden: int = 64
+    bn_target: bool = True
+    bn_predictor_hidden: bool = False
+    bn_predictor_output: bool = False
+
+    def __post_init__(self):
+        if self.predictor not in ("mlp", "none"):
+            raise ConfigError(f"model.predictor must be mlp or none, got {self.predictor!r}")
+        if self.predictor_depth not in (2, 4):
+            raise ConfigError(f"model.predictor_depth must be 2 or 4, got {self.predictor_depth}")
+        if any(width < 1 for width in self.extractor_hidden):
+            raise ConfigError(f"model.extractor_hidden widths must be positive, got {self.extractor_hidden}")
+        if self.embedding_dim < 1:
+            raise ConfigError("model.embedding_dim must be positive")
+        if self.predictor_hidden < 1:
+            raise ConfigError("model.predictor_hidden must be positive")
+        if self.predictor == "none" and (self.bn_predictor_hidden or self.bn_predictor_output):
+            raise ConfigError("model.bn_predictor_hidden and model.bn_predictor_output require model.predictor = mlp")
+
+
+@dataclass
+class LossConfig:
+    """Which losses train, their weights, the CPL target policy, and the
+    margin and scale constants of the pairwise losses."""
+
+    weights: dict = field(default_factory=lambda: {"ce": 1.0, "cpl": 1.0})
+    cpl_target: str = "leave-one-out-mean"
+    triplet_margin: float = 0.3
+    circle_margin: float = 0.25
+    circle_scale: float = 32.0
+    lifted_margin: float = 1.0
+    rll_alpha: float = 1.2
+    rll_margin: float = 0.4
+
+    def __post_init__(self):
+        for name in ("triplet", "circle", "lifted", "rll"):
+            if getattr(self, f"{name}_margin") < 0:
+                raise ConfigError(f"loss.{name}.margin must be non-negative")
+        if self.circle_scale <= 0:
+            raise ConfigError("loss.circle.scale must be positive")
+        if not self.rll_alpha > self.rll_margin:
+            raise ConfigError("loss.rll.alpha must exceed loss.rll.margin")
+        unknown = set(self.weights) - set(LOSS_NAMES)
+        if unknown:
+            raise ConfigError(f"unknown loss names {sorted(unknown)}; expected {LOSS_NAMES}")
+        for name, w in self.weights.items():
+            if w < 0:
+                raise ConfigError(f"loss.{name}.weight must be >= 0")
+        # every loss named, in LOSS_NAMES order: one the dict omits weighs 0.0
+        self.weights = {name: float(self.weights.get(name, 0.0)) for name in LOSS_NAMES}
+        if self.cpl_target not in TARGET_MODES:
+            raise ConfigError(f"loss.cpl.target must be one of {TARGET_MODES}, got '{self.cpl_target}'")
+
+    def enabled(self):
+        return [name for name in LOSS_NAMES if self.weights[name] > 0.0]
+
+
+@dataclass
+class SgdConfig:
+    """Milestone step schedule: lr = base_lr * decay^(milestones passed)."""
+
+    base_lr: float = 3.5e-4
+    milestones: tuple = (10, 20)
+    decay_factor: float = 0.1
+    epochs: int = 30
+    momentum: float = 0.9
+
+    def __post_init__(self):
+        self.milestones = tuple(int(m) for m in self.milestones)
+        if self.base_lr <= 0:
+            raise ConfigError("sgd.base_lr must be positive")
+        if self.epochs < 1:
+            raise ConfigError("sgd.epochs must be >= 1")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError("sgd.momentum must be in [0, 1)")
+        if not 0 < self.decay_factor <= 1:
+            raise ConfigError("sgd.decay_factor must be in (0, 1]")
+        if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
+            raise ConfigError("sgd.milestones must be strictly increasing")
+        if any(m < 1 or m >= self.epochs for m in self.milestones):
+            raise ConfigError("sgd.milestones must lie in [1, epochs)")
+
+
+@dataclass
+class PKSamplerConfig:
+    p: int = 4
+    k: int = 4
+    allow_resample: bool = True
+
+    def __post_init__(self):
+        if self.p < 2:
+            raise ConfigError("sampler.p: need at least 2 identities per batch")
+        if self.k < 2:
+            raise ConfigError(
+                "sampler.k: need at least 2 instances per identity "
+                "(center-prediction targets average the other k-1 samples)"
+            )
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,10 +198,9 @@ ABLATIONS = {
 }
 
 
-@dataclass
-class AblationRow:
+class AblationRow(NamedTuple):
     variant: str
-    mean_ap: float
+    map: float
     rank1: float
     config_hash: str
 
@@ -215,8 +215,7 @@ class AblationReport:
             raise ConfigError("ablation variants must be unique")
 
     def write_csv(self, path):
-        rows = [(row.variant, row.mean_ap, row.rank1, row.config_hash) for row in self.rows]
-        write_csv(path, ["variant", "map", "rank1", "config_hash"], rows)
+        write_csv(path, AblationRow._fields, self.rows)
 
 
 def split_retrieval_task(ds: LabeledDataset):
@@ -258,8 +257,7 @@ def _run_ablation(ds: LabeledDataset, cfg: ExperimentConfig, kind: str) -> Ablat
     split = split_retrieval_task(ds)
     rows, configs = [], {}
     for name, vcfg in ablation_configs(cfg, kind):
-        mean_ap, rank1 = run_retrieval_variant(split, vcfg, name)
-        rows.append(AblationRow(name, mean_ap, rank1, config_hash(vcfg)))
+        rows.append(AblationRow(name, *run_retrieval_variant(split, vcfg, name), config_hash(vcfg)))
         configs[name] = render_config(vcfg)
     return AblationReport(rows, configs)
 

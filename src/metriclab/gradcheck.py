@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .autograd import Tensor, _make, backward
-from .config import ExperimentConfig
+from .config import ExperimentConfig, LossConfig
 from .errors import ConfigError
 from .losses import (
     center_loss,
@@ -48,7 +48,7 @@ from .losses import (
 from .metrics import pairwise_distances
 from .nn import MLP, RELU, BatchNorm, CenterPredictor, Linear, _run_steps, standardize
 from .seeding import substream
-from .trainer import LossConfig, TrainState, _loss_parts, _weighted_total
+from .trainer import TrainState, _loss_parts, _weighted_total
 
 FD_STEP = 1e-5
 _SPREAD = 4.0  # half-width of the box _spread_batch draws cluster centers from

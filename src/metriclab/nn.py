@@ -16,8 +16,6 @@ the chain of one-layer ops and relus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autograd import Tensor, _all_finite, _node, _unbroadcast, as_tensor
@@ -29,7 +27,6 @@ __all__ = [
     "standardize",
     "MLP",
     "CenterPredictor",
-    "ModelConfig",
     "save_checkpoint",
 ]
 
@@ -290,30 +287,6 @@ class CenterPredictor(MLP):
         self.layers[-1].weight.data[:] = collapse
         for layer in self.layers:
             layer.bias.data[:] = 0.0
-
-
-@dataclass
-class ModelConfig:
-    """Architecture knobs for one training run."""
-
-    extractor_hidden: tuple = (32, 32)
-    embedding_dim: int = 8
-    predictor: str = "mlp"  # "mlp" | "none"
-    predictor_depth: int = 2
-    predictor_hidden: int = 64
-    bn_target: bool = True
-    bn_predictor_hidden: bool = False
-    bn_predictor_output: bool = False
-
-    def __post_init__(self):
-        if self.predictor not in ("mlp", "none"):
-            raise ConfigError(f"model.predictor must be mlp or none, got {self.predictor!r}")
-        if self.predictor_depth not in (2, 4):
-            raise ConfigError(f"model.predictor_depth must be 2 or 4, got {self.predictor_depth}")
-        if self.embedding_dim < 1:
-            raise ConfigError("model.embedding_dim must be positive")
-        if self.predictor == "none" and (self.bn_predictor_hidden or self.bn_predictor_output):
-            raise ConfigError("model.bn_predictor_hidden and model.bn_predictor_output require model.predictor = mlp")
 
 
 # -- checkpoints -------------------------------------------------------------

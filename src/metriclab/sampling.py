@@ -24,7 +24,6 @@ __all__ = [
     "group_labels",
     "first_per_label",
     "LabeledDataset",
-    "PKSamplerConfig",
     "epoch_iter",
     "write_csv",
     "save_dataset_csv",
@@ -101,22 +100,6 @@ class LabeledDataset:
         return LabeledDataset(self.features[:, idx], self.labels[idx])
 
 
-@dataclass
-class PKSamplerConfig:
-    p: int = 4
-    k: int = 4
-    allow_resample: bool = True
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ConfigError("sampler.p: need at least 2 identities per batch")
-        if self.k < 2:
-            raise ConfigError(
-                "sampler.k: need at least 2 instances per identity "
-                "(center-prediction targets average the other k-1 samples)"
-            )
-
-
 def _draw_instances(ds, identity, k, allow_resample, rng) -> np.ndarray:
     pool = ds.by_identity[identity]
     if pool.size >= k:
@@ -133,7 +116,7 @@ def _draw_instances(ds, identity, k, allow_resample, rng) -> np.ndarray:
     return np.concatenate([pool, extra])
 
 
-def epoch_iter(ds: LabeledDataset, cfg: PKSamplerConfig, rng: np.random.Generator):
+def epoch_iter(ds: LabeledDataset, cfg, rng: np.random.Generator):
     """Yield ceil(n_ids / p) (features, labels) batches, k columns per
     identity; every identity anchors exactly once."""
     ids = np.array(ds.identities)
@@ -174,9 +157,9 @@ def load_dataset_csv(path) -> LabeledDataset:
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[-1] != "label":
-                raise DataFormatError(f"{path}: expected a dataset CSV with a trailing label column")
+            header = next(reader, [])
+            if len(header) < 2 or header[-1] != "label":
+                raise DataFormatError(f"{path}: expected a dataset CSV of feature columns and a trailing label column")
             dim = len(header) - 1
             feats, labels = [], []
             for row in reader:

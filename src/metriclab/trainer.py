@@ -6,22 +6,21 @@ predictor, centers). CPL targets are built once per batch from embedding
 values (standardized, with nothing learned, under `bn_target`) and passed
 to `cpl_loss` as a constant; a refit takes its targets from the caller.
 
-`LossConfig` is the config's flat `loss` section and holds every loss
-setting: the weights, the CPL target mode and the pairwise losses' margins
-and scales. A `TrainState` holds the run's whole `ExperimentConfig`, so
-`train_step(state, batch, lr)` trains under the config the state was built
-from; `train_run` takes the same config.
+A `TrainState` holds the run's whole `ExperimentConfig`, so `train_step(state,
+batch, lr)` trains under the config the state was built from; `train_run`
+takes the same config.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import losses
 from .autograd import Tensor, _all_finite, _make, as_tensor, backward
+from .config import ExperimentConfig, SgdConfig
 from .errors import ConfigError, NumericsError
 from .losses import (
     center_loss,
@@ -39,8 +38,6 @@ from .sampling import LabeledDataset, epoch_iter, write_csv
 from .seeding import subseed, substream
 
 __all__ = [
-    "SgdConfig",
-    "LossConfig",
     "lr_at",
     "SGD",
     "TrainState",
@@ -50,72 +47,6 @@ __all__ = [
     "refit_predictor",
     "cpl_errors",
 ]
-
-LOSS_NAMES = ("ce", "cpl", "center", "triplet", "circle", "lifted", "rll")
-
-
-@dataclass
-class SgdConfig:
-    """Milestone step schedule: lr = base_lr * decay^(milestones passed)."""
-
-    base_lr: float = 3.5e-4
-    milestones: tuple = (10, 20)
-    decay_factor: float = 0.1
-    epochs: int = 30
-    momentum: float = 0.9
-
-    def __post_init__(self):
-        self.milestones = tuple(int(m) for m in self.milestones)
-        if self.base_lr <= 0:
-            raise ConfigError("sgd.base_lr must be positive")
-        if self.epochs < 1:
-            raise ConfigError("sgd.epochs must be >= 1")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError("sgd.momentum must be in [0, 1)")
-        if not 0 < self.decay_factor <= 1:
-            raise ConfigError("sgd.decay_factor must be in (0, 1]")
-        if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
-            raise ConfigError("sgd.milestones must be strictly increasing")
-        if any(m < 1 or m >= self.epochs for m in self.milestones):
-            raise ConfigError("sgd.milestones must lie in [1, epochs)")
-
-
-@dataclass
-class LossConfig:
-    """Which losses train, their weights, the CPL target policy, and the
-    margin and scale constants of the pairwise losses."""
-
-    weights: dict = field(default_factory=lambda: {"ce": 1.0, "cpl": 1.0})
-    cpl_target: str = "leave-one-out-mean"
-    triplet_margin: float = 0.3
-    circle_margin: float = 0.25
-    circle_scale: float = 32.0
-    lifted_margin: float = 1.0
-    rll_alpha: float = 1.2
-    rll_margin: float = 0.4
-
-    def __post_init__(self):
-        for name in ("triplet", "circle", "lifted", "rll"):
-            if getattr(self, f"{name}_margin") < 0:
-                raise ConfigError(f"loss.{name}.margin must be non-negative")
-        if self.circle_scale <= 0:
-            raise ConfigError("loss.circle.scale must be positive")
-        if not self.rll_alpha > self.rll_margin:
-            raise ConfigError("loss.rll.alpha must exceed loss.rll.margin")
-        unknown = set(self.weights) - set(LOSS_NAMES)
-        if unknown:
-            raise ConfigError(f"unknown loss names {sorted(unknown)}; expected {LOSS_NAMES}")
-        for name, w in self.weights.items():
-            if w < 0:
-                raise ConfigError(f"loss.{name}.weight must be >= 0")
-        # every loss named, in LOSS_NAMES order: one the dict omits weighs 0.0
-        self.weights = {name: float(self.weights.get(name, 0.0)) for name in LOSS_NAMES}
-        if self.cpl_target not in losses.TARGET_MODES:
-            raise ConfigError(f"loss.cpl.target must be one of {losses.TARGET_MODES}, got '{self.cpl_target}'")
-
-    def enabled(self):
-        return [name for name in LOSS_NAMES if self.weights[name] > 0.0]
-
 
 def lr_at(cfg: SgdConfig, epoch: int) -> float:
     if not 0 <= epoch < cfg.epochs:
@@ -159,7 +90,7 @@ class TrainState:
     predictor: CenterPredictor | None
     centers: Tensor | None
     optimizer: SGD
-    cfg: object
+    cfg: ExperimentConfig
     epoch: int = 0
     step: int = 0
 
@@ -174,7 +105,7 @@ class TrainState:
         return out
 
 
-def build_state(cfg, input_dim: int, n_classes: int) -> TrainState:
+def build_state(cfg: ExperimentConfig, input_dim: int, n_classes: int) -> TrainState:
     """A fresh state for cfg, the run's `config.ExperimentConfig`: its
     model section, its seed and `sgd.momentum`. It holds centers exactly
     when cfg's loss section weighs the center loss."""
@@ -298,7 +229,7 @@ def train_accuracy(state: TrainState, ds: LabeledDataset) -> float:
     return float((logits.argmax(axis=0) == ds.labels).mean())
 
 
-def train_run(ds: LabeledDataset, cfg, out_dir=None):
+def train_run(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=None):
     """Full training loop of cfg, the run's `config.ExperimentConfig`: its
     model, loss, sgd and sampler sections, seed and eval_every. Returns
     (state, timeline rows, snapshots).
@@ -309,12 +240,19 @@ def train_run(ds: LabeledDataset, cfg, out_dir=None):
     n_classes = len(ds.identities)
     if ds.identities != list(range(n_classes)):
         raise ConfigError("training expects dense labels 0..C-1")
+    part_names = cfg.loss.enabled()
+    p = cfg.sampler.p
+    needs_negatives = [name for name in part_names if name in ("triplet", "circle", "lifted")]
+    if needs_negatives and n_classes > p and n_classes % p == 1:
+        raise ConfigError(
+            f"sampler.p = {p} leaves one of the {n_classes} identities alone in each epoch's last batch, "
+            f"where {', '.join(needs_negatives)} find no negative"
+        )
     sgd_cfg, eval_every = cfg.sgd, cfg.eval_every
     state = build_state(cfg, ds.dim, n_classes)
     sampler_rng = substream(cfg.seed, "sampler")
     timeline = []
     snapshots = []
-    part_names = cfg.loss.enabled()
     for epoch in range(sgd_cfg.epochs):
         state.epoch = epoch
         lr = lr_at(sgd_cfg, epoch)

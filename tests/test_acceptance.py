@@ -16,13 +16,12 @@ from reference_impls import oracle_retrieval
 
 from metriclab.autograd import Tensor, backward
 from metriclab.cli import dispatch
-from metriclab.config import ExperimentConfig, parse_config
+from metriclab.config import ExperimentConfig, LossConfig, ModelConfig, PKSamplerConfig, SgdConfig, parse_config
 from metriclab.experiments import run_bn_ablation, run_boundary_experiment, run_loss_surface, run_target_ablation
 from metriclab.gradcheck import central_diff, max_rel_err, run_gradcheck
 from metriclab.losses import cpl_loss, cpl_targets
 from metriclab.metrics import evaluate_retrieval
-from metriclab.nn import CenterPredictor, ModelConfig
-from metriclab.sampling import PKSamplerConfig
+from metriclab.nn import CenterPredictor
 from metriclab.seeding import subseed, substream
 from metriclab.synthetic import (
     four_class_fixture,
@@ -31,8 +30,6 @@ from metriclab.synthetic import (
     three_class_fixture,
 )
 from metriclab.trainer import (
-    LossConfig,
-    SgdConfig,
     lr_at,
     refit_predictor,
     train_accuracy,
@@ -221,14 +218,14 @@ def test_criterion_08_ablation_harnesses_run_to_completion(tmp_path):
     target_lines = (tmp_path / "target.csv").read_text().strip().splitlines()
     bn_lines = (tmp_path / "bn.csv").read_text().strip().splitlines()
     finite = all(
-        np.isfinite(row.mean_ap) and np.isfinite(row.rank1)
+        np.isfinite(row.map) and np.isfinite(row.rank1)
         for rep in (target_rep, bn_rep)
         for row in rep.rows
     )
     elapsed = time.perf_counter() - t0
     ok = len(target_lines) == 5 and len(bn_lines) == 7 and finite and elapsed < 600.0
     values = "; ".join(
-        f"{row.variant} map {row.mean_ap:.3f}" for row in (*target_rep.rows, *bn_rep.rows)
+        f"{row.variant} map {row.map:.3f}" for row in (*target_rep.rows, *bn_rep.rows)
     )
     _report(8, "target-mode and BN-placement ablations", ok,
             f"4 + 6 rows, all metrics finite, {elapsed:.1f}s < 10min; {values}")

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metriclab import cli, config
 from metriclab.cli import _write_summary, main
 from metriclab.config import parse_config
 from metriclab.errors import NumericsError
@@ -122,6 +123,14 @@ def test_run_invalid_config_exits_2_with_json_error(tmp_path, capsys):
         # the refit predictor's identity init on the plane needs hidden >= 4
         ("surface", "model.predictor_hidden = 3\n", "model.predictor_hidden"),
         ("boundary", "model.predictor_hidden = 3\n", "model.predictor_hidden"),
+        # every width is at least 1, with or without a predictor
+        ("train", "model.extractor_hidden = 32,0\n", "model.extractor_hidden"),
+        ("train", "model.predictor_hidden = 0\n", "model.predictor_hidden"),
+        ("train", "model.predictor = none\nmodel.predictor_hidden = 0\n", "model.predictor_hidden"),
+        # the train fixture's 4 identities over p = 3 leave one alone, with no negative, in each epoch's last batch
+        ("train", "sampler.p = 3\nloss.triplet.weight = 1\n", "sampler.p"),
+        ("train", "sampler.p = 3\nloss.circle.weight = 1\n", "sampler.p"),
+        ("train", "sampler.p = 3\nloss.lifted.weight = 1\n", "sampler.p"),
     ],
     ids=[
         "dataset",
@@ -134,6 +143,12 @@ def test_run_invalid_config_exits_2_with_json_error(tmp_path, capsys):
         "ablation-bn-without-cpl",
         "surface-predictor-hidden",
         "boundary-predictor-hidden",
+        "extractor-width",
+        "predictor-width",
+        "predictor-width-without-predictor",
+        "lone-identity-triplet",
+        "lone-identity-circle",
+        "lone-identity-lifted",
     ],
 )
 def test_section_error_message_starts_with_its_key(kind, text, key, tmp_path, capsys):
@@ -142,6 +157,16 @@ def test_section_error_message_starts_with_its_key(kind, text, key, tmp_path, ca
     _assert_one_config_error_line(code, out, err)
     assert json.loads(err)["message"].startswith(key)
     assert not (tmp_path / "run").exists()
+
+
+def test_a_lone_identity_in_the_last_batch_trains_the_ranked_list_loss(tmp_path, capsys):
+    text = "sampler.p = 3\nloss.ce.weight = 0\nloss.cpl.weight = 0\nloss.rll.weight = 1\n"
+    cfg = _write(tmp_path, TRAIN_CFG + text + f"out = {tmp_path / 'run'}\n")
+    assert _run(capsys, "run", str(cfg))[0] == 0
+
+
+def test_every_kind_has_one_dispatch_route():
+    assert set(cli._DISPATCH) == set(config.KINDS)
 
 
 def test_run_undecodable_config_exits_2_with_one_json_line(tmp_path, capsys):
@@ -468,6 +493,7 @@ CSV_HEAD = "f0,f1,label\n0.5,0.5,0\n"
         (CSV_HEAD + "1.0,2.0,\xff\n", ("utf-8", "decode")),
         (CSV_HEAD + '"' + "1" * 131073 + '",2.0,0\n', ("field larger than field limit",)),
         (CSV_HEAD + "1.0,2.0,99999999999999999999\n", ("line 3", "too large")),
+        ("label\n0\n1\n", ("feature columns",)),
     ],
     ids=[
         "non-numeric-feature",
@@ -479,6 +505,7 @@ CSV_HEAD = "f0,f1,label\n0.5,0.5,0\n"
         "undecodable-byte",
         "oversized-field",
         "label-overflows-int64",
+        "no-feature-column",
     ],
 )
 def test_run_bad_dataset_csv_exits_4_with_one_json_line(tmp_path, capsys, text, expected):

@@ -1,17 +1,20 @@
+import ast
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 
+from metriclab import config, nn, sampling, trainer
 from metriclab.config import (
+    LOSS_NAMES,
     SCHEMA,
     ExperimentConfig,
+    LossConfig,
     config_hash,
     parse_config,
     render_config,
 )
 from metriclab.errors import ConfigError
-from metriclab.trainer import LOSS_NAMES, LossConfig
 
 
 def test_minimal_config_resolves_defaults_and_round_trips():
@@ -166,6 +169,23 @@ def test_config_sections_are_flat():
         section = getattr(cfg, name)
         nested = [f.name for f in fields(section) if is_dataclass(getattr(section, f.name))]
         assert not nested, f"{name} has dataclass-valued fields {nested}"
+
+
+def test_config_module_owns_every_section_and_the_loss_names():
+    # the section field names are the key names, so the sections live beside the schema
+    for section in config._SECTIONS.values():
+        assert section.__module__ == "metriclab.config"
+    assert "LOSS_NAMES" in vars(config)
+    owned = {section.__name__ for section in config._SECTIONS.values()} | {"LOSS_NAMES"}
+    for module in (trainer, nn, sampling):
+        assert not owned & set(module.__all__)
+        assert "LOSS_NAMES" not in vars(module)
+    tree = ast.parse(Path(config.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module} if node.module else {alias.name for alias in node.names}
+    assert not imported & {"trainer", "nn"}
 
 
 def test_milestones_checked_against_epochs():

@@ -248,7 +248,7 @@ def test_target_ablation_four_rows_finite():
     report = run_target_ablation(cfg.dataset.load(cfg.seed), cfg)
     assert [row.variant for row in report.rows] == [name for name, _ in ABLATIONS["ablation-target"]]
     for row in report.rows:
-        assert np.isfinite(row.mean_ap) and 0 <= row.mean_ap <= 1
+        assert np.isfinite(row.map) and 0 <= row.map <= 1
         assert np.isfinite(row.rank1) and 0 <= row.rank1 <= 1
         assert len(row.config_hash) == 12
         assert f"loss.cpl.target = {row.variant}" in report.configs[row.variant]
@@ -262,7 +262,7 @@ def test_bn_ablation_six_rows_finite():
     assert [row.variant for row in report.rows] == [name for name, _ in ABLATIONS["ablation-bn"]]
     assert len(report.rows) == 6
     for row in report.rows:
-        assert np.isfinite(row.mean_ap) and np.isfinite(row.rank1)
+        assert np.isfinite(row.map) and np.isfinite(row.rank1)
     assert "model.predictor = none" in report.configs["no-pred"]
     assert "model.predictor_depth = 4" in report.configs["pred4+tbn+hbn"]
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metriclab.autograd import Tensor, as_tensor, backward
+from metriclab.config import LossConfig
 from metriclab.errors import ConfigError, NumericsError, ShapeError
 from metriclab.losses import (
     center_loss,
@@ -18,7 +19,6 @@ from metriclab.losses import (
     triplet_loss_batch_hard,
 )
 from metriclab.nn import CenterPredictor, Linear
-from metriclab.trainer import LossConfig
 
 from composed_graphs import (
     composed_ce,

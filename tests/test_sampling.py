@@ -3,10 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from metriclab.config import PKSamplerConfig
 from metriclab.errors import ConfigError, DataFormatError, ShapeError
 from metriclab.sampling import (
     LabeledDataset,
-    PKSamplerConfig,
     epoch_iter,
     first_per_label,
     group_labels,

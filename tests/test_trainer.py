@@ -5,18 +5,16 @@ import pytest
 
 from metriclab import trainer
 from metriclab.autograd import Tensor, as_tensor, backward
-from metriclab.config import ExperimentConfig
+from metriclab.config import ExperimentConfig, LossConfig, ModelConfig, PKSamplerConfig, SgdConfig
 from metriclab.errors import ConfigError, NumericsError
 from metriclab.losses import cpl_loss, cpl_targets
 from metriclab.gradcheck import _off_kink_input
-from metriclab.nn import BatchNorm, CenterPredictor, Linear, ModelConfig, standardize
-from metriclab.sampling import LabeledDataset, PKSamplerConfig, epoch_iter
+from metriclab.nn import BatchNorm, CenterPredictor, Linear, standardize
+from metriclab.sampling import LabeledDataset, epoch_iter
 from metriclab.seeding import substream
 from metriclab.synthetic import four_class_fixture, bimodal_class_fixture
 from metriclab.trainer import (
     SGD,
-    LossConfig,
-    SgdConfig,
     TrainState,
     _loss_parts,
     _weighted_total,
