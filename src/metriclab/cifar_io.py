@@ -3,8 +3,7 @@ batch file as box-averaged float features (factor 1 keeps every pixel).
 
 Each record is 3073 bytes: one label byte (0..9) followed by 3072 pixel
 bytes in channel-planar order (1024 red, 1024 green, 1024 blue, row-major
-32 x 32 per plane). Pixels scale to [0, 1]; labels remap densely in sorted
-original-label order.
+32 x 32 per plane). Pixels scale to [0, 1]; labels keep their values.
 """
 
 from __future__ import annotations
@@ -22,32 +21,6 @@ CHANNELS = 3
 PIXELS = CHANNELS * IMAGE_SIDE * IMAGE_SIDE
 # records that load_cifar_features scales to float64 and pools at a time
 CHUNK_RECORDS = 256
-
-
-def _select_records(path, class_filter, max_per_class):
-    """The file's records as an N x RECORD_BYTES uint8 array, the rows that
-    the filter and cap keep, in file order, and their dense labels."""
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size == 0:
-        raise DataFormatError(f"{path}: empty file")
-    if raw.size % RECORD_BYTES != 0:
-        raise DataFormatError(
-            f"{path}: {raw.size} bytes is not a multiple of the {RECORD_BYTES}-byte record"
-        )
-    records = raw.reshape(-1, RECORD_BYTES)
-    labels = records[:, 0]
-    if labels.max() > 9:
-        raise DataFormatError(f"{path}: label byte {labels.max()} outside 0..9 (corrupt file)")
-    # dense remap over the filter when given, else over classes present
-    keep_classes = np.unique(labels if class_filter is None else np.asarray(class_filter))
-    if keep_classes.size and (keep_classes[0] < 0 or keep_classes[-1] > 9):
-        raise ConfigError(f"class filter {keep_classes.tolist()} outside 0..9")
-    cols = np.flatnonzero(np.isin(labels, keep_classes))
-    if max_per_class is not None:
-        cols = np.sort(cols[first_per_label(labels[cols], max_per_class)[0]])
-    if not cols.size:
-        raise ConfigError(f"{path}: no records left after class filter")
-    return records, cols, np.searchsorted(keep_classes, labels[cols])
 
 
 def _scaled(pixel_bytes: np.ndarray) -> np.ndarray:
@@ -75,15 +48,32 @@ def downsample_flatten(records: np.ndarray, factor: int) -> np.ndarray:
 def load_cifar_features(path, class_filter=None, max_per_class=None, factor: int = 4) -> LabeledDataset:
     """Load records as a D x N dataset of pooled features in [0, 1].
 
-    class_filter keeps only the listed original labels; labels remap to
-    0..C-1 in sorted original order. max_per_class truncates per class in
-    file order. Each record's pixels are scaled to [0, 1] and then
-    box-averaged by factor (downsample_flatten; factor 1 keeps all 3072),
-    CHUNK_RECORDS records at a time, so the full-resolution float64 pixels
-    are never held at once."""
-    records, cols, labels = _select_records(path, class_filter, max_per_class)
+    class_filter keeps only the listed labels, which keep their CIFAR
+    values. max_per_class truncates per class in file order. Each record's
+    pixels are scaled to [0, 1] and then box-averaged by factor
+    (downsample_flatten; factor 1 keeps all 3072), CHUNK_RECORDS records at
+    a time, so the full-resolution float64 pixels are never held at once."""
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size == 0:
+        raise DataFormatError(f"{path}: empty file")
+    if raw.size % RECORD_BYTES != 0:
+        raise DataFormatError(
+            f"{path}: {raw.size} bytes is not a multiple of the {RECORD_BYTES}-byte record"
+        )
+    records = raw.reshape(-1, RECORD_BYTES)
+    labels = records[:, 0]
+    if labels.max() > 9:
+        raise DataFormatError(f"{path}: label byte {labels.max()} outside 0..9 (corrupt file)")
+    keep = np.arange(10) if class_filter is None else np.asarray(class_filter)
+    if keep.size and (keep.min() < 0 or keep.max() > 9):
+        raise ConfigError(f"class filter {keep.tolist()} outside 0..9")
+    cols = np.flatnonzero(np.isin(labels, keep))
+    if max_per_class is not None:
+        cols = np.sort(cols[first_per_label(labels[cols], max_per_class)[0]])
+    if not cols.size:
+        raise ConfigError(f"{path}: no records left after class filter")
     pooled = [
         downsample_flatten(_scaled(records[cols[start : start + CHUNK_RECORDS], 1:]), factor)
         for start in range(0, cols.size, CHUNK_RECORDS)
     ]
-    return LabeledDataset(np.concatenate(pooled).T, labels)
+    return LabeledDataset(np.concatenate(pooled).T, labels[cols])

@@ -128,9 +128,9 @@ def classifier_margins(state, ds: LabeledDataset) -> np.ndarray:
     """Per-sample margin: true-class logit minus best other-class logit."""
     logits = state.classifier(state.extractor(as_tensor(ds.features))).data
     cols = np.arange(ds.n)
-    true = logits[ds.labels, cols]
+    true = logits[ds.class_index, cols]
     masked = logits.copy()
-    masked[ds.labels, cols] = -np.inf
+    masked[ds.class_index, cols] = -np.inf
     return true - masked.max(axis=0)
 
 
@@ -221,13 +221,12 @@ class AblationReport:
 def split_retrieval_task(ds: LabeledDataset):
     """Disjoint-identity split: first half of identities train, second half
     test; each test identity contributes its first QUERIES_PER_ID samples
-    as queries and the rest as gallery."""
-    ids = np.array(ds.identities)
+    as queries and the rest as gallery; all three keep the original labels."""
+    ids = ds.identities
     if len(ids) < 4:
         raise ConfigError("retrieval task needs at least 4 identities to split")
     in_train = ds.labels < ids[len(ids) // 2]
-    # dense remap so the classifier head matches the training identities
-    train = LabeledDataset(ds.features[:, in_train], np.searchsorted(ids, ds.labels[in_train]))
+    train = ds.subset(np.flatnonzero(in_train))
     test = ds.subset(np.flatnonzero(~in_train))
     queries, gallery = first_per_label(test.labels, QUERIES_PER_ID)
     return train, test.subset(queries), test.subset(gallery)

@@ -14,14 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericsError, ShapeError
 
 __all__ = ["l2_normalize", "pairwise_distances", "evaluate_retrieval", "RankingResult"]
 
 
 def l2_normalize(x: np.ndarray) -> np.ndarray:
-    """Every column scaled to unit Euclidean norm; a zero column is a ShapeError."""
-    norms = np.linalg.norm(x, axis=0, keepdims=True)
+    """Every column scaled to unit Euclidean norm. A zero column is a ShapeError;
+    a nonzero column whose norm overflows to inf or underflows to 0 is a NumericsError."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=0)
+    if not np.isfinite(norms).all() or np.any(x[:, norms == 0.0]):
+        raise NumericsError("l2_normalize: a column's norm overflows or underflows float64")
     if np.any(norms == 0.0):
         raise ShapeError("cannot L2-normalize a zero feature vector")
     return x / norms

@@ -95,6 +95,11 @@ class LabeledDataset:
     def identities(self) -> list:
         return list(self.by_identity)  # group_labels lists ids ascending
 
+    @cached_property
+    def class_index(self) -> np.ndarray:
+        """Each column's class row 0..C-1: its label's position in identities."""
+        return np.searchsorted(np.array(self.identities), self.labels)
+
     def subset(self, idx) -> "LabeledDataset":
         idx = np.asarray(idx, dtype=np.intp)
         return LabeledDataset(self.features[:, idx], self.labels[idx])
@@ -117,18 +122,18 @@ def _draw_instances(ds, identity, k, allow_resample, rng) -> np.ndarray:
 
 
 def epoch_iter(ds: LabeledDataset, cfg, rng: np.random.Generator):
-    """Yield ceil(n_ids / p) (features, labels) batches, k columns per
-    identity; every identity anchors exactly once."""
+    """Yield ceil(n_ids / p) (features, ds.class_index) batches, k columns
+    per identity; every identity anchors exactly once."""
     ids = np.array(ds.identities)
     if len(ids) < cfg.p:
-        raise ConfigError(f"dataset has {len(ids)} identities, sampler needs p={cfg.p}")
+        raise ConfigError(f"sampler.p: dataset has {len(ids)} identities, sampler needs p={cfg.p}")
     order = rng.permutation(ids)
     for start in range(0, len(order), cfg.p):
         group = order[start : start + cfg.p]
         cols = np.concatenate(
             [_draw_instances(ds, int(i), cfg.k, cfg.allow_resample, rng) for i in group]
         )
-        yield ds.features[:, cols], ds.labels[cols]
+        yield ds.features[:, cols], ds.class_index[cols]
 
 
 # -- CSV round-trip ------------------------------------------------------------

@@ -226,7 +226,7 @@ def train_step(state: TrainState, batch: tuple, lr: float) -> TimelineRow:
 
 def train_accuracy(state: TrainState, ds: LabeledDataset) -> float:
     logits = state.classifier(state.extractor(as_tensor(ds.features))).data
-    return float((logits.argmax(axis=0) == ds.labels).mean())
+    return float((logits.argmax(axis=0) == ds.class_index).mean())
 
 
 def train_run(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=None):
@@ -234,12 +234,12 @@ def train_run(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=None):
     model, loss, sgd and sampler sections, seed and eval_every. Returns
     (state, timeline rows, snapshots).
 
-    Snapshots are (epoch, train accuracy) pairs taken every eval_every
-    epochs and at the end; checkpoints go to out_dir when given.
+    The labels may be any integers: the classifier row and the center
+    column of a sample are its `ds.class_index`. Snapshots are (epoch,
+    train accuracy) pairs taken every eval_every epochs and at the end;
+    checkpoints go to out_dir when given.
     """
     n_classes = len(ds.identities)
-    if ds.identities != list(range(n_classes)):
-        raise ConfigError("training expects dense labels 0..C-1")
     part_names = cfg.loss.enabled()
     p = cfg.sampler.p
     needs_negatives = [name for name in part_names if name in ("triplet", "circle", "lifted")]

@@ -36,7 +36,7 @@ def test_load_round_trip_values(tmp_path):
     assert np.array_equal(ds.features[:, 0], pix / 255.0)
     assert np.allclose(ds.features[:, 1], 128 / 255.0)
     assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
-    assert ds.labels.tolist() == [0, 1]  # dense remap keeps sorted order 3 -> 0, 7 -> 1
+    assert ds.labels.tolist() == [3, 7]  # the records' own label bytes
 
 
 def test_load_twice_identical(tmp_path):
@@ -66,7 +66,7 @@ def test_class_filter_and_cap(tmp_path):
     p = tmp_path / "batch.bin"
     write_records(p, [(0, 1), (1, 2), (0, 3), (2, 4), (0, 5), (1, 6)])
     ds = load_cifar_features(p, class_filter=[0, 2], max_per_class=2, factor=1)
-    assert ds.labels.tolist() == [0, 0, 1]  # records kept in file order; 2 remaps to 1
+    assert ds.labels.tolist() == [0, 0, 2]  # records kept in file order, with their labels
     assert ds.features.shape[1] == 3
     # cap keeps file order: fills 1 and 3, drops fill 5
     assert np.allclose(np.unique(ds.features), np.array([1, 3, 4]) / 255.0)
@@ -74,15 +74,14 @@ def test_class_filter_and_cap(tmp_path):
 
 def _kept_by_record_loop(labels, class_filter, cap):
     """Reference selection in one pass over the records in file order: the
-    kept record indices and their dense labels."""
-    keep = sorted(set(labels if class_filter is None else class_filter))
-    taken = dict.fromkeys(keep, 0)
+    kept record indices and their labels."""
+    taken = dict.fromkeys(range(10) if class_filter is None else class_filter, 0)
     cols = []
     for i, label in enumerate(labels):
         if label in taken and (cap is None or taken[label] < cap):
             taken[label] += 1
             cols.append(i)
-    return cols, [keep.index(labels[i]) for i in cols]
+    return cols, [labels[i] for i in cols]
 
 
 @pytest.mark.parametrize(
@@ -95,9 +94,9 @@ def test_filter_and_cap_match_a_per_record_loop(tmp_path, class_filter, cap):
     pixels = rng.integers(0, 256, size=(60, 3072))
     p = tmp_path / "batch.bin"
     write_records(p, list(zip(labels.tolist(), pixels)))
-    cols, dense = _kept_by_record_loop(labels.tolist(), class_filter, cap)
+    cols, kept_labels = _kept_by_record_loop(labels.tolist(), class_filter, cap)
     ds = load_cifar_features(p, class_filter=class_filter, max_per_class=cap, factor=1)
-    assert ds.labels.tolist() == dense
+    assert ds.labels.tolist() == kept_labels
     assert np.array_equal(ds.features, pixels[cols].T / 255.0)
 
 

@@ -11,7 +11,7 @@ from metriclab import cli, config
 from metriclab.cli import _write_summary, main
 from metriclab.config import parse_config
 from metriclab.errors import NumericsError
-from metriclab.sampling import load_dataset_csv
+from metriclab.sampling import LabeledDataset, load_dataset_csv, save_dataset_csv
 
 TRAIN_CFG = """\
 kind = train
@@ -131,6 +131,9 @@ def test_run_invalid_config_exits_2_with_json_error(tmp_path, capsys):
         ("train", "sampler.p = 3\nloss.triplet.weight = 1\n", "sampler.p"),
         ("train", "sampler.p = 3\nloss.circle.weight = 1\n", "sampler.p"),
         ("train", "sampler.p = 3\nloss.lifted.weight = 1\n", "sampler.p"),
+        # p above the identity count: the retrieval split trains on 16, the boundary fixture has 3
+        ("ablation-bn", "sampler.p = 17\n", "sampler.p"),
+        ("boundary", "model.embedding_dim = 2\n", "sampler.p"),
     ],
     ids=[
         "dataset",
@@ -149,6 +152,8 @@ def test_run_invalid_config_exits_2_with_json_error(tmp_path, capsys):
         "lone-identity-triplet",
         "lone-identity-circle",
         "lone-identity-lifted",
+        "ablation-p-above-identities",
+        "boundary-p-above-identities",
     ],
 )
 def test_section_error_message_starts_with_its_key(kind, text, key, tmp_path, capsys):
@@ -200,6 +205,14 @@ LOSS_SUM_CFG = "kind = train\nsgd.epochs = 2\nsgd.milestones = 1\n"
 BOUNDARY_ZERO_CFG = (
     "kind = boundary\nmodel.embedding_dim = 2\nsampler.p = 2\nsgd.epochs = 1\nsgd.milestones =\nrefit.steps = 2\n"
 )
+BOUNDARY_CFG = (
+    "kind = boundary\nsgd.base_lr = 0.01\nsgd.epochs = 2\nsgd.milestones =\nmodel.bn_target = false\n"
+    "model.embedding_dim = 2\nsampler.p = 3\nsampler.k = 8\nrefit.steps = 5\neval.every = 0\n"
+)
+ABLATION_HUGE_RLL_CFG = (
+    "kind = ablation-target\nloss.triplet.weight = 1.0\nsgd.epochs = 1\nsgd.milestones =\n"
+    "loss.rll.weight = 1e10\nmodel.bn_predictor_hidden = true\nloss.ce.weight = 0\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -215,6 +228,9 @@ BOUNDARY_ZERO_CFG = (
         # every anchor's hinge is finite, but their sum overflows
         (LOSS_SUM_CFG + "loss.triplet.weight = 1\nloss.triplet.margin = 1e308\n", None, "triplet_loss_batch_hard:"),
         (LOSS_SUM_CFG + "loss.rll.weight = 1\nloss.rll.alpha = 1e308\n", None, "ranked_list_loss:"),
+        # embeddings so large that their squares overflow in the norm
+        (BOUNDARY_CFG + "loss.cpl.weight = 1e10\n", None, "l2_normalize:"),
+        (ABLATION_HUGE_RLL_CFG, None, "l2_normalize:"),
     ],
     ids=[
         "divergence",
@@ -226,6 +242,8 @@ BOUNDARY_ZERO_CFG = (
         "center-class-mean-overflow",
         "triplet-sum-overflow",
         "rll-sum-overflow",
+        "boundary-embedding-norm-overflow",
+        "ablation-embedding-norm-overflow",
     ],
 )
 def test_numeric_failure_exits_3_with_one_json_line(tmp_path, capsys, text, data, message):
@@ -540,6 +558,46 @@ def test_run_refused_for_its_data_reruns_without_force_once_fixed(tmp_path, caps
     data.write_text(good)
     assert _run(capsys, "run", str(cfg))[0] == 0
     assert (out_dir / "summary.json").exists()
+
+
+def _export_relabelled(tmp_path, capsys, fixture, ids):
+    """The fixture's CSV (labels 0..C-1), and a copy that writes label c as ids[c]."""
+    dense, sparse = tmp_path / "dense.csv", tmp_path / "sparse.csv"
+    assert _run(capsys, "export-fixture", fixture, "--out", str(dense))[0] == 0
+    ds = load_dataset_csv(dense)
+    save_dataset_csv(LabeledDataset(ds.features, np.array(ids)[ds.labels]), sparse)
+    return dense, sparse
+
+
+def _run_on_csv(tmp_path, capsys, text, data, name):
+    cfg = _write(tmp_path, text + f"dataset.source = csv\ndataset.path = {data}\nout = {tmp_path / name}\n")
+    code, out, _ = _run(capsys, "run", str(cfg))
+    assert code == 0
+    return tmp_path / name, {k: v for k, v in json.loads(out).items() if k != "out"}
+
+
+def test_sparse_labels_train_as_their_dense_relabelling(tmp_path, capsys):
+    dense, sparse = _export_relabelled(tmp_path, capsys, "four-class", [0, 2, 3, 4])
+    dense_dir, dense_summary = _run_on_csv(tmp_path, capsys, TRAIN_CFG, dense, "dense")
+    sparse_dir, sparse_summary = _run_on_csv(tmp_path, capsys, TRAIN_CFG, sparse, "sparse")
+    for name in ("checkpoint_epoch0001.txt", "checkpoint_epoch0003.txt", "timeline.csv"):
+        assert (sparse_dir / name).read_bytes() == (dense_dir / name).read_bytes()
+    assert sparse_summary == dense_summary
+
+
+def test_sparse_labels_draw_the_boundary_surface_of_their_dense_relabelling(tmp_path, capsys):
+    ids = [0, 5, 9]
+    dense, sparse = _export_relabelled(tmp_path, capsys, "three-class", ids)
+    dense_dir, dense_summary = _run_on_csv(tmp_path, capsys, BOUNDARY_CFG, dense, "dense")
+    sparse_dir, sparse_summary = _run_on_csv(tmp_path, capsys, BOUNDARY_CFG, sparse, "sparse")
+    dense_rows, sparse_rows = (
+        [line.split(",") for line in (d / "surface.csv").read_text().splitlines()] for d in (dense_dir, sparse_dir)
+    )
+    assert dense_rows[0] == sparse_rows[0] == ["x", "y", "label", "e", "boundary"]
+    # every column but the label is equal; the label keeps the CSV's value
+    assert [row[:2] + row[3:] for row in sparse_rows] == [row[:2] + row[3:] for row in dense_rows]
+    assert [row[2] for row in sparse_rows[1:]] == [str(ids[int(row[2])]) for row in dense_rows[1:]]
+    assert sparse_summary == dense_summary
 
 
 def test_failed_run_removes_the_directory_it_created(tmp_path, capsys):

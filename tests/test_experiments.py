@@ -184,7 +184,7 @@ sgd.epochs = 20
 def test_split_retrieval_task_disjoint_and_dense():
     ds = retrieval_fixture(seed=subseed(0, "dataset"))
     train, queries, gallery = split_retrieval_task(ds)
-    assert train.identities == list(range(16))  # remapped dense
+    assert train.identities == list(range(16))  # the fixture numbers its 32 identities 0..31
     assert set(queries.labels) == set(gallery.labels) == set(range(16, 32))
     assert queries.n == 16 * 4 and gallery.n == 16 * 8
     assert train.n + queries.n + gallery.n == ds.n
@@ -237,7 +237,8 @@ def test_split_matches_a_per_identity_reference(id_counts, random):
     ds = LabeledDataset(np.arange(len(labels), dtype=np.float64)[None, :], np.array(labels))
     train_cols, train_labels, query_cols, gallery_cols = _split_by_identity(labels)
     train, queries, gallery = split_retrieval_task(ds)
-    assert train.features[0].tolist() == train_cols and train.labels.tolist() == train_labels
+    assert train.features[0].tolist() == train_cols and train.labels.tolist() == [labels[j] for j in train_cols]
+    assert train.class_index.tolist() == train_labels
     assert queries.features[0].tolist() == query_cols and gallery.features[0].tolist() == gallery_cols
     assert queries.labels.tolist() == [labels[j] for j in query_cols]
     assert gallery.labels.tolist() == [labels[j] for j in gallery_cols]

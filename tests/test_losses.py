@@ -451,6 +451,28 @@ def test_cpl_identity_predictor_gradient_is_frozen_form():
     assert np.allclose(grads, (feats - targets.data), atol=1e-12)  # (2/2)*(x - c)
 
 
+@pytest.mark.parametrize("mode", ["leave-one-out-mean", "sample-mean"])
+@pytest.mark.parametrize("sizes", [(4, 4, 4, 4), (3, 4, 5)], ids=["pk-4x4", "unequal-3-4-5"])
+def test_cpl_without_predictor_meets_its_closed_form(mode, sizes):
+    # with f = id, CPL = sum_c s_c^2 mean_i ||z_i - mu_c||^2 with gradient
+    # (2 s_c / k_c)(z_i - mu_c): s_c = k_c / (k_c - 1) for the leave-one-out
+    # mean, 1 for the sample mean
+    feats, labels = unequal_batch(sizes, seed=16, dim=8)
+    x = Tensor(feats.copy(), requires_grad=True)
+    loss = cpl_loss(x, labels, cpl_targets(feats, labels, mode))
+    grad = backward(loss)[x]
+    value, expected = 0.0, np.empty_like(feats)
+    for c in range(len(sizes)):
+        cols = labels == c
+        k = cols.sum()
+        scale = k / (k - 1) if mode == "leave-one-out-mean" else 1.0
+        centred = feats[:, cols] - feats[:, cols].mean(axis=1, keepdims=True)
+        value += scale**2 * (centred**2).sum(axis=0).mean()
+        expected[:, cols] = 2 * scale / k * centred
+    assert loss.item() == pytest.approx(value, rel=1e-12)
+    np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
 def test_cpl_cached_targets_must_be_constant():
     feats, labels = random_batch(43, p=2, k=2)
     live = Tensor(np.zeros((3, 4)), requires_grad=True)

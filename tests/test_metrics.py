@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metriclab.errors import ShapeError
+from metriclab.errors import NumericsError, ShapeError
 from metriclab.metrics import evaluate_retrieval, l2_normalize, pairwise_distances
 
 from reference_impls import oracle_retrieval
@@ -35,6 +35,18 @@ def test_pairwise_normalized():
 def test_pairwise_dim_mismatch():
     with pytest.raises(ShapeError):
         pairwise_distances(np.zeros((2, 1)), np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("column", [(3e200, 4e200), (3e-170, 4e-170)], ids=["norm-overflows", "norm-underflows"])
+def test_l2_normalize_refuses_a_column_whose_norm_leaves_float64(column):
+    # the squares overflow to an infinite norm, or underflow to a zero one
+    with pytest.raises(NumericsError, match="^l2_normalize:"):
+        l2_normalize(np.array([[1.0, column[0]], [0.0, column[1]]]))
+
+
+def test_l2_normalize_refuses_a_zero_column():
+    with pytest.raises(ShapeError, match="zero feature vector"):
+        l2_normalize(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 def test_ap_hits_at_ranks_one_and_three():

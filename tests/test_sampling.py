@@ -80,6 +80,25 @@ def test_dataset_groups_columns_by_ascending_identity():
         assert np.array_equal(ds.by_identity[label], np.flatnonzero(labels == label))
 
 
+@settings(max_examples=200, deadline=None)
+@given(labels=LABEL_LISTS)
+@example(labels=[5, -3, 5, 2, -3, 5])
+@example(labels=[INT64.max, INT64.min, INT64.max])
+def test_class_index_is_each_label_position_in_identities(labels):
+    ds = LabeledDataset(np.zeros((1, len(labels))), np.array(labels, dtype=np.int64))
+    assert ds.class_index.tolist() == [ds.identities.index(label) for label in labels]
+
+
+def test_epoch_iter_yields_the_class_rows_of_sparse_labels():
+    labels = np.repeat([-7, 0, 4, 31, 1000], 3)
+    # one feature row holding each column's index traces every column
+    ds = LabeledDataset(np.arange(labels.size, dtype=np.float64)[None, :], labels)
+    for features, batch_labels in epoch_iter(ds, PKSamplerConfig(p=2, k=2), substream(0, "s")):
+        cols = features[0].astype(np.intp)
+        assert np.array_equal(batch_labels, ds.class_index[cols])
+        assert batch_labels.tolist() == [ds.identities.index(label) for label in labels[cols]]
+
+
 def test_pk_batch_is_p_times_k():
     ds = make_ds(n_ids=16, per_id=8)
     cfg = PKSamplerConfig(p=16, k=4)
