@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import SURFACE_LOSS_KINDS, DatasetConfig, ExperimentConfig, int64, parse_config, render_config
+from .config import DatasetConfig, ExperimentConfig, int64, parse_config, render_config
 from .errors import ConfigError, DataFormatError, NumericsError, ShapeError
 from .experiments import run_bn_ablation, run_boundary_experiment, run_loss_surface, run_target_ablation
 from .gradcheck import run_gradcheck
@@ -66,12 +66,10 @@ def _dispatch_train(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dic
 
 
 def _dispatch_surface(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dict:
-    kinds = SURFACE_LOSS_KINDS if cfg.surface_loss == "both" else (cfg.surface_loss,)
+    grids = run_loss_surface(ds, cfg)
     summary = {"kind": "surface", "fixture": cfg.dataset.fixture}
-    for loss_kind in kinds:
-        grid = run_loss_surface(ds, loss_kind, cfg)
-        name = "surface.csv" if len(kinds) == 1 else f"surface_{loss_kind}.csv"
-        grid.write_csv(out / name)
+    for loss_kind, grid in grids.items():
+        grid.write_csv(out / ("surface.csv" if len(grids) == 1 else f"surface_{loss_kind}.csv"))
         summary[loss_kind] = {
             f"class{c}_mean_e": grid.class_mean_error(c) for c in ds.identities
         }

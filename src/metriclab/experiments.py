@@ -105,28 +105,29 @@ def _refit_errors(points: np.ndarray, labels: np.ndarray, cfg: ExperimentConfig,
     return cpl_errors(points, targets, predictor=predictor)
 
 
-def run_loss_surface(ds: LabeledDataset, loss_kind: str, cfg: ExperimentConfig) -> SurfaceGrid:
-    """Per-sample error surface of one intra-class loss on a 2-D fixture.
+def run_loss_surface(ds: LabeledDataset, cfg: ExperimentConfig) -> dict:
+    """Per-sample error surfaces on a 2-D fixture: {loss kind: SurfaceGrid}
+    for each kind `cfg.surface_loss` names, center first.
 
     center: squared distance to the class mean. cpl: squared prediction
     error of a predictor refit on the raw points (see `_refit_errors`).
     """
     if ds.dim != 2:
         raise ShapeError(f"loss surfaces need a 2-D fixture, got dim {ds.dim}")
-    if loss_kind not in SURFACE_LOSS_KINDS:
-        raise ConfigError(f"loss_kind must be one of {SURFACE_LOSS_KINDS}, got '{loss_kind}'")
-    if loss_kind == "center":
-        errors = center_surface_errors(ds)
-    else:
-        errors = _refit_errors(ds.features, ds.labels, cfg, "surface-predictor")
-    return SurfaceGrid(
-        points=ds.features, labels=ds.labels, errors=errors, boundary=np.zeros(ds.n, dtype=bool)
-    )
+    errors = {
+        "center": lambda: center_surface_errors(ds),
+        "cpl": lambda: _refit_errors(ds.features, ds.labels, cfg, "surface-predictor"),
+    }
+    return {
+        kind: SurfaceGrid(ds.features, ds.labels, errors[kind](), np.zeros(ds.n, dtype=bool))
+        for kind in SURFACE_LOSS_KINDS
+        if cfg.surface_loss in (kind, "both")
+    }
 
 
-def classifier_margins(state, ds: LabeledDataset) -> np.ndarray:
-    """Per-sample margin: true-class logit minus best other-class logit."""
-    logits = state.classifier(state.extractor(as_tensor(ds.features))).data
+def classifier_margins(state, embeddings: np.ndarray, ds: LabeledDataset) -> np.ndarray:
+    """Per-sample margin on ds's embeddings: true-class logit minus best other-class logit."""
+    logits = state.classifier(as_tensor(embeddings)).data
     cols = np.arange(ds.n)
     true = logits[ds.class_index, cols]
     masked = logits.copy()
@@ -137,26 +138,22 @@ def classifier_margins(state, ds: LabeledDataset) -> np.ndarray:
 def run_boundary_experiment(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=None):
     """Train CE+CPL with 2-D embeddings, then profile the prediction error.
 
-    cfg must set model.embedding_dim = 2. Embeddings are L2-normalized, a
-    fresh identity-initialized predictor is refit on them, and a sample is
-    flagged boundary when its classifier margin is at most numpy's lower
-    BOUNDARY_DECILE quantile: the margin at 0-based rank
-    floor((n - 1) * BOUNDARY_DECILE) in ascending order. Returns (grid,
-    train_accuracy).
+    `ExperimentConfig` has checked that cfg sets model.embedding_dim = 2
+    and model.predictor = mlp. The margins and the refit read one pass of
+    embeddings. They are L2-normalized, a fresh identity-initialized
+    predictor is refit on them, and a sample is flagged boundary when its
+    classifier margin is at most numpy's lower BOUNDARY_DECILE quantile:
+    the margin at 0-based rank floor((n - 1) * BOUNDARY_DECILE) in
+    ascending order. Returns (grid, train_accuracy).
     """
     if len(ds.identities) not in (2, 3):
         raise ConfigError(
             f"boundary experiment expects a 2- or 3-class dataset, got {len(ds.identities)} classes"
         )
-    if cfg.model.predictor != "mlp":
-        raise ConfigError("boundary experiment trains CE+CPL and needs model.predictor = mlp")
-    if cfg.model.embedding_dim != 2:
-        raise ConfigError(
-            f"model.embedding_dim must be 2 for the boundary experiment's plane, got {cfg.model.embedding_dim}"
-        )
     state, _, _ = train_run(ds, cfg, out_dir=out_dir)
-    margins = classifier_margins(state, ds)
-    normalized = l2_normalize(embed_dataset(state, ds))
+    embeddings = embed_dataset(state, ds)
+    margins = classifier_margins(state, embeddings, ds)
+    normalized = l2_normalize(embeddings)
     grid = SurfaceGrid(
         points=normalized,
         labels=ds.labels,

@@ -124,8 +124,8 @@ def test_criterion_04_bimodal_class_prediction_beats_center():
     for seed in range(10):
         ds = bimodal_class_fixture(seed=subseed(seed, "dataset"))
         cfg = ExperimentConfig(kind="surface", seed=seed)
-        center_e = run_loss_surface(ds, "center", cfg).class_mean_error(0)
-        cpl_e = run_loss_surface(ds, "cpl", cfg).class_mean_error(0)
+        grids = run_loss_surface(ds, cfg)
+        center_e, cpl_e = grids["center"].class_mean_error(0), grids["cpl"].class_mean_error(0)
         assert cpl_e < center_e, f"seed {seed}: cpl {cpl_e} !< center {center_e}"
         margins.append(center_e / cpl_e)
         predictor = CenterPredictor(dim=2, hidden=64, rng=substream(seed, "acceptance/refit"), depth=2)
@@ -148,8 +148,8 @@ def test_criterion_05_covariance_asymmetry_of_per_class_error():
     for seed in range(10):
         ds = two_class_fixture(seed=subseed(seed, "dataset"))
         cfg = ExperimentConfig(kind="surface", seed=seed)
-        gc = run_loss_surface(ds, "center", cfg)
-        gp = run_loss_surface(ds, "cpl", cfg)
+        grids = run_loss_surface(ds, cfg)
+        gc, gp = grids["center"], grids["cpl"]
         center_iso, center_ell = gc.class_mean_error(0), gc.class_mean_error(1)
         cpl_iso, cpl_ell = gp.class_mean_error(0), gp.class_mean_error(1)
         center_wins += center_ell > center_iso

@@ -134,6 +134,11 @@ def test_run_invalid_config_exits_2_with_json_error(tmp_path, capsys):
         # p above the identity count: the retrieval split trains on 16, the boundary fixture has 3
         ("ablation-bn", "sampler.p = 17\n", "sampler.p"),
         ("boundary", "model.embedding_dim = 2\n", "sampler.p"),
+        # a boundary run trains CE+CPL on the plane
+        ("boundary", "model.embedding_dim = 2\nmodel.predictor = none\n", "model.predictor"),
+        # checked as the config parses, before a missing CSV could fail to load (exit 4)
+        ("boundary", "model.embedding_dim = 5\ndataset.source = csv\ndataset.path = missing.csv\n", "model.embedding_dim"),
+        ("surface", "surface.loss = triplet\n", "surface.loss"),
     ],
     ids=[
         "dataset",
@@ -154,6 +159,9 @@ def test_run_invalid_config_exits_2_with_json_error(tmp_path, capsys):
         "lone-identity-lifted",
         "ablation-p-above-identities",
         "boundary-p-above-identities",
+        "boundary-without-predictor",
+        "boundary-before-its-csv-loads",
+        "surface-unknown-loss",
     ],
 )
 def test_section_error_message_starts_with_its_key(kind, text, key, tmp_path, capsys):

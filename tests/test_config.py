@@ -32,13 +32,13 @@ def test_minimal_config_resolves_defaults_and_round_trips():
 
 def test_kind_specific_fixture_defaults():
     assert parse_config("kind = surface\n").dataset.fixture == "two-class"
-    assert parse_config("kind = boundary\n").dataset.fixture == "three-class"
+    assert parse_config("kind = boundary\nmodel.embedding_dim = 2\n").dataset.fixture == "three-class"
     assert parse_config("kind = ablation-target\n").dataset.fixture == "retrieval"
     assert parse_config("kind = ablation-bn\n").dataset.fixture == "retrieval"
 
 
 def test_explicit_fixture_wins_over_kind_default():
-    cfg = parse_config("kind = boundary\ndataset.fixture = two-class\n")
+    cfg = parse_config("kind = boundary\nmodel.embedding_dim = 2\ndataset.fixture = two-class\n")
     assert cfg.dataset.fixture == "two-class"
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metriclab import nn
 from metriclab.config import ExperimentConfig, parse_config, render_config
 from metriclab.errors import ConfigError, NumericsError, ShapeError
 from metriclab.experiments import (
@@ -94,28 +95,28 @@ def test_center_surface_matches_hand_means():
 def test_surface_rejects_non_2d_fixture():
     ds = retrieval_fixture(seed=0, n_ids=4, per_id=4, dim=5)
     with pytest.raises(ShapeError):
-        run_loss_surface(ds, "center", ExperimentConfig(kind="surface"))
+        run_loss_surface(ds, ExperimentConfig(kind="surface"))
 
 
-def test_surface_rejects_unknown_kind():
+@pytest.mark.parametrize("surface_loss, kinds", [("center", ["center"]), ("cpl", ["cpl"]), ("both", ["center", "cpl"])])
+def test_surface_draws_the_kinds_its_config_names_center_first(surface_loss, kinds):
     ds = two_class_fixture(seed=0, n_per_class=10)
-    with pytest.raises(ConfigError):
-        run_loss_surface(ds, "triplet", ExperimentConfig(kind="surface"))
+    grids = run_loss_surface(ds, ExperimentConfig(kind="surface", surface_loss=surface_loss, refit_steps=5))
+    assert list(grids) == kinds
 
 
 def test_center_penalizes_elliptic_class_harder():
     for seed in range(3):
         ds = two_class_fixture(seed=subseed(seed, "dataset"))
-        grid = run_loss_surface(ds, "center", ExperimentConfig(kind="surface", seed=seed))
+        grid = run_loss_surface(ds, ExperimentConfig(kind="surface", seed=seed, surface_loss="center"))["center"]
         assert grid.class_mean_error(1) > grid.class_mean_error(0)
 
 
 def test_cpl_ratio_below_center_ratio():
     for seed in range(3):
         ds = two_class_fixture(seed=subseed(seed, "dataset"))
-        cfg = ExperimentConfig(kind="surface", seed=seed)
-        center = run_loss_surface(ds, "center", cfg)
-        cpl = run_loss_surface(ds, "cpl", cfg)
+        grids = run_loss_surface(ds, ExperimentConfig(kind="surface", seed=seed))
+        center, cpl = grids["center"], grids["cpl"]
         r_center = center.class_mean_error(1) / center.class_mean_error(0)
         r_cpl = cpl.class_mean_error(1) / cpl.class_mean_error(0)
         assert r_cpl < r_center
@@ -124,17 +125,16 @@ def test_cpl_ratio_below_center_ratio():
 def test_cpl_beats_center_on_bimodal_class():
     for seed in range(3):
         ds = bimodal_class_fixture(seed=subseed(seed, "dataset"))
-        cfg = ExperimentConfig(kind="surface", seed=seed)
-        center = run_loss_surface(ds, "center", cfg)
-        cpl = run_loss_surface(ds, "cpl", cfg)
+        grids = run_loss_surface(ds, ExperimentConfig(kind="surface", seed=seed))
+        center, cpl = grids["center"], grids["cpl"]
         assert cpl.class_mean_error(0) < center.class_mean_error(0)
 
 
 def test_surface_errors_nonnegative_and_deterministic(tmp_path):
     ds = two_class_fixture(seed=1, n_per_class=40)
-    cfg = ExperimentConfig(kind="surface", seed=3, refit_steps=50)
-    a = run_loss_surface(ds, "cpl", cfg)
-    b = run_loss_surface(ds, "cpl", cfg)
+    cfg = ExperimentConfig(kind="surface", seed=3, refit_steps=50, surface_loss="cpl")
+    a = run_loss_surface(ds, cfg)["cpl"]
+    b = run_loss_surface(ds, cfg)["cpl"]
     assert np.all(a.errors >= 0)
     assert _written(a, tmp_path / "a.csv") == _written(b, tmp_path / "b.csv")
 
@@ -159,6 +159,26 @@ def test_boundary_grid_contract(tmp_path):
     assert grid.boundary.sum() == math.floor((ds.n - 1) * BOUNDARY_DECILE) + 1
     rows = _written(grid, tmp_path / "surface.csv").splitlines()
     assert len(rows) == 1 + ds.n
+
+
+def test_boundary_embeds_all_samples_twice_after_training(monkeypatch):
+    # one pass feeds the margins and the refit, one the closing train accuracy
+    widths = []
+    forward = nn.MLP.forward
+
+    def counted(self, x):
+        widths.append(x.shape[1])
+        return forward(self, x)
+
+    # CenterPredictor holds its own forward and __call__, so only the extractor counts
+    monkeypatch.setattr(nn.MLP, "forward", counted)
+    monkeypatch.setattr(nn.MLP, "__call__", counted)
+    ds = three_class_fixture(seed=0, n_per_class=30)
+    cfg = replace(BOUNDARY_CFG, sgd=replace(BOUNDARY_CFG.sgd, epochs=2, milestones=()), refit_steps=5)
+    run_boundary_experiment(ds, cfg)
+    # eval.every = 0: training only sees its p * k = 24-column batches
+    assert cfg.eval_every == 0 and cfg.sampler.p * cfg.sampler.k < ds.n
+    assert widths.count(ds.n) == 2
 
 
 def test_boundary_band_errors_exceed_interior():
