@@ -14,9 +14,10 @@ allocated itself (a fused layer stack adds its bias and applies relu in
 place), but never an input, a parameter or an upstream gradient: backward
 keeps each upstream gradient in its result.
 
-Checks: `_make` raises NumericsError if any entry of an op output is not
-finite; backward raises NumericsError if a parent's gradient (after adding
-the terms it already holds) is not finite. A backward rule returns one
+Checks: `check_finite` is the one finiteness guard of the package; every
+NumericsError for a non-finite array comes from it and reads "<op>: <what>".
+`_make` applies it to each op output, backward to each parent's gradient
+(after adding the terms it already holds). A backward rule returns one
 gradient per parent, in parent order, and may return None for a parent
 that does not require grad; backward skips that slot, as it skips every
 constant parent.
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import NumericsError, ShapeError
 
 # every name here is used by another module of the package (a test checks)
-__all__ = ["Tensor", "as_tensor", "backward"]
+__all__ = ["Tensor", "as_tensor", "backward", "check_finite"]
 
 
 class GraphError(ValueError):
@@ -103,9 +104,17 @@ def _op_name(backward_rule) -> str:
     return backward_rule.__qualname__.split(".<locals>", 1)[0]
 
 
+def check_finite(x, op, what: str = "operation produced non-finite entries") -> None:
+    """Raise NumericsError("<op>: <what>") unless every entry of x is finite.
+
+    op is a name or a backward rule, which `_op_name` names only when the
+    check fails, so `_make` and backward do no string work per op."""
+    if not _all_finite(x):
+        raise NumericsError(f"{op if type(op) is str else _op_name(op)}: {what}")
+
+
 def _make(data, parents, backward_rule) -> Tensor:
-    if not _all_finite(data):
-        raise NumericsError(f"{_op_name(backward_rule)}: operation produced non-finite entries")
+    check_finite(data, backward_rule)
     return _node(data, parents, backward_rule)
 
 
@@ -183,9 +192,6 @@ def backward(root: Tensor) -> dict:
                 held = grads.get(parent)
                 if held is not None:
                     pg = held + pg  # finite terms can still sum to inf
-                if not _all_finite(pg):
-                    raise NumericsError(
-                        f"{_op_name(node._backward)}: backward produced non-finite gradient entries"
-                    )
+                check_finite(pg, node._backward, "backward produced non-finite gradient entries")
                 grads[parent] = pg
     return result

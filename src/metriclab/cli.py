@@ -57,7 +57,6 @@ def _write_summary(out: Path, summary: dict) -> None:
 def _dispatch_train(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dict:
     state, timeline, snapshots = train_run(ds, cfg, out_dir=out)
     return {
-        "kind": "train",
         "steps": state.step,
         "train_accuracy": train_accuracy(state, ds),
         "final": timeline[-1].parts,
@@ -67,7 +66,7 @@ def _dispatch_train(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dic
 
 def _dispatch_surface(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dict:
     grids = run_loss_surface(ds, cfg)
-    summary = {"kind": "surface", "fixture": cfg.dataset.fixture}
+    summary = {"fixture": cfg.dataset.fixture}
     for loss_kind, grid in grids.items():
         grid.write_csv(out / ("surface.csv" if len(grids) == 1 else f"surface_{loss_kind}.csv"))
         summary[loss_kind] = {
@@ -80,7 +79,6 @@ def _dispatch_boundary(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> 
     grid, accuracy = run_boundary_experiment(ds, cfg, out_dir=out)
     grid.write_csv(out / "surface.csv")
     return {
-        "kind": "boundary",
         "boundary_ratio": grid.boundary_ratio(),
         "band_size": int(grid.boundary.sum()),
         "train_accuracy": accuracy,
@@ -96,7 +94,7 @@ def _dispatch_ablation(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> 
     cfg_dir.mkdir(exist_ok=True)
     for variant, text in report.configs.items():
         (cfg_dir / f"{variant}.resolved").write_text(text)
-    return {"kind": cfg.kind, "rows": [row._asdict() for row in report.rows]}
+    return {"rows": [row._asdict() for row in report.rows]}
 
 
 # kind -> the runner that writes its artifacts and returns its summary
@@ -124,6 +122,7 @@ def dispatch(cfg: ExperimentConfig, force: bool = False) -> dict:
     try:
         (out / "config.resolved").write_text(render_config(cfg))
         summary = _DISPATCH[cfg.kind](cfg, ds, out)
+        summary["kind"] = cfg.kind
         summary["out"] = str(out)
         summary["seed"] = cfg.seed
         _write_summary(out, summary)

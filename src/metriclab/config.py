@@ -267,8 +267,6 @@ class ExperimentConfig:
                 f"model.predictor_hidden must be >= 4 for {self.kind}: its refit predictor starts as "
                 f"the identity map of the plane, got {self.model.predictor_hidden}"
             )
-        if self.kind == "boundary" and self.model.predictor != "mlp":
-            raise ConfigError("model.predictor must be mlp for boundary: it trains CE+CPL")
         if self.kind == "boundary" and self.model.embedding_dim != 2:
             raise ConfigError(f"model.embedding_dim must be 2 for boundary's plane, got {self.model.embedding_dim}")
 

@@ -11,16 +11,15 @@ Everything is seeded and exports CSV.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import losses
-from .autograd import _all_finite, as_tensor
+from .autograd import _all_finite, as_tensor, check_finite
 from .config import SURFACE_LOSS_KINDS, ExperimentConfig, config_hash, parse_config, render_config
-from .errors import ConfigError, NumericsError, ShapeError
+from .errors import ConfigError, ShapeError
 from .metrics import evaluate_retrieval, l2_normalize
 from .nn import CenterPredictor
 from .sampling import LabeledDataset, first_per_label, write_csv
@@ -62,8 +61,7 @@ class SurfaceGrid:
         with np.errstate(all="ignore"):
             mean = self.errors[mask].mean()
         # finite errors can still sum past float64, and inf is not JSON
-        if not math.isfinite(mean):
-            raise NumericsError(f"class_mean_error: class {label} mean error is not finite")
+        check_finite(mean, "class_mean_error", f"class {label} mean error is not finite")
         return float(mean)
 
     def boundary_ratio(self) -> float:
@@ -74,10 +72,9 @@ class SurfaceGrid:
             band, interior = self.errors[self.boundary].mean(), self.errors[~self.boundary].mean()
             ratio = band / interior
         # a zero interior mean gives nan (0/0) or inf, and neither is JSON
-        if not math.isfinite(ratio):
-            raise NumericsError(
-                f"boundary_ratio: band mean error {band:.6g} over interior mean error {interior:.6g} is not finite"
-            )
+        check_finite(
+            ratio, "boundary_ratio", f"band mean error {band:.6g} over interior mean error {interior:.6g} is not finite"
+        )
         return float(ratio)
 
     def write_csv(self, path):
@@ -136,11 +133,10 @@ def classifier_margins(state, embeddings: np.ndarray, ds: LabeledDataset) -> np.
 
 
 def run_boundary_experiment(ds: LabeledDataset, cfg: ExperimentConfig, out_dir=None):
-    """Train CE+CPL with 2-D embeddings, then profile the prediction error.
+    """Train cfg's loss mix with 2-D embeddings, then profile the prediction error.
 
-    `ExperimentConfig` has checked that cfg sets model.embedding_dim = 2
-    and model.predictor = mlp. The margins and the refit read one pass of
-    embeddings. They are L2-normalized, a fresh identity-initialized
+    `ExperimentConfig` has checked that cfg sets model.embedding_dim = 2.
+    The margins and the refit read one pass of embeddings. They are L2-normalized, a fresh identity-initialized
     predictor is refit on them, and a sample is flagged boundary when its
     classifier margin is at most numpy's lower BOUNDARY_DECILE quantile:
     the margin at 0-based rank floor((n - 1) * BOUNDARY_DECILE) in

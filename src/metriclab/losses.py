@@ -18,14 +18,16 @@ operations in the same order, and the backward returns the composed sweep's
 gradient terms, an input read more than once being a parent once per use in
 the order that sweep accumulated them. Values and gradients are bit-identical
 to the composed graph's, and a NumericsError, named by the loss, is raised
-wherever one of the graph's checks would have fired.
+wherever one of the graph's checks would have fired. So besides its output,
+an op checks (`check_finite`) each intermediate whose non-finite entries a
+relu, a mask or a division downstream can hide.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, _all_finite, _make, _unbroadcast, as_tensor
+from .autograd import Tensor, _make, _unbroadcast, as_tensor, check_finite
 from .errors import ConfigError, NumericsError, ShapeError
 from .metrics import pairwise_distances
 from .sampling import group_labels
@@ -87,8 +89,7 @@ def pairwise_euclidean(x: Tensor) -> Tensor:
         diff = sq.T + sq - gram * 2.0
     # a non-finite square, gram entry or sum reaches diff, but relu would
     # turn a -inf into 0 and hide it from the output check
-    if not _all_finite(diff):
-        raise NumericsError("pairwise_euclidean: squared distances are not finite")
+    check_finite(diff, "pairwise_euclidean", "squared distances are not finite")
     sq_dist = np.maximum(diff, 0.0)  # relu clips negative rounding noise
     zero_mask = (sq_dist < 1e-12).astype(np.float64)
     keep = 1.0 - zero_mask
@@ -195,13 +196,6 @@ def _check_dist(dist, labels, opname: str):
     return dist, labels
 
 
-def _finite(x, opname: str):
-    """Raise where the composed graph's `_make` check would have: a relu, a
-    mask or a division downstream can hide a non-finite intermediate."""
-    if not _all_finite(x):
-        raise NumericsError(f"{opname}: operation produced non-finite entries")
-
-
 def _masked_lse(x, mask):
     """Forward of logsumexp(x, axis=1, mask=mask): the N x 1 result plus the
     exponentials and their row sums, which its backward reads."""
@@ -237,7 +231,7 @@ def triplet_loss_batch_hard(dist, labels, margin: float) -> Tensor:
     with np.errstate(over="ignore", invalid="ignore"):
         hinge = dvals[anchors, hardest_pos][None, :] - dvals[anchors, hardest_neg][None, :] + margin
         total = np.maximum(hinge, 0.0).sum().reshape(1, 1) * scale
-    _finite(hinge, "triplet_loss_batch_hard")  # relu would turn a -inf into 0
+    check_finite(hinge, "triplet_loss_batch_hard")  # relu would turn a -inf into 0
 
     def bw(g):
         g_hinge = g * scale * (hinge > 0.0)
@@ -275,7 +269,7 @@ def circle_loss(features, labels, scale: float, margin: float) -> Tensor:
     n = labels.size
     with np.errstate(over="ignore", invalid="ignore"):
         sq = (x * x).sum(axis=0, keepdims=True)
-        _finite(sq, "circle_loss")  # the division would turn an infinite norm into zeros
+        check_finite(sq, "circle_loss")  # the division would turn an infinite norm into zeros
         norms = np.sqrt(sq)
         if np.any(norms == 0.0):
             raise NumericsError("circle_loss: a column has zero norm")
@@ -284,13 +278,13 @@ def circle_loss(features, labels, scale: float, margin: float) -> Tensor:
         sim = xt @ xn
         # masked entries leave the logsumexps, and softplus maps -inf to 0
         pos_arg = (sim + margin) * scale
-        _finite(pos_arg, "circle_loss")
+        check_finite(pos_arg, "circle_loss")
         neg_arg = sim * -scale
-        _finite(neg_arg, "circle_loss")
+        check_finite(neg_arg, "circle_loss")
         lse_neg, e_neg, s_neg = _masked_lse(pos_arg, neg)
         lse_pos, e_pos, s_pos = _masked_lse(neg_arg, pos)
         z = lse_neg + lse_pos
-        _finite(z, "circle_loss")
+        check_finite(z, "circle_loss")
         # softplus as relu(z) + log(exp(-|z|) + 1)
         e_z = np.exp(np.abs(z) * -1.0)
         e_z1 = e_z + 1.0
@@ -333,10 +327,10 @@ def lifted_structure_loss(dist, labels, margin: float) -> Tensor:
     weights = pair_mask.astype(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = margin - d
-        _finite(shifted, "lifted_structure_loss")  # the mask drops entries
+        check_finite(shifted, "lifted_structure_loss")  # the mask drops entries
         lse, e, s = _masked_lse(shifted, neg)
         hinge = d + lse + lse.T
-        _finite(hinge, "lifted_structure_loss")  # relu would turn a -inf into 0
+        check_finite(hinge, "lifted_structure_loss")  # relu would turn a -inf into 0
         total = (np.maximum(hinge, 0.0) * weights).sum().reshape(1, 1) * (1.0 / n_pairs)
 
     def bw(g):
@@ -370,8 +364,8 @@ def ranked_list_loss(dist, labels, alpha: float, margin: float) -> Tensor:
         terms = np.maximum(pos_arg, 0.0) * pos_w + np.maximum(neg_arg, 0.0) * neg_w
         total = terms.sum().reshape(1, 1) * scale
     # relu would turn a -inf into 0
-    _finite(pos_arg, "ranked_list_loss")
-    _finite(neg_arg, "ranked_list_loss")
+    check_finite(pos_arg, "ranked_list_loss")
+    check_finite(neg_arg, "ranked_list_loss")
 
     def bw(g):
         g_terms = g * scale
@@ -432,8 +426,7 @@ def cpl_targets(features, labels, target_mode: str = "leave-one-out-mean", seed:
                 draws = substream(seed, f"cpl-random-target/{label}").integers(0, k - 1, size=k)
                 # rank r draws among the other k - 1 ranks: u < r as is, else u + 1
                 targets[:, idx[order]] = z[:, order[draws + (draws >= np.arange(k))]]
-    if not _all_finite(targets):
-        raise NumericsError("cpl_targets: targets are not finite")
+    check_finite(targets, "cpl_targets", "targets are not finite")
     return Tensor(targets)
 
 

@@ -49,11 +49,9 @@ def pairwise_distances(query: np.ndarray, gallery: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RankingResult:
-    """Per-query ranking plus the aggregate curves."""
+    """Per-query average precision plus the aggregate curves."""
 
-    order: np.ndarray  # Nq x Ng gallery indices, best first
     ap: np.ndarray  # per query; NaN for excluded queries
-    first_hit: np.ndarray  # 1-based rank of first relevant; 0 for excluded
     cmc: np.ndarray  # cmc[k-1] = P(first hit <= k), over evaluated queries
     excluded: list = field(default_factory=list)  # query indices with no relevant item
 
@@ -77,7 +75,7 @@ def evaluate_retrieval(query_features, query_labels, gallery_features, gallery_l
     # stable ascending sort: equal distances keep gallery-index order
     order = np.argsort(dist, axis=1, kind="stable")
     ap = np.full(nq, np.nan)
-    first_hit = np.zeros(nq, dtype=np.int64)
+    first_hit = np.zeros(nq, dtype=np.int64)  # 1-based rank of first relevant; 0 for excluded
     excluded = []
     for qi in range(nq):
         rel = gallery_labels[order[qi]] == query_labels[qi]
@@ -94,4 +92,4 @@ def evaluate_retrieval(query_features, query_labels, gallery_features, gallery_l
         raise ShapeError("every query has zero relevant gallery items")
     counts = np.bincount(evaluated, minlength=ng + 1)[1:]
     cmc = np.cumsum(counts) / evaluated.size
-    return RankingResult(order=order, ap=ap, first_hit=first_hit, cmc=cmc, excluded=excluded)
+    return RankingResult(ap=ap, cmc=cmc, excluded=excluded)

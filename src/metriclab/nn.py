@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, _all_finite, _node, _unbroadcast, as_tensor
-from .errors import ConfigError, NumericsError, ShapeError
+from .autograd import Tensor, _node, _unbroadcast, as_tensor, check_finite
+from .errors import ConfigError, ShapeError
 
 __all__ = [
     "Linear",
@@ -53,8 +53,7 @@ def _run_steps(steps, h: np.ndarray):
                 np.maximum(h, 0.0, out=h)
                 continue
             h, memo = step._apply(h)
-            if not _all_finite(h):
-                raise NumericsError(f"{type(step).__name__}.forward: operation produced non-finite entries")
+            check_finite(h, f"{type(step).__name__}.forward")
             saved.append(memo)
     return h, saved
 
@@ -152,9 +151,9 @@ def standardize(x: np.ndarray):
     centered = x - mu
     var = (centered * centered).sum(axis=1, keepdims=True) * inv_n
     std = np.sqrt(var + BatchNorm.eps)
-    # an overflowing square makes var inf and xhat 0; a zero std divides by zero
-    if not (_all_finite(std) and np.logical_and.reduce(std > 0.0, axis=None)):
-        raise NumericsError("batchnorm: variance is not finite or std is zero")
+    # an overflowing square makes var inf and xhat 0; as var >= 0, a finite
+    # std is at least sqrt(eps), so it never divides by zero
+    check_finite(std, "batchnorm", "variance is not finite or std is zero")
     return centered, std, centered / std, inv_n
 
 

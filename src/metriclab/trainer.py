@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .autograd import Tensor, _all_finite, _make, as_tensor, backward
+from .autograd import Tensor, _make, as_tensor, backward, check_finite
 from .config import ExperimentConfig, SgdConfig
 from .errors import ConfigError, NumericsError
 from .losses import (
@@ -327,6 +327,5 @@ def cpl_errors(features: np.ndarray, targets, predictor=None) -> np.ndarray:
     preds = predictor(as_tensor(x)).data if predictor is not None else x
     with np.errstate(over="ignore", invalid="ignore"):
         errors = ((preds - as_tensor(targets).data) ** 2).sum(axis=0)
-    if not _all_finite(errors):
-        raise NumericsError("cpl_errors: errors are not finite")
+    check_finite(errors, "cpl_errors", "errors are not finite")
     return errors

@@ -12,6 +12,7 @@ from metriclab.cli import _write_summary, main
 from metriclab.config import parse_config
 from metriclab.errors import NumericsError
 from metriclab.sampling import LabeledDataset, load_dataset_csv, save_dataset_csv
+from test_config_fuzz import BASES
 
 TRAIN_CFG = """\
 kind = train
@@ -134,8 +135,6 @@ def test_run_invalid_config_exits_2_with_json_error(tmp_path, capsys):
         # p above the identity count: the retrieval split trains on 16, the boundary fixture has 3
         ("ablation-bn", "sampler.p = 17\n", "sampler.p"),
         ("boundary", "model.embedding_dim = 2\n", "sampler.p"),
-        # a boundary run trains CE+CPL on the plane
-        ("boundary", "model.embedding_dim = 2\nmodel.predictor = none\n", "model.predictor"),
         # checked as the config parses, before a missing CSV could fail to load (exit 4)
         ("boundary", "model.embedding_dim = 5\ndataset.source = csv\ndataset.path = missing.csv\n", "model.embedding_dim"),
         ("surface", "surface.loss = triplet\n", "surface.loss"),
@@ -159,7 +158,6 @@ def test_run_invalid_config_exits_2_with_json_error(tmp_path, capsys):
         "lone-identity-lifted",
         "ablation-p-above-identities",
         "boundary-p-above-identities",
-        "boundary-without-predictor",
         "boundary-before-its-csv-loads",
         "surface-unknown-loss",
     ],
@@ -170,6 +168,23 @@ def test_section_error_message_starts_with_its_key(kind, text, key, tmp_path, ca
     _assert_one_config_error_line(code, out, err)
     assert json.loads(err)["message"].startswith(key)
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "text, header",
+    [
+        ("model.predictor = none\n", "epoch,step,lr,ce,cpl,total"),
+        ("loss.cpl.weight = 0\n", "epoch,step,lr,ce,total"),
+    ],
+    ids=["without-predictor", "without-cpl"],
+)
+def test_boundary_trains_the_loss_mix_its_config_names(text, header, tmp_path, capsys):
+    # the profile refits a predictor of its own, so the trained one and CPL are optional
+    base = "".join(f"{key} = {value}\n" for key, value in BASES["boundary"].items())
+    cfg = _write(tmp_path, base + text + f"out = {tmp_path / 'run'}\n")
+    assert _run(capsys, "run", str(cfg))[0] == 0
+    assert (tmp_path / "run" / "surface.csv").exists()
+    assert (tmp_path / "run" / "timeline.csv").read_text().splitlines()[0] == header
 
 
 def test_a_lone_identity_in_the_last_batch_trains_the_ranked_list_loss(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from metriclab.experiments import (
     run_target_ablation,
     split_retrieval_task,
 )
-from metriclab.losses import cpl_loss, cpl_targets
+from metriclab.losses import cpl_loss, cpl_targets, pairwise_euclidean
 from metriclab.nn import CenterPredictor
 from metriclab.sampling import LabeledDataset
 from metriclab.seeding import subseed
@@ -61,6 +62,41 @@ def test_boundary_ratio_that_is_not_finite_is_a_numerics_error(errors):
     grid = SurfaceGrid(np.zeros((2, 2)), np.array([0, 1]), np.array(errors), np.array([True, False]))
     with pytest.raises(NumericsError, match="boundary_ratio:"):
         grid.boundary_ratio()
+
+
+def _grid(errors):
+    """Two points of class 0, the first in the boundary band."""
+    return SurfaceGrid(np.zeros((2, 2)), np.array([0, 0]), np.array(errors), np.array([True, False]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # the first column's square overflows
+        (
+            lambda: pairwise_euclidean(np.array([[1e200, 0.0], [1.0, 2.0]])),
+            "pairwise_euclidean: squared distances are not finite",
+        ),
+        # the leave-one-out sum of two 1.6e308 columns overflows
+        (lambda: cpl_targets(np.full((1, 2), 1.6e308), np.array([0, 0])), "cpl_targets: targets are not finite"),
+        # the class mean is 0, the squared errors overflow
+        (
+            lambda: center_surface_errors(LabeledDataset(np.array([[1e200, -1e200]]), np.array([0, 0]))),
+            "cpl_errors: errors are not finite",
+        ),
+        # two finite errors whose sum overflows
+        (lambda: _grid([1.44e308, 1.44e308]).class_mean_error(0), "class_mean_error: class 0 mean error is not finite"),
+        # the band mean over the interior mean overflows
+        (
+            lambda: _grid([1e300, 1e-300]).boundary_ratio(),
+            "boundary_ratio: band mean error 1e+300 over interior mean error 1e-300 is not finite",
+        ),
+    ],
+    ids=["pairwise-euclidean", "cpl-targets", "cpl-errors", "class-mean-error", "boundary-ratio"],
+)
+def test_non_finite_value_raises_its_full_message(call, message):
+    with pytest.raises(NumericsError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def _written(table, path) -> str:

@@ -57,7 +57,7 @@ def test_ap_hits_at_ranks_one_and_three():
     gl = np.array([0, 1, 0, 1])
     res = evaluate_retrieval(q, ql, g, gl)
     assert res.ap[0] == pytest.approx(5.0 / 6.0, rel=1e-12)
-    assert res.first_hit[0] == 1
+    assert res.rank_k(1) == 1.0
 
 
 def test_perfect_ranking_map_one():
@@ -72,8 +72,12 @@ def test_ties_break_by_gallery_index():
     q = _unit(0.0)
     g = _unit(1.0, 1.0, 1.0)  # all tied
     res = evaluate_retrieval(q, np.array([0]), g, np.array([1, 0, 1]))
-    assert res.order[0].tolist() == [0, 1, 2]
-    assert res.first_hit[0] == 2
+    # gallery index order puts the one relevant item (index 1) at rank 2
+    assert res.rank_k(1) == 0.0
+    assert res.rank_k(2) == 1.0
+    assert res.ap[0] == 0.5
+    # and index 0 at rank 1
+    assert evaluate_retrieval(q, np.array([0]), g, np.array([0, 1, 1])).rank_k(1) == 1.0
 
 
 def test_cmc_monotone_and_ends_at_one():
