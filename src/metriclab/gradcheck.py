@@ -19,19 +19,29 @@ leaf that step s holds by re-running only the steps from s onward. They
 start from x itself for x and step 0's parameters; for a later step, from
 the activation that the steps before it give on the unperturbed data,
 computed once when the row is built and kept read-only, as perturbing a
-leaf of step s or later never moves it. The suffix runs the same numpy
-operations on the same inputs as the whole forward does, so every finite
-difference is bit-identical to it, and each layer output is still checked.
+leaf of step s or later never moves it. Such a row is stacked: all 2 * size
+perturbations of a leaf run in one call of its forward, which the leaf's
+stack of perturbed copies feeds through the steps at once (the layers'
+numpy forward broadcasts over a leading stack axis, and a cached activation
+is broadcast along it). The suffix runs the same numpy operations on the
+same inputs as the whole forward does, slice by slice, so every finite
+difference is bit-identical to the per-entry one of the whole forward, and
+each layer output and the root are still checked. The other rows perturb
+one entry at a time.
+
+A row's error is the largest over its batches and leaves; an error that is
+not a finite number is nan, and fails the row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .autograd import Tensor, _make, backward
+from .autograd import Tensor, _make, backward, check_finite
 from .config import ExperimentConfig, LossConfig
 from .errors import ConfigError
 from .losses import (
@@ -56,8 +66,16 @@ _MIN_GAP = 0.05  # smallest distance _spread_batch allows between two points
 _OFF_KINK_TRIES = 50  # draws _off_kink_input makes before settling for its best
 
 
-def central_diff(fd_forward, leaf: Tensor) -> np.ndarray:
-    """Central finite difference of fd_forward() w.r.t. every leaf entry."""
+def central_diff(fd_forward, leaf: Tensor, stacked: bool = False) -> np.ndarray:
+    """Central finite difference of fd_forward() w.r.t. every leaf entry.
+
+    Per entry, fd_forward() returns the root's value at the leaf's live
+    data, which is perturbed in place, twice per entry. Stacked, it is
+    called once, with leaf.data set to the stack of 2 * size perturbed
+    copies (slice 2i has entry i at orig + FD_STEP, slice 2i + 1 at
+    orig - FD_STEP), and returns the root's value for each slice."""
+    if stacked:
+        return _stacked_diff(fd_forward, leaf)
     grad = np.zeros_like(leaf.data)
     it = np.nditer(leaf.data, flags=["multi_index"])
     for _ in it:
@@ -72,9 +90,32 @@ def central_diff(fd_forward, leaf: Tensor) -> np.ndarray:
     return grad
 
 
+def _stacked_diff(fd_forward, leaf: Tensor) -> np.ndarray:
+    """`central_diff` in one call of fd_forward on leaf's perturbation stack."""
+    orig = leaf.data
+    size = orig.size
+    stack = np.repeat(orig[np.newaxis], 2 * size, axis=0)
+    entries = stack.reshape(size, 2, size)  # [i, sign, entry] view of the stack
+    i, flat = np.arange(size), orig.ravel()
+    entries[i, 0, i] = flat + FD_STEP
+    entries[i, 1, i] = flat - FD_STEP
+    leaf.data = stack
+    try:
+        values = fd_forward()
+    finally:
+        leaf.data = orig
+    with np.errstate(over="ignore"):  # overflows to inf, as the per-entry float arithmetic does
+        return ((values[0::2] - values[1::2]) / (2.0 * FD_STEP)).reshape(orig.shape)
+
+
 def max_rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
-    scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
-    return float((np.abs(analytic - fd) / scale).max())
+    """max |analytic - fd| / max(1, |analytic|, |fd|), or nan when that is
+    not finite: the ratio is at most 2, so only an infinite entry (whose
+    scale is inf) or an overflowing difference makes it so."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
+        err = float((np.abs(analytic - fd) / scale).max())
+    return err if math.isfinite(err) else math.nan
 
 
 @dataclass
@@ -83,7 +124,8 @@ class GradProblem:
     each mapped to the forward its finite difference evaluates."""
 
     root: callable  # () -> Tensor, rebuilt from the live leaf data
-    forwards: dict  # leaf -> () -> float, in leaf order
+    forwards: dict  # leaf -> () -> the root's value, in leaf order
+    stacked: bool = False  # the forwards take the leaf's perturbation stack and give one value per slice
 
 
 def _fresh(root, leaves) -> GradProblem:
@@ -148,29 +190,46 @@ def _sum(t: Tensor) -> Tensor:
     return _make(t.data.sum().reshape(1, 1), (t,), bw)
 
 
+def _squares_sum(a: np.ndarray) -> np.ndarray:
+    """sum(a * a) over the last two axes: one total per slice of a stack."""
+    with np.errstate(over="ignore"):  # an overflow surfaces in the caller's finiteness check
+        return (a * a).sum(axis=(-2, -1))
+
+
 def _sum_squares(t: Tensor) -> Tensor:
     """sum(t * t) as one op that replays the composed sum(mul(t, t)) bit for
     bit: t is a parent twice, and each use gets g * t.data."""
-    with np.errstate(over="ignore"):  # an overflow surfaces in _make
-        total = (t.data * t.data).sum().reshape(1, 1)
 
     def bw(g):
         return g * t.data, g * t.data
 
-    return _make(total, (t, t), bw)
+    return _make(_squares_sum(t.data).reshape(1, 1), (t, t), bw)
 
 
-def _tail_value(steps, h) -> float:
-    """The network root's value with steps run from the activation h."""
-    return _sum_squares(Tensor(_run_steps(steps, h)[0])).item()
+def _tail_values(steps, h: np.ndarray) -> np.ndarray:
+    """The network root's value per slice of h, a stack of inputs to steps."""
+    totals = _squares_sum(_run_steps(steps, h)[0])
+    check_finite(totals, "_sum_squares")
+    return totals
+
+
+def _input_tail(steps, x: Tensor) -> np.ndarray:
+    """`_tail_values` of the whole network on the stack in x.data when called."""
+    return _tail_values(steps, x.data)
+
+
+def _param_tail(steps, h: np.ndarray, leaf: Tensor) -> np.ndarray:
+    """`_tail_values` of steps from the activation h, once per slice of the
+    stack in leaf.data when called."""
+    return _tail_values(steps, np.broadcast_to(h, (len(leaf.data), *h.shape)))
 
 
 def _network(make, d, n, leaf_x=True):
     """Builder of sum(net(x)^2) for net = make(rng) on a d x n batch off the
     relu kinks, over the net's parameters and x; with leaf_x false, x enters
     as a plain array, as the extractor's and every refit predictor's batch
-    does, and the stack skips its input gradient. A leaf of step s is
-    perturbed under _tail_value(steps[s:], ...)."""
+    does, and the stack skips its input gradient. A parameter of step s is
+    perturbed under _param_tail(steps[s:], ...), x under _input_tail."""
 
     def build(rng) -> GradProblem:
         net = make(rng)
@@ -180,17 +239,16 @@ def _network(make, d, n, leaf_x=True):
             if step is RELU:
                 continue
             h = _run_steps(steps[:s], x.data)[0]
-            if s:  # step 0 runs from x itself, which a finite difference on x moves
+            if s:  # step 0 runs from x.data itself, which stays a writable leaf
                 h.flags.writeable = False
-            forward = partial(_tail_value, steps[s:], h)
-            forward_of.update((p, forward) for _, p in step.params())
+            forward_of.update((p, partial(_param_tail, steps[s:], h, p)) for _, p in step.params())
         leaves = [p for _, p in net.params()]
-        if leaf_x:  # x enters at step 0, as leaves[0] does
-            forward_of[x] = forward_of[leaves[0]]
+        if leaf_x:
+            forward_of[x] = partial(_input_tail, steps, x)
             leaves.insert(0, x)
         else:
             x = x.data
-        return GradProblem(lambda: _sum_squares(net(x)), {leaf: forward_of[leaf] for leaf in leaves})
+        return GradProblem(lambda: _sum_squares(net(x)), {leaf: forward_of[leaf] for leaf in leaves}, stacked=True)
 
     return build
 
@@ -355,7 +413,8 @@ def run_gradcheck(seed: int = 0, tolerance: float = 1e-4, batches: int = 20) -> 
                 analytic = grads.get(leaf)
                 if analytic is None:
                     analytic = np.zeros_like(leaf.data)
-                fd = central_diff(forward, leaf)
-                worst = max(worst, max_rel_err(analytic, fd))
+                fd = central_diff(forward, leaf, stacked=problem.stacked)
+                # np.maximum keeps a nan error, which then fails the row
+                worst = float(np.maximum(worst, max_rel_err(analytic, fd)))
         rows.append(GradcheckRow(name, worst, worst < tolerance))
     return GradcheckReport(rows, tolerance, batches)

@@ -4,6 +4,12 @@ predictor is an MLP with a depth check and an identity init.
 
 All layers consume and produce d x N matrices (column per sample) and expose
 params() as (name, Tensor) pairs for the optimizer and checkpointing.
+Their numpy forward (`_run_steps`, each layer's `_apply`, `standardize`)
+also broadcasts over a leading stack axis: a P x d x N stack of inputs, or
+a parameter whose data is a stack of P matrices, gives a P x d' x N stack
+whose every slice is bit-identical to the 2-D run on that slice's data, so
+that gradcheck runs every perturbation of a leaf in one call. Backward
+stays 2-D.
 
 Every layer forward is one autograd op, a layer stack: a chain of Linear and
 BatchNorm steps with relu between them, run on plain arrays by
@@ -126,8 +132,8 @@ class Linear:
 
     def _apply(self, x: np.ndarray):
         """Numpy forward: (output, what _grads needs)."""
-        if x.shape[0] != self.in_dim:
-            raise ShapeError(f"linear: expected {self.in_dim} rows, got {x.shape[0]}")
+        if x.shape[-2] != self.in_dim:
+            raise ShapeError(f"linear: expected {self.in_dim} rows, got {x.shape[-2]}")
         out = self.weight.data @ x
         out += self.bias.data
         return out, x
@@ -143,13 +149,13 @@ class Linear:
 def standardize(x: np.ndarray):
     """`BatchNorm` without gamma and beta, as the CPL targets use it:
     (centered, std, xhat, inv_n) with xhat = centered / std, per row."""
-    n = x.shape[1]
+    n = x.shape[-1]
     if n < 2:
         raise ShapeError("batchnorm: needs a batch of at least 2")
     inv_n = 1.0 / n
-    mu = x.sum(axis=1, keepdims=True) * inv_n
+    mu = x.sum(axis=-1, keepdims=True) * inv_n
     centered = x - mu
-    var = (centered * centered).sum(axis=1, keepdims=True) * inv_n
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
     std = np.sqrt(var + BatchNorm.eps)
     # an overflowing square makes var inf and xhat 0; as var >= 0, a finite
     # std is at least sqrt(eps), so it never divides by zero
@@ -188,8 +194,8 @@ class BatchNorm:
 
     def _apply(self, x: np.ndarray):
         """Numpy forward: (output, what _grads needs)."""
-        if x.shape[0] != self.dim:
-            raise ShapeError(f"batchnorm: expected {self.dim} rows, got {x.shape[0]}")
+        if x.shape[-2] != self.dim:
+            raise ShapeError(f"batchnorm: expected {self.dim} rows, got {x.shape[-2]}")
         memo = standardize(x)
         out = self.gamma.data * memo[2]
         out += self.beta.data

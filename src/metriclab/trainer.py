@@ -108,13 +108,15 @@ class TrainState:
 def build_state(cfg: ExperimentConfig, input_dim: int, n_classes: int) -> TrainState:
     """A fresh state for cfg, the run's `config.ExperimentConfig`: its
     model section, its seed and `sgd.momentum`. It holds centers exactly
-    when cfg's loss section weighs the center loss."""
+    when cfg's loss section weighs the center loss, and a predictor exactly
+    when it weighs CPL and `model.predictor` is mlp. The predictor is drawn
+    last from the init stream, so leaving it out moves no other draw."""
     model_cfg = cfg.model
     rng = substream(cfg.seed, "init")
     extractor = MLP(input_dim, tuple(model_cfg.extractor_hidden), model_cfg.embedding_dim, rng)
     classifier = Linear(model_cfg.embedding_dim, n_classes, rng)
     predictor = None
-    if model_cfg.predictor == "mlp":
+    if model_cfg.predictor == "mlp" and cfg.loss.weights["cpl"] > 0.0:
         predictor = CenterPredictor(
             dim=model_cfg.embedding_dim,
             hidden=model_cfg.predictor_hidden,

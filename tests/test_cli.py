@@ -599,6 +599,19 @@ def _run_on_csv(tmp_path, capsys, text, data, name):
     return tmp_path / name, {k: v for k, v in json.loads(out).items() if k != "out"}
 
 
+def test_a_train_run_without_cpl_builds_no_predictor(tmp_path, capsys):
+    # the predictor is drawn last from the init stream, so leaving it out moves nothing else
+    base = TRAIN_CFG + "loss.cpl.weight = 0\n"
+    for name, extra in (("mlp", ""), ("none", "model.predictor = none\n")):
+        cfg = _write(tmp_path, base + extra + f"out = {tmp_path / name}\n", f"{name}.cfg")
+        assert _run(capsys, "run", str(cfg))[0] == 0
+    for name in ("timeline.csv", "checkpoint_epoch0001.txt", "checkpoint_epoch0003.txt"):
+        assert (tmp_path / "mlp" / name).read_bytes() == (tmp_path / "none" / name).read_bytes()
+    lines = (tmp_path / "mlp" / "checkpoint_epoch0003.txt").read_text().splitlines()
+    matrices = [line.split()[0] for line in lines[1::2]]
+    assert matrices and not any(m.startswith("predictor.") for m in matrices)
+
+
 def test_sparse_labels_train_as_their_dense_relabelling(tmp_path, capsys):
     dense, sparse = _export_relabelled(tmp_path, capsys, "four-class", [0, 2, 3, 4])
     dense_dir, dense_summary = _run_on_csv(tmp_path, capsys, TRAIN_CFG, dense, "dense")

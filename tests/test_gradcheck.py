@@ -1,14 +1,19 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metriclab.gradcheck as gradcheck
 from metriclab.autograd import Tensor, backward
+from metriclab.errors import NumericsError
 from metriclab.gradcheck import (
     REGISTRY,
+    GradProblem,
+    _input_tail,
+    _param_tail,
     _sum,
     _sum_squares,
-    _tail_value,
     central_diff,
     max_rel_err,
     run_gradcheck,
@@ -35,6 +40,35 @@ def test_max_rel_err_uses_unit_floor():
     b = np.array([[1e-5, 10.001]])
     # small-magnitude entries compare absolutely, large ones relatively
     assert max_rel_err(a, b) == pytest.approx(0.001 / 10.001, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "analytic, fd",
+    [([[1.0]], [[np.inf]]), ([[np.inf]], [[1.0]]), ([[1e308]], [[-1e308]])],
+    ids=["infinite-fd", "infinite-analytic", "overflowing-difference"],
+)
+def test_max_rel_err_is_nan_when_not_finite(analytic, fd):
+    # pytest turns a leaked RuntimeWarning into an error
+    assert np.isnan(max_rel_err(np.array(analytic), np.array(fd)))
+
+
+def _infinite_fd(rng) -> GradProblem:
+    """sum(x) with x's finite difference infinite, then a leaf whose error is 0."""
+    x = Tensor(np.ones((1, 1)), requires_grad=True)
+    y = Tensor(np.ones((1, 1)), requires_grad=True)
+
+    def jump():  # hi - lo = 1.7e308 + 1.7e308 overflows to inf
+        return 1.7e308 if x.data[0, 0] > 1.0 else -1.7e308
+
+    return GradProblem(lambda: _sum(x), {x: jump, y: lambda: 0.0})
+
+
+def test_a_non_finite_error_fails_its_row(monkeypatch):
+    monkeypatch.setattr(gradcheck, "REGISTRY", (("infinite-fd", _infinite_fd),))
+    report = run_gradcheck(seed=0, batches=2)
+    # y's error of 0, checked after x's, does not clear the nan
+    assert np.isnan(report.rows[0].max_rel_err) and not report.all_passed
+    assert report.to_text().splitlines()[0] == f"{'infinite-fd':22s} max_rel_err nan FAIL"
 
 
 def test_default_suite_passes():
@@ -114,13 +148,17 @@ def test_fused_sums_are_bit_identical_to_composed_graphs(upstream, rng):
 NETWORK_CASES = ("linear", "batchnorm", "mlp", "predictor-2layer", "predictor-4layer-bn", "mlp-constant-input")
 
 
-def test_network_cases_are_every_row_perturbed_under_suffixes():
-    # a new network row cannot skip the suffix tests below
-    def suffix_only(builder):
-        forwards = builder(substream(0, "suffix-only")).forwards.values()
-        return all(getattr(f, "func", None) is _tail_value for f in forwards)
+def _stacked_suffixes(problem) -> bool:
+    """problem is stacked and perturbs every leaf under a network suffix."""
+    suffixes = (_input_tail, _param_tail)
+    return problem.stacked and all(getattr(f, "func", None) in suffixes for f in problem.forwards.values())
 
-    assert set(NETWORK_CASES) == {name for name, builder in REGISTRY if suffix_only(builder)}
+
+def test_network_cases_are_every_row_perturbed_under_suffixes():
+    # a new network row cannot skip the suffix tests below, and no loss row is stacked
+    problems = {name: builder(substream(0, "suffix-only")) for name, builder in REGISTRY}
+    assert {name for name, problem in problems.items() if problem.stacked} == set(NETWORK_CASES)
+    assert all(_stacked_suffixes(problems[name]) for name in NETWORK_CASES)
 
 
 @pytest.mark.parametrize("name", NETWORK_CASES)
@@ -129,29 +167,84 @@ def test_suffix_finite_difference_is_bit_identical_to_the_whole_forward(name):
     for b in range(20):
         problem = builder(substream(0, f"gradcheck/{name}/{b}"))
         # every leaf is perturbed under a suffix of the network, none under the whole root
-        assert all(f.func is _tail_value for f in problem.forwards.values())
+        assert _stacked_suffixes(problem)
 
         def whole():
             return problem.root().item()
 
         for leaf, suffix in problem.forwards.items():
-            assert suffix() == whole(), (name, b)
-            assert np.array_equal(central_diff(suffix, leaf), central_diff(whole, leaf)), (name, b)
+            orig, value = leaf.data, whole()
+            leaf.data = orig[np.newaxis]  # a one-slice stack of the unperturbed data
+            assert suffix().tolist() == [value], (name, b)
+            leaf.data = orig
+            stacked = central_diff(suffix, leaf, stacked=True)
+            assert leaf.data is orig, (name, b)
+            per_entry = central_diff(whole, leaf)
+            # equal, signs of zero included
+            assert np.array_equal(stacked, per_entry), (name, b)
+            assert np.array_equal(np.signbit(stacked), np.signbit(per_entry)), (name, b)
 
 
 @pytest.mark.parametrize("name", NETWORK_CASES)
 def test_cached_activations_survive_a_sweep_and_are_read_only(name):
     problem = dict(REGISTRY)[name](substream(0, f"gradcheck/{name}/0"))
-    # each forward is partial(_tail_value, steps, h); the longest starts at
-    # step 0 from x, every shorter one from an activation cached at build
+    # x's forward is partial(_input_tail, steps, x); a parameter's is
+    # partial(_param_tail, steps, h, p), the longest from x.data at step 0,
+    # every shorter one from an activation cached at build
     forwards = problem.forwards.values()
     depth = max(len(f.args[0]) for f in forwards)
-    cached = {id(f.args[1]): f.args[1] for f in forwards if len(f.args[0]) < depth}
+    cached = {id(f.args[1]): f.args[1] for f in forwards if f.func is _param_tail and len(f.args[0]) < depth}
     assert bool(cached) == (depth > 1)  # a one-layer case caches nothing
     before = {key: h.copy() for key, h in cached.items()}
+    leaves = {leaf: (leaf.data, leaf.data.copy()) for leaf in problem.forwards}
     for leaf, forward in problem.forwards.items():
-        central_diff(forward, leaf)
+        central_diff(forward, leaf, stacked=True)
     for key, h in cached.items():
         assert np.array_equal(h, before[key])
         with pytest.raises(ValueError, match="read-only"):
             h[0, 0] = 1.0
+    # the sweep puts each leaf's own array back, unchanged
+    for leaf, (data, copy) in leaves.items():
+        assert leaf.data is data and np.array_equal(data, copy)
+
+
+def test_a_stacked_root_that_overflows_raises_the_roots_message():
+    problem = dict(REGISTRY)["linear"](substream(0, "gradcheck/linear/0"))
+    x, forward = next(iter(problem.forwards.items()))
+    x.data = x.data * 1e200  # the layer output stays finite, its squares overflow
+    message = "^_sum_squares: operation produced non-finite entries$"
+    with pytest.raises(NumericsError, match=message):
+        central_diff(forward, x, stacked=True)
+    with pytest.raises(NumericsError, match=message):
+        problem.root()
+
+
+def test_each_network_row_runs_one_forward_per_leaf(monkeypatch):
+    # wrap each forward central_diff gets, as perfbench's tracer does: the
+    # network rows make one call per leaf, every other row two per entry
+    row, leaves, entries, calls = [None], Counter(), Counter(), Counter()
+    real_diff = gradcheck.central_diff
+
+    def tagged(name, builder):
+        def build(rng):
+            row[0] = name
+            return builder(rng)
+
+        return build
+
+    def counted_diff(fd_forward, leaf, *args, **kwargs):
+        def counted():
+            calls[row[0]] += 1
+            return fd_forward()
+
+        leaves[row[0]] += 1
+        entries[row[0]] += leaf.data.size
+        return real_diff(counted, leaf, *args, **kwargs)
+
+    monkeypatch.setattr(gradcheck, "REGISTRY", tuple((name, tagged(name, b)) for name, b in REGISTRY))
+    monkeypatch.setattr(gradcheck, "central_diff", counted_diff)
+    assert run_gradcheck(0, 1e-4, 2).all_passed
+    assert set(calls) == {name for name, _ in REGISTRY}
+    for name, _ in REGISTRY:
+        expected = leaves[name] if name in NETWORK_CASES else 2 * entries[name]
+        assert calls[name] == expected, name

@@ -13,6 +13,7 @@ from metriclab.nn import (
     CenterPredictor,
     Linear,
     MLP,
+    _run_steps,
     _stack,
     save_checkpoint,
     standardize,
@@ -311,6 +312,63 @@ def test_stack_is_bit_identical_to_chained_one_layer_ops(name, x_grad, rng):
     stacked, reference = run(net), run(lambda t: chained(net, t))
     assert len(stacked[1]) == len(reference[1])
     _assert_bit_equal(stacked, reference)
+
+
+# the layers and layer stacks whose numpy forward runs on a leading stack axis
+STACK_PATH = ["linear", "batchnorm", *STACKS]
+
+
+def build_moved(name, rng):
+    """The layer or stack `name`, every parameter moved off its init."""
+    if name == "linear":
+        net = Linear(3, 4, rng)
+    elif name == "batchnorm":
+        net = BatchNorm(3)
+    else:
+        net = build_stack(name, rng)
+    for _, p in net.params():
+        p.data += rng.normal(0, 0.1, p.shape)
+    return net
+
+
+@pytest.mark.parametrize("name", STACK_PATH)
+def test_each_slice_of_a_stacked_forward_is_the_2d_run_bit_for_bit(name, rng):
+    net = build_moved(name, rng)
+    xs = rng.normal(0, 1, (5, 3, 6))
+    out = _run_steps(net.steps, xs)[0]
+    assert out.shape[0] == 5
+    for x, got in zip(xs, out, strict=True):
+        assert np.array_equal(got, _run_steps(net.steps, x)[0])
+    # a stack of one parameter over its input broadcast along the stack, as
+    # gradcheck perturbs a parameter
+    x = xs[0]
+    for _, p in net.params():
+        orig = p.data
+        stack = orig + rng.normal(0, 0.1, (5, *orig.shape))
+        p.data = stack
+        out = _run_steps(net.steps, np.broadcast_to(x, (5, *x.shape)))[0]
+        for k in range(5):
+            p.data = stack[k]
+            assert np.array_equal(out[k], _run_steps(net.steps, x)[0])
+        p.data = orig
+
+
+@pytest.mark.parametrize("name", STACK_PATH)
+def test_a_stack_with_one_overflowing_slice_raises_its_layers_message(name, rng):
+    net = build_moved(name, rng)
+    last = net.steps[-1]
+    x = rng.normal(0, 1, (3, 6))
+    # slice 1 sets the last layer's parameters to 1.7e308, so its output is
+    # 1.7e308 * (1 + a column sum of its input, or xhat), which overflows
+    # where that sum or xhat is above 0.06
+    for _, p in last.params():
+        p.data = np.repeat(p.data[np.newaxis], 3, axis=0)
+        p.data[1] = 1.7e308
+    with pytest.raises(NumericsError, match=f"^{type(last).__name__}.forward: operation produced non-finite entries$"):
+        _run_steps(net.steps, np.broadcast_to(x, (3, *x.shape)))
+    for _, p in last.params():  # the other slices run
+        p.data = p.data[0]
+    assert np.isfinite(_run_steps(net.steps, x)[0]).all()
 
 
 @pytest.mark.parametrize("x_grad", [False, True], ids=["const-x", "grad-x"])
