@@ -56,9 +56,11 @@ def _write_summary(out: Path, summary: dict) -> None:
 
 def _dispatch_train(cfg: ExperimentConfig, ds: LabeledDataset, out: Path) -> dict:
     state, timeline, snapshots = train_run(ds, cfg, out_dir=out)
+    # an evaluating run's last snapshot is of its last epoch, the final state
+    accuracy = snapshots[-1][1] if cfg.eval_every else train_accuracy(state, ds)
     return {
         "steps": state.step,
-        "train_accuracy": train_accuracy(state, ds),
+        "train_accuracy": accuracy,
         "final": timeline[-1].parts,
         "snapshots": snapshots,
     }

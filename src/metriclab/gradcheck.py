@@ -14,20 +14,25 @@ stack under sum(out^2) on an input drawn off the relu kinks, and
 `_spread`, a loss on a clustered PK batch whose points keep apart, with
 the batch as its only leaf.
 
-A `_network` row (a layer or a layer stack under sum(out^2)) perturbs a
-leaf that step s holds by re-running only the steps from s onward. They
-start from x itself for x and step 0's parameters; for a later step, from
-the activation that the steps before it give on the unperturbed data,
-computed once when the row is built and kept read-only, as perturbing a
-leaf of step s or later never moves it. Such a row is stacked: all 2 * size
-perturbations of a leaf run in one call of its forward, which the leaf's
-stack of perturbed copies feeds through the steps at once (the layers'
-numpy forward broadcasts over a leading stack axis, and a cached activation
-is broadcast along it). The suffix runs the same numpy operations on the
-same inputs as the whole forward does, slice by slice, so every finite
-difference is bit-identical to the per-entry one of the whole forward, and
-each layer output and the root are still checked. The other rows perturb
-one entry at a time.
+Every row but `step-total` is stacked: all 2 * size perturbations of a
+leaf run in one call of its forward, which feeds the leaf's stack of
+perturbed copies through the row's numpy forwards at once. The layers'
+forward (`nn._run_steps`) and each loss's (`losses._ce_forward` and the
+like, the one its op calls) read trailing axes, so they broadcast over
+the leading stack axis, and a constant input is broadcast along it. The
+label structure (pair masks, CPL weights) is built once per problem. A stacked forward runs the
+same numpy operations on the same inputs as the root does, slice by slice,
+so every finite difference is bit-identical to the per-entry one, and it
+keeps every check: each layer output, each intermediate that an op checks
+and each op output, on the whole stack with the op's own message.
+
+A `_network` row perturbs a leaf that step s holds by re-running only the
+steps from s onward. They start from x itself for x and step 0's
+parameters; for a later step, from the activation that the steps before it
+give on the unperturbed data, computed once when the row is built and kept
+read-only, as perturbing a leaf of step s or later never moves it.
+`step-total` perturbs one entry at a time: its forward is the trainer's
+`_loss_parts`, which builds the step's ops as Tensors, and a Tensor is 2-D.
 
 A row's error is the largest over its batches and leaves; an error that is
 not a finite number is nan, and fails the row.
@@ -45,10 +50,20 @@ from .autograd import Tensor, _make, backward, check_finite
 from .config import ExperimentConfig, LossConfig
 from .errors import ConfigError
 from .losses import (
+    _ce_forward,
+    _center_forward,
+    _circle_forward,
+    _cpl_forward,
+    _lifted_forward,
+    _pair_masks,
+    _pairwise_forward,
+    _ranked_forward,
+    _triplet_forward,
     center_loss,
     circle_loss,
     cpl_loss,
     cpl_targets,
+    cpl_weights,
     id_cross_entropy,
     lifted_structure_loss,
     pairwise_euclidean,
@@ -58,7 +73,7 @@ from .losses import (
 from .metrics import pairwise_distances
 from .nn import MLP, RELU, BatchNorm, CenterPredictor, Linear, _run_steps, standardize
 from .seeding import substream
-from .trainer import TrainState, _loss_parts, _weighted_total
+from .trainer import TrainState, _loss_parts, _weighted_sum, _weighted_total
 
 FD_STEP = 1e-5
 _SPREAD = 4.0  # half-width of the box _spread_batch draws cluster centers from
@@ -128,9 +143,10 @@ class GradProblem:
     stacked: bool = False  # the forwards take the leaf's perturbation stack and give one value per slice
 
 
-def _fresh(root, leaves) -> GradProblem:
-    """root's problem with every leaf perturbed under root() evaluated fresh."""
-    return GradProblem(root, dict.fromkeys(leaves, lambda: root().item()))
+def _checked(values: np.ndarray, op: str) -> np.ndarray:
+    """A stacked forward's values, checked as op's `_make` checks its output."""
+    check_finite(values, op)
+    return values
 
 
 def _labels_pk(p: int, k: int) -> np.ndarray:
@@ -164,7 +180,7 @@ def _relu_margin(net, x_data: np.ndarray) -> float:
     for step in net.steps:
         if step is RELU:
             worst = min(worst, float(np.abs(h).min()))
-        h = _run_steps((step,), h)[0]  # a relu runs in place on the layer output before it
+        h = _run_steps((step,), h, keep=False)[0]  # a relu runs in place on the layer output before it
     return worst
 
 
@@ -181,13 +197,18 @@ def _off_kink_input(rng, d, n, net) -> Tensor:
     return Tensor(best, requires_grad=True)
 
 
+def _total(a: np.ndarray) -> np.ndarray:
+    """`_sum`'s forward: sum(a) over the last two axes, kept 1 x 1 per slice."""
+    return a.sum(axis=(-2, -1), keepdims=True)
+
+
 def _sum(t: Tensor) -> Tensor:
     """sum(t) as one op that replays the composed sum: each entry gets g."""
 
     def bw(g):
         return (np.broadcast_to(g, t.shape),)
 
-    return _make(t.data.sum().reshape(1, 1), (t,), bw)
+    return _make(_total(t.data), (t,), bw)
 
 
 def _squares_sum(a: np.ndarray) -> np.ndarray:
@@ -208,9 +229,7 @@ def _sum_squares(t: Tensor) -> Tensor:
 
 def _tail_values(steps, h: np.ndarray) -> np.ndarray:
     """The network root's value per slice of h, a stack of inputs to steps."""
-    totals = _squares_sum(_run_steps(steps, h)[0])
-    check_finite(totals, "_sum_squares")
-    return totals
+    return _checked(_squares_sum(_run_steps(steps, h, keep=False)[0]), "_sum_squares")
 
 
 def _input_tail(steps, x: Tensor) -> np.ndarray:
@@ -238,7 +257,7 @@ def _network(make, d, n, leaf_x=True):
         for s, step in enumerate(steps):
             if step is RELU:
                 continue
-            h = _run_steps(steps[:s], x.data)[0]
+            h = _run_steps(steps[:s], x.data, keep=False)[0]
             if s:  # step 0 runs from x.data itself, which stays a writable leaf
                 h.flags.writeable = False
             forward_of.update((p, partial(_param_tail, steps[s:], h, p)) for _, p in step.params())
@@ -260,29 +279,50 @@ def _batchnorm(rng) -> BatchNorm:
     return bn
 
 
-def _spread(p, loss):
+def _spread(p, loss, values):
     """Builder of loss(x, labels) on a 3-D _spread_batch of p identities of
-    three; x is the only leaf."""
+    three; x is the only leaf. values(xs, pos, neg) is the loss on each
+    slice of x's perturbation stack xs, pos and neg being the batch's
+    `_pair_masks`."""
 
     def build(rng) -> GradProblem:
         x = _spread_batch(rng, 3, p, 3)
         labels = _labels_pk(p, 3)
-        return _fresh(lambda: loss(x, labels), (x,))
+        pos, neg = _pair_masks(labels)
+        return GradProblem(lambda: loss(x, labels), {x: lambda: values(x.data, pos, neg)}, stacked=True)
 
     return build
+
+
+def _distances(xs: np.ndarray) -> np.ndarray:
+    """`pairwise_euclidean` of each slice of xs."""
+    return _checked(_pairwise_forward(xs)[0], "pairwise_euclidean")
+
+
+def _on_distances(forward, op, **params):
+    """A `_spread` row's values for the distance loss op, whose forward is forward."""
+    return lambda xs, pos, neg: _checked(forward(_distances(xs), pos, neg, **params)[0], op)
 
 
 def _case_ce(rng) -> GradProblem:
     logits = _feat(rng, 4, 8)
     labels = rng.integers(0, 4, size=8)
-    return _fresh(lambda: id_cross_entropy(logits, labels), (logits,))
+
+    def values():
+        return _checked(_ce_forward(logits.data, labels)[0], "id_cross_entropy")
+
+    return GradProblem(lambda: id_cross_entropy(logits, labels), {logits: values}, stacked=True)
 
 
 def _case_center(rng) -> GradProblem:
     x = _feat(rng, 3, 6)
     labels = _labels_pk(2, 3)
     centers = Tensor(rng.uniform(-1, 1, size=(3, 2)), requires_grad=True)
-    return _fresh(lambda: center_loss(x, labels, centers), (x, centers))
+
+    def values():  # either leaf's stack broadcasts against the other's data
+        return _checked(_center_forward(x.data, centers.data, labels)[0], "center_loss")
+
+    return GradProblem(lambda: center_loss(x, labels, centers), dict.fromkeys((x, centers), values), stacked=True)
 
 
 def _case_cpl_frozen(rng) -> GradProblem:
@@ -291,11 +331,20 @@ def _case_cpl_frozen(rng) -> GradProblem:
     x = _off_kink_input(rng, 3, 6, net)
     # frozen semantics: the finite difference must not move the targets,
     # so they are pinned at the unperturbed embeddings' values
-    pinned = cpl_targets(x.data.copy(), labels)
+    pinned = cpl_targets(x.data.copy(), labels).data
+    weights = cpl_weights(labels)
+
+    def values(leaf):
+        # x's own stack, or x broadcast along a parameter's
+        xs = np.broadcast_to(x.data, (len(leaf.data), *x.data.shape[-2:]))
+        preds = _run_steps(net.steps, xs, keep=False)[0]
+        return _checked(_cpl_forward(preds, pinned, weights)[0], "cpl_loss")
+
     leaves = (x, *(p for _, p in net.params()))
     return GradProblem(
         root=lambda: cpl_loss(x, labels, cpl_targets(x, labels), net),
-        forwards=dict.fromkeys(leaves, lambda: cpl_loss(x, labels, pinned, net).item()),
+        forwards={leaf: partial(values, leaf) for leaf in leaves},
+        stacked=True,
     )
 
 
@@ -304,12 +353,22 @@ def _case_weighted_total(rng) -> GradProblem:
     labels = _labels_pk(2, 2)
     centers, targets = rng.uniform(-1, 1, size=(2, 2)), rng.uniform(-1, 1, size=(2, 4))
     weights = dict(zip(("ce", "cpl", "center"), rng.uniform(0.5, 2.0, size=3)))
+    cpl_w = cpl_weights(labels)
 
     def root():
         parts = (id_cross_entropy(x, labels), cpl_loss(x, labels, targets), center_loss(x, labels, centers))
         return _weighted_total(dict(zip(weights, parts)), weights)
 
-    return _fresh(root, (x,))
+    def values():
+        xs = x.data
+        parts = (
+            _checked(_ce_forward(xs, labels)[0], "id_cross_entropy"),
+            _checked(_cpl_forward(xs, targets, cpl_w)[0], "cpl_loss"),
+            _checked(_center_forward(xs, centers, labels)[0], "center_loss"),
+        )
+        return _checked(_weighted_sum(parts, weights.values()), "_weighted_total")
+
+    return GradProblem(root, {x: values}, stacked=True)
 
 
 def _case_step_total(rng) -> GradProblem:
@@ -349,16 +408,47 @@ REGISTRY = (
     ("mlp-constant-input", _network(partial(MLP, 3, (4,), 2), 3, 5, leaf_x=False)),
     ("weighted-total", _case_weighted_total),
     ("step-total", _case_step_total),
-    ("pairwise-euclidean", _spread(2, lambda x, labels: _sum(pairwise_euclidean(x)))),
+    (
+        "pairwise-euclidean",
+        _spread(2, lambda x, y: _sum(pairwise_euclidean(x)), lambda xs, pos, neg: _checked(_total(_distances(xs)), "_sum")),
+    ),
     ("cross-entropy", _case_ce),
     ("center-loss", _case_center),
     # every distance in a 3-D _spread_batch is below sqrt(3) * 9.2 < 16, so
     # margin 20 keeps each hinge active and the checked gradient nonzero
-    ("triplet-batch-hard", _spread(3, lambda x, y: triplet_loss_batch_hard(pairwise_euclidean(x), y, margin=20.0))),
-    ("circle-loss", _spread(2, lambda x, y: circle_loss(x, y, scale=4.0, margin=0.25))),
+    (
+        "triplet-batch-hard",
+        _spread(
+            3,
+            lambda x, y: triplet_loss_batch_hard(pairwise_euclidean(x), y, margin=20.0),
+            _on_distances(_triplet_forward, "triplet_loss_batch_hard", margin=20.0),
+        ),
+    ),
+    (
+        "circle-loss",
+        _spread(
+            2,
+            lambda x, y: circle_loss(x, y, scale=4.0, margin=0.25),
+            lambda xs, pos, neg: _checked(_circle_forward(xs, pos, neg, scale=4.0, margin=0.25)[0], "circle_loss"),
+        ),
+    ),
     # margin 20 keeps every hinge active, as in the triplet row
-    ("lifted-structure", _spread(2, lambda x, y: lifted_structure_loss(pairwise_euclidean(x), y, margin=20.0))),
-    ("ranked-list", _spread(2, lambda x, y: ranked_list_loss(pairwise_euclidean(x), y, alpha=1.2, margin=0.4))),
+    (
+        "lifted-structure",
+        _spread(
+            2,
+            lambda x, y: lifted_structure_loss(pairwise_euclidean(x), y, margin=20.0),
+            _on_distances(_lifted_forward, "lifted_structure_loss", margin=20.0),
+        ),
+    ),
+    (
+        "ranked-list",
+        _spread(
+            2,
+            lambda x, y: ranked_list_loss(pairwise_euclidean(x), y, alpha=1.2, margin=0.4),
+            _on_distances(_ranked_forward, "ranked_list_loss", alpha=1.2, margin=0.4),
+        ),
+    ),
     ("cpl-frozen", _case_cpl_frozen),
 )
 

@@ -21,6 +21,16 @@ to the composed graph's, and a NumericsError, named by the loss, is raised
 wherever one of the graph's checks would have fired. So besides its output,
 an op checks (`check_finite`) each intermediate whose non-finite entries a
 relu, a mask or a division downstream can hide.
+
+Each op checks its labels and shapes, builds the label structure (the pair
+masks of a distance loss, the CPL weight row), then calls its numpy forward
+(`_pairwise_forward`, `_ce_forward`, ..., `_cpl_forward`), which makes the
+intermediate checks and returns the value and what the op's 2-D backward
+reads; the op's `_make` checks the output. A forward reads trailing axes
+(`axis=-2/-1`, a swap of the last two axes, a per-slice gather, a total over
+the last two axes), so it broadcasts over a leading stack axis: a P x r x c
+stack of inputs gives P totals, each bit-identical to the 2-D run on its
+slice, which is how gradcheck runs every perturbation of a leaf in one call.
 """
 
 from __future__ import annotations
@@ -82,18 +92,7 @@ def pairwise_euclidean(x: Tensor) -> Tensor:
     """
     x = as_tensor(x)
     xd = x.data
-    with np.errstate(over="ignore", invalid="ignore"):
-        xt = xd.T.copy()
-        gram = xt @ xd
-        sq = (xd * xd).sum(axis=0, keepdims=True)  # 1 x N
-        diff = sq.T + sq - gram * 2.0
-    # a non-finite square, gram entry or sum reaches diff, but relu would
-    # turn a -inf into 0 and hide it from the output check
-    check_finite(diff, "pairwise_euclidean", "squared distances are not finite")
-    sq_dist = np.maximum(diff, 0.0)  # relu clips negative rounding noise
-    zero_mask = (sq_dist < 1e-12).astype(np.float64)
-    keep = 1.0 - zero_mask
-    root = np.sqrt(sq_dist + zero_mask * 1e-16)
+    out, (xt, diff, keep, root) = _pairwise_forward(xd)
     n = xd.shape[1]
 
     def bw(g):
@@ -107,7 +106,24 @@ def pairwise_euclidean(x: Tensor) -> Tensor:
         # xt.T, as the composed matmul read its operand from the transpose's copy
         return t_sq, t_sq, xt.T @ g_gram, (g_gram @ xd.T).T
 
-    return _make(root * keep, (x, x, x, x), bw)
+    return _make(out, (x, x, x, x), bw)
+
+
+def _pairwise_forward(xd):
+    """`pairwise_euclidean`'s numpy forward: (distances, (xt, diff, keep, root))."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xt = xd.swapaxes(-1, -2).copy()
+        gram = xt @ xd
+        sq = (xd * xd).sum(axis=-2, keepdims=True)  # 1 x N
+        diff = sq.swapaxes(-1, -2) + sq - gram * 2.0
+    # a non-finite square, gram entry or sum reaches diff, but relu would
+    # turn a -inf into 0 and hide it from the output check
+    check_finite(diff, "pairwise_euclidean", "squared distances are not finite")
+    sq_dist = np.maximum(diff, 0.0)  # relu clips negative rounding noise
+    zero_mask = (sq_dist < 1e-12).astype(np.float64)
+    keep = 1.0 - zero_mask
+    root = np.sqrt(sq_dist + zero_mask * 1e-16)
+    return root * keep, (xt, diff, keep, root)
 
 
 # -- classification and center losses ----------------------------------------
@@ -125,22 +141,28 @@ def id_cross_entropy(logits, labels) -> Tensor:
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ShapeError(f"id_cross_entropy: labels outside [0, {n_classes})")
     x = logits.data
-    cols = np.arange(n)
-    scale = 1.0 / n
-    with np.errstate(over="ignore", invalid="ignore"):  # surfaces in _make
-        m = np.max(x, axis=0, keepdims=True)
-        e = np.exp(x - m)
-        s = e.sum(axis=0, keepdims=True)
-        per_sample = m + np.log(s) - x[labels, cols][None, :]  # 1 x N
-        total = per_sample.sum().reshape(1, 1) * scale
+    total, (e, s, cols, scale) = _ce_forward(x, labels)
 
     def bw(g):
-        g_per_sample = np.broadcast_to(g * scale, per_sample.shape)
+        g_per_sample = np.broadcast_to(g * scale, (1, n))
         g_true = np.zeros_like(x)
         np.add.at(g_true, (labels, cols), -g_per_sample[0])
         return (g_per_sample / s) * e, g_true
 
     return _make(total, (logits, logits), bw)
+
+
+def _ce_forward(x, labels):
+    """`id_cross_entropy`'s numpy forward: (total, (e, s, cols, scale))."""
+    cols = np.arange(labels.size)
+    scale = 1.0 / labels.size
+    with np.errstate(over="ignore", invalid="ignore"):  # surfaces in the output check
+        m = np.max(x, axis=-2, keepdims=True)
+        e = np.exp(x - m)
+        s = e.sum(axis=-2, keepdims=True)
+        per_sample = m + np.log(s) - x[..., labels, cols][..., None, :]  # 1 x N
+        total = per_sample.sum(axis=(-2, -1), keepdims=True) * scale
+    return total, (e, s, cols, scale)
 
 
 def center_loss(features, labels, centers) -> Tensor:
@@ -160,21 +182,26 @@ def center_loss(features, labels, centers) -> Tensor:
         raise ShapeError(f"center_loss: no center for label {labels.max()}")
     if labels.min() < 0:
         raise ShapeError(f"center_loss: no center for label {labels.min()}")
-    x, c = features.data, centers.data
-    scale = 1.0 / labels.size
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term reaches the output
-        diff = x - c[:, labels]
-        per_sample = (diff * diff).sum(axis=0, keepdims=True)
-        total = per_sample.sum().reshape(1, 1) * scale * 0.5
+    total, (diff, scale) = _center_forward(features.data, centers.data, labels)
 
     def bw(g):
         t = g * 0.5 * scale * diff
         g_diff = t + t  # the square's two factors
-        g_centers = np.zeros_like(c)
+        g_centers = np.zeros_like(centers.data)
         np.add.at(g_centers, (slice(None), labels), -g_diff)
         return g_diff, g_centers
 
     return _make(total, (features, centers), bw)
+
+
+def _center_forward(x, c, labels):
+    """`center_loss`'s numpy forward: (total, (diff, scale))."""
+    scale = 1.0 / labels.size
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term reaches the output
+        diff = x - c[..., labels]
+        per_sample = (diff * diff).sum(axis=-2, keepdims=True)
+        total = per_sample.sum(axis=(-2, -1), keepdims=True) * scale * 0.5
+    return total, (diff, scale)
 
 
 # -- pairwise losses ----------------------------------------------------------
@@ -197,12 +224,12 @@ def _check_dist(dist, labels, opname: str):
 
 
 def _masked_lse(x, mask):
-    """Forward of logsumexp(x, axis=1, mask=mask): the N x 1 result plus the
+    """Forward of logsumexp(x, axis=-1, mask=mask): the N x 1 result plus the
     exponentials and their row sums, which its backward reads."""
-    m = np.maximum.reduce(x, axis=1, keepdims=True, initial=-np.inf, where=mask)
+    m = np.maximum.reduce(x, axis=-1, keepdims=True, initial=-np.inf, where=mask)
     # exp(-inf) is numpy's slow path, so the masked zeros are written directly
     e = np.exp(x - m, out=np.zeros_like(x), where=mask)
-    s = e.sum(axis=1, keepdims=True)
+    s = e.sum(axis=-1, keepdims=True)
     return m + np.log(s), e, s
 
 
@@ -221,19 +248,11 @@ def triplet_loss_batch_hard(dist, labels, margin: float) -> Tensor:
         raise ShapeError("triplet: every anchor needs at least one positive (identity with >= 2 samples)")
     if not neg.any(axis=1).all():
         raise ShapeError("triplet: every anchor needs at least one negative (>= 2 identities)")
-    n = labels.size
-    # mining happens on values; ties resolve to the lowest index via argmax/argmin
     dvals = dist.data
-    hardest_pos = np.where(pos, dvals, -np.inf).argmax(axis=1)
-    hardest_neg = np.where(neg, dvals, np.inf).argmin(axis=1)
-    anchors = np.arange(n)
-    scale = 1.0 / n
-    with np.errstate(over="ignore", invalid="ignore"):
-        hinge = dvals[anchors, hardest_pos][None, :] - dvals[anchors, hardest_neg][None, :] + margin
-        total = np.maximum(hinge, 0.0).sum().reshape(1, 1) * scale
-    check_finite(hinge, "triplet_loss_batch_hard")  # relu would turn a -inf into 0
+    total, (hinge, hardest_pos, hardest_neg, scale) = _triplet_forward(dvals, pos, neg, margin)
 
     def bw(g):
+        anchors = np.arange(labels.size)
         g_hinge = g * scale * (hinge > 0.0)
         g_pos, g_neg = np.zeros_like(dvals), np.zeros_like(dvals)
         # one entry per anchor row, so += adds as the composed np.add.at did
@@ -242,6 +261,27 @@ def triplet_loss_batch_hard(dist, labels, margin: float) -> Tensor:
         return g_pos, g_neg
 
     return _make(total, (dist, dist), bw)
+
+
+def _row_picks(d, cols):
+    """The 1 x N row of d[a, cols[a]] over the rows a of d, per slice of a stack."""
+    rows = np.arange(d.shape[-2])
+    index = (rows, cols) if d.ndim == 2 else (np.arange(len(d))[:, None], rows, cols)
+    return d[index][..., None, :]
+
+
+def _triplet_forward(d, pos, neg, margin):
+    """`triplet_loss_batch_hard`'s numpy forward: (total, (hinge, hardest_pos,
+    hardest_neg, scale))."""
+    # mining happens on values; ties resolve to the lowest index via argmax/argmin
+    hardest_pos = np.where(pos, d, -np.inf).argmax(axis=-1)
+    hardest_neg = np.where(neg, d, np.inf).argmin(axis=-1)
+    scale = 1.0 / d.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        hinge = _row_picks(d, hardest_pos) - _row_picks(d, hardest_neg) + margin
+        total = np.maximum(hinge, 0.0).sum(axis=(-2, -1), keepdims=True) * scale
+    check_finite(hinge, "triplet_loss_batch_hard")  # relu would turn a -inf into 0
+    return total, (hinge, hardest_pos, hardest_neg, scale)
 
 
 def circle_loss(features, labels, scale: float, margin: float) -> Tensor:
@@ -267,14 +307,31 @@ def circle_loss(features, labels, scale: float, margin: float) -> Tensor:
         raise ShapeError("circle_loss: an anchor has no negatives")
     x = features.data
     n = labels.size
+    total, (norms, xn, xt, z, e_z, e_z1, e_neg, s_neg, e_pos, s_pos) = _circle_forward(x, pos, neg, scale, margin)
+
+    def bw(g):
+        g_anchor = g * (1.0 / n)
+        g_z = g_anchor * (z > 0.0) + (g_anchor / e_z1 * e_z * -1.0) * np.sign(z)
+        g_sim = (g_z / s_neg) * e_neg * scale + (g_z / s_pos) * e_pos * -scale
+        g_xn = xt.T @ g_sim + (g_sim @ xn.T).T
+        g_norms = (-g_xn * x / (norms * norms)).sum(axis=0, keepdims=True)
+        t_sq = g_norms * 0.5 / norms * x
+        return g_xn / norms, t_sq, t_sq
+
+    return _make(total, (features, features, features), bw)
+
+
+def _circle_forward(x, pos, neg, scale, margin):
+    """`circle_loss`'s numpy forward: (total, (norms, xn, xt, z, e_z, e_z1,
+    e_neg, s_neg, e_pos, s_pos))."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = (x * x).sum(axis=0, keepdims=True)
+        sq = (x * x).sum(axis=-2, keepdims=True)
         check_finite(sq, "circle_loss")  # the division would turn an infinite norm into zeros
         norms = np.sqrt(sq)
         if np.any(norms == 0.0):
             raise NumericsError("circle_loss: a column has zero norm")
         xn = x / norms
-        xt = xn.T.copy()
+        xt = xn.swapaxes(-1, -2).copy()
         sim = xt @ xn
         # masked entries leave the logsumexps, and softplus maps -inf to 0
         pos_arg = (sim + margin) * scale
@@ -289,18 +346,8 @@ def circle_loss(features, labels, scale: float, margin: float) -> Tensor:
         e_z = np.exp(np.abs(z) * -1.0)
         e_z1 = e_z + 1.0
         per_anchor = np.maximum(z, 0.0) + np.log(e_z1)
-        total = per_anchor.sum().reshape(1, 1) * (1.0 / n)
-
-    def bw(g):
-        g_anchor = g * (1.0 / n)
-        g_z = g_anchor * (z > 0.0) + (g_anchor / e_z1 * e_z * -1.0) * np.sign(z)
-        g_sim = (g_z / s_neg) * e_neg * scale + (g_z / s_pos) * e_pos * -scale
-        g_xn = xt.T @ g_sim + (g_sim @ xn.T).T
-        g_norms = (-g_xn * x / (norms * norms)).sum(axis=0, keepdims=True)
-        t_sq = g_norms * 0.5 / norms * x
-        return g_xn / norms, t_sq, t_sq
-
-    return _make(total, (features, features, features), bw)
+        total = per_anchor.sum(axis=(-2, -1), keepdims=True) * (1.0 / x.shape[-1])
+    return total, (norms, xn, xt, z, e_z, e_z1, e_neg, s_neg, e_pos, s_pos)
 
 
 def lifted_structure_loss(dist, labels, margin: float) -> Tensor:
@@ -316,22 +363,11 @@ def lifted_structure_loss(dist, labels, margin: float) -> Tensor:
     """
     dist, labels = _check_dist(dist, labels, "lifted_structure_loss")
     pos, neg = _pair_masks(labels)
-    order = np.arange(labels.size)
-    pair_mask = pos & (order[:, None] < order)  # the strict upper triangle
-    n_pairs = int(pair_mask.sum())
-    if n_pairs == 0:
+    if not pos.any():  # pos is symmetric: a positive pair has one entry above the diagonal
         raise ShapeError("lifted_structure_loss: batch has no positive pairs")
     if not neg.any():
         raise ShapeError("lifted_structure_loss: batch has no negative pairs")
-    d = dist.data
-    weights = pair_mask.astype(np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        shifted = margin - d
-        check_finite(shifted, "lifted_structure_loss")  # the mask drops entries
-        lse, e, s = _masked_lse(shifted, neg)
-        hinge = d + lse + lse.T
-        check_finite(hinge, "lifted_structure_loss")  # relu would turn a -inf into 0
-        total = (np.maximum(hinge, 0.0) * weights).sum().reshape(1, 1) * (1.0 / n_pairs)
+    total, (hinge, weights, n_pairs, e, s) = _lifted_forward(dist.data, pos, neg, margin)
 
     def bw(g):
         g_hinge = g * (1.0 / n_pairs) * weights * (hinge > 0.0)
@@ -339,6 +375,23 @@ def lifted_structure_loss(dist, labels, margin: float) -> Tensor:
         return g_hinge, -((g_lse / s) * e)
 
     return _make(total, (dist, dist), bw)
+
+
+def _lifted_forward(d, pos, neg, margin):
+    """`lifted_structure_loss`'s numpy forward: (total, (hinge, weights,
+    n_pairs, e, s)), weights marking the positive pairs i < j."""
+    order = np.arange(d.shape[-1])
+    pair_mask = pos & (order[:, None] < order)  # the strict upper triangle
+    n_pairs = int(pair_mask.sum())
+    weights = pair_mask.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = margin - d
+        check_finite(shifted, "lifted_structure_loss")  # the mask drops entries
+        lse, e, s = _masked_lse(shifted, neg)
+        hinge = d + lse + lse.swapaxes(-1, -2)
+        check_finite(hinge, "lifted_structure_loss")  # relu would turn a -inf into 0
+        total = (np.maximum(hinge, 0.0) * weights).sum(axis=(-2, -1), keepdims=True) * (1.0 / n_pairs)
+    return total, (hinge, weights, n_pairs, e, s)
 
 
 def ranked_list_loss(dist, labels, alpha: float, margin: float) -> Tensor:
@@ -353,25 +406,30 @@ def ranked_list_loss(dist, labels, alpha: float, margin: float) -> Tensor:
         raise ConfigError("ranked_list_loss: alpha must exceed margin")
     if labels.size < 2:
         raise ShapeError("ranked_list_loss: need at least 2 samples")
-    pos, neg = _pair_masks(labels)
-    d = dist.data
-    pos_w, neg_w = pos.astype(np.float64), neg.astype(np.float64)
-    n = labels.size
-    scale = 1.0 / (n * (n - 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        pos_arg = d - (alpha - margin)
-        neg_arg = alpha - d
-        terms = np.maximum(pos_arg, 0.0) * pos_w + np.maximum(neg_arg, 0.0) * neg_w
-        total = terms.sum().reshape(1, 1) * scale
-    # relu would turn a -inf into 0
-    check_finite(pos_arg, "ranked_list_loss")
-    check_finite(neg_arg, "ranked_list_loss")
+    total, (pos_arg, neg_arg, pos_w, neg_w, scale) = _ranked_forward(dist.data, *_pair_masks(labels), alpha, margin)
 
     def bw(g):
         g_terms = g * scale
         return g_terms * pos_w * (pos_arg > 0.0), -(g_terms * neg_w * (neg_arg > 0.0))
 
     return _make(total, (dist, dist), bw)
+
+
+def _ranked_forward(d, pos, neg, alpha, margin):
+    """`ranked_list_loss`'s numpy forward: (total, (pos_arg, neg_arg, pos_w,
+    neg_w, scale))."""
+    pos_w, neg_w = pos.astype(np.float64), neg.astype(np.float64)
+    n = d.shape[-1]
+    scale = 1.0 / (n * (n - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos_arg = d - (alpha - margin)
+        neg_arg = alpha - d
+        terms = np.maximum(pos_arg, 0.0) * pos_w + np.maximum(neg_arg, 0.0) * neg_w
+        total = terms.sum(axis=(-2, -1), keepdims=True) * scale
+    # relu would turn a -inf into 0
+    check_finite(pos_arg, "ranked_list_loss")
+    check_finite(neg_arg, "ranked_list_loss")
+    return total, (pos_arg, neg_arg, pos_w, neg_w, scale)
 
 
 # -- center prediction loss ---------------------------------------------------
@@ -457,10 +515,7 @@ def cpl_objective(features, labels, targets):
 
     def loss(predictor=None) -> Tensor:
         preds = predictor(features) if predictor is not None else features
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff = preds.data - target_values
-            sq = (diff * diff).sum(axis=0, keepdims=True)  # 1 x N
-            total = (sq * weights).sum().reshape(1, 1)
+        total, diff = _cpl_forward(preds.data, target_values, weights)
 
         def bw(g):
             t = g * weights * diff
@@ -470,6 +525,15 @@ def cpl_objective(features, labels, targets):
         return _make(total, (preds,), bw)
 
     return loss
+
+
+def _cpl_forward(preds, targets, weights):
+    """The CPL tail's numpy forward: (total, preds - targets)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = preds - targets
+        sq = (diff * diff).sum(axis=-2, keepdims=True)  # 1 x N
+        total = (sq * weights).sum(axis=(-2, -1), keepdims=True)
+    return total, diff
 
 
 def cpl_loss(features, labels, targets, predictor=None) -> Tensor:

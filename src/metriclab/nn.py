@@ -42,9 +42,12 @@ CHECKPOINT_HEADER = "metriclab-checkpoint v1"
 RELU = "relu"
 
 
-def _run_steps(steps, h: np.ndarray):
+def _run_steps(steps, h: np.ndarray, keep: bool = True):
     """The numpy forward of steps from h: (output, saved), where saved holds
-    each layer's memo for its rule and each relu's bool mask.
+    each layer's memo for its rule and each relu's bool mask. With keep
+    false, for a forward that no backward follows (gradcheck's finite
+    difference), saved stays empty: no relu mask is built, and each memo
+    is dropped after its step.
 
     steps are Linear and BatchNorm layers with RELU between them. Each layer
     output is checked with that layer's own message; a relu output of finite
@@ -55,12 +58,14 @@ def _run_steps(steps, h: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         for step in steps:
             if step is RELU:
-                saved.append(h > 0.0)
+                if keep:
+                    saved.append(h > 0.0)
                 np.maximum(h, 0.0, out=h)
                 continue
             h, memo = step._apply(h)
             check_finite(h, f"{type(step).__name__}.forward")
-            saved.append(memo)
+            if keep:
+                saved.append(memo)
     return h, saved
 
 

@@ -171,16 +171,23 @@ def _weighted_total(parts: dict, weights: dict) -> Tensor:
     composed chain part * w + part * w + ... bit for bit: part i's gradient
     is g * w_i."""
     ws = [float(weights[name]) for name in parts]
-    total = None
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum surfaces in _make
-        for part, w in zip(parts.values(), ws):
-            term = part.data * w
-            total = term if total is None else total + term
+    tensors = tuple(parts.values())
 
     def bw(g):
         return tuple(g * w for w in ws)
 
-    return _make(total, tuple(parts.values()), bw)
+    return _make(_weighted_sum([part.data for part in tensors], ws), tensors, bw)
+
+
+def _weighted_sum(values, ws) -> np.ndarray:
+    """`_weighted_total`'s numpy forward: value * w + value * w + ..., in order;
+    values of a leading stack axis give one sum per slice."""
+    total = None
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum surfaces in the output check
+        for value, w in zip(values, ws):
+            term = value * w
+            total = term if total is None else total + term
+    return total
 
 
 @dataclass

@@ -154,11 +154,15 @@ def _stacked_suffixes(problem) -> bool:
     return problem.stacked and all(getattr(f, "func", None) in suffixes for f in problem.forwards.values())
 
 
+# the rows stacked through the losses' forwards; step-total alone is per-entry
+LOSS_CASES = tuple(name for name, _ in REGISTRY if name not in (*NETWORK_CASES, "step-total"))
+
+
 def test_network_cases_are_every_row_perturbed_under_suffixes():
-    # a new network row cannot skip the suffix tests below, and no loss row is stacked
+    # a new network row cannot skip the suffix tests below, and every row but step-total is stacked
     problems = {name: builder(substream(0, "suffix-only")) for name, builder in REGISTRY}
-    assert {name for name, problem in problems.items() if problem.stacked} == set(NETWORK_CASES)
-    assert all(_stacked_suffixes(problems[name]) for name in NETWORK_CASES)
+    assert {name for name, problem in problems.items() if not problem.stacked} == {"step-total"}
+    assert {name for name, problem in problems.items() if _stacked_suffixes(problem)} == set(NETWORK_CASES)
 
 
 @pytest.mark.parametrize("name", NETWORK_CASES)
@@ -219,9 +223,9 @@ def test_a_stacked_root_that_overflows_raises_the_roots_message():
         problem.root()
 
 
-def test_each_network_row_runs_one_forward_per_leaf(monkeypatch):
+def test_each_stacked_row_runs_one_forward_per_leaf(monkeypatch):
     # wrap each forward central_diff gets, as perfbench's tracer does: the
-    # network rows make one call per leaf, every other row two per entry
+    # stacked rows make one call per leaf, step-total two per entry
     row, leaves, entries, calls = [None], Counter(), Counter(), Counter()
     real_diff = gradcheck.central_diff
 
@@ -246,5 +250,39 @@ def test_each_network_row_runs_one_forward_per_leaf(monkeypatch):
     assert run_gradcheck(0, 1e-4, 2).all_passed
     assert set(calls) == {name for name, _ in REGISTRY}
     for name, _ in REGISTRY:
-        expected = leaves[name] if name in NETWORK_CASES else 2 * entries[name]
+        expected = 2 * entries[name] if name == "step-total" else leaves[name]
         assert calls[name] == expected, name
+
+
+@pytest.mark.parametrize("name", LOSS_CASES)
+def test_stacked_loss_row_finite_difference_is_bit_identical_to_the_per_entry_one(name, monkeypatch):
+    # the per-entry reference is the root, evaluated fresh per entry; for
+    # cpl-frozen, with its targets pinned where the build computed them
+    real_targets = gradcheck.cpl_targets
+    for b in range(20):
+        pinned = []
+
+        def first_targets(*args):
+            if not pinned:
+                pinned.append(real_targets(*args))
+            return pinned[0]
+
+        monkeypatch.setattr(gradcheck, "cpl_targets", first_targets)
+        problem = dict(REGISTRY)[name](substream(0, f"gradcheck/{name}/{b}"))
+        assert problem.stacked
+        assert bool(pinned) == (name == "cpl-frozen")
+
+        def whole():
+            return problem.root().item()
+
+        for leaf, forward in problem.forwards.items():
+            orig, value = leaf.data, whole()
+            leaf.data = orig[np.newaxis]  # a one-slice stack of the unperturbed data
+            assert forward().ravel().tolist() == [value], (name, b)
+            leaf.data = orig
+            stacked = central_diff(forward, leaf, stacked=True)
+            assert leaf.data is orig, (name, b)
+            per_entry = central_diff(whole, leaf)
+            # equal, signs of zero included
+            assert np.array_equal(stacked, per_entry), (name, b)
+            assert np.array_equal(np.signbit(stacked), np.signbit(per_entry)), (name, b)

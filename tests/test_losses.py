@@ -3,10 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metriclab.autograd import Tensor, as_tensor, backward
+from metriclab.autograd import Tensor, as_tensor, backward, check_finite
 from metriclab.config import LossConfig
 from metriclab.errors import ConfigError, NumericsError, ShapeError
 from metriclab.losses import (
+    _ce_forward,
+    _center_forward,
+    _circle_forward,
+    _cpl_forward,
+    _lifted_forward,
+    _pair_masks,
+    _pairwise_forward,
+    _ranked_forward,
+    _triplet_forward,
     center_loss,
     circle_loss,
     cpl_loss,
@@ -933,3 +942,128 @@ def test_fused_circle_backward_raises_where_composed_graph_raises():
         x = Tensor(data, requires_grad=True)
         with pytest.raises(NumericsError, match=match):
             backward(mul(op(x, PK4, 32.0, 0.25), 1e300))
+
+
+# -- stacked forwards ------------------------------------------------------------
+# Each op's numpy forward reads trailing axes: on a P x r x c stack of its
+# input it gives P values, each the 2-D op's value on that slice bit for bit,
+# and a non-finite slice raises what the op raises on that slice.
+
+STACK_LABELS = {"pk-4x4": np.repeat(np.arange(4), 4), "unequal-3-4-5": np.repeat(np.arange(3), (3, 4, 5))}
+
+
+def _centers(labels):
+    """A 4 x C center matrix for labels, one column per class."""
+    return np.linspace(-1.0, 1.0, 4 * (labels.max() + 1)).reshape(4, -1)
+
+
+def _targets(labels):
+    """A constant 4 x N target matrix for labels."""
+    return np.cos(np.arange(4.0 * labels.size)).reshape(4, -1)
+
+
+def _huge_points(x, labels):
+    return x * 1e200  # its squares overflow
+
+
+def _huge_logits(x, labels):
+    # -log softmax of the true class is 1.7e308 + 1.7e308 + log(...)
+    return np.where(np.arange(len(x))[:, None] == labels, -1.7e308, 1.7e308)
+
+
+def _huge_distances(d, labels):
+    # positives far and negatives "below zero": each loss's sum overflows
+    return np.where(_pair_masks(labels)[0], 1.7e308, -1.7e308)
+
+
+# op name -> (the op on one 2-D input, its forward on a stack of inputs,
+# an input made to overflow, whether the input is the points' distances)
+STACK_OPS = {
+    "pairwise_euclidean": (
+        lambda x, y: pairwise_euclidean(x),
+        lambda xs, y: _pairwise_forward(xs)[0],
+        _huge_points,
+        False,
+    ),
+    "id_cross_entropy": (id_cross_entropy, lambda xs, y: _ce_forward(xs, y)[0], _huge_logits, False),
+    "center_loss": (
+        lambda x, y: center_loss(x, y, _centers(y)),
+        lambda xs, y: _center_forward(xs, _centers(y), y)[0],
+        _huge_points,
+        False,
+    ),
+    "triplet_loss_batch_hard": (
+        lambda d, y: triplet_loss_batch_hard(d, y, margin=0.5),
+        lambda ds, y: _triplet_forward(ds, *_pair_masks(y), margin=0.5)[0],
+        _huge_distances,
+        True,
+    ),
+    "circle_loss": (
+        lambda x, y: circle_loss(x, y, scale=4.0, margin=0.25),
+        lambda xs, y: _circle_forward(xs, *_pair_masks(y), scale=4.0, margin=0.25)[0],
+        _huge_points,
+        False,
+    ),
+    "lifted_structure_loss": (
+        lambda d, y: lifted_structure_loss(d, y, margin=1.0),
+        lambda ds, y: _lifted_forward(ds, *_pair_masks(y), margin=1.0)[0],
+        _huge_distances,
+        True,
+    ),
+    "ranked_list_loss": (
+        lambda d, y: ranked_list_loss(d, y, alpha=1.2, margin=0.4),
+        lambda ds, y: _ranked_forward(ds, *_pair_masks(y), alpha=1.2, margin=0.4)[0],
+        _huge_distances,
+        True,
+    ),
+    "cpl_loss": (
+        lambda x, y: cpl_loss(x, y, _targets(y)),
+        lambda xs, y: _cpl_forward(xs, _targets(y), cpl_weights(y))[0],
+        _huge_points,
+        False,
+    ),
+}
+
+
+def _stack_input(labels, on_distances, seed=0):
+    """Three slices of 4 x N points for labels, or their distance matrices."""
+    xs = np.random.default_rng(seed).normal(0, 1.5, (3, 4, labels.size))
+    return _pairwise_forward(xs)[0] if on_distances else xs
+
+
+@pytest.mark.parametrize("labels", STACK_LABELS.values(), ids=STACK_LABELS)
+@pytest.mark.parametrize("name", sorted(STACK_OPS))
+def test_each_slice_of_a_stacked_forward_is_the_2d_op_bit_for_bit(name, labels):
+    op, forward, _, on_distances = STACK_OPS[name]
+    stack = _stack_input(labels, on_distances)
+    values = forward(stack, labels)
+    assert values.shape[0] == len(stack)
+    for one, value in zip(stack, values, strict=True):
+        assert np.array_equal(value, op(one, labels).data)
+
+
+@pytest.mark.parametrize("labels", STACK_LABELS.values(), ids=STACK_LABELS)
+def test_center_loss_over_a_stack_of_centers_is_each_slices_op(labels):
+    x = _stack_input(labels, False)[0]
+    stack = _centers(labels) + np.random.default_rng(1).normal(0, 0.5, (3, *_centers(labels).shape))
+    values = _center_forward(x, stack, labels)[0]
+    for centers, value in zip(stack, values, strict=True):
+        assert np.array_equal(value, center_loss(x, labels, centers).data)
+
+
+@pytest.mark.parametrize("labels", STACK_LABELS.values(), ids=STACK_LABELS)
+@pytest.mark.parametrize("name", sorted(STACK_OPS))
+def test_a_stack_with_one_overflowing_slice_raises_the_ops_message(name, labels):
+    op, forward, huge, on_distances = STACK_OPS[name]
+    stack = _stack_input(labels, on_distances)
+    stack[1] = huge(stack[1], labels)
+    with pytest.raises(NumericsError) as on_slice:
+        op(stack[1], labels)
+    message = str(on_slice.value)
+    assert message.startswith(f"{name}: ")
+    with pytest.raises(NumericsError) as on_stack:
+        # the op's own output check, as _make runs it, after the forward's checks
+        check_finite(forward(stack, labels), name)
+    assert str(on_stack.value) == message
+    for k in (0, 2):  # the other slices are finite
+        assert np.isfinite(op(stack[k], labels).data).all()

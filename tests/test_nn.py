@@ -354,6 +354,16 @@ def test_each_slice_of_a_stacked_forward_is_the_2d_run_bit_for_bit(name, rng):
 
 
 @pytest.mark.parametrize("name", STACK_PATH)
+def test_a_forward_that_keeps_nothing_gives_the_same_output(name, rng):
+    # gradcheck's finite difference runs no backward, so it keeps no memo or relu mask
+    net = build_moved(name, rng)
+    xs = rng.normal(0, 1, (5, 3, 6))
+    out, saved = _run_steps(net.steps, xs, keep=False)
+    assert saved == []
+    assert np.array_equal(out, _run_steps(net.steps, xs)[0])
+
+
+@pytest.mark.parametrize("name", STACK_PATH)
 def test_a_stack_with_one_overflowing_slice_raises_its_layers_message(name, rng):
     net = build_moved(name, rng)
     last = net.steps[-1]

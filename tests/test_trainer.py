@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 from metriclab import trainer
-from metriclab.autograd import Tensor, as_tensor, backward
+from metriclab.autograd import Tensor, as_tensor, backward, check_finite
 from metriclab.config import ExperimentConfig, LossConfig, ModelConfig, PKSamplerConfig, SgdConfig
 from metriclab.errors import ConfigError, NumericsError
-from metriclab.losses import cpl_loss, cpl_targets
+from metriclab.losses import (
+    _ce_forward,
+    _center_forward,
+    _cpl_forward,
+    center_loss,
+    cpl_loss,
+    cpl_targets,
+    cpl_weights,
+    id_cross_entropy,
+)
 from metriclab.gradcheck import _off_kink_input
 from metriclab.nn import BatchNorm, CenterPredictor, Linear, standardize
 from metriclab.sampling import LabeledDataset, epoch_iter
@@ -17,6 +26,7 @@ from metriclab.trainer import (
     SGD,
     TrainState,
     _loss_parts,
+    _weighted_sum,
     _weighted_total,
     build_state,
     cpl_errors,
@@ -119,6 +129,33 @@ def test_weighted_total_is_bit_identical_to_the_composed_sum():
     (f_total, f_grad), (c_total, c_grad) = value_and_grad(lambda p: _weighted_total(p, weights)), value_and_grad(composed)
     assert np.array_equal(f_total, c_total)
     assert np.array_equal(f_grad, c_grad)
+
+
+@pytest.mark.parametrize("sizes", [(4, 4, 4, 4), (3, 4, 5)], ids=["pk-4x4", "unequal-3-4-5"])
+def test_weighted_sum_over_a_stack_is_each_slices_weighted_total(sizes):
+    # the parts' stacked forwards, weighed: each slice is the 2-D ops' total
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    xs = np.random.default_rng(2).normal(0, 1.5, (3, 4, labels.size))
+    centers = np.linspace(-1.0, 1.0, 4 * len(sizes)).reshape(4, -1)
+    targets = np.cos(np.arange(4.0 * labels.size)).reshape(4, -1)
+    weights = {"ce": 0.7, "cpl": 1.3, "center": 2.1}
+    stacked = (
+        _ce_forward(xs, labels)[0],
+        _cpl_forward(xs, targets, cpl_weights(labels))[0],
+        _center_forward(xs, centers, labels)[0],
+    )
+    totals = _weighted_sum(stacked, weights.values())
+    for x, total in zip(xs, totals, strict=True):
+        parts = (id_cross_entropy(x, labels), cpl_loss(x, labels, targets), center_loss(x, labels, centers))
+        assert np.array_equal(total, _weighted_total(dict(zip(weights, parts)), weights).data)
+    # one slice whose parts are finite but whose weighted sum overflows
+    for values in stacked:
+        values[1] = 1.7e308
+    message = "^_weighted_total: operation produced non-finite entries$"
+    with pytest.raises(NumericsError, match=message):
+        _weighted_total({name: Tensor(values[1]) for name, values in zip(weights, stacked)}, weights)
+    with pytest.raises(NumericsError, match=message):
+        check_finite(_weighted_sum(stacked, weights.values()), "_weighted_total")
 
 
 def test_step_total_without_target_bn_keeps_targets_frozen(monkeypatch):
