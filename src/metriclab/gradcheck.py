@@ -14,25 +14,21 @@ stack under sum(out^2) on an input drawn off the relu kinks, and
 `_spread`, a loss on a clustered PK batch whose points keep apart, with
 the batch as its only leaf.
 
-Every row but `step-total` is stacked: all 2 * size perturbations of a
-leaf run in one call of its forward, which feeds the leaf's stack of
-perturbed copies through the row's numpy forwards at once. The layers'
-forward (`nn._run_steps`) and each loss's (`losses._ce_forward` and the
-like, the one its op calls) read trailing axes, so they broadcast over
-the leading stack axis, and a constant input is broadcast along it. The
-label structure (pair masks, CPL weights) is built once per problem. A stacked forward runs the
-same numpy operations on the same inputs as the root does, slice by slice,
-so every finite difference is bit-identical to the per-entry one, and it
-keeps every check: each layer output, each intermediate that an op checks
-and each op output, on the whole stack with the op's own message.
-
-A `_network` row perturbs a leaf that step s holds by re-running only the
-steps from s onward. They start from x itself for x and step 0's
-parameters; for a later step, from the activation that the steps before it
-give on the unperturbed data, computed once when the row is built and kept
-read-only, as perturbing a leaf of step s or later never moves it.
-`step-total` perturbs one entry at a time: its forward is the trainer's
-`_loss_parts`, which builds the step's ops as Tensors, and a Tensor is 2-D.
+A finite difference perturbs one stack: the leaf's 2 * size copies, each
+with one entry moved by +-FD_STEP. Every row but `step-total` is stacked:
+its forward takes the whole stack in one call and feeds it through the
+row's numpy forwards at once. The layers' forward (`nn._run_steps`) and
+each loss's (`losses._ce_forward` and the like, the one its op calls) read
+trailing axes, so they broadcast over the leading stack axis, and an
+unperturbed input is broadcast along it: a network runs whole from x for
+every leaf. The label structure (pair masks, CPL weights) is built once
+per problem. A stacked forward runs the same numpy operations on the same
+inputs as the root does, slice by slice, so every finite difference is
+bit-identical to the per-entry one, and it keeps every check: each layer
+output, each intermediate that an op checks and each op output, on the
+whole stack with the op's own message. `step-total` takes the stack one
+slice per call: its forward is the trainer's `_loss_parts`, which builds
+the step's ops as Tensors, and a Tensor is 2-D.
 
 A row's error is the largest over its batches and leaves; an error that is
 not a finite number is nan, and fails the row.
@@ -84,29 +80,13 @@ _OFF_KINK_TRIES = 50  # draws _off_kink_input makes before settling for its best
 def central_diff(fd_forward, leaf: Tensor, stacked: bool = False) -> np.ndarray:
     """Central finite difference of fd_forward() w.r.t. every leaf entry.
 
-    Per entry, fd_forward() returns the root's value at the leaf's live
-    data, which is perturbed in place, twice per entry. Stacked, it is
-    called once, with leaf.data set to the stack of 2 * size perturbed
-    copies (slice 2i has entry i at orig + FD_STEP, slice 2i + 1 at
-    orig - FD_STEP), and returns the root's value for each slice."""
-    if stacked:
-        return _stacked_diff(fd_forward, leaf)
-    grad = np.zeros_like(leaf.data)
-    it = np.nditer(leaf.data, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = leaf.data[idx]
-        leaf.data[idx] = orig + FD_STEP
-        hi = fd_forward()
-        leaf.data[idx] = orig - FD_STEP
-        lo = fd_forward()
-        leaf.data[idx] = orig
-        grad[idx] = (hi - lo) / (2.0 * FD_STEP)
-    return grad
-
-
-def _stacked_diff(fd_forward, leaf: Tensor) -> np.ndarray:
-    """`central_diff` in one call of fd_forward on leaf's perturbation stack."""
+    Both modes read leaf.data when called and perturb a stack of its
+    2 * size copies: slice 2i has entry i at orig + FD_STEP, slice 2i + 1
+    at orig - FD_STEP. Stacked, fd_forward() is called once, with leaf.data
+    set to the stack, and returns the root's value for each slice; per
+    entry, it is called once per slice, with leaf.data set to that slice,
+    and returns the root's value. Either way leaf.data is its own array
+    again on return, also when fd_forward raises."""
     orig = leaf.data
     size = orig.size
     stack = np.repeat(orig[np.newaxis], 2 * size, axis=0)
@@ -114,12 +94,19 @@ def _stacked_diff(fd_forward, leaf: Tensor) -> np.ndarray:
     i, flat = np.arange(size), orig.ravel()
     entries[i, 0, i] = flat + FD_STEP
     entries[i, 1, i] = flat - FD_STEP
-    leaf.data = stack
     try:
-        values = fd_forward()
+        if stacked:
+            leaf.data = stack
+            values = fd_forward()
+        else:
+            values = []
+            for copy in stack:
+                leaf.data = copy
+                values.append(fd_forward())
+            values = np.array(values)
     finally:
         leaf.data = orig
-    with np.errstate(over="ignore"):  # overflows to inf, as the per-entry float arithmetic does
+    with np.errstate(over="ignore"):  # an overflowing difference is inf, which max_rel_err reports as nan
         return ((values[0::2] - values[1::2]) / (2.0 * FD_STEP)).reshape(orig.shape)
 
 
@@ -227,47 +214,29 @@ def _sum_squares(t: Tensor) -> Tensor:
     return _make(_squares_sum(t.data).reshape(1, 1), (t, t), bw)
 
 
-def _tail_values(steps, h: np.ndarray) -> np.ndarray:
-    """The network root's value per slice of h, a stack of inputs to steps."""
-    return _checked(_squares_sum(_run_steps(steps, h, keep=False)[0]), "_sum_squares")
-
-
-def _input_tail(steps, x: Tensor) -> np.ndarray:
-    """`_tail_values` of the whole network on the stack in x.data when called."""
-    return _tail_values(steps, x.data)
-
-
-def _param_tail(steps, h: np.ndarray, leaf: Tensor) -> np.ndarray:
-    """`_tail_values` of steps from the activation h, once per slice of the
-    stack in leaf.data when called."""
-    return _tail_values(steps, np.broadcast_to(h, (len(leaf.data), *h.shape)))
+def _net_values(steps, x: Tensor, tail, op: str, leaf: Tensor) -> np.ndarray:
+    """tail(output of steps), checked as op's output, once per slice of the
+    stack in leaf.data when called: the steps run from x.data broadcast
+    along that stack, which is x's own stack when leaf is x."""
+    xs = np.broadcast_to(x.data, (len(leaf.data), *x.data.shape[-2:]))
+    return _checked(tail(_run_steps(steps, xs, keep=False)[0]), op)
 
 
 def _network(make, d, n, leaf_x=True):
     """Builder of sum(net(x)^2) for net = make(rng) on a d x n batch off the
     relu kinks, over the net's parameters and x; with leaf_x false, x enters
     as a plain array, as the extractor's and every refit predictor's batch
-    does, and the stack skips its input gradient. A parameter of step s is
-    perturbed under _param_tail(steps[s:], ...), x under _input_tail."""
+    does, and the stack skips its input gradient. Every leaf's forward is
+    `_net_values` of the whole network, x broadcast along a parameter's stack."""
 
     def build(rng) -> GradProblem:
         net = make(rng)
         x = _off_kink_input(rng, d, n, net)
-        steps, forward_of = net.steps, {}
-        for s, step in enumerate(steps):
-            if step is RELU:
-                continue
-            h = _run_steps(steps[:s], x.data, keep=False)[0]
-            if s:  # step 0 runs from x.data itself, which stays a writable leaf
-                h.flags.writeable = False
-            forward_of.update((p, partial(_param_tail, steps[s:], h, p)) for _, p in step.params())
-        leaves = [p for _, p in net.params()]
-        if leaf_x:
-            forward_of[x] = partial(_input_tail, steps, x)
-            leaves.insert(0, x)
-        else:
-            x = x.data
-        return GradProblem(lambda: _sum_squares(net(x)), {leaf: forward_of[leaf] for leaf in leaves}, stacked=True)
+        leaves = ([x] if leaf_x else []) + [p for _, p in net.params()]
+        values = partial(_net_values, net.steps, x, _squares_sum, "_sum_squares")
+        root_x = x if leaf_x else x.data
+        forwards = {leaf: partial(values, leaf) for leaf in leaves}
+        return GradProblem(lambda: _sum_squares(net(root_x)), forwards, stacked=True)
 
     return build
 
@@ -333,13 +302,7 @@ def _case_cpl_frozen(rng) -> GradProblem:
     # so they are pinned at the unperturbed embeddings' values
     pinned = cpl_targets(x.data.copy(), labels).data
     weights = cpl_weights(labels)
-
-    def values(leaf):
-        # x's own stack, or x broadcast along a parameter's
-        xs = np.broadcast_to(x.data, (len(leaf.data), *x.data.shape[-2:]))
-        preds = _run_steps(net.steps, xs, keep=False)[0]
-        return _checked(_cpl_forward(preds, pinned, weights)[0], "cpl_loss")
-
+    values = partial(_net_values, net.steps, x, lambda preds: _cpl_forward(preds, pinned, weights)[0], "cpl_loss")
     leaves = (x, *(p for _, p in net.params()))
     return GradProblem(
         root=lambda: cpl_loss(x, labels, cpl_targets(x, labels), net),

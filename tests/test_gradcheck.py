@@ -10,18 +10,19 @@ from metriclab.errors import NumericsError
 from metriclab.gradcheck import (
     REGISTRY,
     GradProblem,
-    _input_tail,
-    _param_tail,
+    _net_values,
     _sum,
     _sum_squares,
     central_diff,
     max_rel_err,
     run_gradcheck,
 )
+from metriclab.losses import cpl_loss, cpl_targets
 from metriclab.machine import platform_record
 from metriclab.nn import Linear
 from metriclab.seeding import substream
 
+from fd_utils import central_diff as per_entry_diff
 from primitives import mul, tsum
 
 # seed-0 `metriclab gradcheck --batches 2` stdout, which
@@ -147,69 +148,88 @@ def test_fused_sums_are_bit_identical_to_composed_graphs(upstream, rng):
 # the rows built by _network: a layer stack under _sum_squares
 NETWORK_CASES = ("linear", "batchnorm", "mlp", "predictor-2layer", "predictor-4layer-bn", "mlp-constant-input")
 
-
-def _stacked_suffixes(problem) -> bool:
-    """problem is stacked and perturbs every leaf under a network suffix."""
-    suffixes = (_input_tail, _param_tail)
-    return problem.stacked and all(getattr(f, "func", None) in suffixes for f in problem.forwards.values())
+# every row but step-total, whose forward builds 2-D Tensors, is stacked
+STACKED_CASES = tuple(name for name, _ in REGISTRY if name != "step-total")
 
 
-# the rows stacked through the losses' forwards; step-total alone is per-entry
-LOSS_CASES = tuple(name for name, _ in REGISTRY if name not in (*NETWORK_CASES, "step-total"))
+def test_network_cases_are_every_row_run_by_the_network_helper():
+    # a new network row cannot skip the bit-identity test below; cpl-frozen
+    # runs its predictor through the same helper
+    problems = {name: builder(substream(0, "network-helper")) for name, builder in REGISTRY}
+    assert {name for name, problem in problems.items() if problem.stacked} == set(STACKED_CASES)
+
+    def helped(problem):
+        return all(getattr(f, "func", None) is _net_values for f in problem.forwards.values())
+
+    assert {name for name, problem in problems.items() if helped(problem)} == {*NETWORK_CASES, "cpl-frozen"}
 
 
-def test_network_cases_are_every_row_perturbed_under_suffixes():
-    # a new network row cannot skip the suffix tests below, and every row but step-total is stacked
-    problems = {name: builder(substream(0, "suffix-only")) for name, builder in REGISTRY}
-    assert {name for name, problem in problems.items() if not problem.stacked} == {"step-total"}
-    assert {name for name, problem in problems.items() if _stacked_suffixes(problem)} == set(NETWORK_CASES)
-
-
-@pytest.mark.parametrize("name", NETWORK_CASES)
-def test_suffix_finite_difference_is_bit_identical_to_the_whole_forward(name):
-    builder = dict(REGISTRY)[name]
+@pytest.mark.parametrize("name", STACKED_CASES)
+def test_stacked_finite_difference_is_bit_identical_to_the_per_entry_one(name, monkeypatch):
+    # the per-entry reference is the root, evaluated fresh per entry by the
+    # tests' own loop; for cpl-frozen, with its targets pinned where the
+    # build computed them
+    real_targets = gradcheck.cpl_targets
     for b in range(20):
-        problem = builder(substream(0, f"gradcheck/{name}/{b}"))
-        # every leaf is perturbed under a suffix of the network, none under the whole root
-        assert _stacked_suffixes(problem)
+        pinned = []
 
-        def whole():
-            return problem.root().item()
+        def first_targets(*args):
+            if not pinned:
+                pinned.append(real_targets(*args))
+            return pinned[0]
 
-        for leaf, suffix in problem.forwards.items():
-            orig, value = leaf.data, whole()
+        monkeypatch.setattr(gradcheck, "cpl_targets", first_targets)
+        problem = dict(REGISTRY)[name](substream(0, f"gradcheck/{name}/{b}"))
+        assert bool(pinned) == (name == "cpl-frozen")
+        for leaf, forward in problem.forwards.items():
+            orig, value = leaf.data, problem.root().item()
             leaf.data = orig[np.newaxis]  # a one-slice stack of the unperturbed data
-            assert suffix().tolist() == [value], (name, b)
+            assert forward().ravel().tolist() == [value], (name, b)
             leaf.data = orig
-            stacked = central_diff(suffix, leaf, stacked=True)
+            stacked = central_diff(forward, leaf, stacked=True)
             assert leaf.data is orig, (name, b)
-            per_entry = central_diff(whole, leaf)
+            per_entry = per_entry_diff(problem.root, leaf)
             # equal, signs of zero included
             assert np.array_equal(stacked, per_entry), (name, b)
             assert np.array_equal(np.signbit(stacked), np.signbit(per_entry)), (name, b)
 
 
-@pytest.mark.parametrize("name", NETWORK_CASES)
-def test_cached_activations_survive_a_sweep_and_are_read_only(name):
-    problem = dict(REGISTRY)[name](substream(0, f"gradcheck/{name}/0"))
-    # x's forward is partial(_input_tail, steps, x); a parameter's is
-    # partial(_param_tail, steps, h, p), the longest from x.data at step 0,
-    # every shorter one from an activation cached at build
-    forwards = problem.forwards.values()
-    depth = max(len(f.args[0]) for f in forwards)
-    cached = {id(f.args[1]): f.args[1] for f in forwards if f.func is _param_tail and len(f.args[0]) < depth}
-    assert bool(cached) == (depth > 1)  # a one-layer case caches nothing
-    before = {key: h.copy() for key, h in cached.items()}
-    leaves = {leaf: (leaf.data, leaf.data.copy()) for leaf in problem.forwards}
-    for leaf, forward in problem.forwards.items():
-        central_diff(forward, leaf, stacked=True)
-    for key, h in cached.items():
-        assert np.array_equal(h, before[key])
-        with pytest.raises(ValueError, match="read-only"):
-            h[0, 0] = 1.0
-    # the sweep puts each leaf's own array back, unchanged
-    for leaf, (data, copy) in leaves.items():
-        assert leaf.data is data and np.array_equal(data, copy)
+def _assert_per_slice_is_per_entry(fd_forward, leaf, where):
+    orig = leaf.data
+    fd = central_diff(fd_forward, leaf)
+    assert leaf.data is orig, where
+    reference = per_entry_diff(lambda: np.float64(fd_forward()), leaf)
+    assert np.array_equal(fd, reference), where
+    assert np.array_equal(np.signbit(fd), np.signbit(reference)), where
+
+
+def test_per_slice_finite_difference_is_bit_identical_to_the_per_entry_one():
+    # step-total's forward, and criterion 02's frozen and coupled ones, take
+    # the stack one slice per call
+    for seed in range(4):
+        for b in range(20):
+            problem = dict(REGISTRY)["step-total"](substream(seed, f"gradcheck/step-total/{b}"))
+            assert not problem.stacked
+            for leaf, forward in problem.forwards.items():
+                _assert_per_slice_is_per_entry(forward, leaf, (seed, b))
+    x = Tensor(np.array([[0.5, -0.8, 3.2, 4.1], [-1.2, 0.6, 2.5, 3.3], [0.3, 1.1, -0.7, 0.4]]), requires_grad=True)
+    labels = np.array([0, 0, 1, 1])
+    pinned = cpl_targets(x.data.copy(), labels)
+    _assert_per_slice_is_per_entry(lambda: cpl_loss(x, labels, pinned).item(), x, "frozen")
+    _assert_per_slice_is_per_entry(lambda: cpl_loss(x, labels, cpl_targets(x, labels)).item(), x, "coupled")
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["per-entry", "stacked"])
+def test_a_raising_forward_leaves_the_leaf_as_it_was(stacked, rng):
+    x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    orig, copy = x.data, x.data.copy()
+
+    def forward():
+        raise NumericsError("forward failed")
+
+    with pytest.raises(NumericsError, match="forward failed"):
+        central_diff(forward, x, stacked=stacked)
+    assert x.data is orig and np.array_equal(orig, copy)
 
 
 def test_a_stacked_root_that_overflows_raises_the_roots_message():
@@ -252,37 +272,3 @@ def test_each_stacked_row_runs_one_forward_per_leaf(monkeypatch):
     for name, _ in REGISTRY:
         expected = 2 * entries[name] if name == "step-total" else leaves[name]
         assert calls[name] == expected, name
-
-
-@pytest.mark.parametrize("name", LOSS_CASES)
-def test_stacked_loss_row_finite_difference_is_bit_identical_to_the_per_entry_one(name, monkeypatch):
-    # the per-entry reference is the root, evaluated fresh per entry; for
-    # cpl-frozen, with its targets pinned where the build computed them
-    real_targets = gradcheck.cpl_targets
-    for b in range(20):
-        pinned = []
-
-        def first_targets(*args):
-            if not pinned:
-                pinned.append(real_targets(*args))
-            return pinned[0]
-
-        monkeypatch.setattr(gradcheck, "cpl_targets", first_targets)
-        problem = dict(REGISTRY)[name](substream(0, f"gradcheck/{name}/{b}"))
-        assert problem.stacked
-        assert bool(pinned) == (name == "cpl-frozen")
-
-        def whole():
-            return problem.root().item()
-
-        for leaf, forward in problem.forwards.items():
-            orig, value = leaf.data, whole()
-            leaf.data = orig[np.newaxis]  # a one-slice stack of the unperturbed data
-            assert forward().ravel().tolist() == [value], (name, b)
-            leaf.data = orig
-            stacked = central_diff(forward, leaf, stacked=True)
-            assert leaf.data is orig, (name, b)
-            per_entry = central_diff(whole, leaf)
-            # equal, signs of zero included
-            assert np.array_equal(stacked, per_entry), (name, b)
-            assert np.array_equal(np.signbit(stacked), np.signbit(per_entry)), (name, b)
