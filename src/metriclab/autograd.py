@@ -3,10 +3,13 @@
 Every value is a 2-D float64 matrix. Batches use the column-per-sample
 convention throughout the package: a batch of N vectors in R^d is a d x N
 matrix. Each layer, loss and step total is one op that `_make` (or `_node`,
-if the op checks its output itself) builds from its numpy result, parents
-and backward rule; backward(root) walks the graph once in reverse
-topological order and returns exact gradients for every node that requires
-them. A tensor built from plain data without requires_grad is a constant.
+if the op checks its output itself) builds from its numpy result, parents,
+backward rule and forward: the numpy function of its parents' values that
+gave the result, one argument per parent, which gradcheck's `replay` reruns
+on stacks of perturbed inputs (None for an op that nothing replays).
+backward(root) walks the graph once in reverse topological order and
+returns exact gradients for every node that requires them. A tensor built
+from plain data without requires_grad is a constant.
 
 Graphs are cheap and ephemeral (built per step, dropped after backward), so
 nodes hold plain references. An op may overwrite intermediates that it
@@ -67,18 +70,19 @@ class Tensor:
     """A matrix plus optional graph bookkeeping.
 
     Leaves are created directly (requires_grad=True for parameters);
-    operation outputs carry their parents and a local backward rule that
-    maps the upstream gradient to per-parent gradients. A Tensor has no
-    arithmetic of its own: ops read and build `.data`.
+    operation outputs carry their parents, a local backward rule that maps
+    the upstream gradient to per-parent gradients, and their forward. A
+    Tensor has no arithmetic of its own: ops read and build `.data`.
     """
 
-    __slots__ = ("data", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward", "_forward")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None):
+    def __init__(self, data, requires_grad=False, parents=(), backward=None, forward=None):
         self.data = _as_matrix(data)
         self.requires_grad = bool(requires_grad)
         self._parents = parents if type(parents) is tuple else tuple(parents)
         self._backward = backward
+        self._forward = forward
 
     @property
     def shape(self):
@@ -113,16 +117,16 @@ def check_finite(x, op, what: str = "operation produced non-finite entries") -> 
         raise NumericsError(f"{op if type(op) is str else _op_name(op)}: {what}")
 
 
-def _make(data, parents, backward_rule) -> Tensor:
+def _make(data, parents, backward_rule, forward) -> Tensor:
     check_finite(data, backward_rule)
-    return _node(data, parents, backward_rule)
+    return _node(data, parents, backward_rule, forward)
 
 
-def _node(data, parents, backward_rule) -> Tensor:
+def _node(data, parents, backward_rule, forward) -> Tensor:
     """An op output whose finiteness the op has checked itself."""
     for p in parents:
         if p.requires_grad:
-            return Tensor(data, requires_grad=True, parents=parents, backward=backward_rule)
+            return Tensor(data, requires_grad=True, parents=parents, backward=backward_rule, forward=forward)
     return Tensor(data)
 
 

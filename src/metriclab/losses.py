@@ -26,11 +26,13 @@ Each op checks its labels and shapes, builds the label structure (the pair
 masks of a distance loss, the CPL weight row), then calls its numpy forward
 (`_pairwise_forward`, `_ce_forward`, ..., `_cpl_forward`), which makes the
 intermediate checks and returns the value and what the op's 2-D backward
-reads; the op's `_make` checks the output. A forward reads trailing axes
-(`axis=-2/-1`, a swap of the last two axes, a per-slice gather, a total over
-the last two axes), so it broadcasts over a leading stack axis: a P x r x c
-stack of inputs gives P totals, each bit-identical to the 2-D run on its
-slice, which is how gradcheck runs every perturbation of a leaf in one call.
+reads; the op's `_make` checks the output and records the forward, with the
+label structure bound, as a function of the parents' values. A forward
+reads trailing axes (`axis=-2/-1`, a swap of the last two axes, a per-slice
+gather, a total over the last two axes), so it broadcasts over a leading
+stack axis: a P x r x c stack of inputs gives P totals, each bit-identical
+to the 2-D run on its slice, which is how gradcheck's replay runs every
+perturbation of a leaf in one call.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def pairwise_euclidean(x: Tensor) -> Tensor:
         # xt.T, as the composed matmul read its operand from the transpose's copy
         return t_sq, t_sq, xt.T @ g_gram, (g_gram @ xd.T).T
 
-    return _make(out, (x, x, x, x), bw)
+    return _make(out, (x, x, x, x), bw, lambda xv, *_: _pairwise_forward(xv)[0])
 
 
 def _pairwise_forward(xd):
@@ -149,7 +151,7 @@ def id_cross_entropy(logits, labels) -> Tensor:
         np.add.at(g_true, (labels, cols), -g_per_sample[0])
         return (g_per_sample / s) * e, g_true
 
-    return _make(total, (logits, logits), bw)
+    return _make(total, (logits, logits), bw, lambda xv, _: _ce_forward(xv, labels)[0])
 
 
 def _ce_forward(x, labels):
@@ -191,7 +193,7 @@ def center_loss(features, labels, centers) -> Tensor:
         np.add.at(g_centers, (slice(None), labels), -g_diff)
         return g_diff, g_centers
 
-    return _make(total, (features, centers), bw)
+    return _make(total, (features, centers), bw, lambda xv, cv: _center_forward(xv, cv, labels)[0])
 
 
 def _center_forward(x, c, labels):
@@ -260,7 +262,7 @@ def triplet_loss_batch_hard(dist, labels, margin: float) -> Tensor:
         g_neg[anchors, hardest_neg] += -g_hinge[0]
         return g_pos, g_neg
 
-    return _make(total, (dist, dist), bw)
+    return _make(total, (dist, dist), bw, lambda d, _: _triplet_forward(d, pos, neg, margin)[0])
 
 
 def _row_picks(d, cols):
@@ -318,7 +320,10 @@ def circle_loss(features, labels, scale: float, margin: float) -> Tensor:
         t_sq = g_norms * 0.5 / norms * x
         return g_xn / norms, t_sq, t_sq
 
-    return _make(total, (features, features, features), bw)
+    def forward(xv, *_):
+        return _circle_forward(xv, pos, neg, scale, margin)[0]
+
+    return _make(total, (features, features, features), bw, forward)
 
 
 def _circle_forward(x, pos, neg, scale, margin):
@@ -374,7 +379,7 @@ def lifted_structure_loss(dist, labels, margin: float) -> Tensor:
         g_lse = g_hinge.sum(axis=1, keepdims=True) + g_hinge.sum(axis=0, keepdims=True).T
         return g_hinge, -((g_lse / s) * e)
 
-    return _make(total, (dist, dist), bw)
+    return _make(total, (dist, dist), bw, lambda d, _: _lifted_forward(d, pos, neg, margin)[0])
 
 
 def _lifted_forward(d, pos, neg, margin):
@@ -406,13 +411,14 @@ def ranked_list_loss(dist, labels, alpha: float, margin: float) -> Tensor:
         raise ConfigError("ranked_list_loss: alpha must exceed margin")
     if labels.size < 2:
         raise ShapeError("ranked_list_loss: need at least 2 samples")
-    total, (pos_arg, neg_arg, pos_w, neg_w, scale) = _ranked_forward(dist.data, *_pair_masks(labels), alpha, margin)
+    pos, neg = _pair_masks(labels)
+    total, (pos_arg, neg_arg, pos_w, neg_w, scale) = _ranked_forward(dist.data, pos, neg, alpha, margin)
 
     def bw(g):
         g_terms = g * scale
         return g_terms * pos_w * (pos_arg > 0.0), -(g_terms * neg_w * (neg_arg > 0.0))
 
-    return _make(total, (dist, dist), bw)
+    return _make(total, (dist, dist), bw, lambda d, _: _ranked_forward(d, pos, neg, alpha, margin)[0])
 
 
 def _ranked_forward(d, pos, neg, alpha, margin):
@@ -522,7 +528,7 @@ def cpl_objective(features, labels, targets):
             return (t + t,)
 
         bw.__qualname__ = "cpl_loss.<locals>.bw"  # failures name the op, not this helper
-        return _make(total, (preds,), bw)
+        return _make(total, (preds,), bw, lambda p: _cpl_forward(p, target_values, weights)[0])
 
     return loss
 

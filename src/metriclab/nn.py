@@ -7,9 +7,9 @@ params() as (name, Tensor) pairs for the optimizer and checkpointing.
 Their numpy forward (`_run_steps`, each layer's `_apply`, `standardize`)
 also broadcasts over a leading stack axis: a P x d x N stack of inputs, or
 a parameter whose data is a stack of P matrices, gives a P x d' x N stack
-whose every slice is bit-identical to the 2-D run on that slice's data, so
-that gradcheck runs every perturbation of a leaf in one call. Backward
-stays 2-D.
+whose every slice is bit-identical to the 2-D run on that slice's data.
+A layer op records `_run_steps` as its forward, so gradcheck's replay runs
+every perturbation of a leaf in one call. Backward stays 2-D.
 
 Every layer forward is one autograd op, a layer stack: a chain of Linear and
 BatchNorm steps with relu between them, run on plain arrays by
@@ -72,8 +72,9 @@ def _run_steps(steps, h: np.ndarray, keep: bool = True):
 def _stack(owner, steps, x) -> Tensor:
     """Run steps on x as one autograd op that failures name as owner's forward.
 
-    The forward is `_run_steps`; the op's parents are the first layer's
-    (weight or gamma, x, bias or beta), then the later layers' parameters.
+    The forward is `_run_steps`, which the op also records; the op's
+    parents are the first layer's (weight or gamma, x, bias or beta), then
+    the later layers' parameters.
 
     Buffers: the op overwrites only arrays that it allocated itself. Each
     relu keeps the bool mask of its in-place forward; backward multiplies
@@ -101,7 +102,11 @@ def _stack(owner, steps, x) -> Tensor:
 
     # backward names a failing rule by its qualname: the owner, not _stack
     bw.__qualname__ = f"{type(owner).__name__}.forward.<locals>.bw"
-    return _node(h, (first_a, x, first_b, *later), bw)
+
+    def forward(_, xv, *params):  # the layers read their parameters' data themselves
+        return _run_steps(steps, xv, keep=False)[0]
+
+    return _node(h, (first_a, x, first_b, *later), bw, forward)
 
 
 class Linear:

@@ -176,18 +176,15 @@ def _weighted_total(parts: dict, weights: dict) -> Tensor:
     def bw(g):
         return tuple(g * w for w in ws)
 
-    return _make(_weighted_sum([part.data for part in tensors], ws), tensors, bw)
+    def forward(*values):  # values of a leading stack axis give one sum per slice
+        total = None
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum surfaces in the output check
+            for value, w in zip(values, ws):
+                term = value * w
+                total = term if total is None else total + term
+        return total
 
-
-def _weighted_sum(values, ws) -> np.ndarray:
-    """`_weighted_total`'s numpy forward: value * w + value * w + ..., in order;
-    values of a leading stack axis give one sum per slice."""
-    total = None
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum surfaces in the output check
-        for value, w in zip(values, ws):
-            term = value * w
-            total = term if total is None else total + term
-    return total
+    return _make(forward(*(part.data for part in tensors)), tensors, bw, forward)
 
 
 @dataclass

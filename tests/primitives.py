@@ -1,9 +1,10 @@
 """The autograd primitives that the package's fused ops replaced, as plain
-functions over `metriclab.autograd.Tensor` built with `_make`. The tests
-compose them into the reference graphs each fused op replays bit for bit
-(`composed_graphs.py`, the composed layers in `test_nn.py`), and
-`test_autograd.py` checks the tape with them. A failure names the op: the
-part of its backward rule's qualname before ".<locals>"."""
+functions over `metriclab.autograd.Tensor` built with `_make` (with no
+forward: gradcheck never replays them). The tests compose them into the
+reference graphs each fused op replays bit for bit (`composed_graphs.py`,
+the composed layers in `test_nn.py`), and `test_autograd.py` checks the
+tape with them. A failure names the op: the part of its backward rule's
+qualname before ".<locals>"."""
 
 import numpy as np
 
@@ -23,13 +24,13 @@ def _check_broadcast(a: Tensor, b: Tensor, opname: str):
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "add")
-    return _make(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return _make(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)), None)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a, b, "sub")
-    return _make(a.data - b.data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    return _make(a.data - b.data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)), None)
 
 
 def mul(a, b) -> Tensor:
@@ -37,7 +38,7 @@ def mul(a, b) -> Tensor:
     _check_broadcast(a, b, "mul")
     with np.errstate(over="ignore"):
         prod = a.data * b.data
-    return _make(prod, (a, b), lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
+    return _make(prod, (a, b), lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)), None)
 
 
 def div(a, b) -> Tensor:
@@ -49,7 +50,7 @@ def div(a, b) -> Tensor:
     def bw(g):
         return _unbroadcast(g / b.data, a.shape), _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
 
-    return _make(a.data / b.data, (a, b), bw)
+    return _make(a.data / b.data, (a, b), bw, None)
 
 
 def matmul(a, b) -> Tensor:
@@ -58,12 +59,12 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         prod = a.data @ b.data
-    return _make(prod, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    return _make(prod, (a, b), lambda g: (g @ b.data.T, a.data.T @ g), None)
 
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
-    return _make(a.data.T.copy(), (a,), lambda g: (g.T,))
+    return _make(a.data.T.copy(), (a,), lambda g: (g.T,), None)
 
 
 def gather_cols(a, idx) -> Tensor:
@@ -80,7 +81,7 @@ def gather_cols(a, idx) -> Tensor:
         np.add.at(out, (slice(None), idx), g)
         return (out,)
 
-    return _make(a.data[:, idx], (a,), bw)
+    return _make(a.data[:, idx], (a,), bw, None)
 
 
 def gather_pairs(a, rows, cols) -> Tensor:
@@ -96,26 +97,26 @@ def gather_pairs(a, rows, cols) -> Tensor:
         np.add.at(out, (rows, cols), g[0])
         return (out,)
 
-    return _make(a.data[rows, cols][None, :], (a,), bw)
+    return _make(a.data[rows, cols][None, :], (a,), bw, None)
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
+    return _make(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),), None)
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     with np.errstate(over="ignore"):  # overflow surfaces as NumericsError
         out = np.exp(a.data)
-    return _make(out, (a,), lambda g: (g * out,))
+    return _make(out, (a,), lambda g: (g * out,), None)
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data <= 0.0):
         raise NumericsError("log: requires strictly positive entries")
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+    return _make(np.log(a.data), (a,), lambda g: (g / a.data,), None)
 
 
 def sqrt(a) -> Tensor:
@@ -124,12 +125,12 @@ def sqrt(a) -> Tensor:
         raise NumericsError("sqrt: requires non-negative entries")
     out = np.sqrt(a.data)
     # the derivative is unbounded at 0; callers guard exact zeros themselves
-    return _make(out, (a,), lambda g: (g * 0.5 / out,))
+    return _make(out, (a,), lambda g: (g * 0.5 / out,), None)
 
 
 def absval(a) -> Tensor:
     a = as_tensor(a)
-    return _make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
+    return _make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),), None)
 
 
 def tsum(a, axis=None) -> Tensor:
@@ -138,7 +139,7 @@ def tsum(a, axis=None) -> Tensor:
     if axis not in (None, 0, 1):
         raise ShapeError("sum: axis must be None, 0 or 1")
     out = a.data.sum().reshape(1, 1) if axis is None else a.data.sum(axis=axis, keepdims=True)
-    return _make(out, (a,), lambda g: (np.broadcast_to(g, a.shape),))
+    return _make(out, (a,), lambda g: (np.broadcast_to(g, a.shape),), None)
 
 
 def tmean(a, axis=None) -> Tensor:
@@ -169,7 +170,7 @@ def logsumexp(a, axis=None, mask=None) -> Tensor:
     m = np.max(x, axis=axis, keepdims=True)
     e = np.exp(x - m)
     s = e.sum(axis=axis, keepdims=True)
-    return _make(m + np.log(s), (a,), lambda g: ((g / s) * e,))
+    return _make(m + np.log(s), (a,), lambda g: ((g / s) * e,), None)
 
 
 def softplus(a) -> Tensor:

@@ -1,23 +1,24 @@
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import metriclab.gradcheck as gradcheck
-from metriclab.autograd import Tensor, backward
+import metriclab.trainer as trainer
+from metriclab.autograd import GraphError, Tensor, _make, backward
 from metriclab.errors import NumericsError
 from metriclab.gradcheck import (
     REGISTRY,
     GradProblem,
-    _net_values,
     _sum,
     _sum_squares,
     central_diff,
     max_rel_err,
+    replay,
     run_gradcheck,
 )
-from metriclab.losses import cpl_loss, cpl_targets
 from metriclab.machine import platform_record
 from metriclab.nn import Linear
 from metriclab.seeding import substream
@@ -32,7 +33,7 @@ REPORT = Path(__file__).resolve().parents[1] / "runs" / "gradcheck" / "report.tx
 
 def test_central_diff_matches_closed_form(rng):
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    fd = central_diff(lambda: float((x.data**2).sum()), x)
+    fd = central_diff(lambda: (x.data**2).sum(axis=(-2, -1)), x)
     assert np.allclose(fd, 2 * x.data, atol=1e-9)
 
 
@@ -53,15 +54,17 @@ def test_max_rel_err_is_nan_when_not_finite(analytic, fd):
     assert np.isnan(max_rel_err(np.array(analytic), np.array(fd)))
 
 
+def _jump(a):  # hi - lo = 1.7e308 + 1.7e308 overflows to inf
+    return np.where(a > 1.0, 1.7e308, -1.7e308)
+
+
 def _infinite_fd(rng) -> GradProblem:
-    """sum(x) with x's finite difference infinite, then a leaf whose error is 0."""
+    """A root whose finite difference in x is infinite, then a leaf y that the
+    root does not read: the replay broadcasts x along y's stack, and y's
+    error is 0."""
     x = Tensor(np.ones((1, 1)), requires_grad=True)
     y = Tensor(np.ones((1, 1)), requires_grad=True)
-
-    def jump():  # hi - lo = 1.7e308 + 1.7e308 overflows to inf
-        return 1.7e308 if x.data[0, 0] > 1.0 else -1.7e308
-
-    return GradProblem(lambda: _sum(x), {x: jump, y: lambda: 0.0})
+    return GradProblem(lambda: _make(_jump(x.data), (x,), lambda g: (g * 0.0,), _jump), (x, y))
 
 
 def test_a_non_finite_error_fails_its_row(monkeypatch):
@@ -125,7 +128,7 @@ def test_every_case_checks_a_nonzero_gradient():
         for b in range(20):
             problem = builder(substream(0, f"gradcheck/{name}/{b}"))
             grads = backward(problem.root())
-            assert any(np.any(grads.get(leaf, 0.0) != 0.0) for leaf in problem.forwards), (name, b)
+            assert any(np.any(grads.get(leaf, 0.0) != 0.0) for leaf in problem.leaves), (name, b)
 
 
 @pytest.mark.parametrize("upstream", [1.0, 0.37])
@@ -145,48 +148,31 @@ def test_fused_sums_are_bit_identical_to_composed_graphs(upstream, rng):
             assert np.array_equal(f, c)
 
 
-# the rows built by _network: a layer stack under _sum_squares
-NETWORK_CASES = ("linear", "batchnorm", "mlp", "predictor-2layer", "predictor-4layer-bn", "mlp-constant-input")
-
-# every row but step-total, whose forward builds 2-D Tensors, is stacked
-STACKED_CASES = tuple(name for name, _ in REGISTRY if name != "step-total")
-
-
-def test_network_cases_are_every_row_run_by_the_network_helper():
-    # a new network row cannot skip the bit-identity test below; cpl-frozen
-    # runs its predictor through the same helper
-    problems = {name: builder(substream(0, "network-helper")) for name, builder in REGISTRY}
-    assert {name for name, problem in problems.items() if problem.stacked} == set(STACKED_CASES)
-
-    def helped(problem):
-        return all(getattr(f, "func", None) is _net_values for f in problem.forwards.values())
-
-    assert {name for name, problem in problems.items() if helped(problem)} == {*NETWORK_CASES, "cpl-frozen"}
-
-
-@pytest.mark.parametrize("name", STACKED_CASES)
+@pytest.mark.parametrize("name", [name for name, _ in REGISTRY])
 def test_stacked_finite_difference_is_bit_identical_to_the_per_entry_one(name, monkeypatch):
-    # the per-entry reference is the root, evaluated fresh per entry by the
-    # tests' own loop; for cpl-frozen, with its targets pinned where the
-    # build computed them
-    real_targets = gradcheck.cpl_targets
+    # the per-entry reference is the root, rebuilt per entry by the tests'
+    # own loop; for cpl-frozen and step-total, with its targets pinned
+    # where the build of the root computed them
+    pinned = []
+
+    def first_targets(real, *args):
+        if not pinned:
+            pinned.append(real(*args))
+        return pinned[0]
+
+    for module in (gradcheck, trainer):
+        monkeypatch.setattr(module, "cpl_targets", partial(first_targets, module.cpl_targets))
     for b in range(20):
-        pinned = []
-
-        def first_targets(*args):
-            if not pinned:
-                pinned.append(real_targets(*args))
-            return pinned[0]
-
-        monkeypatch.setattr(gradcheck, "cpl_targets", first_targets)
+        pinned.clear()
         problem = dict(REGISTRY)[name](substream(0, f"gradcheck/{name}/{b}"))
-        assert bool(pinned) == (name == "cpl-frozen")
-        for leaf, forward in problem.forwards.items():
-            orig, value = leaf.data, problem.root().item()
+        root = problem.root()
+        assert bool(pinned) == (name in ("cpl-frozen", "step-total"))
+        for leaf in problem.leaves:
+            orig = leaf.data
             leaf.data = orig[np.newaxis]  # a one-slice stack of the unperturbed data
-            assert forward().ravel().tolist() == [value], (name, b)
+            assert replay(root, leaf).ravel().tolist() == [root.item()], (name, b)
             leaf.data = orig
-            stacked = central_diff(forward, leaf, stacked=True)
+            stacked = central_diff(partial(replay, root, leaf), leaf)
             assert leaf.data is orig, (name, b)
             per_entry = per_entry_diff(problem.root, leaf)
             # equal, signs of zero included
@@ -194,33 +180,7 @@ def test_stacked_finite_difference_is_bit_identical_to_the_per_entry_one(name, m
             assert np.array_equal(np.signbit(stacked), np.signbit(per_entry)), (name, b)
 
 
-def _assert_per_slice_is_per_entry(fd_forward, leaf, where):
-    orig = leaf.data
-    fd = central_diff(fd_forward, leaf)
-    assert leaf.data is orig, where
-    reference = per_entry_diff(lambda: np.float64(fd_forward()), leaf)
-    assert np.array_equal(fd, reference), where
-    assert np.array_equal(np.signbit(fd), np.signbit(reference)), where
-
-
-def test_per_slice_finite_difference_is_bit_identical_to_the_per_entry_one():
-    # step-total's forward, and criterion 02's frozen and coupled ones, take
-    # the stack one slice per call
-    for seed in range(4):
-        for b in range(20):
-            problem = dict(REGISTRY)["step-total"](substream(seed, f"gradcheck/step-total/{b}"))
-            assert not problem.stacked
-            for leaf, forward in problem.forwards.items():
-                _assert_per_slice_is_per_entry(forward, leaf, (seed, b))
-    x = Tensor(np.array([[0.5, -0.8, 3.2, 4.1], [-1.2, 0.6, 2.5, 3.3], [0.3, 1.1, -0.7, 0.4]]), requires_grad=True)
-    labels = np.array([0, 0, 1, 1])
-    pinned = cpl_targets(x.data.copy(), labels)
-    _assert_per_slice_is_per_entry(lambda: cpl_loss(x, labels, pinned).item(), x, "frozen")
-    _assert_per_slice_is_per_entry(lambda: cpl_loss(x, labels, cpl_targets(x, labels)).item(), x, "coupled")
-
-
-@pytest.mark.parametrize("stacked", [False, True], ids=["per-entry", "stacked"])
-def test_a_raising_forward_leaves_the_leaf_as_it_was(stacked, rng):
+def test_a_raising_forward_leaves_the_leaf_as_it_was(rng):
     x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
     orig, copy = x.data, x.data.copy()
 
@@ -228,25 +188,33 @@ def test_a_raising_forward_leaves_the_leaf_as_it_was(stacked, rng):
         raise NumericsError("forward failed")
 
     with pytest.raises(NumericsError, match="forward failed"):
-        central_diff(forward, x, stacked=stacked)
+        central_diff(forward, x)
     assert x.data is orig and np.array_equal(orig, copy)
 
 
 def test_a_stacked_root_that_overflows_raises_the_roots_message():
     problem = dict(REGISTRY)["linear"](substream(0, "gradcheck/linear/0"))
-    x, forward = next(iter(problem.forwards.items()))
+    root, x = problem.root(), problem.leaves[0]
     x.data = x.data * 1e200  # the layer output stays finite, its squares overflow
     message = "^_sum_squares: operation produced non-finite entries$"
     with pytest.raises(NumericsError, match=message):
-        central_diff(forward, x, stacked=True)
+        central_diff(partial(replay, root, x), x)
     with pytest.raises(NumericsError, match=message):
         problem.root()
 
 
+def test_a_node_without_a_forward_cannot_be_replayed():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    root = _sum(mul(x, x))  # the test primitive records no forward
+    x.data = x.data[np.newaxis]
+    with pytest.raises(GraphError, match="^mul: no forward to replay$"):
+        replay(root, x)
+
+
 def test_each_stacked_row_runs_one_forward_per_leaf(monkeypatch):
-    # wrap each forward central_diff gets, as perfbench's tracer does: the
-    # stacked rows make one call per leaf, step-total two per entry
-    row, leaves, entries, calls = [None], Counter(), Counter(), Counter()
+    # wrap each forward central_diff gets, as perfbench's tracer does: every
+    # row makes one call per leaf
+    row, leaves, calls = [None], Counter(), Counter()
     real_diff = gradcheck.central_diff
 
     def tagged(name, builder):
@@ -256,19 +224,16 @@ def test_each_stacked_row_runs_one_forward_per_leaf(monkeypatch):
 
         return build
 
-    def counted_diff(fd_forward, leaf, *args, **kwargs):
+    def counted_diff(fd_forward, leaf):
         def counted():
             calls[row[0]] += 1
             return fd_forward()
 
         leaves[row[0]] += 1
-        entries[row[0]] += leaf.data.size
-        return real_diff(counted, leaf, *args, **kwargs)
+        return real_diff(counted, leaf)
 
     monkeypatch.setattr(gradcheck, "REGISTRY", tuple((name, tagged(name, b)) for name, b in REGISTRY))
     monkeypatch.setattr(gradcheck, "central_diff", counted_diff)
     assert run_gradcheck(0, 1e-4, 2).all_passed
     assert set(calls) == {name for name, _ in REGISTRY}
-    for name, _ in REGISTRY:
-        expected = 2 * entries[name] if name == "step-total" else leaves[name]
-        assert calls[name] == expected, name
+    assert calls == leaves

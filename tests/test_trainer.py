@@ -26,7 +26,6 @@ from metriclab.trainer import (
     SGD,
     TrainState,
     _loss_parts,
-    _weighted_sum,
     _weighted_total,
     build_state,
     cpl_errors,
@@ -133,7 +132,8 @@ def test_weighted_total_is_bit_identical_to_the_composed_sum():
 
 @pytest.mark.parametrize("sizes", [(4, 4, 4, 4), (3, 4, 5)], ids=["pk-4x4", "unequal-3-4-5"])
 def test_weighted_sum_over_a_stack_is_each_slices_weighted_total(sizes):
-    # the parts' stacked forwards, weighed: each slice is the 2-D ops' total
+    # the parts' stacked forwards, weighed by the forward that
+    # _weighted_total records: each slice is the 2-D ops' total
     labels = np.repeat(np.arange(len(sizes)), sizes)
     xs = np.random.default_rng(2).normal(0, 1.5, (3, 4, labels.size))
     centers = np.linspace(-1.0, 1.0, 4 * len(sizes)).reshape(4, -1)
@@ -144,7 +144,9 @@ def test_weighted_sum_over_a_stack_is_each_slices_weighted_total(sizes):
         _cpl_forward(xs, targets, cpl_weights(labels))[0],
         _center_forward(xs, centers, labels)[0],
     )
-    totals = _weighted_sum(stacked, weights.values())
+    zeros = {name: Tensor(np.zeros((1, 1)), requires_grad=True) for name in weights}
+    forward = _weighted_total(zeros, weights)._forward
+    totals = forward(*stacked)
     for x, total in zip(xs, totals, strict=True):
         parts = (id_cross_entropy(x, labels), cpl_loss(x, labels, targets), center_loss(x, labels, centers))
         assert np.array_equal(total, _weighted_total(dict(zip(weights, parts)), weights).data)
@@ -155,7 +157,7 @@ def test_weighted_sum_over_a_stack_is_each_slices_weighted_total(sizes):
     with pytest.raises(NumericsError, match=message):
         _weighted_total({name: Tensor(values[1]) for name, values in zip(weights, stacked)}, weights)
     with pytest.raises(NumericsError, match=message):
-        check_finite(_weighted_sum(stacked, weights.values()), "_weighted_total")
+        check_finite(forward(*stacked), "_weighted_total")
 
 
 def test_step_total_without_target_bn_keeps_targets_frozen(monkeypatch):
